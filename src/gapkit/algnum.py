@@ -20,7 +20,7 @@ import mpmath
 import sympy
 
 from .intpoly import IntPoly, RatPoly, discriminant_poly
-from .isolation import (IsolationError, RootEnclosure, eval_on_disk, house,
+from .isolation import (PrecisionError, RootEnclosure, eval_on_disk, house,
                         isolate_roots, mahler_measure, root_enclosure)
 from .rounding import RatInterval, tidy_down, tidy_up
 
@@ -279,7 +279,7 @@ def _verify_embedding(alpha: AlgNum, beta: AlgNum, rep: PowerBasisRep) -> bool:
             if all(_interval_avoids(img, o) for o in others):
                 return True
         width /= 10 ** 6
-    raise IsolationError("embedding verification undecided at budget")
+    raise PrecisionError("embedding verification undecided at budget")
 
 
 def _image_interval(p: IntPoly, enc: RootEnclosure) -> RatInterval:
@@ -322,7 +322,7 @@ def c9(alpha: AlgNum, beta: AlgNum,
             return tidy_up(d * hb.hi * best.hi)
         except ZeroDivisionError:
             width /= 10 ** 6
-    raise IsolationError("conjugate separation undecided at budget")
+    raise PrecisionError("conjugate separation undecided at budget")
 
 
 def theta_upper_bound(alpha: AlgNum) -> int:

@@ -20,7 +20,8 @@ from math import gcd, isqrt
 
 from .binforms import BinForm, IntMat2, discriminant, form_action
 from .intpoly import IntPoly
-from .isolation import ComplexDisk, CRat, IsolationError, isolate_roots
+from .isolation import (ComplexDisk, CRat, IsolationError, PrecisionError,
+                        isolate_roots)
 from .rounding import simplest_rational_in
 
 
@@ -144,7 +145,7 @@ def aut_prime(f: BinForm, precision: Fraction = Fraction(1, 10 ** 20),
             break
         width /= 10 ** 10
     else:
-        raise AutError("automorphism search did not close within budget")
+        raise PrecisionError("automorphism search did not close within budget")
     elements = tuple(sorted(
         (AutElement(IntMat2(*k), sc, sg) for k, (sc, sg) in found.items()),
         key=lambda e: (abs(e.det), e.matrix.entries())))
@@ -388,7 +389,7 @@ def root_orbit_partition(poly_or_alphas, aut: EnhancedAut,
         if ok:
             return _components(len(disks), adjacency)
         width /= 10 ** 8
-    raise IsolationError("orbit image certification failed at budget")
+    raise PrecisionError("orbit image certification failed at budget")
 
 
 def _components(n: int, edges: set[tuple[int, int]]) -> OrbitPartition:

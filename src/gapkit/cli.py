@@ -13,8 +13,10 @@ Subcommands::
     gapkit sweep [--min-pairs N] [--dmax D]
 
 Algebraic numbers are written as POLY@root~=DECIMAL or POLY@indexK (a bare
-polynomial selects index 0).  Exit codes: 0 success, 2 hypothesis violation,
-3 precision abstention, 4 invariant violation.
+polynomial selects index 0).  Exit codes: 0 success; 2 bad input or
+hypothesis violation; 3 abstention (a precision or iteration budget ran out
+before the answer was certified); 4 invariant violation or internal error,
+with the exception type named on stderr.
 
 Report convention: integers and fractions printed bare are exact; every
 rounded quantity appears as {"value": ..., "rounding": "up" | "down"}.
@@ -25,18 +27,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
-from .algnum import AlgNum, NotInFieldError
+from .algnum import AlgNum
 from .gap import (AbstainError, ApproxPair, HypothesisError,
                   archimedean_constants, check_gap_dichotomy, mobius_relation,
                   nonarchimedean_constants)
-from .minpair import PairError, find_pair, verify_pair
-from .padic import HenselError, hensel_root
-from .parse import ParseError, parse_algnum_spec, parse_form, parse_poly
+from .minpair import find_pair, verify_pair
+from .padic import hensel_root
+from .parse import parse_algnum_spec, parse_form, parse_poly
 from .rounding import compact_str
-from .autgroup import AutError, aut_prime, root_orbit_partition
-from .thue import ThueError, ThueProblem, census, enumerate_primitive
+from .autgroup import aut_prime, root_orbit_partition
+from .thue import ThueProblem, census, enumerate_primitive
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -216,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
     common.add_argument("--precision-bits", type=int, default=256)
-    common.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("minpair", help="minimal pair for (alpha, beta)",
@@ -295,19 +297,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (HypothesisError, PairError, NotInFieldError, HenselError,
-            ThueError, AutError, ParseError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "hypothesis"}),
-              file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except AbstainError as exc:
-        print(json.dumps({"error": str(exc), "kind": "abstention"}),
-              file=sys.stderr)
-        return EXIT_ABSTAIN
+        # before ValueError: a PrecisionError is both
+        return _fail(exc, EXIT_ABSTAIN, kind="abstention")
+    except ValueError as exc:
+        # HypothesisError, ParseError, ThueError, AutError, ... and every
+        # input check raise ValueError subclasses
+        return _fail(exc, EXIT_HYPOTHESIS, kind="hypothesis")
     except AssertionError as exc:
-        print(json.dumps({"error": str(exc), "kind": "invariant"}),
-              file=sys.stderr)
-        return EXIT_INVARIANT
+        return _fail(exc, EXIT_INVARIANT, kind="invariant", type="AssertionError")
+    except Exception as exc:
+        return _fail(exc, EXIT_INVARIANT, kind="internal",
+                     type=type(exc).__name__, traceback=traceback.format_exc())
+
+
+def _fail(exc: BaseException, code: int, **report) -> int:
+    print(json.dumps({"error": str(exc), **report}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from .intpoly import IntPoly, poly_gcd_q, resultant, squarefree_part
 from .isolation import IsolationError, isolate_roots
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear
-from .rounding import (RatInterval, SqrtVal, certified_floor, compact_str,
+from .rounding import (AbstainError, RatInterval, SqrtVal, certified_floor,
+                       compact_str,
                        exp_interval, log_interval, pow_half_integer_down,
                        pow_half_integer_up, pow_up, sqrt_down, sqrt_up,
                        tidy_down, tidy_up)
@@ -27,10 +28,6 @@ from .rounding import (RatInterval, SqrtVal, certified_floor, compact_str,
 
 class HypothesisError(ValueError):
     """A stated hypothesis of the theorem being exercised is violated."""
-
-
-class AbstainError(RuntimeError):
-    """Enclosures could not decide the comparison within the budget."""
 
 
 # -- elementary exact comparisons ---------------------------------------------

@@ -23,12 +23,18 @@ from typing import Sequence
 import mpmath
 
 from .intpoly import IntPoly, is_squarefree, poly_gcd_q
-from .rounding import (RatInterval, pow_half_integer_down, sqrt_down,
-                       sqrt_up)
+from .rounding import (AbstainError, RatInterval, pow_half_integer_down,
+                       sqrt_down, sqrt_up)
 
 
 class IsolationError(ValueError):
-    pass
+    """Root isolation failed: a bad input (zero or non-squarefree
+    polynomial) unless it is a ``PrecisionError``."""
+
+
+class PrecisionError(IsolationError, AbstainError):
+    """Isolation, refinement or certification did not succeed within its
+    budget: an abstention, not a property of the input."""
 
 
 # -- exact complex rational arithmetic -----------------------------------------
@@ -329,7 +335,7 @@ def isolate_real_roots(p: IntPoly) -> list[RatInterval]:
                 out[i + 1] = _bisect_to_width(p, out[i + 1], out[i + 1].width / 4)
             guard += 1
             if guard > 300:
-                raise IsolationError("isolating intervals failed to separate")
+                raise PrecisionError("isolating intervals failed to separate")
     return out
 
 
@@ -349,7 +355,7 @@ def _tighten_single(p: IntPoly, chain, lo: Fraction, hi: Fraction) -> RatInterva
             hi = mid
         else:
             lo = mid
-    raise IsolationError("failed to trap sign change")
+    raise PrecisionError("failed to trap sign change")
 
 
 def _bisect_to_width(p: IntPoly, iv: RatInterval, width: Fraction) -> RatInterval:
@@ -374,6 +380,11 @@ def _bisect_to_width(p: IntPoly, iv: RatInterval, width: Fraction) -> RatInterva
 _DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 
 
+# bisections of a real interval spent separating it from the real-part
+# ranges of the disks before the root order falls back to its midpoint
+_ORDER_BISECTIONS = 256
+
+
 class _RootSystem:
     """All-root isolation of one squarefree polynomial, lazily refined."""
 
@@ -386,6 +397,18 @@ class _RootSystem:
         self._order()
 
     def _order(self):
+        """Index the roots by real part, then imaginary part.  Each real
+        interval is first bisected until it is disjoint from every disk's
+        real-part range, so that its midpoint sorts where the root does; a
+        real part shared with a nonreal root (a true tie) is left to the
+        midpoint after ``_ORDER_BISECTIONS`` steps."""
+        spans = [d.re_interval() for d in self.disks]
+        for k, iv in enumerate(self.real):
+            for _ in range(_ORDER_BISECTIONS):
+                if iv.width == 0 or not any(iv.intersects(s) for s in spans):
+                    break
+                iv = _bisect_to_width(self.poly, iv, iv.width / 2)
+            self.real[k] = iv
         items: list[tuple] = []
         for iv in self.real:
             items.append((iv.mid(), Fraction(0), RatInterval(iv.lo, iv.hi), None))
@@ -435,7 +458,7 @@ def _certified_disks(p: IntPoly, real_ivs: list[RatInterval],
         mirrored = disks + [ComplexDisk(d.center.conj(), d.radius) for d in disks]
         if _all_disjoint(mirrored, real_ivs):
             return mirrored
-    raise IsolationError(f"could not certify nonreal roots of {p}")
+    raise PrecisionError(f"could not certify nonreal roots of {p}")
 
 
 def _numeric_seeds(p: IntPoly, bits: int) -> list:
@@ -551,7 +574,7 @@ def _refine_disk(p: IntPoly, disk: ComplexDisk, width: Fraction) -> ComplexDisk:
         break
     if 2 * cur.radius <= width:
         return cur
-    raise IsolationError("disk refinement stalled; raise seed precision")
+    raise PrecisionError("disk refinement stalled; raise seed precision")
 
 
 def _bits_of(width: Fraction) -> int:

@@ -25,6 +25,10 @@ from mpmath import iv
 Rat = Fraction
 
 
+class AbstainError(RuntimeError):
+    """Enclosures could not decide the comparison within the budget."""
+
+
 def _nth_root_floor(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, for n >= 0, k >= 1 (integer Newton)."""
     if n < 0:

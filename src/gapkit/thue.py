@@ -1,9 +1,16 @@
 """Thue-inequality enumeration, root assignment, and the large-solution census.
 
-The enumeration is exhaustive over the height box: for each y the candidate
-x values are confined to certified windows around y * Re(root), since a
-solution of 0 < |F(x, y)| <= m must lie within (m/|c_d|)**(1/d) of some root
-ray.  The census groups solutions into orbits of the unimodular part of the
+The enumeration is complete over the height box H(x, y) <= B and splits it
+at a Legendre height H0 (``legendre_height``).  Up to H0 a window search
+confines, for each y, the candidate x values to certified windows around
+y * Re(root): a solution of 0 < |F(x, y)| <= m lies within (m/|c_d|)**(1/d)
+of some root ray.  Above H0 the Lewis-Mahler inequality puts x/y (or y/x)
+within 1/(2 y**2) (or 1/(2 x**2)) of a real root (or a real inverse root),
+so by Legendre's theorem it is a continued-fraction convergent; the
+certified convergents with denominator <= B are the only candidates there.
+The work is O(d * min(H0, B) + d log B), so boxes far past H0 are cheap.
+
+The census groups solutions into orbits of the unimodular part of the
 enhanced automorphism group, computes the height threshold and the counting
 bound, and checks that the bound is respected by everything the box search
 found.
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -23,7 +30,7 @@ from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, GapConstants, HypothesisError, c16,
                   compare_to_power, count_bound)
 from .intpoly import IntPoly
-from .isolation import isolate_roots, mahler_measure
+from .isolation import PrecisionError, isolate_roots, mahler_measure
 from .minpair import c12_closed_form, c13_formula
 from .rounding import (RatInterval, compact_str, pow_up, root_up,
                        sqrt_down, tidy_up)
@@ -61,34 +68,48 @@ class ThueProblem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Primitive solution, sign-normalized: first nonzero coordinate > 0."""
+    """Primitive solution, sign-normalized: first nonzero coordinate > 0.
+    ``route`` names the search that found it: "window" or "convergent"."""
 
     x: int
     y: int
     value: int  # F(x, y)
+    route: str = field(default="window", compare=False)
 
     @property
     def height(self) -> int:
         return max(abs(self.x), abs(self.y))
 
     @staticmethod
-    def normalized(x: int, y: int, value: int, d: int) -> "Solution":
+    def normalized(x: int, y: int, value: int, d: int,
+                   route: str = "window") -> "Solution":
         lead = x if x != 0 else y
         if lead < 0:
             x, y = -x, -y
             if d % 2:
                 value = -value
-        return Solution(x, y, value)
+        return Solution(x, y, value, route)
 
 
-_ENUM_BUDGET = 2_000_000
-
-
-def enumerate_primitive(problem: ThueProblem) -> list[Solution]:
+def enumerate_primitive(problem: ThueProblem, h0: int | None = None) -> list[Solution]:
     """Complete list of sign-normalized primitive solutions with
-    H(x, y) <= bound, via certified per-y windows around the root rays."""
-    f = problem.form
-    d, m, bound = problem.degree, problem.m, problem.bound
+    H(x, y) <= bound: the window search up to the Legendre height H0 (taken
+    from ``legendre_height`` when not given), the convergent search above.
+    Each solution's ``route`` names the search that found it."""
+    f, m, bound = problem.form, problem.m, problem.bound
+    if h0 is None:
+        h0 = legendre_height(f, m, lewis_mahler_c10(f))
+    if bound <= h0:
+        return window_search(f, m, bound)
+    sols = window_search(f, m, h0) + convergent_search(f, m, h0, bound)
+    return sorted(sols, key=lambda s: (s.height, s.x, s.y))
+
+
+def window_search(f: BinForm, m: int, height: int) -> list[Solution]:
+    """Every sign-normalized primitive solution of 0 < |F(x, y)| <= m with
+    H(x, y) <= height, via certified per-y windows around the root rays.
+    Costs O(height * d) value computations."""
+    d = f.degree
     # window radius: |F(x,y)| > |c_d| * delta**d outside distance delta of
     # every root ray, so delta0 = (m/|c_d|)**(1/d) rounded up
     delta0 = root_up(Fraction(m, abs(f.lead_x)), d)
@@ -107,8 +128,7 @@ def enumerate_primitive(problem: ThueProblem) -> list[Solution]:
 
     if 0 < abs(f.lead_x) <= m:
         consider(1, 0)
-    steps = 0
-    for y in range(1, bound + 1):
+    for y in range(1, height + 1):
         windows = []
         for iv in re_bounds:
             lo = floor(iv.lo * y - delta0)
@@ -122,13 +142,77 @@ def enumerate_primitive(problem: ThueProblem) -> list[Solution]:
             else:
                 merged.append([lo, hi])
         for lo, hi in merged:
-            lo, hi = max(lo, -bound), min(hi, bound)
-            for x in range(lo, hi + 1):
-                steps += 1
-                if steps > _ENUM_BUDGET:
-                    raise ThueError("enumeration budget exceeded")
+            for x in range(max(lo, -height), min(hi, height) + 1):
                 consider(x, y)
     return sorted(out.values(), key=lambda s: (s.height, s.x, s.y))
+
+
+def legendre_height(f: BinForm, m: int, c10: Fraction) -> int:
+    """An integer H0 >= 1 above which every primitive solution of
+    0 < |F(x, y)| <= m is found among continued-fraction convergents:
+    with H = H(x, y) > H0, either x/y is a convergent of a real root
+    alpha_i of F(x, 1) or y/x is a convergent of a real root alpha_i^{-1}
+    of F(1, y).
+
+    H0 is the larger of the least integers past the roots of
+    H**(d-2) = 2 C10 m and H**d = C10 m / iota, where iota is a lower bound
+    on |Im| over the nonreal roots and inverse roots.  The argument: H > H0
+    >= 1 forces x y != 0 (a primitive pair with a zero coordinate has
+    H = 1), and Lewis-Mahler gives a root alpha_i with
+
+        delta = min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|) <= C10 m / H**d.
+
+    * A nonreal alpha_i has |alpha_i - x/y| >= |Im alpha_i| >= iota, and
+      |alpha_i^{-1} - y/x| >= |Im alpha_i^{-1}| >= iota, while
+      C10 m / H**d < iota: so alpha_i is real.
+    * Say the minimum is |alpha_i - x/y| and write x/y = p/q in lowest terms
+      with q = |y| >= 1 ((x, y) is primitive).  Then q <= H, so
+      1/(2 q**2) >= 1/(2 H**2) > C10 m / H**d >= delta, the middle step
+      being H**(d-2) > 2 C10 m.  Legendre's theorem (|alpha - p/q| <
+      1/(2 q**2) makes p/q a convergent of the irrational alpha) applies.
+      The case q < H, when |x| is the height, only widens the margin.
+    * The y/x side is the same argument with x and y swapped.
+
+    Every rounding goes up: C10 is an upper bound, iota is read off each
+    isolating disk D(c, r) as (|Im c| - r) / max(1, |c| + r)**2 (a lower
+    bound for both the root and its inverse), and the roots are taken with
+    ``root_up``.  An H0 that is too large costs window-search time;
+    it never loses a solution."""
+    d = f.degree
+    height = root_up(2 * c10 * m, d - 2)
+    disks = [e.disk for e in isolate_roots(normalize_minimal_poly(f.dehomogenize()))
+             if not e.is_real]
+    if disks:
+        # |Im alpha| >= |Im c| - r on the disk D(c, r), and
+        # |Im alpha^{-1}| = |Im alpha| / |alpha|**2
+        iota = min((abs(disk.center.im) - disk.radius)
+                   / max(1, disk.abs_interval().hi) ** 2 for disk in disks)
+        height = max(height, root_up(c10 * m / iota, d))
+    return max(1, floor(height))
+
+
+def convergent_search(f: BinForm, m: int, h0: int, bound: int) -> list[Solution]:
+    """Every sign-normalized primitive solution with h0 < H(x, y) <= bound,
+    for h0 >= ``legendre_height``: the certified convergents p/q (q <= bound)
+    of each real root, tried as (x, y) = (p, q), and of each real inverse
+    root, tried as (x, y) = (q, p).  Costs O(d log bound) candidates."""
+    d = f.degree
+    poly = normalize_minimal_poly(f.dehomogenize())
+    out: dict[tuple[int, int], Solution] = {}
+    for e in isolate_roots(poly):
+        if not e.is_real:
+            continue
+        for inverse in (False, True):
+            for pair in convergents(AlgNum(poly, e.index), max_den=bound,
+                                    inverse=inverse):
+                x, y = (pair.y, pair.x) if inverse else (pair.x, pair.y)
+                if not (h0 < max(abs(x), abs(y)) <= bound and gcd(x, y) == 1):
+                    continue
+                v = f.value(x, y)
+                if 0 < abs(v) <= m:
+                    sol = Solution.normalized(x, y, v, d, route="convergent")
+                    out[(sol.x, sol.y)] = sol
+    return list(out.values())
 
 
 def lewis_mahler_c10(f: BinForm,
@@ -282,16 +366,16 @@ def galois_status(f: BinForm, aut: EnhancedAut) -> tuple[str, str]:
     return "unknown", "complex conjugates outside the orbit route"
 
 
-def c5(f: BinForm, m: int, mu: Fraction,
+def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction,
        aut: EnhancedAut | None = None) -> tuple[Fraction, dict]:
     """Height threshold of the large-solution count: big enough that the
-    Lewis-Mahler step forces quality mu, and at least both C16 thresholds
-    (with C0 = 1) for the roots and the inverse roots."""
+    Lewis-Mahler step (``c10`` = ``lewis_mahler_c10(f)``) forces quality mu,
+    and at least both C16 thresholds (with C0 = 1) for the roots and the
+    inverse roots."""
     d = f.degree
     mu = Fraction(mu)
     if not (Fraction(d, 2) + 1 < mu < d):
         raise HypothesisError(f"mu = {mu} outside ((d/2)+1, d)")
-    c10 = lewis_mahler_c10(f)
     first = pow_up(c10 * m, 1 / (d - mu))
     while not compare_to_power(first, c10 * Fraction(m), Fraction(1, 1) / (d - mu)) > 0:
         first += Fraction(1, 10 ** 6)
@@ -404,14 +488,19 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     f = problem.form
     d = problem.degree
     mu = Fraction(mu)
-    sols = enumerate_primitive(problem)
+    # the group work runs first, on the coarse root enclosures: the Mahler
+    # measure inside C10 refines the shared enclosures, which makes every
+    # later exact operation on them dearer
     aut = aut_prime(f)
     part = root_orbit_partition(None, aut)
     gamma = part.gamma
     if not 2 * gamma <= aut.order:
         raise AssertionError("gamma exceeds #Aut'/2")
     gal = galois_status(f, aut)
-    c5v, prov = c5(f, problem.m, mu, aut)
+    c10 = lewis_mahler_c10(f)
+    h0 = legendre_height(f, problem.m, c10)
+    sols = enumerate_primitive(problem, h0)
+    c5v, prov = c5(f, problem.m, mu, c10, aut)
     inner = count_bound(d, mu, 1)
     bound = aut.order * inner
     large = [s for s in sols if Fraction(s.height) >= c5v]
@@ -419,7 +508,8 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
         raise AssertionError("counting bound violated: defect or non-Galois input")
     orbits = _solution_orbits(f, aut, sols)
     assignments = tuple(assign_root(f, s) for s in sols)
-    prov.update({"countBoundInner": inner})
+    prov.update({"countBoundInner": inner, "H0": h0,
+                 "routes": [s.route for s in sols]})
     return Census(problem, tuple(sols), assignments, orbits, gamma, aut.order,
                   c5v, mu, bound, len(large), gal, prov)
 
@@ -456,21 +546,34 @@ def _solution_orbits(f: BinForm, aut: EnhancedAut,
 
 # -- continued fractions --------------------------------------------------------
 
-def convergents(alpha: AlgNum, count: int) -> list[ApproxPair]:
-    """First ``count`` continued-fraction convergents of a real irrational,
-    computed from certified enclosures (terms are certain: the floor is
-    taken only when both endpoints agree)."""
+def convergents(alpha: AlgNum, count: int | None = None, *,
+                max_den: int | None = None,
+                inverse: bool = False) -> list[ApproxPair]:
+    """Continued-fraction convergents of a real irrational alpha, or of
+    1/alpha with ``inverse``: the first ``count``, or every one with
+    denominator <= ``max_den``.  Computed from certified enclosures: a term
+    is taken only when the floors of both endpoints agree, and the
+    ``max_den`` walk stops once every value the next term can take gives a
+    denominator past ``max_den``.  The refined enclosures are not kept in
+    the shared root cache, whose later users would pay for their size."""
+    if (count is None) == (max_den is None):
+        raise ValueError("give exactly one of count and max_den")
     enc = alpha.enclosure()
     if not enc.is_real:
         raise ValueError("convergents need a real number")
-    width = Fraction(1, 10 ** 40)
+    # a convergent p/q is within 1/q**2 of alpha, so an enclosure of width
+    # 2**-32 / max_den**2 usually decides every term needed; else refine
+    width = Fraction(1, 10 ** 40) if max_den is None else Fraction(1, max_den * max_den << 32)
     for _ in range(12):
-        terms = _cf_terms(alpha, count, width)
+        iv = enc.refine(width).interval
+        if inverse:
+            iv = iv.inverse() if iv.lo * iv.hi > 0 else None
+        terms = None if iv is None else _cf_terms(iv.lo, iv.hi, count, max_den)
         if terms is not None:
             break
         width /= 10 ** 40
     else:
-        raise ValueError("continued fraction did not stabilize")
+        raise PrecisionError("continued fraction did not stabilize")
     out = []
     h0, h1 = 1, terms[0]
     k0, k1 = 0, 1
@@ -479,17 +582,23 @@ def convergents(alpha: AlgNum, count: int) -> list[ApproxPair]:
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
         out.append(ApproxPair.reduced(h1, k1))
-    return out[:count]
+    return out
 
 
-def _cf_terms(alpha: AlgNum, count: int, width: Fraction) -> list[int] | None:
-    iv = alpha.enclosure(width).interval
-    lo, hi = iv.lo, iv.hi
+def _cf_terms(lo: Fraction, hi: Fraction, count: int | None,
+              max_den: int | None) -> list[int] | None:
+    """Certified partial quotients of the irrational in [lo, hi], or None
+    when the interval cannot decide one that is needed."""
     terms = []
-    for _ in range(count):
+    k0, k1 = 0, 1   # denominators of the last two convergents
+    while count is None or len(terms) < count:
         flo, fhi = floor(lo), floor(hi)
+        if max_den is not None and terms and flo * k1 + k0 > max_den:
+            return terms
         if flo != fhi:
             return None
+        if terms:
+            k0, k1 = k1, flo * k1 + k0
         terms.append(flo)
         lo, hi = lo - flo, hi - flo
         if lo <= 0:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gapkit.cli import main
 
 
@@ -99,3 +101,46 @@ def test_constants_subcommand(capsys):
     rpt = json.loads(out)
     assert rpt["C_big"]["value"] == "5"
     assert rpt["C_big"]["rounding"] == "up"
+
+
+def test_enum_past_the_old_budget(capsys):
+    # two million heights: only H0 of them are searched window by window
+    code, out, _ = run_cli(capsys, "thue", "enum", "x^3 - 2*y^3", "1", "2000000")
+    assert code == 0
+    assert [tuple(s[:2]) for s in json.loads(out)["solutions"]] == [(1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("thue", "enum", "x^3 + y^3", "1", "10"),          # reducible form
+    ("thue", "enum", "x^3 - 2*y^3", "0", "10"),        # m = 0
+    ("aut", "0*x^3"),                                  # zero form
+    ("minpair", "x^2 - 2*x + 1", "x^3 - 2"),           # repeated root
+])
+def test_bad_input_exit_code(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["kind"] == "hypothesis"
+
+
+def test_abstention_exit_code(capsys, monkeypatch):
+    # no numeric seeds: the nonreal roots of x^3 - 2 cannot be certified
+    from gapkit import isolation
+
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    monkeypatch.setattr(isolation, "_numeric_seeds", lambda p, bits: [])
+    code, _, err = run_cli(capsys, "thue", "enum", "x^3 - 2*y^3", "1", "10")
+    assert code == 3
+    assert json.loads(err)["kind"] == "abstention"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from gapkit import cli
+
+    def broken(form):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "aut_prime", broken)
+    code, _, err = run_cli(capsys, "aut", "x^3 - 2*y^3")
+    assert code == 4
+    rpt = json.loads(err)
+    assert rpt["kind"] == "internal" and rpt["type"] == "KeyError"

@@ -7,7 +7,7 @@ from gapkit.intpoly import IntPoly, poly_gcd_q
 from gapkit.isolation import (IsolationError, house, isolate_roots,
                               mahler_measure, root_separation_lower_bound,
                               sturm_chain, count_real_roots)
-from gapkit.rounding import sqrt_down, sqrt_up
+from gapkit.rounding import AbstainError, sqrt_down, sqrt_up
 
 
 def bisection_oracle(p: IntPoly, lo: Fraction, hi: Fraction, steps=80):
@@ -59,8 +59,9 @@ def test_complex_pair():
 
 def test_non_squarefree_reported():
     p = IntPoly((-2, 0, 1))
-    with pytest.raises(IsolationError):
+    with pytest.raises(IsolationError) as info:
         isolate_roots(p * p)
+    assert not isinstance(info.value, AbstainError)   # bad input, not a budget
 
 
 def test_refinement_never_loses_root():
@@ -158,3 +159,12 @@ def test_separation_bound_below_true_separation():
         min_hi = min(a.distance_interval(b).hi for a in ep for b in eq)
         assert bound <= min_hi, (p, q)
         done += 1
+
+
+def test_lone_real_root_ordered_by_real_part():
+    # 2x^3 + 2x^2 + 4x + 3: real root -0.812, complex pair at Re -0.094; the
+    # real root's Sturm interval is the whole Cauchy range [-3, 3]
+    encl = isolate_roots(IntPoly((3, 4, 2, 2)))
+    assert [e.is_real for e in encl] == [True, False, False]
+    assert encl[0].interval.hi < encl[1].disk.re_interval().lo
+    assert encl[1].disk.center.im < 0 < encl[2].disk.center.im

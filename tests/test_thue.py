@@ -2,16 +2,24 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gapkit.algnum import is_irreducible
 from gapkit.binforms import BinForm
 from gapkit.gap import arch_quality, interval_vs_power
 from gapkit.intpoly import IntPoly
 from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root,
                          census, convergents, enumerate_primitive,
-                         galois_status, lewis_mahler_c10, lewis_mahler_check)
+                         galois_status, legendre_height, lewis_mahler_c10,
+                         lewis_mahler_check, window_search)
 from gapkit.rounding import sqrt_up
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
+# forms with a solution above their Legendre height H0 at m, so that the
+# convergent search has something to find: (59, -45), (39, 23), (28, 9)
+ABOVE_H0 = ((BinForm((1, 4, 2, -2)), 3), (BinForm((2, -2, 0, -4)), 5),
+            (BinForm((1, -3, -1, 3, -3)), 4))
 
 
 def naive_enumeration(f: BinForm, m: int, bound: int):
@@ -146,3 +154,102 @@ def test_convergents_need_real():
     complex_alg = AlgNum.make(IntPoly((1, 0, 1)), 0)
     with pytest.raises(ValueError):
         convergents(complex_alg, 5)
+
+
+# -- the hybrid enumeration: window search to H0, convergents above ---------------
+
+def _hybrid(f: BinForm, m: int, bound: int):
+    """(solution pairs, H0); checks each route against the height split."""
+    h0 = legendre_height(f, m, lewis_mahler_c10(f))
+    sols = enumerate_primitive(ThueProblem(f, m, bound), h0)
+    for s in sols:
+        assert s.route == ("convergent" if s.height > h0 else "window"), (f, s, h0)
+    return [(s.x, s.y, s.value) for s in sols], h0
+
+
+def test_hybrid_matches_window_search(cubic_form, d12_form):
+    cases = [(CUBE_FORM, 1, 10 ** 4), (CUBE_FORM, 6, 3000),
+             (cubic_form, 1, 10 ** 4), (cubic_form, 5, 3000),
+             (d12_form, 3, 400)] + [(f, m, 3000) for f, m in ABOVE_H0]
+    convergent_hits = 0
+    for f, m, bound in cases:
+        got, h0 = _hybrid(f, m, bound)
+        assert h0 < bound, (f, m)   # the convergent search is exercised
+        want = [(s.x, s.y, s.value) for s in window_search(f, m, bound)]
+        assert got == want, (f, m, bound)
+        convergent_hits += sum(max(abs(x), abs(y)) > h0 for x, y, _ in got)
+    assert convergent_hits >= len(ABOVE_H0)
+
+
+def test_hybrid_matches_naive(cubic_form, d12_form):
+    cases = [(CUBE_FORM, 1, 60), (CUBE_FORM, 6, 60), (cubic_form, 1, 60),
+             (cubic_form, 5, 60), (d12_form, 3, 30)] \
+        + [(f, m, 60) for f, m in ABOVE_H0]
+    for f, m, bound in cases:
+        got, _ = _hybrid(f, m, bound)
+        assert {(x, y) for x, y, _ in got} == naive_enumeration(f, m, bound)
+
+
+@given(st.integers(3, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_hybrid_matches_naive_random_forms(d, data):
+    coeffs = [data.draw(st.integers(1, 3))] \
+        + [data.draw(st.integers(-4, 4)) for _ in range(d)]
+    assume(coeffs[-1] != 0)
+    f = BinForm(tuple(coeffs))
+    assume(is_irreducible(f.dehomogenize()))
+    m = data.draw(st.integers(1, 8))
+    got, _ = _hybrid(f, m, 25)
+    assert {(x, y) for x, y, _ in got} == naive_enumeration(f, m, 25)
+
+
+def test_huge_box_equals_small_box(cubic_form):
+    small, h0 = _hybrid(cubic_form, 1, 10 ** 4)
+    huge, h0_huge = _hybrid(cubic_form, 1, 10 ** 30)
+    assert h0 == h0_huge < 10 ** 4
+    assert huge == small
+
+
+def test_legendre_height_at_an_integer_threshold():
+    # d = 3: H**(d-2) > 2 C10 m = 10 holds exactly for H > 10
+    assert legendre_height(CUBE_FORM, 1, Fraction(5)) == 10
+
+
+def test_legendre_height_against_mpmath(cubic_form, d12_form):
+    """H0 clears both thresholds, with iota from mpmath roots, by at most the
+    rounding: H0 = max(floor of each) up to one unit."""
+    import mpmath
+
+    for f, m in [(CUBE_FORM, 1), (cubic_form, 5), (d12_form, 3)] + list(ABOVE_H0):
+        d = f.degree
+        c10 = lewis_mahler_c10(f)
+        h0 = legendre_height(f, m, c10)
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(list(f.coeffs), maxsteps=200, extraprec=200)
+            ims = [abs(mpmath.im(r)) for r in roots] + [abs(mpmath.im(1 / r)) for r in roots]
+            iota = min((t for t in ims if t > mpmath.mpf(10) ** -30), default=None)
+            c = mpmath.mpf(c10.numerator) / c10.denominator * m
+            want = (2 * c) ** (mpmath.mpf(1) / (d - 2))
+            if iota is not None:
+                want = max(want, (c / iota) ** (mpmath.mpf(1) / d))
+        assert want < h0 + 1 and h0 <= max(1, int(mpmath.floor(want))) + 1, (f, m, h0, want)
+
+
+def test_convergents_to_denominator(cbrt2):
+    by_count = convergents(cbrt2, 30)
+    by_den = convergents(cbrt2, max_den=10 ** 6)
+    assert by_den == [p for p in by_count if p.y <= 10 ** 6]
+    assert by_count[len(by_den)].y > 10 ** 6
+    # 1/cbrt2 = [0; 1, 3, 1, 5, ...]: the reciprocals, after 0/1
+    inverse = convergents(cbrt2, max_den=10 ** 6, inverse=True)
+    assert [(p.x, p.y) for p in inverse] == \
+        [(0, 1)] + [(p.y, p.x) for p in by_count if p.x <= 10 ** 6]
+    with pytest.raises(ValueError):
+        convergents(cbrt2)
+
+
+def test_census_records_h0_and_routes(cubic_form):
+    rpt = census(ThueProblem(cubic_form, 1, 10 ** 30), Fraction(11, 4)).report()
+    assert rpt["provenance"]["H0"] == 7
+    assert rpt["provenance"]["routes"] == ["window"] * 6
+    assert len(rpt["solutions"]) == 6 and rpt["boundRespected"]
