@@ -104,9 +104,6 @@ class AlgNum:
     def abs_interval(self, width: Fraction = Fraction(1, 10 ** 12)) -> RatInterval:
         return self.enclosure(width).abs_interval()
 
-    def house_interval(self, precision: Fraction = Fraction(1, 10 ** 20)) -> RatInterval:
-        return house(self.minpoly, precision)
-
     def mahler_interval(self, precision: Fraction = Fraction(1, 10 ** 20)) -> RatInterval:
         return mahler_measure(self.minpoly, precision)
 

@@ -177,9 +177,9 @@ def _candidate_matrices(disks: list[ComplexDisk]):
     """Primitive integer matrices reconstructed from every ordered
     correspondence of three roots to three distinct roots."""
     d = len(disks)
-    base = (disks[0], disks[1], disks[2]) if d >= 3 else None
-    if base is None:
+    if d < 3:
         return
+    w_base = _three_point_matrix(disks[0], disks[1], disks[2])
     for i in range(d):
         for j in range(d):
             if j == i:
@@ -187,18 +187,17 @@ def _candidate_matrices(disks: list[ComplexDisk]):
             for k in range(d):
                 if k == i or k == j:
                     continue
-                target = (disks[i], disks[j], disks[k])
-                m = _mobius_from_triples(base, target)
+                m = _mobius_from_triples(w_base, (disks[i], disks[j], disks[k]))
                 if m is not None:
                     yield m
 
 
-def _mobius_from_triples(src, dst) -> IntMat2 | None:
-    """Integer matrix of the Moebius map sending src -> dst (as the root
+def _mobius_from_triples(w_src, dst) -> IntMat2 | None:
+    """Integer matrix of the Moebius map sending the source triple, given by
+    its ``_three_point_matrix`` ``w_src``, to the triple dst (as the root
     action z -> (v z - u)/(-t z + s)), or None when the reconstruction does
     not rationalize at the current precision."""
     try:
-        w_src = _three_point_matrix(*src)
         w_dst = _three_point_matrix(*dst)
         # N = adj(W_dst) * W_src sends src to dst (projectively)
         n = _mat_mul(_mat_adj(w_dst), w_src)
@@ -374,7 +373,9 @@ def root_orbit_partition(poly_or_alphas, aut: EnhancedAut,
         for el in aut.elements:
             for i, z in enumerate(disks):
                 try:
-                    img = el.root_action_disk(z)
+                    # outward to a 192-bit dyadic disk: it still holds the
+                    # exact image, and its arithmetic stays short
+                    img = _coarsen_bits(el.root_action_disk(z), 192)
                 except ZeroDivisionError:
                     ok = False
                     break

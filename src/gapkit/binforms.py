@@ -73,14 +73,6 @@ class BinForm:
     def __setattr__(self, *a):
         raise AttributeError("BinForm is immutable")
 
-    @staticmethod
-    def from_poly(p: IntPoly, degree: int | None = None) -> "BinForm":
-        """Homogenize y**d * p(x/y); d defaults to deg p."""
-        d = p.degree if degree is None else degree
-        if d < p.degree:
-            raise ValueError("degree below deg p")
-        return BinForm(tuple(p.coeff(d - i) for i in range(d + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -132,9 +124,6 @@ class BinForm:
         return BinForm(tuple(c * k for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def swap_xy(self) -> "BinForm":
-        return BinForm(tuple(reversed(self.coeffs)))
 
     def __repr__(self):
         return f"BinForm({format_form(self)!r})"

@@ -145,13 +145,6 @@ def c15(r: int) -> SqrtVal:
     return val
 
 
-def c15_upper_bound(d: int) -> Fraction:
-    """2**(d^2/4) ((d/2)+1)**((3d^2+4d)/8) rounded up (valid for all r <= d/2)."""
-    b1 = pow_up(Fraction(2), Fraction(d * d, 4))
-    b2 = pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8))
-    return tidy_up(b1 * b2)
-
-
 def resultant_gcd_bound(p: IntPoly, q: IntPoly) -> int:
     """rho = |lc(P)**(r-s) * Res(P, Q)|: a universal modulus for
     gcd(P(a,b), Q(a,b)) over coprime integer pairs (a, b)."""

@@ -45,10 +45,6 @@ class IntPoly:
     def x() -> "IntPoly":
         return IntPoly((0, 1))
 
-    @staticmethod
-    def from_high_to_low(coeffs: Sequence[int]) -> "IntPoly":
-        return IntPoly(tuple(reversed(list(coeffs))))
-
     # -- structure -----------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -115,12 +111,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift_degree(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def derivative(self) -> "IntPoly":
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
@@ -162,14 +152,6 @@ class IntPoly:
         if self.is_zero:
             return self
         return IntPoly(tuple(reversed(self.coeffs)))
-
-    def compose_linear_int(self, a: int, b: int) -> "IntPoly":
-        """P(a*x + b), exact integer expansion."""
-        out = IntPoly((self.coeffs[-1],)) if not self.is_zero else IntPoly.zero()
-        lin = IntPoly((b, a))
-        for c in reversed(self.coeffs[:-1]):
-            out = out * lin + IntPoly((c,))
-        return out
 
     def scale_root(self, c: int) -> "IntPoly":
         """Monic-making transform: c**(d-1) * P(x/c); roots scale by c."""

@@ -132,9 +132,6 @@ class ComplexDisk:
     def __truediv__(self, other: "ComplexDisk") -> "ComplexDisk":
         return self * other.inverse()
 
-    def contains_zero(self) -> bool:
-        return self.center.abs_interval().lo <= self.radius
-
     def disjoint_from(self, other: "ComplexDisk") -> bool:
         d2 = (self.center - other.center).abs2()
         s = self.radius + other.radius
@@ -509,15 +506,20 @@ def _all_disjoint(disks: list[ComplexDisk], real_ivs: list[RatInterval]) -> bool
     return True
 
 
+# root systems by coefficient tuple, least recently used first; past
+# _MAX_SYSTEMS the oldest is dropped, and rebuilt from scratch if needed again
 _SYSTEMS: dict[tuple, _RootSystem] = {}
+_MAX_SYSTEMS = 64
 
 
 def root_system(p: IntPoly) -> _RootSystem:
     key = p.coeffs
-    sys = _SYSTEMS.get(key)
+    sys = _SYSTEMS.pop(key, None)
     if sys is None:
         sys = _RootSystem(p)
-        _SYSTEMS[key] = sys
+        while len(_SYSTEMS) >= _MAX_SYSTEMS:
+            del _SYSTEMS[next(iter(_SYSTEMS))]
+    _SYSTEMS[key] = sys
     return sys
 
 

@@ -29,37 +29,6 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : rows @ v = 0} over Q."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [c * inv for c in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -m[r][fcol]
-        basis.append(v)
-    return basis
-
-
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Z-basis of {v in Z^ncols : rows @ v = 0}.  The lattice is saturated
     (it is cut out by linear equations), so every integer solution is an

@@ -300,9 +300,6 @@ class RatInterval:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -381,9 +378,6 @@ class RatInterval:
         other = _as_interval(other)
         return self.lo > other.hi
 
-    def certainly_ne_zero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
     def __repr__(self):
         return f"RatInterval({self.lo}, {self.hi})"
 
@@ -447,11 +441,6 @@ def exp_interval(x, prec: int = 160) -> RatInterval:
         return RatInterval(_iv_to_interval(lo).lo, _iv_to_interval(hi).hi)
     finally:
         iv.prec = old
-
-
-def sqrt_interval(x, prec: int = 160) -> RatInterval:
-    x = _as_interval(x)
-    return x.sqrt()
 
 
 def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
@@ -540,8 +529,3 @@ def certified_floor(x: RatInterval) -> int:
     if flo != fhi:
         raise ValueError(f"enclosure {x} straddles an integer boundary")
     return flo
-
-
-def pow_interval(base: RatInterval, exp: RatInterval, prec: int = 160) -> RatInterval:
-    """Certified enclosure of base**exp for base > 0 via exp(exp*log(base))."""
-    return exp_interval(exp * log_interval(base, prec), prec)

@@ -25,11 +25,11 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .algnum import AlgNum, NotInFieldError, normalize_minimal_poly, power_rep, theta_upper_bound
-from .autgroup import EnhancedAut, aut_prime, root_orbit_partition
+from .autgroup import (EnhancedAut, OrbitPartition, aut_prime,
+                       root_orbit_partition)
 from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, GapConstants, HypothesisError, c16,
                   compare_to_power, count_bound)
-from .intpoly import IntPoly
 from .isolation import PrecisionError, isolate_roots, mahler_measure
 from .minpair import c12_closed_form, c13_formula
 from .rounding import (RatInterval, compact_str, pow_up, root_up,
@@ -336,13 +336,13 @@ def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction,
 
 # -- the Theorem-1.3 style census -------------------------------------------------
 
-def galois_status(f: BinForm, aut: EnhancedAut) -> tuple[str, str]:
-    """("yes" | "no" | "unknown", reason).  Certified "yes" when the orbit
-    of one root under Aut'|F| covers all roots (then every root is an
+def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
+    """("yes" | "no" | "unknown", reason), given the orbit partition of the
+    roots of F(x, 1) under Aut'|F| (``root_orbit_partition``).  Certified
+    "yes" when one orbit covers all roots (then every root is an
     integer-Moebius image of the first, so Q(alpha)/Q is Galois of degree d);
     certified both ways for cubics via the square-discriminant criterion."""
     d = f.degree
-    part = root_orbit_partition(None, aut)
     if part.gamma == d:
         return "yes", "orbit of one root covers all roots"
     if d == 3:
@@ -366,12 +366,14 @@ def galois_status(f: BinForm, aut: EnhancedAut) -> tuple[str, str]:
     return "unknown", "complex conjugates outside the orbit route"
 
 
-def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction,
-       aut: EnhancedAut | None = None) -> tuple[Fraction, dict]:
+def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]:
     """Height threshold of the large-solution count: big enough that the
     Lewis-Mahler step (``c10`` = ``lewis_mahler_c10(f)``) forces quality mu,
     and at least both C16 thresholds (with C0 = 1) for the roots and the
-    inverse roots."""
+    inverse roots.  The closed-form family and C16 are built once per
+    distinct normalized minimal polynomial: when the reciprocal polynomial
+    normalizes to the polynomial itself (a palindromic form, up to sign),
+    the inverse roots are the roots and their entries repeat the roots'."""
     d = f.degree
     mu = Fraction(mu)
     if not (Fraction(d, 2) + 1 < mu < d):
@@ -380,13 +382,15 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction,
     while not compare_to_power(first, c10 * Fraction(m), Fraction(1, 1) / (d - mu)) > 0:
         first += Fraction(1, 10 ** 6)
     poly = normalize_minimal_poly(f.dehomogenize())
-    alphas = [AlgNum(poly, i) for i in range(d)]
     recip = normalize_minimal_poly(poly.reciprocal())
-    inv_alphas = [AlgNum(recip, i) for i in range(recip.degree)]
-    gc_a = _pairwise_closed_constants(alphas, mu, Fraction(1))
-    gc_b = _pairwise_closed_constants(inv_alphas, mu, Fraction(1))
-    c16_a, prov_a = c16(alphas, mu, Fraction(1), gc_a)
-    c16_b, prov_b = c16(inv_alphas, mu, Fraction(1), gc_b)
+    thresholds: dict[tuple, tuple[Fraction, dict]] = {}
+    for p in (poly, recip):
+        if p.coeffs not in thresholds:
+            conj = [AlgNum(p, i) for i in range(p.degree)]
+            thresholds[p.coeffs] = c16(conj, mu, Fraction(1),
+                                       _pairwise_closed_constants(conj, mu, Fraction(1)))
+    c16_a, prov_a = thresholds[poly.coeffs]
+    c16_b, prov_b = thresholds[recip.coeffs]
     value = tidy_up(max(first, c16_a, c16_b))
     prov = {"lewis-mahler": compact_str(first),
             "C16(alpha)": compact_str(c16_a), "C16(alpha_inv)": compact_str(c16_b),
@@ -496,11 +500,11 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     gamma = part.gamma
     if not 2 * gamma <= aut.order:
         raise AssertionError("gamma exceeds #Aut'/2")
-    gal = galois_status(f, aut)
+    gal = galois_status(f, part)
     c10 = lewis_mahler_c10(f)
     h0 = legendre_height(f, problem.m, c10)
     sols = enumerate_primitive(problem, h0)
-    c5v, prov = c5(f, problem.m, mu, c10, aut)
+    c5v, prov = c5(f, problem.m, mu, c10)
     inner = count_bound(d, mu, 1)
     bound = aut.order * inner
     large = [s for s in sols if Fraction(s.height) >= c5v]

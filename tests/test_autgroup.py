@@ -1,5 +1,6 @@
 from itertools import product
 
+import mpmath
 import pytest
 
 from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR, aut_prime,
@@ -7,6 +8,7 @@ from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR, aut_prime,
                              membership_scale, root_orbit_partition,
                              verify_729)
 from gapkit.binforms import BinForm, IntMat2
+from gapkit.isolation import isolate_roots
 
 
 def brute_force_aut(f: BinForm, entry_bound: int):
@@ -133,6 +135,47 @@ def test_orbit_partition_examples(d12_aut, cubic_aut):
     part2 = root_orbit_partition(None, aut2)
     assert part2.blocks == ((0,), (1,), (2,))
     assert part2.gamma == 1
+
+
+def mpmath_orbit_blocks(f: BinForm, matrices) -> set[frozenset[int]]:
+    """Oracle: the roots of F(x, 1) at 50 digits, each mapped through every
+    matrix's Moebius action z -> (v z - u)/(-t z + s) and matched to the
+    nearest root; the orbits are the connected components of that graph.
+    Roots are numbered by gapkit's enclosures, matched to the nearest
+    mpmath root."""
+    with mpmath.workdps(50):
+        poly = f.dehomogenize()
+        roots = mpmath.polyroots(list(reversed(poly.coeffs)), maxsteps=200,
+                                 extraprec=200)
+
+        def nearest(z):
+            return min(range(len(roots)), key=lambda j: abs(roots[j] - z))
+
+        index = {nearest(mpmath.mpc(e.approx())): e.index for e in isolate_roots(poly)}
+        assert sorted(index) == list(range(len(roots)))
+        block = {i: {i} for i in range(len(roots))}
+        for s, u, t, v in matrices:
+            for i, z in enumerate(roots):
+                j = nearest((v * z - u) / (-t * z + s))
+                merged = block[i] | block[j]
+                for k in merged:
+                    block[k] = merged
+    return {frozenset(index[i] for i in b) for b in block.values()}
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, -3, -1), (1, 0, 0, -2), (3, 2, -8, 2, 3)])
+def test_orbit_partition_against_mpmath(coeffs):
+    f = BinForm(coeffs)
+    aut = aut_prime(f)
+    part = root_orbit_partition(None, aut)
+    oracle = mpmath_orbit_blocks(f, [e.matrix.entries() for e in aut.elements])
+    assert {frozenset(b) for b in part.blocks} == oracle
+
+
+def test_d12_orbit_partition_against_mpmath(d12_form, d12_aut):
+    part = root_orbit_partition(None, d12_aut)
+    oracle = mpmath_orbit_blocks(d12_form, [e.matrix.entries() for e in d12_aut.elements])
+    assert {frozenset(b) for b in part.blocks} == oracle
 
 
 def test_orbit_partition_is_equivalence(d12_aut):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gapkit import isolation
 from gapkit.intpoly import IntPoly, poly_gcd_q
 from gapkit.isolation import (IsolationError, house, isolate_roots,
                               mahler_measure, root_separation_lower_bound,
@@ -168,3 +169,23 @@ def test_lone_real_root_ordered_by_real_part():
     assert [e.is_real for e in encl] == [True, False, False]
     assert encl[0].interval.hi < encl[1].disk.re_interval().lo
     assert encl[1].disk.center.im < 0 < encl[2].disk.center.im
+
+
+def test_root_systems_bounded_lru(monkeypatch):
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    polys = [IntPoly((-k, 0, 1)) for k in range(2, 102)]    # x^2 - k
+
+    def bounds(p):
+        return [(e.interval.lo, e.interval.hi) for e in isolate_roots(p)]
+
+    first = [bounds(p) for p in polys[:2]]
+    for k, p in enumerate(polys):
+        isolate_roots(p)
+        if k % 10 == 0:
+            isolate_roots(polys[0])     # kept in use: never the oldest
+    cached = set(isolation._SYSTEMS)
+    assert len(cached) == 64
+    assert polys[0].coeffs in cached and polys[1].coeffs not in cached
+    assert {p.coeffs for p in polys[-63:]} <= cached
+    # an evicted system is rebuilt with the same certified enclosures
+    assert bounds(polys[1]) == first[1]

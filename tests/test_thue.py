@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -5,15 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapkit.algnum import is_irreducible
+from gapkit import thue
+from gapkit.algnum import AlgNum, is_irreducible, normalize_minimal_poly
+from gapkit.autgroup import aut_prime, root_orbit_partition
 from gapkit.binforms import BinForm
-from gapkit.gap import arch_quality, interval_vs_power
+from gapkit.gap import arch_quality, c16, interval_vs_power
 from gapkit.intpoly import IntPoly
-from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root,
+from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          census, convergents, enumerate_primitive,
                          galois_status, legendre_height, lewis_mahler_c10,
                          lewis_mahler_check, window_search)
-from gapkit.rounding import sqrt_up
+from gapkit.rounding import compact_str, sqrt_up, tidy_up
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
 # forms with a solution above their Legendre height H0 at m, so that the
@@ -95,12 +98,10 @@ def test_assign_root_examples():
 
 
 def test_galois_status(cubic_form, d12_form, cubic_aut, d12_aut):
-    assert galois_status(cubic_form, cubic_aut)[0] == "yes"
-    assert galois_status(d12_form, d12_aut)[0] == "yes"
-    from gapkit.autgroup import aut_prime
-
+    assert galois_status(cubic_form, root_orbit_partition(None, cubic_aut))[0] == "yes"
+    assert galois_status(d12_form, root_orbit_partition(None, d12_aut))[0] == "yes"
     f = CUBE_FORM
-    assert galois_status(f, aut_prime(f))[0] == "no"
+    assert galois_status(f, root_orbit_partition(None, aut_prime(f)))[0] == "no"
 
 
 def test_census_cubic(cubic_form):
@@ -129,8 +130,26 @@ def test_census_orbit_closure(cubic_form, cubic_aut):
     # det-3-style scaling check is covered by verify_729 on the D12 family
 
 
-def test_census_d12(d12_form):
-    result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
+@pytest.fixture(scope="module")
+def d12_census_counted(d12_form):
+    """One D12 census, with the calls of the per-form steps counted."""
+    calls = Counter()
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("root_orbit_partition", "_pairwise_closed_constants", "c16"):
+            mp.setattr(thue, name, counted(getattr(thue, name)))
+        result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
+    return result, calls
+
+
+def test_census_d12(d12_census_counted):
+    result, _ = d12_census_counted
     rpt = result.report()
     assert rpt["gamma"] == 12 and rpt["autOrder"] == 24
     assert rpt["boundRespected"] and rpt["largeSolutions"] == 0
@@ -138,6 +157,33 @@ def test_census_d12(d12_form):
     # the box solutions form one orbit: images of (1, 0)
     assert len(rpt["orbits"]) == 1
     assert {(s.x, s.y) for s in result.solutions} == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_census_d12_builds_each_per_form_step_once(d12_census_counted):
+    # the D12 form is palindromic: the inverse roots are the roots, so one
+    # closed-form family and one C16 serve both sides of C5
+    _, calls = d12_census_counted
+    assert calls == {"root_orbit_partition": 1, "_pairwise_closed_constants": 1,
+                     "c16": 1}
+
+
+def test_c5_palindromic_reuse_matches_inverse_roots():
+    f = BinForm((3, 2, -8, 2, 3))           # 3x^4 + 2x^3y - 8x^2y^2 + 2xy^3 + 3y^4
+    mu = Fraction(7, 2)
+    value, prov = c5(f, 1, mu, lewis_mahler_c10(f))
+    poly = normalize_minimal_poly(f.dehomogenize())
+    recip = normalize_minimal_poly(poly.reciprocal())
+    assert recip.coeffs == poly.coeffs
+    explicit = {}
+    for side, p in (("alpha", poly), ("alpha_inv", recip)):
+        conj = [AlgNum(p, i) for i in range(p.degree)]
+        explicit[side] = c16(conj, mu, 1, thue._pairwise_closed_constants(conj, mu, 1))
+    for side, (c16v, branches) in explicit.items():
+        assert prov[f"C16({side})"] == compact_str(c16v)
+        assert prov[f"branches({side})"] == branches
+    lewis_mahler = Fraction(prov["lewis-mahler"])   # small enough to print exactly
+    assert value == tidy_up(max(lewis_mahler, explicit["alpha"][0],
+                                explicit["alpha_inv"][0]))
 
 
 def test_convergents_cbrt2(cbrt2):
