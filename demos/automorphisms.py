@@ -25,17 +25,17 @@ gens = [(0, 1, 1, 0), (1, 1, -1, 2)]
 print("contains the two generators:",
       all(g in {e.matrix.entries() for e in aut.elements} for g in gens))
 
-part = root_orbit_partition(None, aut)
+part = root_orbit_partition(aut)
 print("root orbits:", part.blocks, " gamma =", part.gamma)
 
 print("\n-- x^3 - 2y^3 for contrast --")
 G = aut_prime(parse_form("x^3 - 2*y^3"))
 print("order", G.order, G.structure, "elements:",
       [e.matrix.entries() for e in G.elements])
-part2 = root_orbit_partition(None, G)
+part2 = root_orbit_partition(G)
 print("gamma =", part2.gamma, "(no root is an integer-Moebius image of another)")
 
 print("\n-- the Galois cubic x^3 - 3xy^2 - y^3 --")
 G3 = aut_prime(parse_form("x^3 - 3*x*y^2 - y^3"))
 print("order", G3.order, G3.structure, " gamma =",
-      root_orbit_partition(None, G3).gamma)
+      root_orbit_partition(G3).gamma)

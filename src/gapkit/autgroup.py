@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .binforms import BinForm, IntMat2, discriminant, form_action
-from .intpoly import IntPoly
 from .isolation import (ComplexDisk, CRat, IsolationError, PrecisionError,
                         isolate_roots)
 from .rounding import simplest_rational_in
@@ -353,17 +352,14 @@ class OrbitPartition:
         return max(self.gamma_per_root)
 
 
-def root_orbit_partition(poly_or_alphas, aut: EnhancedAut,
+def root_orbit_partition(aut: EnhancedAut,
                          precision: Fraction = Fraction(1, 10 ** 15),
                          budget: int = 5) -> OrbitPartition:
     """Partition the roots of one irreducible polynomial into orbits under
     the root actions of Aut'|F|: image indices are certified by enclosure
     separation (the image of a root enclosure must meet exactly one root
     enclosure)."""
-    if isinstance(poly_or_alphas, IntPoly):
-        poly = poly_or_alphas
-    else:
-        poly = aut.form.dehomogenize()
+    poly = aut.form.dehomogenize()
     width = Fraction(precision)
     for _ in range(budget):
         encl = isolate_roots(poly, width)

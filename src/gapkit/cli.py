@@ -116,7 +116,7 @@ def cmd_aut(args) -> int:
     form = parse_form(args.form)
     aut = aut_prime(form)
     rpt = aut.report()
-    part = root_orbit_partition(None, aut)
+    part = root_orbit_partition(aut)
     rpt["orbits"] = [list(b) for b in part.blocks]
     rpt["gamma"] = part.gamma
     _emit(rpt, args.format)
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    common.add_argument("--precision-bits", type=int, default=256)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("minpair", help="minimal pair for (alpha, beta)",
@@ -282,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("poly")
     pr.add_argument("prime", type=int)
     pr.add_argument("residue", type=int)
+    pr.add_argument("--precision-bits", type=int, default=256,
+                    help="lift to about this many bits of p-adic precision")
     pr.set_defaults(func=cmd_padic_root)
 
     p = sub.add_parser("sweep", help="run the acceptance experiment suite",

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 import mpmath
 
 from .intpoly import IntPoly, is_squarefree, poly_gcd_q
-from .rounding import (AbstainError, RatInterval, pow_half_integer_down,
-                       sqrt_down, sqrt_up)
+from .rounding import (AbstainError, RatInterval, _mpf_tuple_to_fraction,
+                       pow_half_integer_down, sqrt_down, sqrt_up)
 
 
 class IsolationError(ValueError):
@@ -392,6 +393,8 @@ class _RootSystem:
         self.real = isolate_real_roots(p)
         self.disks = _certified_disks(p, self.real)
         self._order()
+        # integer enclosure tables by width, each built on first use
+        self.tables: dict[Fraction, ScaledRoots] = {}
 
     def _order(self):
         """Index the roots by real part, then imaginary part.  Each real
@@ -425,6 +428,63 @@ class _RootSystem:
         out = _refine_enclosure(cur, width)
         self.best[index] = out
         return out
+
+    def scaled(self, width: Fraction) -> "ScaledRoots":
+        """Every root refined to ``width``, as a ``ScaledRoots`` table;
+        built the first time this width is asked for."""
+        table = self.tables.get(width)
+        if table is None:
+            table = self.tables[width] = ScaledRoots(
+                [self.refined(i, width) for i in sorted(self.best)], width)
+        return table
+
+
+class ScaledRoots:
+    """Outward-rounded integer enclosures of every root alpha and of 1/alpha,
+    at the scale 2**bits with bits = bits(1/width) + 32, taken from
+    enclosures of width <= ``width``.
+
+    An enclosure is an interval (lo, hi), the reals in
+    [lo / 2**bits, hi / 2**bits], or a disk (re, im, rad), the complex
+    numbers within rad / 2**bits of (re + i im) / 2**bits.  ``alpha[i]`` is
+    root i's interval or disk; ``inverse[i]`` is the inverse interval of a
+    real root whose interval excludes 0, else the inverse of its disk, or
+    None when that disk may contain 0.  ``real[i]`` says whether root i is
+    real, and ``mirror[i]`` is the index of the root whose exact disk
+    center is the conjugate of root i's (None for a real root)."""
+
+    __slots__ = ("bits", "real", "alpha", "inverse", "mirror")
+
+    def __init__(self, encl: list[RootEnclosure], width: Fraction):
+        self.bits = (width.denominator // width.numerator).bit_length() + 32
+        one = 1 << self.bits
+        self.real = [e.is_real for e in encl]
+        self.alpha, self.inverse, self.mirror = [], [], []
+        for e in encl:
+            iv = e.interval
+            self.alpha.append(_scaled_interval(iv, one) if e.is_real
+                              else _scaled_disk(e.disk, one))
+            if e.is_real and iv.lo * iv.hi > 0:
+                self.inverse.append(_scaled_interval(iv.inverse(), one))
+            else:
+                try:
+                    self.inverse.append(_scaled_disk(e.as_disk().inverse(), one))
+                except ZeroDivisionError:
+                    self.inverse.append(None)
+            self.mirror.append(None if e.is_real else next(
+                (o.index for o in encl if not o.is_real
+                 and o.disk.center == e.disk.center.conj()), None))
+
+
+def _scaled_interval(iv: RatInterval, one: int) -> tuple[int, int]:
+    return floor(iv.lo * one), ceil(iv.hi * one)
+
+
+def _scaled_disk(disk: ComplexDisk, one: int) -> tuple[int, int, int]:
+    # the rounded center moves by at most sqrt(2)/2 < 1 unit, so one more
+    # unit of radius keeps the whole exact disk inside
+    c = disk.center
+    return round(c.re * one), round(c.im * one), ceil(disk.radius * one) + 1
 
 
 def _certified_disks(p: IntPoly, real_ivs: list[RatInterval],
@@ -471,12 +531,7 @@ def _numeric_seeds(p: IntPoly, bits: int) -> list:
 
 def _dyadic(x, bits: int) -> Fraction:
     """Exact dyadic rational from an mpf/float at the working precision."""
-    m = mpmath.mpf(x)
-    sign, man, exp, _ = m._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
+    return _mpf_tuple_to_fraction(mpmath.mpf(x)._mpf_)
 
 
 def _containment_disk(p: IntPoly, deriv: IntPoly, c: CRat) -> ComplexDisk | None:

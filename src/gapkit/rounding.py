@@ -398,10 +398,8 @@ def _as_interval(x) -> RatInterval:
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
     sign, man, exp, _ = t
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -val if sign else val
+    man, exp = (-int(man) if sign else int(man)), int(exp)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _iv_to_interval(x) -> RatInterval:

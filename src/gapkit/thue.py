@@ -22,7 +22,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 
 from .algnum import AlgNum, NotInFieldError, normalize_minimal_poly, power_rep, theta_upper_bound
 from .autgroup import (EnhancedAut, OrbitPartition, aut_prime,
@@ -30,10 +30,10 @@ from .autgroup import (EnhancedAut, OrbitPartition, aut_prime,
 from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, GapConstants, HypothesisError, c16,
                   compare_to_power, count_bound)
-from .isolation import PrecisionError, isolate_roots, mahler_measure
+from .isolation import (PrecisionError, isolate_roots, mahler_measure,
+                        root_system)
 from .minpair import c12_closed_form, c13_formula
-from .rounding import (RatInterval, compact_str, pow_up, root_up,
-                       sqrt_down, tidy_up)
+from .rounding import compact_str, pow_up, root_up, sqrt_down, tidy_up
 
 
 class ThueError(ValueError):
@@ -239,73 +239,94 @@ def assign_root(f: BinForm, sol: Solution,
     min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|); the side is "alpha" or
     "alpha_inv".  Complex-conjugate candidates tie exactly against rational
     targets; such ties resolve to the smaller root index with tie=True.
-    Other ties within precision refine, and a surviving tie is reported."""
-    poly = normalize_minimal_poly(f.dehomogenize())
+    Other ties within precision refine, and a surviving tie is reported.
+
+    Each level of width w (``precision``, then divided by 10**8, at most
+    ``budget`` levels) reads the root system's ``ScaledRoots`` table for w,
+    built once and shared by every solution.  The table rounds each
+    enclosure of width <= w outward to integers at scale 2**b: interval
+    ends down and up, disk centers to the nearest integer and radii up plus
+    one unit, which covers the center's move of at most sqrt(2)/2 unit.  So
+    each rounded enclosure contains the exact one, hence the root or its
+    inverse.  For a target p/q (x/y, or y/x on the inverse side) and any z
+    in a rounded enclosure, |z - p/q| = |q z - p| / |q|, and
+    ``_scaled_distance`` bounds 2**b |q z - p| by integers: the ends of
+    q [lo, hi] - p 2**b made absolute for an interval; for a disk the
+    center's distance |q c - p 2**b|, from ``isqrt`` of its square rounded
+    down and up, less and plus |q| rad.  Every candidate's distance is thus
+    enclosed over the denominator |y| 2**b or |x| 2**b, and two candidates
+    compare by cross-multiplying with the other's |y| or |x|.  The best
+    candidate has the least upper end; it is decided when no rival's lower
+    end lies below that upper end, which then holds for the exact distances
+    too.  Rounding widens an enclosure by about w 2**-32 at most, so a level
+    that decides on the exact enclosures nearly always decides on the table,
+    and otherwise the next level does."""
+    system = root_system(normalize_minimal_poly(f.dehomogenize()))
+    x, y = sol.x, sol.y
     width = Fraction(precision)
     for _ in range(budget):
-        encl = isolate_roots(poly, width)
-        cands: list[tuple[RatInterval, int, str]] = []
-        for e in encl:
-            if sol.y != 0:
-                cands.append((e.distance_interval(Fraction(sol.x, sol.y)),
-                              e.index, "alpha"))
-            if sol.x != 0:
-                target = Fraction(sol.y, sol.x)
-                if e.is_real:
-                    inv = e.interval.inverse() if e.interval.lo * e.interval.hi > 0 else None
-                else:
-                    inv = None
-                if inv is not None:
-                    cands.append(((inv - RatInterval(target)).abs(), e.index, "alpha_inv"))
-                else:
-                    disk = e.as_disk()
-                    try:
-                        dist = (disk.inverse() - _point_disk(target)).abs_interval()
-                        cands.append((dist, e.index, "alpha_inv"))
-                    except ZeroDivisionError:
-                        pass
-        best = min(cands, key=lambda c: c[0].hi)
-        rivals = [c for c in cands if c is not best and c[0].lo < best[0].hi]
+        table = system.scaled(width)
+        one = 1 << table.bits
+        # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
+        cands: list[tuple[int, int, int, int, str]] = []
+        for i, (enc, inv) in enumerate(zip(table.alpha, table.inverse)):
+            if y != 0:
+                cands.append((*_scaled_distance(enc, x, y, one), abs(y), i, "alpha"))
+            if x != 0 and inv is not None:
+                cands.append((*_scaled_distance(inv, y, x, one), abs(x), i, "alpha_inv"))
+        best = cands[0]
+        for c in cands[1:]:
+            if c[1] * best[2] < best[1] * c[2]:
+                best = c
+        rivals = [c for c in cands
+                  if c is not best and c[0] * best[2] < best[1] * c[2]]
+        # mirror conjugate disks on the same side are at equal distances
+        # from a real rational: an exact tie
         exact_ties = [c for c in rivals
-                      if _conjugate_tie(encl, best, c)]
+                      if c[4] == best[4] and table.mirror[c[3]] == best[3]]
         undecided = [c for c in rivals if c not in exact_ties]
         if not undecided:
             if exact_ties:
-                idx, side = _tie_pick(encl, [best] + exact_ties)
+                idx, side = _tie_pick(table, [best] + exact_ties)
                 return idx, side, True
-            return best[1], best[2], False
+            return best[3], best[4], False
         width /= 10 ** 8
     # unresolved within budget: genuine tie reported, deterministic pick
-    idx, side = _tie_pick(encl, [best] + rivals)
+    idx, side = _tie_pick(table, [best] + rivals)
     return idx, side, True
 
 
-def _tie_pick(encl, cands) -> tuple[int, str]:
-    """Deterministic representative among tied candidates: prefer real root
-    enclosures, then the smaller root index, then the alpha side."""
-    def key(c):
-        e = next(e for e in encl if e.index == c[1])
-        return (0 if e.is_real else 1, c[1], 0 if c[2] == "alpha" else 1)
+def _scaled_distance(enc: tuple, p: int, q: int, one: int) -> tuple[int, int]:
+    """Integers lo <= hi with lo <= one |q z - p| <= hi for every z in the
+    ``ScaledRoots`` enclosure ``enc`` (an interval or a disk at scale
+    ``one``); q != 0."""
+    if len(enc) == 2:
+        a, b = enc[0] * q - p * one, enc[1] * q - p * one
+        if a > b:
+            a, b = b, a
+        if a >= 0:
+            return a, b
+        if b <= 0:
+            return -b, -a
+        return 0, max(-a, b)
+    re, im, rad = enc
+    n = (re * q - p * one) ** 2 + (im * q) ** 2
+    s = isqrt(n)
+    r = rad * abs(q)
+    return max(0, s - r), s + (s * s != n) + r
 
-    chosen = min(cands, key=key)
-    return chosen[1], chosen[2]
+
+def _tie_pick(table, cands) -> tuple[int, str]:
+    """Deterministic representative among tied candidates: prefer real
+    roots, then the smaller root index, then the alpha side."""
+    chosen = min(cands, key=lambda c: (not table.real[c[3]], c[3], c[4] != "alpha"))
+    return chosen[3], chosen[4]
 
 
 def _point_disk(q: Fraction):
     from .isolation import ComplexDisk, CRat
 
     return ComplexDisk.point(CRat.of(q))
-
-
-def _conjugate_tie(encl, a, b) -> bool:
-    """True when candidates a, b are mirror conjugate enclosures with the
-    same side (their distances to a real rational agree exactly)."""
-    ea = next(e for e in encl if e.index == a[1])
-    eb = next(e for e in encl if e.index == b[1])
-    if ea.is_real or eb.is_real or a[2] != b[2]:
-        return False
-    ca, cb = ea.disk.center, eb.disk.center
-    return ca.re == cb.re and ca.im == -cb.im
 
 
 def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction,
@@ -346,8 +367,6 @@ def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
     if part.gamma == d:
         return "yes", "orbit of one root covers all roots"
     if d == 3:
-        from math import isqrt
-
         disc = discriminant(f)
         root = isqrt(abs(disc))
         if disc > 0 and root * root == disc:
@@ -496,7 +515,7 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     # measure inside C10 refines the shared enclosures, which makes every
     # later exact operation on them dearer
     aut = aut_prime(f)
-    part = root_orbit_partition(None, aut)
+    part = root_orbit_partition(aut)
     gamma = part.gamma
     if not 2 * gamma <= aut.order:
         raise AssertionError("gamma exceeds #Aut'/2")
@@ -507,7 +526,9 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     c5v, prov = c5(f, problem.m, mu, c10)
     inner = count_bound(d, mu, 1)
     bound = aut.order * inner
-    large = [s for s in sols if Fraction(s.height) >= c5v]
+    # heights are integers: H >= C5 exactly when H >= ceil(C5)
+    threshold = ceil(c5v)
+    large = [s for s in sols if s.height >= threshold]
     if len(large) > bound:
         raise AssertionError("counting bound violated: defect or non-Galois input")
     orbits = _solution_orbits(f, aut, sols)

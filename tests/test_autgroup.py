@@ -125,14 +125,14 @@ def test_identity_and_negation_always_present():
 
 
 def test_orbit_partition_examples(d12_aut, cubic_aut):
-    part = root_orbit_partition(None, d12_aut)
+    part = root_orbit_partition(d12_aut)
     assert part.blocks == (tuple(range(12)),)
     assert part.gamma == 12
-    part3 = root_orbit_partition(None, cubic_aut)
+    part3 = root_orbit_partition(cubic_aut)
     assert part3.gamma == 3
     # x^3 - 2y^3: only +-I, which act trivially as Moebius maps
     aut2 = aut_prime(BinForm((1, 0, 0, -2)))
-    part2 = root_orbit_partition(None, aut2)
+    part2 = root_orbit_partition(aut2)
     assert part2.blocks == ((0,), (1,), (2,))
     assert part2.gamma == 1
 
@@ -167,19 +167,19 @@ def mpmath_orbit_blocks(f: BinForm, matrices) -> set[frozenset[int]]:
 def test_orbit_partition_against_mpmath(coeffs):
     f = BinForm(coeffs)
     aut = aut_prime(f)
-    part = root_orbit_partition(None, aut)
+    part = root_orbit_partition(aut)
     oracle = mpmath_orbit_blocks(f, [e.matrix.entries() for e in aut.elements])
     assert {frozenset(b) for b in part.blocks} == oracle
 
 
 def test_d12_orbit_partition_against_mpmath(d12_form, d12_aut):
-    part = root_orbit_partition(None, d12_aut)
+    part = root_orbit_partition(d12_aut)
     oracle = mpmath_orbit_blocks(d12_form, [e.matrix.entries() for e in d12_aut.elements])
     assert {frozenset(b) for b in part.blocks} == oracle
 
 
 def test_orbit_partition_is_equivalence(d12_aut):
-    part = root_orbit_partition(None, d12_aut)
+    part = root_orbit_partition(d12_aut)
     seen = sorted(i for block in part.blocks for i in block)
     assert seen == list(range(12))          # partition covers every root once
     for block in part.blocks:
@@ -189,7 +189,7 @@ def test_orbit_partition_is_equivalence(d12_aut):
 
 def test_gamma_at_most_half_order(d12_aut, cubic_aut):
     for aut in (d12_aut, cubic_aut):
-        part = root_orbit_partition(None, aut)
+        part = root_orbit_partition(aut)
         assert 2 * part.gamma <= aut.order
 
 

@@ -43,6 +43,23 @@ def test_padic_root_subcommand(capsys):
     assert rpt["lift_mod_p2"] == 207
 
 
+def test_padic_root_precision_bits(capsys):
+    # 17 has 5 bits, so 64 bits of precision lift to 17**12
+    code, out, _ = run_cli(capsys, "padic", "root", "x^3 - 3*x - 1", "17", "3",
+                           "--precision-bits", "64")
+    assert code == 0
+    rpt = json.loads(out)
+    assert rpt["lift_level"] == 12
+    assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 12 == 0
+
+
+def test_precision_bits_only_on_padic_root(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["aut", "x^3 - 2*y^3", "--precision-bits", "64"])
+    assert exc.value.code == 2
+    assert "--precision-bits" in capsys.readouterr().err
+
+
 def test_gap_check_subcommand(capsys):
     code, out, _ = run_cli(capsys, "gap", "check",
                            "x^3 - 3*x - 1@root~=1.879",

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapkit.rounding import (RatInterval, SqrtVal, certified_floor,
-                             compact_str, pow_down, pow_half_integer_down,
-                             pow_half_integer_up, pow_up, root_down, root_up,
-                             simplest_rational_in, tidy_down, tidy_up,
-                             exp_interval, log_interval)
+from gapkit.isolation import _dyadic
+from gapkit.rounding import (RatInterval, SqrtVal, _mpf_tuple_to_fraction,
+                             certified_floor, compact_str, pow_down,
+                             pow_half_integer_down, pow_half_integer_up,
+                             pow_up, root_down, root_up, simplest_rational_in,
+                             tidy_down, tidy_up, exp_interval, log_interval)
 
 rationals = st.fractions(min_value=Fraction(1, 10 ** 6),
                          max_value=Fraction(10 ** 6),
@@ -113,3 +115,46 @@ def test_compact_str():
     assert compact_str(Fraction(3, 7)) == "3/7"
     s = compact_str(Fraction(2) ** 100000)
     assert "*10^" in s and s.endswith("30102")
+
+
+# exact dyadic endpoints: man * 2**exp, on the oracle side as an integer
+# product or a quotient, never through the conversions under test
+def _is_dyadic_value(q: Fraction, man: int, exp: int) -> bool:
+    return q == man * (1 << exp) if exp >= 0 else q * (1 << -exp) == man
+
+
+@given(st.booleans(), st.integers(min_value=0, max_value=2 ** 200),
+       st.integers(min_value=-10 ** 7, max_value=10 ** 7))
+@settings(max_examples=60, deadline=None)
+def test_mpf_tuple_to_fraction_is_exact(negative, man, exp):
+    q = _mpf_tuple_to_fraction((int(negative), man, exp, man.bit_length()))
+    assert _is_dyadic_value(q, -man if negative else man, exp)
+
+
+@given(st.booleans(), st.integers(min_value=1, max_value=2 ** 200),
+       st.integers(min_value=-10 ** 7, max_value=10 ** 7))
+@settings(max_examples=60, deadline=None)
+def test_isolation_dyadic_is_exact(negative, man, exp):
+    # enough working precision that mpf() keeps the whole mantissa
+    with mpmath.workprec(max(53, man.bit_length())):
+        x = mpmath.mp.make_mpf((int(negative), man, exp, man.bit_length()))
+        q = _dyadic(x, 0)
+    assert _is_dyadic_value(q, -man if negative else man, exp)
+
+
+def test_exp_interval_of_a_huge_argument():
+    # exp(5 * 10**6) has about 7.2 million bits; its enclosure endpoints are
+    # exact dyadics whose log2 agrees with mpmath's at 64 bits
+    x = 5 * 10 ** 6
+    enc = exp_interval(Fraction(x))
+    assert 0 < enc.lo < enc.hi
+    for end in (enc.lo, enc.hi):
+        den = end.denominator
+        assert den & (den - 1) == 0
+    with mpmath.workprec(64):
+        expected = mpmath.mpf(x) / mpmath.log(2)
+        for end in (enc.lo, enc.hi):
+            num, den = end.numerator, end.denominator
+            shift = num.bit_length() - 64
+            log2 = shift - (den.bit_length() - 1) + mpmath.log(num >> shift, 2)
+            assert abs(log2 - expected) < mpmath.mpf(2) ** -30

@@ -1,12 +1,14 @@
+import json
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapkit import thue
+from gapkit import isolation, thue
 from gapkit.algnum import AlgNum, is_irreducible, normalize_minimal_poly
 from gapkit.autgroup import aut_prime, root_orbit_partition
 from gapkit.binforms import BinForm
@@ -16,7 +18,7 @@ from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          census, convergents, enumerate_primitive,
                          galois_status, legendre_height, lewis_mahler_c10,
                          lewis_mahler_check, window_search)
-from gapkit.rounding import compact_str, sqrt_up, tidy_up
+from gapkit.rounding import RatInterval, compact_str, sqrt_up, tidy_up
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
 # forms with a solution above their Legendre height H0 at m, so that the
@@ -97,11 +99,160 @@ def test_assign_root_examples():
     assert side == "alpha_inv" and tie and idx == 2
 
 
+# -- root assignment against 60-digit mpmath roots ------------------------------
+
+def _mp_roots(f: BinForm) -> list:
+    """Roots of F(x, 1) at 60 digits, in the documented root order: by real
+    part, then imaginary part."""
+    with mpmath.workdps(60):
+        rs = [mpmath.mpc(r) for r in mpmath.polyroots(list(f.coeffs), maxsteps=400,
+                                                       extraprec=400)]
+        eps = mpmath.mpf(10) ** -40
+        rs = [mpmath.mpc(r.real, 0) if abs(r.imag) < eps else r for r in rs]
+    return sorted(rs, key=lambda r: (r.real, r.imag))
+
+
+def _check_assignment(f: BinForm, roots: list, sol: Solution, got) -> None:
+    """The reported (index, side) minimizes min(|alpha_i - x/y|,
+    |alpha_i^{-1} - y/x|) over every root; a tie may report any tied
+    candidate, and a candidate reported without a tie is the unique one."""
+    idx, side, tie = got
+    with mpmath.workdps(60):
+        dist = {}
+        for i, r in enumerate(roots):
+            if sol.y != 0:
+                dist[i, "alpha"] = abs(r - mpmath.mpf(sol.x) / sol.y)
+            if sol.x != 0:
+                dist[i, "alpha_inv"] = abs(1 / r - mpmath.mpf(sol.y) / sol.x)
+        least = min(dist.values())
+        close = {k for k, v in dist.items() if v - least <= least * mpmath.mpf(10) ** -40}
+    assert (idx, side) in close, (f, sol, got, dist)
+    if not tie:
+        assert close == {(idx, side)}, (f, sol, got, dist)
+
+
+# (form, m, box): a Shanks cubic with 1001 solutions, a cubic with one real
+# root, the palindromic quartic
+ASSIGN_CASES = ((BinForm((1, 1, -2, -1)), 8219, 300),
+                (BinForm((2, 2, 4, 3)), 6066, 100),
+                (BinForm((3, 2, -8, 2, 3)), 26874, 40))
+
+
+@pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
+def test_assign_root_against_mpmath(f, m, box):
+    sols = enumerate_primitive(ThueProblem(f, m, box))
+    roots = _mp_roots(f)
+    ties = []
+    for s in sols:
+        got = assign_root(f, s)
+        _check_assignment(f, roots, s, got)
+        ties.append(got[2])
+    assert len(sols) >= 150
+    assert {(1, 0), (0, 1)} <= {(s.x, s.y) for s in sols}
+    if f.degree == 3 and any(abs(r.imag) > 0 for r in roots):
+        assert any(ties)        # conjugate pairs nearest to some x/y
+    poly = normalize_minimal_poly(f.dehomogenize())
+    assert 1 <= len(isolation.root_system(poly).tables) <= 5
+
+
+def test_assign_root_conjugate_tie_and_zero_coordinates():
+    # x^3 - 2y^3 at (1, -2): x/y = -1/2 is nearest the complex pair
+    # -0.63 +- 1.09i, an exact tie broken to the smaller index
+    roots = _mp_roots(CUBE_FORM)
+    tie = Solution.normalized(1, -2, CUBE_FORM.value(1, -2), 3)
+    assert assign_root(CUBE_FORM, tie) == (0, "alpha", True)
+    _check_assignment(CUBE_FORM, roots, tie, (0, "alpha", True))
+    # (0, 1): only the alpha side, x/y = 0, and every root has modulus
+    # 2**(1/3): a three-way tie the real root (index 2) wins
+    zero_x = Solution.normalized(0, 1, CUBE_FORM.value(0, 1), 3)
+    got = assign_root(CUBE_FORM, zero_x)
+    _check_assignment(CUBE_FORM, roots, zero_x, got)
+    assert got == (2, "alpha", True)
+    # (1, 0): only the alpha_inv side, y/x = 0: the same three-way tie
+    zero_y = Solution.normalized(1, 0, CUBE_FORM.value(1, 0), 3)
+    got = assign_root(CUBE_FORM, zero_y)
+    _check_assignment(CUBE_FORM, roots, zero_y, got)
+    assert got == (2, "alpha_inv", True)
+
+
+def _exact_assign_root(f: BinForm, sol: Solution, budget: int = 5):
+    """Reference: the same selection rules on the exact Fraction enclosures
+    of every level, re-read from the root system for each solution."""
+    poly = normalize_minimal_poly(f.dehomogenize())
+    width = Fraction(1, 10 ** 12)
+    for _ in range(budget):
+        encl = isolation.isolate_roots(poly, width)
+        cands = []
+        for e in encl:
+            if sol.y != 0:
+                cands.append((e.distance_interval(Fraction(sol.x, sol.y)), e, "alpha"))
+            if sol.x != 0:
+                target = isolation.ComplexDisk.point(isolation.CRat.of(Fraction(sol.y, sol.x)))
+                if e.is_real and e.interval.lo * e.interval.hi > 0:
+                    dist = (e.interval.inverse() - target.center.re).abs()
+                else:
+                    try:
+                        dist = (e.as_disk().inverse() - target).abs_interval()
+                    except ZeroDivisionError:
+                        continue
+                cands.append((dist, e, "alpha_inv"))
+        best = min(cands, key=lambda c: c[0].hi)
+        rivals = [c for c in cands if c is not best and c[0].lo < best[0].hi]
+        ties = [c for c in rivals if c[2] == best[2] and not c[1].is_real
+                and not best[1].is_real and c[1].disk.center == best[1].disk.center.conj()]
+        pick = min([best] + (ties if len(ties) == len(rivals) else rivals),
+                   key=lambda c: (not c[1].is_real, c[1].index, c[2] != "alpha"))
+        if len(ties) == len(rivals):
+            return pick[1].index, pick[2], bool(ties)
+        width /= 10 ** 8
+    return pick[1].index, pick[2], True
+
+
+@pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
+def test_assign_root_matches_exact_enclosures(f, m, box):
+    for s in enumerate_primitive(ThueProblem(f, m, box // 2)):
+        assert assign_root(f, s) == _exact_assign_root(f, s), (f, s)
+
+
+@pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
+def test_scaled_roots_contain_the_roots(f, m, box):
+    poly = normalize_minimal_poly(f.dehomogenize())
+    roots = _mp_roots(f)
+    for width in (Fraction(1, 10 ** 12), Fraction(1, 10 ** 20)):
+        table = isolation.root_system(poly).scaled(width)
+        one = 1 << table.bits
+        with mpmath.workdps(60):
+            for i, r in enumerate(roots):
+                assert table.real[i] == (r.imag == 0)
+                for enc, z in ((table.alpha[i], r), (table.inverse[i], 1 / r)):
+                    if len(enc) == 2:
+                        assert enc[0] <= z.real * one <= enc[1]
+                    else:
+                        assert abs(z * one - mpmath.mpc(enc[0], enc[1])) <= enc[2]
+                if not table.real[i]:
+                    j = table.mirror[i]
+                    assert abs(roots[j] - mpmath.conj(r)) < mpmath.mpf(10) ** -40
+            # the integer distance bounds enclose the exact distances
+            for s in enumerate_primitive(ThueProblem(f, m, 20)):
+                for i, r in enumerate(roots):
+                    for enc, z, p, q in ((table.alpha[i], r, s.x, s.y),
+                                         (table.inverse[i], 1 / r, s.y, s.x)):
+                        if q != 0:
+                            lo, hi = thue._scaled_distance(enc, p, q, one)
+                            assert lo <= abs(q * z - p) * one <= hi
+    # a real interval that meets 0 has no inverse interval, and its disk
+    # meets 0 too: no inverse enclosure at all
+    straddle = isolation.ScaledRoots(
+        [isolation.RootEnclosure(poly, 0, interval=RatInterval(-1, 3))],
+        Fraction(1, 10 ** 12))
+    assert straddle.inverse == [None] and straddle.mirror == [None]
+
+
 def test_galois_status(cubic_form, d12_form, cubic_aut, d12_aut):
-    assert galois_status(cubic_form, root_orbit_partition(None, cubic_aut))[0] == "yes"
-    assert galois_status(d12_form, root_orbit_partition(None, d12_aut))[0] == "yes"
+    assert galois_status(cubic_form, root_orbit_partition(cubic_aut))[0] == "yes"
+    assert galois_status(d12_form, root_orbit_partition(d12_aut))[0] == "yes"
     f = CUBE_FORM
-    assert galois_status(f, root_orbit_partition(None, aut_prime(f)))[0] == "no"
+    assert galois_status(f, root_orbit_partition(aut_prime(f)))[0] == "no"
 
 
 def test_census_cubic(cubic_form):
@@ -165,6 +316,44 @@ def test_census_d12_builds_each_per_form_step_once(d12_census_counted):
     _, calls = d12_census_counted
     assert calls == {"root_orbit_partition": 1, "_pairwise_closed_constants": 1,
                      "c16": 1}
+
+
+def test_census_d12_report_emits_in_full(d12_census_counted):
+    # C5 has millions of bits: str() of the raw Fraction raises ValueError
+    # (the 4300-digit limit), which the CLI would report as exit 2
+    result, _ = d12_census_counted
+    with pytest.raises(ValueError):
+        str(result.c5_value)
+    rpt = result.report()
+    text = json.dumps(rpt, sort_keys=True, default=str)
+    assert json.loads(text)["C5"]["rounding"] == "up"
+
+    def leaves(x):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                yield k
+                yield from leaves(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                yield from leaves(v)
+        else:
+            yield x
+
+    assert not any(isinstance(v, Fraction) for v in leaves(rpt))
+
+
+def test_census_large_count_at_the_c5_boundary(cubic_form, monkeypatch):
+    # a height equal to ceil(C5) is large, for an integer C5 and for one
+    # just below it; a C5 just above it leaves that height small
+    problem = ThueProblem(cubic_form, 1, 100)
+    heights = [s.height for s in enumerate_primitive(problem)]
+    top = max(heights)
+    n_top = heights.count(top)
+    for value, expected in ((Fraction(top), n_top), (Fraction(2 * top - 1, 2), n_top),
+                            (Fraction(2 * top + 1, 2), 0)):
+        monkeypatch.setattr(thue, "c5", lambda f, m, mu, c10, v=value: (v, {}))
+        rpt = census(problem, Fraction(11, 4)).report()
+        assert rpt["largeSolutions"] == expected, value
 
 
 def test_c5_palindromic_reuse_matches_inverse_roots():
