@@ -7,20 +7,23 @@ polynomial identity F(M0 x) = eps * |det M0|**(d/2) * F with eps = +-1.
 
 Candidates come from the root correspondence: every element permutes the
 roots of F(x, 1) through z -> (v z - u)/(-t z + s), and a Moebius map is
-pinned by three roots.  Reconstruction runs in certified disk arithmetic,
-entry ratios are rationalized by the simplest rational in the enclosure, and
-every candidate is accepted or rejected by the exact identity alone.
+pinned by three roots.  Target triples are excluded, and the survivors'
+maps reconstructed, in outward-rounded integer disk arithmetic on the
+``ScaledRoots`` tables; entry ratios are rationalized by the simplest
+rational in the enclosure, and every candidate is accepted or rejected by
+the exact identity alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import permutations
+from math import gcd, isqrt, lcm
 
 from .binforms import BinForm, IntMat2, discriminant, form_action
-from .isolation import (ComplexDisk, CRat, IsolationError, PrecisionError,
-                        isolate_roots)
+from .isolation import (PrecisionError, ScaledRoots, disk_disjoint, disk_div,
+                        disk_mul, disk_sub, root_system)
 from .rounding import simplest_rational_in
 
 
@@ -39,13 +42,6 @@ class AutElement:
     @property
     def det(self) -> int:
         return self.matrix.det
-
-    def root_action_disk(self, z: ComplexDisk) -> ComplexDisk:
-        """The induced root permutation z -> (v z - u) / (-t z + s)."""
-        m = self.matrix
-        num = ComplexDisk.point(CRat.of(m.v)) * z - ComplexDisk.point(CRat.of(m.u))
-        den = ComplexDisk.point(CRat.of(-m.t)) * z + ComplexDisk.point(CRat.of(m.s))
-        return num / den
 
 
 @dataclass(frozen=True)
@@ -114,20 +110,28 @@ def aut_prime(f: BinForm, precision: Fraction = Fraction(1, 10 ** 20),
               max_attempts: int = 5) -> EnhancedAut:
     """Compute Aut'|F| for an irreducible form of degree >= 3.
 
-    Root-triple reconstruction is exhaustive over ordered target triples, so
-    every element appears among the candidates once the enclosures are tight
-    enough for its entry ratios to rationalize; exact verification makes
-    acceptance sound at any precision.  The verified set is closed under
-    products (with the +-M0 pairing built in) before being returned.
+    Each element maps the roots r0, r1, r2 to some ordered triple of
+    distinct roots, and is the Moebius map fixed by that correspondence.
+    What is certified:
+
+    * an excluded target triple holds no root-permuting Moebius map,
+      rational or not: the map through it sends r3 or r4 (where the degree
+      has them) to a disk disjoint from every root disk;
+    * every returned element satisfies the exact identity, and the returned
+      set is closed under products (with the +-M0 pairing built in).
+
+    Each surviving triple's map is reconstructed and its entry ratios are
+    rationalized.  A survivor whose ratios never rationalize is dropped
+    without being certified absent, so the returned group is certified to
+    lie in Aut'|F| but not to be all of it.  The enclosures are refined
+    until the verified set closes under products.
     """
     _validate_form(f)
     poly = f.dehomogenize()
     width = Fraction(precision)
     found: dict[tuple, tuple[int, int]] = {}
     for attempt in range(max_attempts):
-        encl = isolate_roots(poly, width)
-        disks = [_coarsen(e.as_disk(), width) for e in encl]
-        for cand in _candidate_matrices(disks):
+        for cand in _candidate_matrices(root_system(poly).scaled(width)):
             m = cand.primitive()
             if m.entries() in found or (-m).entries() in found:
                 continue
@@ -155,107 +159,96 @@ def aut_prime(f: BinForm, precision: Fraction = Fraction(1, 10 ** 20),
     return EnhancedAut(f, elements, structure, table1)
 
 
-def _coarsen(d: ComplexDisk, width: Fraction) -> ComplexDisk:
-    """Slightly larger disk whose center is a short dyadic, so the fraction
-    denominators stay bounded through the reconstruction arithmetic."""
-    bits = max(16, (width.denominator // max(1, width.numerator)).bit_length() + 8)
-    return _coarsen_bits(d, bits)
+def _candidate_matrices(table: ScaledRoots):
+    """Primitive integer matrices reconstructed from the correspondences of
+    (r0, r1, r2) to the ordered target triples that survive exclusion."""
+    disks = table.disks()
+    w_src = _three_point(*disks[:3], table.bits)
+    for triple in _surviving_triples(disks, table.bits):
+        m = _mobius_from_triples(w_src, [disks[i] for i in triple], table.bits)
+        if m is not None:
+            yield m
 
 
-def _coarsen_bits(d: ComplexDisk, bits: int) -> ComplexDisk:
-    import math
+def _surviving_triples(disks: list, bits: int):
+    """The ordered triples (i, j, k) of distinct root indices that are not
+    certified to hold no root-permuting Moebius map.
 
-    unit = Fraction(1, 1 << bits)
-    re = Fraction(round(d.center.re * (1 << bits)), 1 << bits)
-    im = Fraction(round(d.center.im * (1 << bits)), 1 << bits)
-    rad = Fraction(math.ceil((d.radius + 2 * unit) * (1 << bits)), 1 << bits)
-    return ComplexDisk(CRat(re, im), rad)
-
-
-def _candidate_matrices(disks: list[ComplexDisk]):
-    """Primitive integer matrices reconstructed from every ordered
-    correspondence of three roots to three distinct roots."""
+    For l = 3 and 4 (as far as the degree goes), the map sending (r0, r1,
+    r2) to (ri, rj, rk) preserves lam_l = CR(r0, r1, r2; rl), so it sends
+    rl to w_l = (ri (rj - rk) - rk lam_l (rj - ri)) / ((rj - rk) -
+    lam_l (rj - ri)).  A triple is dropped when some w_l is disjoint from
+    every root disk; it is kept when a division cannot be decided."""
     d = len(disks)
-    if d < 3:
-        return
-    w_base = _three_point_matrix(disks[0], disks[1], disks[2])
-    for i in range(d):
-        for j in range(d):
-            if j == i:
+    diff = {(j, k): disk_sub(disks[j], disks[k])
+            for j in range(d) for k in range(d) if j != k}
+    tests = []
+    for l in range(3, min(d, 5)):
+        try:
+            lam = disk_div(disk_mul(diff[l, 0], diff[1, 2], bits),
+                           disk_mul(diff[l, 2], diff[1, 0], bits), bits)
+        except ZeroDivisionError:
+            continue
+        tests.append({key: disk_mul(lam, dk, bits) for key, dk in diff.items()})
+    for i, j, k in permutations(range(d), 3):
+        for scaled in tests:
+            try:
+                w = disk_div(disk_sub(disk_mul(disks[i], diff[j, k], bits),
+                                      disk_mul(disks[k], scaled[j, i], bits)),
+                             disk_sub(diff[j, k], scaled[j, i]), bits)
+            except ZeroDivisionError:
                 continue
-            for k in range(d):
-                if k == i or k == j:
-                    continue
-                m = _mobius_from_triples(w_base, (disks[i], disks[j], disks[k]))
-                if m is not None:
-                    yield m
+            if all(disk_disjoint(w, z) for z in disks):
+                break
+        else:
+            yield i, j, k
 
 
-def _mobius_from_triples(w_src, dst) -> IntMat2 | None:
+def _three_point(z1, z2, z3, bits: int):
+    """(a, b, c, e) with (a, -b; c, -e) the matrix of the Moebius map sending
+    (z1, z2, z3) -> (0, 1, oo)."""
+    d23, d21 = disk_sub(z2, z3), disk_sub(z2, z1)
+    return d23, disk_mul(z1, d23, bits), d21, disk_mul(z3, d21, bits)
+
+
+def _mobius_from_triples(w_src, dst, bits: int) -> IntMat2 | None:
     """Integer matrix of the Moebius map sending the source triple, given by
-    its ``_three_point_matrix`` ``w_src``, to the triple dst (as the root
-    action z -> (v z - u)/(-t z + s)), or None when the reconstruction does
-    not rationalize at the current precision."""
-    try:
-        w_dst = _three_point_matrix(*dst)
-        # N = adj(W_dst) * W_src sends src to dst (projectively)
-        n = _mat_mul(_mat_adj(w_dst), w_src)
-        n = tuple(_coarsen_bits(x, 192) for x in n)
-        # n = (a b; c e) acts as z -> (a z + b)/(c z + e); the element's root
-        # action is z -> (v z - u)/(-t z + s): match entries
-        a, b, c, e = n
-        ratios = _rationalize_projective((a, b, c, e))
-        if ratios is None:
-            return None
-        va, vb, vc, ve = ratios
-        den = 1
-        for q in (va, vb, vc, ve):
-            den = den * q.denominator // gcd(den, q.denominator)
-        va, vb, vc, ve = (int(q * den) for q in (va, vb, vc, ve))
-        # v = a, -u = b, -t = c, s = e
-        m = IntMat2(s=ve, u=-vb, t=-vc, v=va).primitive()
-        if m.det == 0:
-            return None
-        return m
-    except (ZeroDivisionError, IsolationError, ValueError):
+    its ``_three_point`` entries ``w_src``, to the triple of disks dst (as
+    the root action z -> (v z - u)/(-t z + s)), or None when the
+    reconstruction does not rationalize at the current precision."""
+    a, b, c, e = _three_point(*dst, bits)
+    sa, sb, sc, se = w_src
+    # with J = diag(1, -1) the three-point matrices are W = (a, b; c, e) J,
+    # and adj(W_dst) W_src = -J adj(a, b; c, e) (sa, sb; sc, se) J
+    n = (disk_sub(disk_mul(e, sa, bits), disk_mul(b, sc, bits)),
+         disk_sub(disk_mul(b, se, bits), disk_mul(e, sb, bits)),
+         disk_sub(disk_mul(c, sa, bits), disk_mul(a, sc, bits)),
+         disk_sub(disk_mul(a, se, bits), disk_mul(c, sb, bits)))
+    # n = (n1, n2; n3, n4) acts as z -> (n1 z + n2)/(n3 z + n4); the element's
+    # root action is z -> (v z - u)/(-t z + s): match entries
+    ratios = _rationalize_projective(n, bits)
+    if ratios is None:
         return None
+    den = lcm(*(q.denominator for q in ratios))
+    va, vb, vc, ve = (int(q * den) for q in ratios)
+    m = IntMat2(s=ve, u=-vb, t=-vc, v=va).primitive()
+    return m if m.det != 0 else None
 
 
-def _three_point_matrix(z1: ComplexDisk, z2: ComplexDisk, z3: ComplexDisk):
-    """Matrix of the Moebius map sending (z1, z2, z3) -> (0, 1, oo)."""
-    d23 = z2 - z3
-    d21 = z2 - z1
-    return (d23, ComplexDisk.point(CRat.of(0)) - z1 * d23,
-            d21, ComplexDisk.point(CRat.of(0)) - z3 * d21)
-
-
-def _mat_adj(m):
-    a, b, c, d = m
-    zero = ComplexDisk.point(CRat.of(0))
-    return (d, zero - b, zero - c, a)
-
-
-def _mat_mul(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-
-
-def _rationalize_projective(entries) -> tuple[Fraction, ...] | None:
+def _rationalize_projective(entries, bits: int) -> tuple[Fraction, ...] | None:
     """Divide the four disk entries by the one farthest from zero and read
     off rational values; None when any ratio cannot be a real rational."""
-    pivot = max(entries, key=lambda e: e.abs_interval().lo)
-    if pivot.abs_interval().lo <= 0:
-        return None
+    pivot = max(entries, key=lambda e: isqrt(e[0] * e[0] + e[1] * e[1]) - e[2])
     out = []
     for e in entries:
-        ratio = _coarsen_bits(e / pivot, 192)
-        im = ratio.im_interval()
-        if not (im.lo <= 0 <= im.hi):
+        try:
+            re, im, rad = disk_div(e, pivot, bits)
+        except ZeroDivisionError:
             return None
-        re = ratio.re_interval()
-        out.append(simplest_rational_in(re.lo, re.hi))
+        if abs(im) > rad:
+            return None
+        out.append(simplest_rational_in(Fraction(re - rad, 1 << bits),
+                                        Fraction(re + rad, 1 << bits)))
     return tuple(out)
 
 
@@ -362,31 +355,27 @@ def root_orbit_partition(aut: EnhancedAut,
     poly = aut.form.dehomogenize()
     width = Fraction(precision)
     for _ in range(budget):
-        encl = isolate_roots(poly, width)
-        disks = [e.as_disk() for e in encl]
-        adjacency: set[tuple[int, int]] = set()
-        ok = True
-        for el in aut.elements:
-            for i, z in enumerate(disks):
-                try:
-                    # outward to a 192-bit dyadic disk: it still holds the
-                    # exact image, and its arithmetic stays short
-                    img = _coarsen_bits(el.root_action_disk(z), 192)
-                except ZeroDivisionError:
-                    ok = False
-                    break
-                hits = [j for j, w in enumerate(disks)
-                        if not img.disjoint_from(w)]
-                if len(hits) != 1:
-                    ok = False
-                    break
-                adjacency.add((i, hits[0]))
-            if not ok:
-                break
-        if ok:
-            return _components(len(disks), adjacency)
+        table = root_system(poly).scaled(width)
+        disks = table.disks()
+        edges = {(i, _image_index(el.matrix, z, disks, table.bits))
+                 for el in aut.elements for i, z in enumerate(disks)}
+        if all(j is not None for _, j in edges):
+            return _components(len(disks), edges)
         width /= 10 ** 8
     raise PrecisionError("orbit image certification failed at budget")
+
+
+def _image_index(m: IntMat2, z, disks: list, bits: int) -> int | None:
+    """Index of the one root disk that the image of disk z under the root
+    action z -> (v z - u)/(-t z + s) meets, or None when it is not one."""
+    (re, im, rad), one = z, 1 << bits
+    try:
+        img = disk_div((m.v * re - m.u * one, m.v * im, abs(m.v) * rad),
+                       (m.s * one - m.t * re, -m.t * im, abs(m.t) * rad), bits)
+    except ZeroDivisionError:
+        return None
+    hits = [j for j, w in enumerate(disks) if not disk_disjoint(img, w)]
+    return hits[0] if len(hits) == 1 else None
 
 
 def _components(n: int, edges: set[tuple[int, int]]) -> OrbitPartition:

@@ -36,7 +36,7 @@ from .gap import (AbstainError, ApproxPair, HypothesisError,
                   nonarchimedean_constants)
 from .minpair import find_pair, verify_pair
 from .padic import hensel_root
-from .parse import parse_algnum_spec, parse_form, parse_poly
+from .parse import ParseError, parse_algnum_spec, parse_form, parse_poly
 from .rounding import compact_str
 from .autgroup import aut_prime, root_orbit_partition
 from .thue import ThueProblem, census, enumerate_primitive
@@ -56,6 +56,19 @@ def _algnum(text: str) -> AlgNum:
 
 def _fraction(text: str) -> Fraction:
     return Fraction(text)
+
+
+def _count(text: str) -> int:
+    """A nonnegative integer, written out or as an integer expression such
+    as 10^30."""
+    try:
+        poly = parse_poly(text)
+    except ParseError:
+        poly = None
+    # a constant polynomial has at most one coefficient (none for zero)
+    if poly is not None and poly.degree <= 0 and sum(poly.coeffs) >= 0:
+        return sum(poly.coeffs)
+    raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
 
 
 def _pair(text: str) -> ApproxPair:
@@ -249,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
                           parents=[common])
     pe.add_argument("form")
     pe.add_argument("m", type=int)
-    pe.add_argument("bound", type=int)
+    pe.add_argument("bound", type=_count)
     pe.set_defaults(func=cmd_thue_enum)
     pc = tsub.add_parser("census", help="large-solution census",
                           parents=[common])
     pc.add_argument("form")
     pc.add_argument("m", type=int)
     pc.add_argument("--mu", type=_fraction, required=True)
-    pc.add_argument("--box", type=int, default=100)
+    pc.add_argument("--box", type=_count, default=100)
     pc.set_defaults(func=cmd_thue_census)
 
     p = sub.add_parser("gap", help="gap dichotomy checks")

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 from typing import Sequence
 
 import mpmath
+from mpmath.libmp import mpf_pos
 
 from .intpoly import IntPoly, is_squarefree, poly_gcd_q
 from .rounding import (AbstainError, RatInterval, _mpf_tuple_to_fraction,
@@ -475,6 +476,12 @@ class ScaledRoots:
                 (o.index for o in encl if not o.is_real
                  and o.disk.center == e.disk.center.conj()), None))
 
+    def disks(self) -> list[tuple[int, int, int]]:
+        """Every root's enclosure as a disk (re, im, rad): a real root's
+        interval (lo, hi) becomes the disk around its rounded-down midpoint."""
+        return [((a[0] + a[1]) >> 1, 0, (a[1] - a[0] + 1) >> 1) if real else a
+                for real, a in zip(self.real, self.alpha)]
+
 
 def _scaled_interval(iv: RatInterval, one: int) -> tuple[int, int]:
     return floor(iv.lo * one), ceil(iv.hi * one)
@@ -487,6 +494,69 @@ def _scaled_disk(disk: ComplexDisk, one: int) -> tuple[int, int, int]:
     return round(c.re * one), round(c.im * one), ceil(disk.radius * one) + 1
 
 
+# -- integer disk arithmetic ---------------------------------------------------
+#
+# An integer disk (re, im, rad) at scale 2**bits, as in ``ScaledRoots``, is
+# the closed disk of radius rad / 2**bits around (re + i im) / 2**bits.  Each
+# operation returns a disk that contains every result of the exact operation
+# on points of its operands:
+#
+# * z - w moves by at most r1 + r2 from c1 - c2;
+# * z w - c1 c2 = (z - c1) w + c1 (w - c2), so |z w - c1 c2| <= r1 |c2| +
+#   |c1| r2 + r1 r2;
+# * z / w - c1 / c2 = ((z - c1) c2 - c1 (w - c2)) / (w c2), and |w| >= |c2| -
+#   r2 > 0, so |z / w - c1 / c2| <= (r1 |c2| + |c1| r2) / ((|c2| - r2) |c2|),
+#   which only grows as |c2| shrinks to any L <= |c2| with L > r2.
+#
+# The radius is bounded with |c| rounded up (or L = |c| rounded down), the
+# bound is rounded up to whole units, and the center is rounded to the
+# nearest unit in each coordinate, which moves it by at most sqrt(2)/2 < 1
+# unit, so one more unit of radius covers that move.  Disjointness compares
+# squared integers exactly.
+
+def _isqrt_up(n: int) -> int:
+    r = isqrt(n)
+    return r + (r * r != n)
+
+
+def _round_div(x: int, n: int) -> int:
+    """x / n rounded to the nearest integer (n > 0)."""
+    return (2 * x + n) // (2 * n)
+
+
+def disk_sub(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    return a[0] - b[0], a[1] - b[1], a[2] + b[2]
+
+
+def disk_mul(a: tuple[int, int, int], b: tuple[int, int, int],
+             bits: int) -> tuple[int, int, int]:
+    (ar, ai, ra), (br, bi, rb) = a, b
+    one = 1 << bits
+    rad = (ra * _isqrt_up(br * br + bi * bi) + _isqrt_up(ar * ar + ai * ai) * rb
+           + ra * rb)
+    return (_round_div(ar * br - ai * bi, one), _round_div(ar * bi + ai * br, one),
+            -(-rad >> bits) + 1)
+
+
+def disk_div(a: tuple[int, int, int], b: tuple[int, int, int],
+             bits: int) -> tuple[int, int, int]:
+    """a / b; raises ZeroDivisionError when b may contain 0."""
+    (ar, ai, ra), (br, bi, rb) = a, b
+    n = br * br + bi * bi
+    low = isqrt(n)
+    if low <= rb:
+        raise ZeroDivisionError("divisor disk may contain zero")
+    num = (ra * low + _isqrt_up(ar * ar + ai * ai) * rb) << bits
+    den = (low - rb) * low
+    return (_round_div((ar * br + ai * bi) << bits, n),
+            _round_div((ai * br - ar * bi) << bits, n), -(-num // den) + 1)
+
+
+def disk_disjoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    dr, di, s = a[0] - b[0], a[1] - b[1], a[2] + b[2]
+    return dr * dr + di * di > s * s
+
+
 def _certified_disks(p: IntPoly, real_ivs: list[RatInterval],
                      prec: int = 120) -> list[ComplexDisk]:
     """Certified disks for the nonreal roots of squarefree p."""
@@ -497,14 +567,17 @@ def _certified_disks(p: IntPoly, real_ivs: list[RatInterval],
         raise IsolationError("nonreal root count must be even")
     deriv = p.derivative()
     for attempt in range(8):
-        bits = prec << attempt
-        seeds = [z for z in _numeric_seeds(p, bits) if mpmath.im(z) > 0]
+        seeds = [z for z in _numeric_seeds(p, prec << attempt) if mpmath.im(z) > 0]
         if len(seeds) != n_complex // 2:
             continue
         disks: list[ComplexDisk] = []
         ok = True
+        # centers keep 53 << attempt bits of the seeds: short fractions at
+        # the first attempt, and closer seeds at every retry
+        center_bits = 53 << attempt
         for z in seeds:
-            c = CRat(_dyadic(mpmath.re(z), bits), _dyadic(mpmath.im(z), bits))
+            c = CRat(_dyadic(mpmath.re(z), center_bits),
+                     _dyadic(mpmath.im(z), center_bits))
             disk = _containment_disk(p, deriv, c)
             if disk is None or disk.center.im - disk.radius <= 0:
                 ok = False
@@ -530,8 +603,10 @@ def _numeric_seeds(p: IntPoly, bits: int) -> list:
 
 
 def _dyadic(x, bits: int) -> Fraction:
-    """Exact dyadic rational from an mpf/float at the working precision."""
-    return _mpf_tuple_to_fraction(mpmath.mpf(x)._mpf_)
+    """Exact dyadic rational of the mpf or float x with its mantissa rounded
+    to nearest at ``bits`` bits (the whole mantissa when bits is 0)."""
+    v = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x)._mpf_
+    return _mpf_tuple_to_fraction(mpf_pos(v, bits, "n"))
 
 
 def _containment_disk(p: IntPoly, deriv: IntPoly, c: CRat) -> ComplexDisk | None:

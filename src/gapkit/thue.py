@@ -511,9 +511,9 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     f = problem.form
     d = problem.degree
     mu = Fraction(mu)
-    # the group work runs first, on the coarse root enclosures: the Mahler
-    # measure inside C10 refines the shared enclosures, which makes every
-    # later exact operation on them dearer
+    # the group work reads integer root tables, whose cost does not depend
+    # on how refined the shared enclosures are; only C5 does, and it runs
+    # after the Mahler measure inside C10 has refined them
     aut = aut_prime(f)
     part = root_orbit_partition(aut)
     gamma = part.gamma

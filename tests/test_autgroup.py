@@ -1,14 +1,16 @@
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import mpmath
 import pytest
 
-from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR, aut_prime,
+from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR,
+                             _surviving_triples, aut_prime,
                              aut_rational_class, d12_family, element_order,
                              membership_scale, root_orbit_partition,
                              verify_729)
 from gapkit.binforms import BinForm, IntMat2
-from gapkit.isolation import isolate_roots
+from gapkit.isolation import isolate_roots, root_system
 
 
 def brute_force_aut(f: BinForm, entry_bound: int):
@@ -137,30 +139,35 @@ def test_orbit_partition_examples(d12_aut, cubic_aut):
     assert part2.gamma == 1
 
 
+def mpmath_roots(f: BinForm) -> list:
+    """The roots of F(x, 1) at the current mpmath precision, in gapkit's
+    numbering (each enclosure matched to the nearest mpmath root)."""
+    poly = f.dehomogenize()
+    roots = mpmath.polyroots(list(reversed(poly.coeffs)), maxsteps=200,
+                             extraprec=200)
+    order = [nearest(roots, mpmath.mpc(e.approx())) for e in isolate_roots(poly)]
+    assert sorted(order) == list(range(len(roots)))
+    return [roots[j] for j in order]
+
+
+def nearest(roots, z) -> int:
+    return min(range(len(roots)), key=lambda j: abs(roots[j] - z))
+
+
 def mpmath_orbit_blocks(f: BinForm, matrices) -> set[frozenset[int]]:
     """Oracle: the roots of F(x, 1) at 50 digits, each mapped through every
     matrix's Moebius action z -> (v z - u)/(-t z + s) and matched to the
-    nearest root; the orbits are the connected components of that graph.
-    Roots are numbered by gapkit's enclosures, matched to the nearest
-    mpmath root."""
+    nearest root; the orbits are the connected components of that graph."""
     with mpmath.workdps(50):
-        poly = f.dehomogenize()
-        roots = mpmath.polyroots(list(reversed(poly.coeffs)), maxsteps=200,
-                                 extraprec=200)
-
-        def nearest(z):
-            return min(range(len(roots)), key=lambda j: abs(roots[j] - z))
-
-        index = {nearest(mpmath.mpc(e.approx())): e.index for e in isolate_roots(poly)}
-        assert sorted(index) == list(range(len(roots)))
+        roots = mpmath_roots(f)
         block = {i: {i} for i in range(len(roots))}
         for s, u, t, v in matrices:
             for i, z in enumerate(roots):
-                j = nearest((v * z - u) / (-t * z + s))
+                j = nearest(roots, (v * z - u) / (-t * z + s))
                 merged = block[i] | block[j]
                 for k in merged:
                     block[k] = merged
-    return {frozenset(index[i] for i in b) for b in block.values()}
+    return {frozenset(b) for b in block.values()}
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, -3, -1), (1, 0, 0, -2), (3, 2, -8, 2, 3)])
@@ -198,3 +205,65 @@ def test_aut_rejects_reducible():
         aut_prime(BinForm((1, 0, 0, 0)))       # x^3: reducible
     with pytest.raises(AutError):
         aut_prime(BinForm((1, 3, 3, 1)))       # (x + y)^3
+
+
+# -- the certified triple exclusion against mpmath --------------------------------
+
+def mpmath_permuting_triples(roots) -> set[tuple[int, int, int]]:
+    """Oracle: the ordered triples (i, j, k) for which the Moebius map
+    sending (r0, r1, r2) to (ri, rj, rk) sends every root to within 10^-30
+    of a root.  Each image is solved from the cross ratio CR(r0, r1, r2; rl),
+    with CR(a, b, c; z) = (z - a)(b - c) / ((z - c)(b - a))."""
+    eps = mpmath.mpf(10) ** -30
+    lams = [(z - roots[0]) * (roots[1] - roots[2])
+            / ((z - roots[2]) * (roots[1] - roots[0])) for z in roots[3:]]
+    out = set()
+    for i, j, k in permutations(range(len(roots)), 3):
+        a, b, c = roots[i], roots[j], roots[k]
+        try:
+            images = [(a * (b - c) - c * lam * (b - a)) / ((b - c) - lam * (b - a))
+                      for lam in lams]
+        except ZeroDivisionError:
+            continue
+        if all(min(abs(w - r) for r in roots) < eps for w in images):
+            out.add((i, j, k))
+    return out
+
+
+def element_triples(aut, roots) -> set[tuple[int, int, int]]:
+    """The images of roots 0, 1, 2 under each element's root action."""
+    return {tuple(nearest(roots, (v * z - u) / (-t * z + s)) for z in roots[:3])
+            for s, u, t, v in (e.matrix.entries() for e in aut.elements)}
+
+
+def survivors(f: BinForm) -> set[tuple[int, int, int]]:
+    table = root_system(f.dehomogenize()).scaled(Fraction(1, 10 ** 20))
+    disks = table.disks()
+    return set(_surviving_triples(disks, table.bits))
+
+
+@pytest.mark.parametrize("coeffs", [
+    d12_family(3, 1).coeffs, (1, 0, 0, 0, 1), (3, 2, -8, 2, 3), (1, 0, -3, -1)])
+def test_triple_exclusion_keeps_every_permuting_map(coeffs):
+    f = BinForm(coeffs)
+    kept = survivors(f)
+    with mpmath.workdps(50):
+        roots = mpmath_roots(f)
+        true_triples = mpmath_permuting_triples(roots)
+        mine = element_triples(aut_prime(f), roots)
+    assert mine <= true_triples
+    assert true_triples <= kept
+    if f.degree == 12:
+        # on D12 exactly the 12 projective elements survive
+        assert kept == mine and len(kept) == 12
+
+
+def test_irrational_permuting_map_survives_but_is_not_accepted():
+    # z -> i z permutes the roots of x^4 + 1 and is not in PGL2(Q)
+    f = BinForm((1, 0, 0, 0, 1))
+    with mpmath.workdps(50):
+        roots = mpmath_roots(f)
+        rotation = tuple(nearest(roots, 1j * z) for z in roots[:3])
+        assert rotation in mpmath_permuting_triples(roots)
+        assert rotation not in element_triples(aut_prime(f), roots)
+    assert rotation in survivors(f)

@@ -161,3 +161,22 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4
     rpt = json.loads(err)
     assert rpt["kind"] == "internal" and rpt["type"] == "KeyError"
+
+
+def test_box_accepts_a_power_of_ten(capsys):
+    argv = ["thue", "census", "x^3 - 3*x*y^2 - y^3", "1", "--mu", "11/4", "--box"]
+    code, out, _ = run_cli(capsys, *argv, "10^30")
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *argv, "1" + "0" * 30)[:2]
+
+
+@pytest.mark.parametrize("value", ["-5", "1.5", "10^-3", "x"])
+@pytest.mark.parametrize("prefix", [
+    ["thue", "census", "x^3 - 2*y^3", "1", "--mu", "11/4", "--box"],
+    ["thue", "enum", "x^3 - 2*y^3", "1"],
+])
+def test_box_rejects_negative_and_non_integer(capsys, prefix, value):
+    with pytest.raises(SystemExit) as exc:
+        main(prefix + [value])
+    assert exc.value.code == 2
+    assert "not a nonnegative integer" in capsys.readouterr().err

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapkit import isolation
 from gapkit.intpoly import IntPoly, poly_gcd_q
-from gapkit.isolation import (IsolationError, house, isolate_roots,
-                              mahler_measure, root_separation_lower_bound,
-                              sturm_chain, count_real_roots)
+from gapkit.isolation import (CRat, ComplexDisk, IsolationError, disk_disjoint,
+                              disk_div, disk_mul, disk_sub, house,
+                              isolate_roots, mahler_measure,
+                              root_separation_lower_bound, sturm_chain,
+                              count_real_roots)
 from gapkit.rounding import AbstainError, sqrt_down, sqrt_up
 
 
@@ -189,3 +194,48 @@ def test_root_systems_bounded_lru(monkeypatch):
     assert {p.coeffs for p in polys[-63:]} <= cached
     # an evicted system is rebuilt with the same certified enclosures
     assert bounds(polys[1]) == first[1]
+
+
+def test_roots_closer_than_double_precision_certify():
+    # M ((x - 1)^2 + 1)^2 + 1 with M = 2^130: two roots near 1 + i and two
+    # near 1 - i, each pair about 2^-65 apart
+    m = 2 ** 130
+    p = IntPoly((4 * m + 1, -8 * m, 8 * m, -4 * m, m))
+    encl = isolate_roots(p)
+    with mpmath.workdps(80):
+        roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=400,
+                                 extraprec=400)
+        assert min(abs(a - b) for a in roots for b in roots if a != b) < mpmath.mpf(2) ** -60
+        def mpf(q: Fraction):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        for e in encl:
+            c = mpmath.mpc(mpf(e.disk.center.re), mpf(e.disk.center.im))
+            assert sum(abs(r - c) < mpf(e.disk.radius) for r in roots) == 1
+
+
+# -- integer disks against ComplexDisk arithmetic -------------------------------
+
+_coord = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+_disk = st.tuples(_coord, _coord, st.integers(min_value=0, max_value=2 ** 60))
+
+
+def _as_complex_disk(a, bits):
+    one = 1 << bits
+    return ComplexDisk(CRat(Fraction(a[0], one), Fraction(a[1], one)), Fraction(a[2], one))
+
+
+@given(_disk, _disk, st.integers(min_value=1, max_value=96))
+@settings(max_examples=200, deadline=None)
+def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
+    x, y = _as_complex_disk(a, bits), _as_complex_disk(b, bits)
+    assert _as_complex_disk(disk_sub(a, b), bits).contains_disk(x - y)
+    assert _as_complex_disk(disk_mul(a, b, bits), bits).contains_disk(x * y)
+    assert disk_disjoint(a, b) == x.disjoint_from(y)
+    try:
+        q = disk_div(a, b, bits)
+    except ZeroDivisionError:
+        # only when the divisor's center is within rad + 1 units of 0
+        assert b[0] ** 2 + b[1] ** 2 < (b[2] + 1) ** 2
+        return
+    assert _as_complex_disk(q, bits).contains_disk(x / y)
