@@ -498,21 +498,8 @@ def _scaled_disk(disk: ComplexDisk, one: int) -> tuple[int, int, int]:
 #
 # An integer disk (re, im, rad) at scale 2**bits, as in ``ScaledRoots``, is
 # the closed disk of radius rad / 2**bits around (re + i im) / 2**bits.  Each
-# operation returns a disk that contains every result of the exact operation
-# on points of its operands:
-#
-# * z - w moves by at most r1 + r2 from c1 - c2;
-# * z w - c1 c2 = (z - c1) w + c1 (w - c2), so |z w - c1 c2| <= r1 |c2| +
-#   |c1| r2 + r1 r2;
-# * z / w - c1 / c2 = ((z - c1) c2 - c1 (w - c2)) / (w c2), and |w| >= |c2| -
-#   r2 > 0, so |z / w - c1 / c2| <= (r1 |c2| + |c1| r2) / ((|c2| - r2) |c2|),
-#   which only grows as |c2| shrinks to any L <= |c2| with L > r2.
-#
-# The radius is bounded with |c| rounded up (or L = |c| rounded down), the
-# bound is rounded up to whole units, and the center is rounded to the
-# nearest unit in each coordinate, which moves it by at most sqrt(2)/2 < 1
-# unit, so one more unit of radius covers that move.  Disjointness compares
-# squared integers exactly.
+# operation's docstring says why its result holds every result of the exact
+# operation on points of its operands.
 
 def _isqrt_up(n: int) -> int:
     r = isqrt(n)
@@ -525,11 +512,17 @@ def _round_div(x: int, n: int) -> int:
 
 
 def disk_sub(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """a - b, exactly: z - w is within r1 + r2 of c1 - c2."""
     return a[0] - b[0], a[1] - b[1], a[2] + b[2]
 
 
 def disk_mul(a: tuple[int, int, int], b: tuple[int, int, int],
              bits: int) -> tuple[int, int, int]:
+    """a * b, outward.  z w - c1 c2 = (z - c1) w + c1 (w - c2), so
+    |z w - c1 c2| <= r1 |c2| + |c1| r2 + r1 r2; that bound is taken with
+    |c| rounded up and rounded up to whole units.  The center c1 c2 is
+    rounded to the nearest unit in each coordinate, which moves it by at
+    most sqrt(2)/2 < 1 unit, so one more unit of radius covers the move."""
     (ar, ai, ra), (br, bi, rb) = a, b
     one = 1 << bits
     rad = (ra * _isqrt_up(br * br + bi * bi) + _isqrt_up(ar * ar + ai * ai) * rb
@@ -540,7 +533,13 @@ def disk_mul(a: tuple[int, int, int], b: tuple[int, int, int],
 
 def disk_div(a: tuple[int, int, int], b: tuple[int, int, int],
              bits: int) -> tuple[int, int, int]:
-    """a / b; raises ZeroDivisionError when b may contain 0."""
+    """a / b, outward; raises ZeroDivisionError when b may contain 0.
+    z / w - c1 / c2 = ((z - c1) c2 - c1 (w - c2)) / (w c2) and |w| >= |c2| -
+    r2, so |z / w - c1 / c2| <= (r1 |c2| + |c1| r2) / ((|c2| - r2) |c2|) =
+    r1 / (|c2| - r2) + |c1| r2 / ((|c2| - r2) |c2|).  Both terms only grow
+    as |c2| shrinks, so the bound is taken at L = |c2| rounded down (which
+    must exceed r2) and |c1| rounded up, and rounded up to whole units; the
+    center c1 / c2 is rounded as in ``disk_mul``, with one more unit."""
     (ar, ai, ra), (br, bi, rb) = a, b
     n = br * br + bi * bi
     low = isqrt(n)
@@ -553,6 +552,7 @@ def disk_div(a: tuple[int, int, int], b: tuple[int, int, int],
 
 
 def disk_disjoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """True when no point lies in both disks (an exact integer comparison)."""
     dr, di, s = a[0] - b[0], a[1] - b[1], a[2] + b[2]
     return dr * dr + di * di > s * s
 
