@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,10 +7,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from gapkit import thue                              # noqa: E402
 from gapkit.algnum import AlgNum                     # noqa: E402
 from gapkit.autgroup import aut_prime, d12_family    # noqa: E402
 from gapkit.binforms import BinForm                  # noqa: E402
 from gapkit.intpoly import IntPoly                   # noqa: E402
+from gapkit.thue import ThueProblem, census          # noqa: E402
 
 
 # the recurring cast: the quartic of 2cos(2pi/15) and the Galois cubics
@@ -66,3 +69,21 @@ def cubic_form():
 @pytest.fixture(scope="session")
 def cubic_aut(cubic_form):
     return aut_prime(cubic_form)
+
+
+@pytest.fixture(scope="session")
+def d12_census_counted(d12_form):
+    """One D12 census, with the calls of the per-form steps counted."""
+    calls = Counter()
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("root_orbit_partition", "_pairwise_closed_constants", "c16"):
+            mp.setattr(thue, name, counted(getattr(thue, name)))
+        result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
+    return result, calls

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -279,24 +278,6 @@ def test_census_orbit_closure(cubic_form, cubic_aut):
             img = Solution.normalized(xp, yp, cubic_form.value(xp, yp), d)
             assert abs(img.value) == abs(s.value)
     # det-3-style scaling check is covered by verify_729 on the D12 family
-
-
-@pytest.fixture(scope="module")
-def d12_census_counted(d12_form):
-    """One D12 census, with the calls of the per-form steps counted."""
-    calls = Counter()
-
-    def counted(fn):
-        def wrapped(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("root_orbit_partition", "_pairwise_closed_constants", "c16"):
-            mp.setattr(thue, name, counted(getattr(thue, name)))
-        result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
-    return result, calls
 
 
 def test_census_d12(d12_census_counted):
