@@ -5,8 +5,7 @@ from .algnum import (AlgNum, NotInFieldError, PowerBasisRep, c8, c9,
                      denominator_scalar, liouville_c6, power_rep, power_table,
                      theta_upper_bound)
 from .autgroup import (AutElement, EnhancedAut, OrbitPartition, aut_prime,
-                       aut_rational_class, d12_family, root_orbit_partition,
-                       verify_729)
+                       d12_family, root_orbit_partition, verify_729)
 from .binforms import BinForm, IntMat2, discriminant, form_action, poly_height
 from .gap import (ApproxPair, GapConstants, MobiusRelation, ThueSiegelParams,
                   Verdict, archimedean_constants, c11, c15, c16,

@@ -68,10 +68,10 @@ class AlgNum:
         return AlgNum(p, index)
 
     @staticmethod
-    def near(p: IntPoly, approx, check_irreducible: bool = True) -> "AlgNum":
+    def near(p: IntPoly, approx) -> "AlgNum":
         """Select the root whose enclosure is nearest to a rational guess."""
         p = normalize_minimal_poly(p)
-        if check_irreducible and not is_irreducible(p):
+        if not is_irreducible(p):
             raise ValueError(f"polynomial is not irreducible over Q: {p}")
         approx = Fraction(approx)
         encl = isolate_roots(p, Fraction(1, 10 ** 9))
@@ -101,11 +101,11 @@ class AlgNum:
     def conjugates(self, width: Fraction = Fraction(1, 10 ** 12)) -> list[RootEnclosure]:
         return isolate_roots(self.minpoly, width)
 
-    def abs_interval(self, width: Fraction = Fraction(1, 10 ** 12)) -> RatInterval:
-        return self.enclosure(width).abs_interval()
+    def abs_interval(self) -> RatInterval:
+        return self.enclosure().abs_interval()
 
-    def mahler_interval(self, precision: Fraction = Fraction(1, 10 ** 20)) -> RatInterval:
-        return mahler_measure(self.minpoly, precision)
+    def mahler_interval(self) -> RatInterval:
+        return mahler_measure(self.minpoly, Fraction(1, 10 ** 20))
 
     def __str__(self):
         return f"root #{self.index} of {self.minpoly}"
@@ -179,8 +179,7 @@ def denominator_scalar(rep: PowerBasisRep) -> int:
     return rep.denominator
 
 
-def power_rep(alpha: AlgNum, beta: AlgNum,
-              max_prec_bits: int = 2400) -> PowerBasisRep:
+def power_rep(alpha: AlgNum, beta: AlgNum) -> PowerBasisRep:
     """Exact power-basis representation of beta over alpha.
 
     The candidate is found by integer-relation search (PSLQ) on the selected
@@ -207,7 +206,7 @@ def power_rep(alpha: AlgNum, beta: AlgNum,
         return PowerBasisRep(alpha, beta, tuple(coeffs))
 
     bits = 240
-    while bits <= max_prec_bits:
+    while bits <= 2400:
         rel = _pslq_candidate(alpha, beta, bits)
         if rel is not None:
             rep = _verify_rep(alpha, beta, rel)
@@ -216,7 +215,7 @@ def power_rep(alpha: AlgNum, beta: AlgNum,
         bits *= 2
     raise NotInFieldError(
         f"no verified representation of {beta} over {alpha} "
-        f"within {max_prec_bits} bits")
+        "within 2400 bits")
 
 
 def _pslq_candidate(alpha: AlgNum, beta: AlgNum, bits: int):
@@ -292,15 +291,14 @@ def _interval_avoids(img: RatInterval, other: RootEnclosure) -> bool:
     return True  # a real value never equals a certified nonreal root
 
 
-def c9(alpha: AlgNum, beta: AlgNum,
-       precision: Fraction = Fraction(1, 10 ** 12)) -> Fraction:
+def c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
     """Rounded-up rational upper bound on max_i |b_i| for any power-basis
     representation of beta over alpha:
 
         d * house(beta) * max_j prod_{i != j} (1 + |alpha_i|) / |alpha_i - alpha_j|
     """
     d = alpha.degree
-    width = Fraction(precision)
+    width = Fraction(1, 10 ** 12)
     for _ in range(8):
         encl = alpha.conjugates(width)
         try:
@@ -333,14 +331,13 @@ def theta_upper_bound(alpha: AlgNum) -> int:
     return max(1, isqrt(abs(disc)))
 
 
-def liouville_c6(alpha: AlgNum,
-                 precision: Fraction = Fraction(1, 10 ** 12)) -> Fraction:
+def liouville_c6(alpha: AlgNum) -> Fraction:
     """Positive rational C6 with |alpha - x/y| >= C6 / H(x, y)**d for every
     rational x/y != alpha (y != 0):
 
         C6 = (c_alpha * prod_{i != selected} (1 + |alpha_i|))**(-1), rounded down.
     """
-    encl = alpha.conjugates(Fraction(precision))
+    encl = alpha.conjugates(Fraction(1, 10 ** 12))
     denom = RatInterval(Fraction(alpha.lead))
     for e in encl:
         if e.index == alpha.index:

@@ -106,8 +106,7 @@ def _validate_form(f: BinForm):
         raise AutError("zero discriminant")
 
 
-def aut_prime(f: BinForm, precision: Fraction = Fraction(1, 10 ** 20),
-              max_attempts: int = 5) -> EnhancedAut:
+def aut_prime(f: BinForm) -> EnhancedAut:
     """Compute Aut'|F| for an irreducible form of degree >= 3.
 
     Each element maps the roots r0, r1, r2 to some ordered triple of
@@ -128,9 +127,9 @@ def aut_prime(f: BinForm, precision: Fraction = Fraction(1, 10 ** 20),
     """
     _validate_form(f)
     poly = f.dehomogenize()
-    width = Fraction(precision)
+    width = Fraction(1, 10 ** 20)
     found: dict[tuple, tuple[int, int]] = {}
-    for attempt in range(max_attempts):
+    for _ in range(5):
         for cand in _candidate_matrices(root_system(poly).scaled(width)):
             m = cand.primitive()
             if m.entries() in found or (-m).entries() in found:
@@ -327,10 +326,6 @@ def _table1_tag(elements) -> str:
     raise AutError(f"unclassifiable rational subgroup: order {n}, orders {orders}")
 
 
-def aut_rational_class(aut: EnhancedAut) -> str:
-    return aut.table1_class
-
-
 # -- orbits of roots ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -345,16 +340,14 @@ class OrbitPartition:
         return max(self.gamma_per_root)
 
 
-def root_orbit_partition(aut: EnhancedAut,
-                         precision: Fraction = Fraction(1, 10 ** 15),
-                         budget: int = 5) -> OrbitPartition:
+def root_orbit_partition(aut: EnhancedAut) -> OrbitPartition:
     """Partition the roots of one irreducible polynomial into orbits under
     the root actions of Aut'|F|: image indices are certified by enclosure
     separation (the image of a root enclosure must meet exactly one root
     enclosure)."""
     poly = aut.form.dehomogenize()
-    width = Fraction(precision)
-    for _ in range(budget):
+    width = Fraction(1, 10 ** 15)
+    for _ in range(5):
         table = root_system(poly).scaled(width)
         disks = table.disks()
         edges = {(i, _image_index(el.matrix, z, disks, table.bits))

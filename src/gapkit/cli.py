@@ -55,7 +55,10 @@ def _algnum(text: str) -> AlgNum:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
 def _count(text: str) -> int:

@@ -100,8 +100,7 @@ def padic_quality(xi: PadicAlgNum, pair: ApproxPair, k: int = 40) -> PadicAbs:
     return padic_abs_linear(xi, pair.x, pair.y, k)
 
 
-def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction,
-                          budget: int = 6) -> bool:
+def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction) -> bool:
     """Certified check of the approximation hypothesis:
 
     Archimedean: |alpha - x/y| < C0 / H**mu.
@@ -113,7 +112,7 @@ def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction,
     h = Fraction(pair.height)
     if isinstance(alpha, PadicAlgNum):
         k = 40
-        for _ in range(budget):
+        for _ in range(6):
             q = padic_quality(alpha, pair, k)
             s = compare_to_power(q.value / c0, h, -mu)
             if q.exact:
@@ -123,7 +122,7 @@ def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction,
             k *= 2
         raise AbstainError("p-adic valuation did not resolve within budget")
     width = Fraction(1, 10 ** 30)
-    for _ in range(budget):
+    for _ in range(6):
         iv = arch_quality(alpha, pair, width)
         s = interval_vs_power(iv * (1 / c0), h, -mu)
         if s is not None:
@@ -158,8 +157,7 @@ def resultant_gcd_bound(p: IntPoly, q: IntPoly) -> int:
     return rho
 
 
-def two_forms_constant(p: IntPoly, q: IntPoly,
-                       precision: Fraction = Fraction(1, 10 ** 12)) -> Fraction:
+def two_forms_constant(p: IntPoly, q: IntPoly) -> Fraction:
     """Rounded-down positive rational C with
     max(|P(a,b)|, |Q(a,b)|) >= C**r * H(a,b)**r for the homogenizations of
     coprime P, Q to degree r = deg P.  The larger of the closed-form floor
@@ -175,12 +173,11 @@ def two_forms_constant(p: IntPoly, q: IntPoly,
     else:
         closed = Fraction(2) ** (-r) * h ** (-2 * r - 1) \
             * pow_half_integer_down(Fraction(r + 1), -3 * r)
-    direct = _two_forms_direct(p, q, r, s, Fraction(precision))
+    direct = _two_forms_direct(p, q, r, s)
     return max(tidy_down(closed), direct)
 
 
-def _two_forms_direct(p: IntPoly, q: IntPoly, r: int, s: int,
-                      precision: Fraction) -> Fraction:
+def _two_forms_direct(p: IntPoly, q: IntPoly, r: int, s: int) -> Fraction:
     """Direct lower rounding of min|a_i d_j - b_i c_j| / max(...) over the
     canonical linear-factor splitting of the homogenized pair:
 
@@ -192,8 +189,8 @@ def _two_forms_direct(p: IntPoly, q: IntPoly, r: int, s: int,
         cp_root = _root_iv(abs(p.lead), r)
         cq_root = _root_iv(abs(q.lead), r)
         prod_root = _root_iv(abs(p.lead * q.lead), r)
-        mus = _sf_roots(p, precision)
-        nus = _sf_roots(q, precision) if s >= 1 else []
+        mus = _sf_roots(p)
+        nus = _sf_roots(q) if s >= 1 else []
         # numerator: factors pair (i, j <= s) give |cP cQ|^(1/r) |mu_i - nu_j|;
         # the y-only factors (j > s) give |cP cQ|^(1/r)
         num_lo = prod_root.lo if s < r else None
@@ -229,10 +226,10 @@ def _root_iv(n: int, r: int) -> RatInterval:
     return RatInterval(root_down(f, r), root_up(f, r))
 
 
-def _sf_roots(p: IntPoly, precision: Fraction):
+def _sf_roots(p: IntPoly):
     if p.degree < 1:
         return []
-    return isolate_roots(squarefree_part(p), precision)
+    return isolate_roots(squarefree_part(p), Fraction(1, 10 ** 12))
 
 
 def vanishing_gap(p: IntPoly, q: IntPoly, x1: int, y1: int
@@ -581,10 +578,10 @@ def f_floor(d: int) -> int:
     return count_bound(d, Fraction(3 * d + 2, 4), 1)
 
 
-def f_interval(d: int, prec: int = 320) -> RatInterval:
+def f_interval(d: int) -> RatInterval:
     """Certified enclosure of f(d) = 1 + (11.51 + 1.5 log d + log mu)/log(mu - d/2)
     at mu = (3d + 2)/4."""
-    mu = Fraction(3 * d + 2, 4)
+    mu, prec = Fraction(3 * d + 2, 4), 320
     num = Fraction(1151, 100) + Fraction(3, 2) * log_interval(Fraction(d), prec) \
         + log_interval(mu, prec)
     den = log_interval(mu - Fraction(d, 2), prec)

@@ -166,7 +166,7 @@ class IntPoly:
         return format_poly(self)
 
 
-def format_poly(p: IntPoly, var: str = "x") -> str:
+def format_poly(p: IntPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -179,9 +179,9 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
         if k == 0:
             term = str(mag)
         elif k == 1:
-            term = f"{var}" if mag == 1 else f"{mag}*{var}"
+            term = "x" if mag == 1 else f"{mag}*x"
         else:
-            term = f"{var}^{k}" if mag == 1 else f"{mag}*{var}^{k}"
+            term = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
         parts.append((sign, term))
     first_sign, first_term = parts[0]
     out = ("-" if first_sign == "-" else "") + first_term

@@ -49,8 +49,9 @@ class CRat:
     im: Fraction
 
     @staticmethod
-    def of(re, im=0) -> "CRat":
-        return CRat(Fraction(re), Fraction(im))
+    def of(re) -> "CRat":
+        """The real number ``re``."""
+        return CRat(Fraction(re), Fraction(0))
 
     def __add__(self, other: "CRat") -> "CRat":
         return CRat(self.re + other.re, self.im + other.im)
@@ -147,9 +148,6 @@ class ComplexDisk:
 
     def re_interval(self) -> RatInterval:
         return RatInterval(self.center.re - self.radius, self.center.re + self.radius)
-
-    def im_interval(self) -> RatInterval:
-        return RatInterval(self.center.im - self.radius, self.center.im + self.radius)
 
     def __repr__(self):
         return f"ComplexDisk(({float(self.center.re):.6g}, {float(self.center.im):.6g}), r={float(self.radius):.3g})"
@@ -419,9 +417,6 @@ class _RootSystem:
         self.best = {i: RootEnclosure(self.poly, i, interval=iv, disk=d)
                      for i, (_, _, iv, d) in enumerate(items)}
 
-    def enclosures(self) -> list[RootEnclosure]:
-        return [self.best[i] for i in sorted(self.best)]
-
     def refined(self, index: int, width: Fraction) -> RootEnclosure:
         cur = self.best[index]
         if cur.width() <= width:
@@ -557,8 +552,7 @@ def disk_disjoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     return dr * dr + di * di > s * s
 
 
-def _certified_disks(p: IntPoly, real_ivs: list[RatInterval],
-                     prec: int = 120) -> list[ComplexDisk]:
+def _certified_disks(p: IntPoly, real_ivs: list[RatInterval]) -> list[ComplexDisk]:
     """Certified disks for the nonreal roots of squarefree p."""
     n_complex = p.degree - len(real_ivs)
     if n_complex == 0:
@@ -567,7 +561,7 @@ def _certified_disks(p: IntPoly, real_ivs: list[RatInterval],
         raise IsolationError("nonreal root count must be even")
     deriv = p.derivative()
     for attempt in range(8):
-        seeds = [z for z in _numeric_seeds(p, prec << attempt) if mpmath.im(z) > 0]
+        seeds = [z for z in _numeric_seeds(p, 120 << attempt) if mpmath.im(z) > 0]
         if len(seeds) != n_complex // 2:
             continue
         disks: list[ComplexDisk] = []

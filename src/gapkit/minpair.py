@@ -279,8 +279,7 @@ def c12_closed_form(alpha: AlgNum, beta: AlgNum, denom_scalar: int) -> Fraction:
     return tidy_up(base * pow_half_integer_up(Fraction(2), d))
 
 
-def c13(alpha: AlgNum, pair: MinimalPair,
-        precision: Fraction = Fraction(1, 10 ** 30)) -> Fraction:
+def c13(alpha: AlgNum, pair: MinimalPair) -> Fraction:
     """Positive lower bound on |W(alpha)|: the larger of the certified
     enclosure floor and the norm-form closed bound."""
     w = pair.wronskian()
@@ -298,11 +297,7 @@ def c13(alpha: AlgNum, pair: MinimalPair,
             encl_branch = tidy_down(img.lo)
             break
         width /= 10 ** 8
-    return max(encl_branch, _c13_formula(alpha, pair))
-
-
-def _c13_formula(alpha: AlgNum, pair: MinimalPair) -> Fraction:
-    return c13_formula(alpha, Fraction(pair.height_bound))
+    return max(encl_branch, c13_formula(alpha, Fraction(pair.height_bound)))
 
 
 def c13_formula(alpha: AlgNum, height_bound: Fraction) -> Fraction:
@@ -318,7 +313,7 @@ def c13_formula(alpha: AlgNum, height_bound: Fraction) -> Fraction:
     return tidy_down(1 / denom)
 
 
-def c14(xi: PadicAlgNum, pair: MinimalPair, k_budget: int = 64) -> Fraction:
+def c14(xi: PadicAlgNum, pair: MinimalPair) -> Fraction:
     """Positive lower bound on |W(alpha)|_p: the exact valuation of W at the
     Hensel witness when it resolves within budget, else the resultant-based
     closed bound."""
@@ -326,7 +321,7 @@ def c14(xi: PadicAlgNum, pair: MinimalPair, k_budget: int = 64) -> Fraction:
     if w.is_zero:
         raise PairError("Wronskian vanishes identically")
     k = 8
-    while k <= k_budget:
+    while k <= 64:
         val = padic_abs_poly(xi, w, k)
         if val.exact:
             return val.value

@@ -15,6 +15,7 @@ from math import gcd
 
 from .intpoly import IntPoly
 from .linalg import lagrange_reduce
+from .rounding import AbstainError
 
 
 class HenselError(ValueError):
@@ -88,12 +89,49 @@ class PadicAlgNum:
         return f"{self.prime}-adic root {self.residue} of {self.minpoly}"
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality for every
+# n below _PROVEN_BELOW (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, decided by Miller-Rabin on the bases _MR_BASES.
+    A base that witnesses compositeness proves it for any n; a prime verdict
+    is proven only below _PROVEN_BELOW, and above it AbstainError is
+    raised instead."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _PROVEN_BELOW:
+        raise AbstainError(f"{n} passes Miller-Rabin on 13 bases, which proves "
+                           f"primality only below {_PROVEN_BELOW}")
+    return True
+
+
 def hensel_root(f: IntPoly, p: int, r0: int) -> PadicAlgNum:
-    """Validated Hensel witness: f(r0) = 0 mod p and f'(r0) != 0 mod p."""
+    """Validated Hensel witness: p prime, f(r0) = 0 mod p and f'(r0) != 0
+    mod p.  Raises AbstainError when the primality of p cannot be proven."""
     from .algnum import is_irreducible, normalize_minimal_poly
 
-    if p < 2:
-        raise HenselError("prime must be >= 2")
+    if not is_prime(p):
+        raise HenselError(f"{p} is not prime")
     f = normalize_minimal_poly(f)
     if not is_irreducible(f):
         raise HenselError(f"polynomial is not irreducible over Q: {f}")
@@ -160,15 +198,14 @@ def derive_padic(xi: PadicAlgNum, coeffs, g: IntPoly) -> PadicAlgNum:
     return hensel_root(g, p, residue)
 
 
-def good_padic_approximations(xi: PadicAlgNum, count: int,
-                              start_level: int = 2) -> list[tuple[int, int]]:
+def good_padic_approximations(xi: PadicAlgNum, count: int) -> list[tuple[int, int]]:
     """Primitive pairs (x, y) with small height and high v_p(y*alpha - x),
     found by reducing the lattice {(x, y) : x = y * lift mod p**k} for
     increasing k.  The p-adic analog of continued-fraction convergents."""
     out: list[tuple[int, int]] = []
     seen = set()
-    k = start_level
-    while len(out) < count and k < start_level + 4 * count + 60:
+    k = 2
+    while len(out) < count and k < 2 + 4 * count + 60:
         p_k = xi.prime ** k
         r = xi.lift(k)
         b1, b2 = lagrange_reduce((p_k, 0), (r, 1))

@@ -90,7 +90,7 @@ def _root_big(x: Fraction, k: int, up: bool) -> Fraction:
     return Fraction(r, 1 << e) if e >= 0 else Fraction(r << -e)
 
 
-def root_down(x: Rat, k: int, scale: int = _ROOT_SCALE) -> Rat:
+def root_down(x: Rat, k: int) -> Rat:
     """Rational lower bound on x**(1/k) for x >= 0."""
     x = Fraction(x)
     if x < 0:
@@ -101,11 +101,11 @@ def root_down(x: Rat, k: int, scale: int = _ROOT_SCALE) -> Rat:
     if max(num.bit_length(), den.bit_length()) > _BIG_OPERAND_BITS:
         return _root_big(x, k, up=False)
     # x**(1/k) = nthroot(num * den**(k-1)) / den ; scale for accuracy.
-    m = num * den ** (k - 1) * scale ** k
-    return Fraction(_nth_root_floor(m, k), den * scale)
+    m = num * den ** (k - 1) * _ROOT_SCALE ** k
+    return Fraction(_nth_root_floor(m, k), den * _ROOT_SCALE)
 
 
-def root_up(x: Rat, k: int, scale: int = _ROOT_SCALE) -> Rat:
+def root_up(x: Rat, k: int) -> Rat:
     """Rational upper bound on x**(1/k) for x >= 0."""
     x = Fraction(x)
     if x < 0:
@@ -115,11 +115,11 @@ def root_up(x: Rat, k: int, scale: int = _ROOT_SCALE) -> Rat:
     num, den = x.numerator, x.denominator
     if max(num.bit_length(), den.bit_length()) > _BIG_OPERAND_BITS:
         return _root_big(x, k, up=True)
-    m = num * den ** (k - 1) * scale ** k
+    m = num * den ** (k - 1) * _ROOT_SCALE ** k
     r = _nth_root_floor(m, k)
     if r ** k != m:
         r += 1
-    return Fraction(r, den * scale)
+    return Fraction(r, den * _ROOT_SCALE)
 
 
 def pow_down(base: Rat, exp: Rat) -> Rat:
@@ -428,12 +428,13 @@ def log_interval(x, prec: int = 160) -> RatInterval:
         iv.prec = old
 
 
-def exp_interval(x, prec: int = 160) -> RatInterval:
-    """Certified enclosure of exp(x) for x a Fraction or RatInterval."""
+def exp_interval(x) -> RatInterval:
+    """Certified enclosure of exp(x) for x a Fraction or RatInterval, at 160
+    bits."""
     x = _as_interval(x)
     old = iv.prec
     try:
-        iv.prec = prec
+        iv.prec = 160
         lo = iv.exp(_fraction_to_iv(x.lo))
         hi = iv.exp(_fraction_to_iv(x.hi))
         return RatInterval(_iv_to_interval(lo).lo, _iv_to_interval(hi).hi)
@@ -466,34 +467,38 @@ def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
     return rec(lo, hi)
 
 
+# significant digits kept by tidy_up and tidy_down
+_TIDY_DIGITS = 18
+
+
 def _dec_exponent(x: Rat) -> int:
     """Rough floor(log10 |x|); only steers the tidying scale."""
     num, den = abs(x.numerator), x.denominator
     return (num.bit_length() - den.bit_length()) * 301 // 1000
 
 
-def tidy_up(x: Rat, digits: int = 18) -> Rat:
-    """Upper bound on x keeping about ``digits`` significant digits; keeps
-    reported constants and their downstream powers small."""
+def tidy_up(x: Rat) -> Rat:
+    """Upper bound on x keeping about 18 significant digits; keeps reported
+    constants and their downstream powers small."""
     import math
 
     x = Fraction(x)
     if x == 0:
         return x
-    scale = 10 ** max(0, digits - _dec_exponent(x))
+    scale = 10 ** max(0, _TIDY_DIGITS - _dec_exponent(x))
     out = Fraction(math.ceil(x * scale), scale)
     return out if out != 0 else x
 
 
-def tidy_down(x: Rat, digits: int = 18) -> Rat:
-    """Lower bound on x keeping about ``digits`` significant digits; never
-    loses the sign of a positive value."""
+def tidy_down(x: Rat) -> Rat:
+    """Lower bound on x keeping about 18 significant digits; never loses the
+    sign of a positive value."""
     import math
 
     x = Fraction(x)
     if x == 0:
         return x
-    scale = 10 ** max(0, digits - _dec_exponent(x))
+    scale = 10 ** max(0, _TIDY_DIGITS - _dec_exponent(x))
     out = Fraction(math.floor(x * scale), scale)
     return out if out != 0 else x
 

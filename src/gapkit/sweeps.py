@@ -49,30 +49,35 @@ F_CUBIC = parse_poly("x^3 - 3*x - 1")
 G_CUBIC = parse_poly("x^3 - 3*x + 1")
 
 
-def _arch_instance(name, f_alpha, near_alpha, f_beta, near_beta, mu, c0,
-                   n_conv=14) -> SweepInstance:
+def _derived(rel: MobiusRelation | None, pairs: list[ApproxPair]) -> list[ApproxPair]:
+    """The images under ``rel`` of the pairs that do not map to zero; none
+    without a relation."""
+    if rel is None:
+        return []
+    derived = []
+    for p in pairs:
+        try:
+            derived.append(rel.image(p))
+        except ZeroDivisionError:
+            continue
+    return derived
+
+
+def _arch_instance(name, f_alpha, near_alpha, f_beta, near_beta, mu, c0) -> SweepInstance:
     alpha = AlgNum.near(f_alpha, near_alpha)
     beta = AlgNum.near(f_beta, near_beta)
     pair = find_pair(alpha, beta)
     rel = mobius_relation(alpha, beta, rep=pair.rep)
     constants = archimedean_constants(alpha, beta, mu, c0,
                                       pair=pair, rep=pair.rep).desk_mode()
-    pa = convergents(alpha, n_conv)
-    pb = convergents(beta, n_conv)
-    if rel is not None:
-        derived = []
-        for p in pa:
-            try:
-                derived.append(rel.image(p))
-            except ZeroDivisionError:
-                continue
-        pb = pb + derived
+    pa = convergents(alpha, 14)
+    pb = convergents(beta, 14) + _derived(rel, pa)
     return SweepInstance(name, "archimedean", alpha, beta, alpha, beta,
                          mu, c0, constants, rel, pa, pb)
 
 
 def _padic_instance(name, f_alpha, near_alpha, prime, r_alpha, f_beta,
-                    near_beta, r_beta, mu, c0, n_approx=16) -> SweepInstance:
+                    near_beta, r_beta, mu, c0) -> SweepInstance:
     alg_alpha = AlgNum.near(f_alpha, near_alpha)
     alg_beta = AlgNum.near(f_beta, near_beta)
     xi_alpha = hensel_root(f_alpha, prime, r_alpha)
@@ -81,17 +86,9 @@ def _padic_instance(name, f_alpha, near_alpha, prime, r_alpha, f_beta,
     rel = mobius_relation(alg_alpha, alg_beta, rep=pair.rep)
     constants = nonarchimedean_constants(xi_alpha, pair, mu, c0).desk_mode()
     pa = [ApproxPair.reduced(x, y)
-          for x, y in good_padic_approximations(xi_alpha, n_approx)]
+          for x, y in good_padic_approximations(xi_alpha, 16)]
     pb = [ApproxPair.reduced(x, y)
-          for x, y in good_padic_approximations(xi_beta, n_approx)]
-    if rel is not None:
-        derived = []
-        for p in pa:
-            try:
-                derived.append(rel.image(p))
-            except ZeroDivisionError:
-                continue
-        pb = pb + derived
+          for x, y in good_padic_approximations(xi_beta, 16)] + _derived(rel, pa)
     return SweepInstance(name, "p-adic", xi_alpha, xi_beta, alg_alpha,
                          alg_beta, mu, c0, constants, rel, pa, pb)
 
@@ -117,17 +114,14 @@ def default_instances() -> list[SweepInstance]:
     ]
 
 
-def dichotomy_sweep(instances: list[SweepInstance] | None = None,
-                    min_pairs: int = 200) -> dict:
+def dichotomy_sweep(min_pairs: int = 200) -> dict:
     """Run the gap dichotomy on every qualifying approximation pair of every
-    instance; the theorems say Violation never appears."""
-    if instances is None:
-        instances = default_instances()
+    default instance; the theorems say Violation never appears."""
     totals = {"checked": 0, "violations": 0, "abstentions": 0,
               "skipped_hypothesis": 0}
     verdicts: dict[str, int] = {}
     per_instance = []
-    for inst in instances:
+    for inst in default_instances():
         counts = {"checked": 0, "violations": 0, "abstentions": 0,
                   "skipped_hypothesis": 0, "verdicts": {}}
         for p1 in inst.pairs_alpha:

@@ -25,13 +25,13 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from .algnum import AlgNum, NotInFieldError, normalize_minimal_poly, power_rep, theta_upper_bound
-from .autgroup import (EnhancedAut, OrbitPartition, aut_prime,
+from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
                        root_orbit_partition)
 from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, GapConstants, HypothesisError, c16,
                   compare_to_power, count_bound)
-from .isolation import (PrecisionError, isolate_roots, mahler_measure,
-                        root_system)
+from .isolation import (ComplexDisk, CRat, PrecisionError, isolate_roots,
+                        mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
 from .rounding import compact_str, pow_up, root_up, sqrt_down, tidy_up
 
@@ -215,8 +215,7 @@ def convergent_search(f: BinForm, m: int, h0: int, bound: int) -> list[Solution]
     return list(out.values())
 
 
-def lewis_mahler_c10(f: BinForm,
-                     precision: Fraction = Fraction(1, 10 ** 20)) -> Fraction:
+def lewis_mahler_c10(f: BinForm) -> Fraction:
     """Rounded-up 2**(d-1) d**((d-1)/2) M(F)**(d-2) / |D(F)|**(1/2)."""
     d = f.degree
     if f.lead_x == 0 or f.lead_y == 0:
@@ -224,7 +223,7 @@ def lewis_mahler_c10(f: BinForm,
     disc = discriminant(f)
     if disc == 0:
         raise ThueError("zero discriminant")
-    m_up = mahler_measure(f, precision).hi
+    m_up = mahler_measure(f, Fraction(1, 10 ** 20)).hi
     from .rounding import pow_half_integer_up
 
     num = Fraction(2) ** (d - 1) * pow_half_integer_up(Fraction(d), d - 1) \
@@ -232,17 +231,15 @@ def lewis_mahler_c10(f: BinForm,
     return tidy_up(num / sqrt_down(Fraction(abs(disc))))
 
 
-def assign_root(f: BinForm, sol: Solution,
-                precision: Fraction = Fraction(1, 10 ** 12),
-                budget: int = 5) -> tuple[int, str, bool]:
+def assign_root(f: BinForm, sol: Solution) -> tuple[int, str, bool]:
     """(root index, side, tie) minimizing
     min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|); the side is "alpha" or
     "alpha_inv".  Complex-conjugate candidates tie exactly against rational
     targets; such ties resolve to the smaller root index with tie=True.
-    Other ties within precision refine, and a surviving tie is reported.
+    Other ties refine, and a tie that survives every level is reported.
 
-    Each level of width w (``precision``, then divided by 10**8, at most
-    ``budget`` levels) reads the root system's ``ScaledRoots`` table for w,
+    Each level of width w (10**-12, then divided by 10**8, at most 5
+    levels) reads the root system's ``ScaledRoots`` table for w,
     built once and shared by every solution.  The table rounds each
     enclosure of width <= w outward to integers at scale 2**b: interval
     ends down and up, disk centers to the nearest integer and radii up plus
@@ -263,8 +260,8 @@ def assign_root(f: BinForm, sol: Solution,
     and otherwise the next level does."""
     system = root_system(normalize_minimal_poly(f.dehomogenize()))
     x, y = sol.x, sol.y
-    width = Fraction(precision)
-    for _ in range(budget):
+    width = Fraction(1, 10 ** 12)
+    for _ in range(5):
         table = system.scaled(width)
         one = 1 << table.bits
         # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
@@ -323,20 +320,13 @@ def _tie_pick(table, cands) -> tuple[int, str]:
     return chosen[3], chosen[4]
 
 
-def _point_disk(q: Fraction):
-    from .isolation import ComplexDisk, CRat
-
-    return ComplexDisk.point(CRat.of(q))
-
-
-def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction,
-                       budget: int = 5) -> bool:
+def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction) -> bool:
     """Certified check of the root-assignment inequality
     min(...) <= C10 |F(x, y)| / H**d for one solution."""
     poly = normalize_minimal_poly(f.dehomogenize())
     rhs = c10 * abs(sol.value) / Fraction(sol.height) ** f.degree
     width = Fraction(1, 10 ** 12)
-    for _ in range(budget):
+    for _ in range(5):
         best_hi = None
         for e in isolate_roots(poly, width):
             if sol.y != 0:
@@ -345,7 +335,8 @@ def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction,
             if sol.x != 0:
                 try:
                     disk = e.as_disk().inverse()
-                    di = (disk - _point_disk(Fraction(sol.y, sol.x))).abs_interval()
+                    point = ComplexDisk.point(CRat.of(Fraction(sol.y, sol.x)))
+                    di = (disk - point).abs_interval()
                     best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
                 except ZeroDivisionError:
                     pass
@@ -543,14 +534,7 @@ def _solution_orbits(f: BinForm, aut: EnhancedAut,
                      sols: list[Solution]) -> tuple[tuple[int, ...], ...]:
     d = f.degree
     index_of = {(s.x, s.y): i for i, s in enumerate(sols)}
-    parent = list(range(len(sols)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    edges = set()
     for i, s in enumerate(sols):
         for el in aut.unimodular():
             xp, yp = el.matrix.apply(s.x, s.y)
@@ -559,14 +543,8 @@ def _solution_orbits(f: BinForm, aut: EnhancedAut,
                 raise AssertionError("unimodular image changed |F|: identity broken")
             j = index_of.get((img.x, img.y))
             if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    blocks: dict[int, list[int]] = {}
-    for i in range(len(sols)):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(b)) for b in
-                 sorted(blocks.values(), key=lambda b: b[0]))
+                edges.add((i, j))
+    return _components(len(sols), edges).blocks
 
 
 # -- continued fractions --------------------------------------------------------

@@ -5,10 +5,9 @@ import mpmath
 import pytest
 
 from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR,
-                             _surviving_triples, aut_prime,
-                             aut_rational_class, d12_family, element_order,
-                             membership_scale, root_orbit_partition,
-                             verify_729)
+                             _surviving_triples, aut_prime, d12_family,
+                             element_order, membership_scale,
+                             root_orbit_partition, verify_729)
 from gapkit.binforms import BinForm, IntMat2
 from gapkit.isolation import isolate_roots, root_system
 
@@ -72,7 +71,7 @@ def test_aut_prime_galois_cubic_matches_oracle(cubic_form, cubic_aut):
     assert set(oracle) == {e.matrix.entries() for e in cubic_aut.elements}
     assert cubic_aut.order == 6
     assert cubic_aut.structure == "C_6"
-    assert aut_rational_class(cubic_aut) == "C6"
+    assert cubic_aut.table1_class == "C6"
 
 
 def test_aut_prime_d12(d12_aut):

@@ -132,6 +132,7 @@ def test_enum_past_the_old_budget(capsys):
     ("thue", "enum", "x^3 - 2*y^3", "0", "10"),        # m = 0
     ("aut", "0*x^3"),                                  # zero form
     ("minpair", "x^2 - 2*x + 1", "x^3 - 2"),           # repeated root
+    ("padic", "root", "x^3-2", "55", "18"),            # 55 is not prime
 ])
 def test_bad_input_exit_code(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -146,6 +147,15 @@ def test_abstention_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(isolation, "_SYSTEMS", {})
     monkeypatch.setattr(isolation, "_numeric_seeds", lambda p, bits: [])
     code, _, err = run_cli(capsys, "thue", "enum", "x^3 - 2*y^3", "1", "10")
+    assert code == 3
+    assert json.loads(err)["kind"] == "abstention"
+
+
+def test_unproven_prime_abstains(capsys):
+    # 2^89 - 1 is prime, but above the range where 13 Miller-Rabin bases
+    # prove it
+    code, _, err = run_cli(capsys, "padic", "root", "x^3 - 2",
+                           str(2 ** 89 - 1), "5")
     assert code == 3
     assert json.loads(err)["kind"] == "abstention"
 
@@ -180,3 +190,15 @@ def test_box_rejects_negative_and_non_integer(capsys, prefix, value):
         main(prefix + [value])
     assert exc.value.code == 2
     assert "not a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thue", "census", "x^3 - 2*y^3", "1", "--mu", "1/0"],
+    ["constants", "arch", "x^3 - 3*x - 1", "x^3 - 3*x + 1",
+     "--mu", "11/4", "--c0", "1/0"],
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a fraction" in capsys.readouterr().err

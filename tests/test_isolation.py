@@ -42,10 +42,9 @@ def test_sqrt2_isolation():
 
 def test_cubic_three_real_roots():
     p = IntPoly((-1, -3, 0, 1))
-    encl = isolate_roots(p, Fraction(1, 10 ** 12))
+    encl = isolate_roots(p, Fraction(1, 2 ** 72))
     assert [e.is_real for e in encl] == [True, True, True]
-    # sign-bisection oracle values, accurate to ~2^-80; the enclosures may be
-    # (much) tighter when other tests already refined the shared cache
+    # sign-bisection oracle values, accurate to ~2^-80
     targets = [bisection_oracle(p, Fraction(-2), Fraction(-1)),
                bisection_oracle(p, Fraction(-1), Fraction(0)),
                bisection_oracle(p, Fraction(1), Fraction(2))]

@@ -157,9 +157,9 @@ def test_c13_enclosure_beats_formula(alpha15, beta15):
     pair1 = MinimalPair(alpha15, beta15, rep, P1, Q1, 2, "exact")
     v = c13(alpha15, pair1)
     assert Fraction(36, 10) < v < Fraction(366, 100)
-    from gapkit.minpair import _c13_formula
+    from gapkit.minpair import c13_formula
 
-    assert _c13_formula(alpha15, pair1) < v          # enclosure branch won
+    assert c13_formula(alpha15, Fraction(pair1.height_bound)) < v  # enclosure branch won
 
 
 def test_c14_exact_branch(alpha_cubic, beta_cubic):

@@ -1,0 +1,80 @@
+"""No parameter that nothing sets: every defaulted parameter of a function in
+src/gapkit is passed, positionally or by keyword, by at least one call in
+src/gapkit, tests, demos or perfbench.  A default that no call overrides is
+a constant, and belongs at its use site.
+
+Calls are matched by name: ``f(...)`` and ``obj.f(...)`` both count as calls
+of every function named ``f``, and ``C(...)`` as a call of ``C.__init__``.
+A call with ``*args`` passes every positional parameter and one with
+``**kwargs`` every parameter.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = ("src/gapkit", "tests", "demos", "perfbench")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def defaulted_parameters():
+    """(label, called name, positional index or None, name) of each
+    defaulted parameter in src/gapkit; the index does not count self or
+    cls, and is None for a keyword-only parameter."""
+    for path in sorted((ROOT / "src" / "gapkit").glob("*.py")):
+        tree = _parse(path)
+        owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(fn)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            first = len(pos) - len(args.defaults)
+            called = cls.name if fn.name == "__init__" else fn.name
+            label = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+            for i in range(first, len(pos)):
+                yield label, called, i - skip, pos[i].arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield label, called, None, arg.arg
+
+
+def calls_by_name() -> dict[str, list[ast.Call]]:
+    out = defaultdict(list)
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if isinstance(f, ast.Name):
+                        out[f.id].append(node)
+                    elif isinstance(f, ast.Attribute):
+                        out[f.attr].append(node)
+    return out
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = calls_by_name()
+    unset = [f"{label}({name})"
+             for label, called, index, name in defaulted_parameters()
+             if not any(_passes(c, index, name) for c in calls[called])]
+    assert not unset, "defaulted parameters that no call sets:\n" + "\n".join(unset)

@@ -5,9 +5,10 @@ import pytest
 
 from gapkit.intpoly import IntPoly
 from gapkit.padic import (HenselError, derive_padic,
-                          good_padic_approximations, hensel_root,
+                          good_padic_approximations, hensel_root, is_prime,
                           liouville_c7, padic_abs_linear, padic_abs_poly,
                           padic_valuation)
+from gapkit.rounding import AbstainError
 from tests.conftest import CUBIC, CUBIC_IMAGE
 
 
@@ -30,6 +31,37 @@ def test_hensel_condition_rejected():
         hensel_root(IntPoly((-2, 0, 1)), 2, 0)   # f'(0) = 0 mod 2
     with pytest.raises(HenselError):
         hensel_root(CUBIC, 17, 5)                 # not a root mod 17
+
+
+def test_composite_modulus_rejected():
+    # 18 is a root of x^3 - 2 mod 55 with 3 * 18^2 a unit mod 55, so only
+    # the primality check stands in the way
+    f = IntPoly((-2, 0, 0, 1))
+    assert f.eval_int(18) % 55 == 0 and gcd(3 * 18 ** 2, 55) == 1
+    with pytest.raises(HenselError, match="not prime"):
+        hensel_root(f, 55, 18)
+    with pytest.raises(HenselError):
+        hensel_root(f, 1, 0)
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-3, 5000))
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(10 ** 24 + 7)
+
+
+def test_is_prime_abstains_above_the_proven_range():
+    # the least strong pseudoprime to the first 13 prime bases,
+    # 1287836182261 * 2575672364521: only abstaining keeps it out
+    with pytest.raises(AbstainError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(AbstainError):
+        is_prime(2 ** 89 - 1)                          # a Mersenne prime
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))  # a witness still proves it
 
 
 def test_lift_compatibility():
