@@ -166,9 +166,6 @@ class PowerBasisRep:
             out = lcm(out, c.denominator)
         return out
 
-    def max_abs(self) -> Fraction:
-        return max(abs(c) for c in self.coeffs)
-
     def as_poly(self) -> RatPoly:
         return RatPoly(self.coeffs)
 

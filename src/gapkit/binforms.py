@@ -38,9 +38,6 @@ class IntMat2:
             self.t * other.u + self.v * other.v,
         )
 
-    def adjugate(self) -> "IntMat2":
-        return IntMat2(self.v, -self.u, -self.t, self.s)
-
     def content(self) -> int:
         return gcd(gcd(abs(self.s), abs(self.u)), gcd(abs(self.t), abs(self.v)))
 
@@ -76,10 +73,6 @@ class BinForm:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def coeff_x(self, k: int) -> int:
-        """Coefficient of x**k y**(d-k)."""
-        return self.coeffs[self.degree - k]
 
     @property
     def lead_x(self) -> int:

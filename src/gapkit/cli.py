@@ -6,11 +6,14 @@ Subcommands::
     gapkit constants arch ALPHA BETA --mu M --c0 C
     gapkit constants padic ALPHA BETA --mu M --c0 C --prime P --residue R
     gapkit aut FORM
-    gapkit thue enum FORM M B [--format csv]
+    gapkit thue enum FORM M B
     gapkit thue census FORM M --mu M [--box B]
     gapkit gap check ALPHA BETA --mu M --c0 C X1/Y1 X2/Y2 [X2'/Y2' ...]
-    gapkit padic root POLY P R0
+    gapkit padic root POLY P R0 [--precision-bits N]
     gapkit sweep [--min-pairs N] [--dmax D]
+
+Every subcommand takes --format json|text (default json); ``thue enum`` and
+``thue census`` also take --format csv, one row per solution.
 
 Algebraic numbers are written as POLY@root~=DECIMAL or POLY@indexK (a bare
 polynomial selects index 0).  Exit codes: 0 success; 2 bad input or
@@ -74,6 +77,16 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _pair(text: str) -> ApproxPair:
     if "/" in text:
         x, y = text.split("/", 1)
@@ -85,11 +98,9 @@ def _pair(text: str) -> ApproxPair:
 def _emit(payload: dict, fmt: str = "json") -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    elif fmt == "text":
+    else:
         for k, v in payload.items():
             print(f"{k}: {v}")
-    else:
-        raise ValueError(f"format {fmt!r} not supported here")
 
 
 def cmd_minpair(args) -> int:
@@ -232,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gapkit", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("json", "csv", "text"),
+                         default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("minpair", help="minimal pair for (alpha, beta)",
@@ -262,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thue", help="Thue inequality tooling")
     tsub = p.add_subparsers(dest="thue_command", required=True)
     pe = tsub.add_parser("enum", help="enumerate primitive solutions",
-                          parents=[common])
+                          parents=[tabular])
     pe.add_argument("form")
     pe.add_argument("m", type=int)
     pe.add_argument("bound", type=_count)
     pe.set_defaults(func=cmd_thue_enum)
     pc = tsub.add_parser("census", help="large-solution census",
-                          parents=[common])
+                          parents=[tabular])
     pc.add_argument("form")
     pc.add_argument("m", type=int)
     pc.add_argument("--mu", type=_fraction, required=True)
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("poly")
     pr.add_argument("prime", type=int)
     pr.add_argument("residue", type=int)
-    pr.add_argument("--precision-bits", type=int, default=256,
+    pr.add_argument("--precision-bits", type=_positive, default=256,
                     help="lift to about this many bits of p-adic precision")
     pr.set_defaults(func=cmd_padic_root)
 

@@ -345,6 +345,49 @@ def _validate_mu(d: int, mu: Fraction):
     return mu
 
 
+def height_floor_branches(d: int, mu: Fraction, c0: Fraction,
+                          wronskian_floor: Fraction, closing: Fraction
+                          ) -> tuple[tuple[str, Fraction], ...]:
+    """The three branches of the height floor C1 (C3 in the p-adic case),
+    each rounded up; the floor is their maximum:
+
+        C0^(1/mu), wronskian_floor^(1/mu) and
+        (2^(d^2 mu/4) ((d+2)/2)^((3d^2+4d) mu/8) closing)^(1/(2mu - d)),
+
+    where ``wronskian_floor`` and ``closing`` are the metric's own upper
+    roundings of the Wronskian-floor base and of the rest of the Liouville
+    closing."""
+    closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
+        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) * closing
+    return (("C0^(1/mu)", pow_up(c0, 1 / mu)),
+            ("wronskian-floor", pow_up(wronskian_floor, 1 / mu)),
+            ("liouville-closing", pow_up(closing, 1 / (2 * mu - d))))
+
+
+def archimedean_floor_branches(d: int, mu: Fraction, c0: Fraction, c12v: Fraction,
+                               roots) -> list[tuple[tuple[str, Fraction], ...]]:
+    """The branches of C1 (``height_floor_branches``) of each number in
+    ``roots``, given as (C13, C6, max(1, |alpha|)): lower bounds on |W(alpha)|
+    and on the Liouville constant, and an upper bound on max(1, |alpha|).
+    The numbers share the bound C12, so the large power of C12 in the
+    Liouville closing is computed once."""
+    pow_c12 = pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2)
+    return [height_floor_branches(
+        d, mu, c0,
+        pow_half_integer_up(Fraction(2), d + 6) * Fraction(d + 2, 2)
+        * c0 * c12v ** 2 / c13v * max1_up ** d,
+        c0 / (c6v * c13v) * pow_c12 * max1_up ** d)
+        for c13v, c6v, max1_up in roots]
+
+
+def archimedean_c2(d: int, c0: Fraction, c12v: Fraction, max1_up: Fraction,
+                   beta_abs_up: Fraction) -> Fraction:
+    """C2 = C0 2^((d+2)/2) (2 + |beta|) C12 max(1, |alpha|)^(d/2), rounded up,
+    from upper bounds on C12, max(1, |alpha|) and |beta|."""
+    return tidy_up(c0 * pow_half_integer_up(Fraction(2), d + 2) * (2 + beta_abs_up)
+                   * c12v * pow_half_integer_up(max1_up, d))
+
+
 def archimedean_constants(alpha: AlgNum, beta: AlgNum, mu, c0,
                           pair: MinimalPair | None = None,
                           rep: PowerBasisRep | None = None) -> GapConstants:
@@ -362,24 +405,10 @@ def archimedean_constants(alpha: AlgNum, beta: AlgNum, mu, c0,
     c13v = c13(alpha, pair)
     c6v = liouville_c6(alpha)
     beta_abs_up = beta.abs_interval().hi
-    alpha_abs = alpha.abs_interval()
-    max1_up = max(Fraction(1), alpha_abs.hi)
-    max1_down = max(Fraction(1), alpha_abs.lo)
+    max1_up = max(Fraction(1), alpha.abs_interval().hi)
 
-    c2 = tidy_up(c0 * pow_half_integer_up(Fraction(2), d + 2)
-                 * (2 + beta_abs_up) * c12v * pow_half_integer_up(max1_up, d))
-
-    branches = []
-    branches.append(("C0^(1/mu)", pow_up(c0, 1 / mu)))
-    b2_inner = pow_half_integer_up(Fraction(2), d + 6) * Fraction(d + 2, 2) \
-        * c0 * c12v ** 2 / c13v * max1_up ** d
-    branches.append(("wronskian-floor", pow_up(b2_inner, 1 / mu)))
-    closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
-        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) \
-        * c0 / (c6v * c13v) \
-        * pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2) \
-        * max1_up ** d
-    branches.append(("liouville-closing", pow_up(closing, 1 / (2 * mu - d))))
+    c2 = archimedean_c2(d, c0, c12v, max1_up, beta_abs_up)
+    (branches,) = archimedean_floor_branches(d, mu, c0, c12v, [(c13v, c6v, max1_up)])
     c1 = max(b for _, b in branches)
     prov = tuple((name, compact_str(val)) for name, val in branches)
     return GapConstants("archimedean", tidy_up(c1), c2, mu, c0, d,
@@ -406,16 +435,10 @@ def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
     c7v = liouville_c7(xi)
 
     c4 = tidy_up((d + 2) * c0 * c12v * pow_half_integer_up(c_alpha, d) * c_beta)
-
-    branches = []
-    branches.append(("C0^(1/mu)", pow_up(c0, 1 / mu)))
-    b2_inner = 2 * c0 / c14v * pow_half_integer_up(c_alpha, 3 * d - 4)
-    branches.append(("wronskian-floor", pow_up(b2_inner, 1 / mu)))
-    closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
-        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) \
-        * c_alpha ** (d - 1) * c0 / c7v \
-        * pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu) / c14v
-    branches.append(("liouville-closing", pow_up(closing, 1 / (2 * mu - d))))
+    branches = height_floor_branches(
+        d, mu, c0, 2 * c0 / c14v * pow_half_integer_up(c_alpha, 3 * d - 4),
+        c_alpha ** (d - 1) * c0 / c7v
+        * pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu) / c14v)
     c3 = max(b for _, b in branches)
     prov = tuple((name, compact_str(val)) for name, val in branches)
     return GapConstants("p-adic", tidy_up(c3), c4, mu, c0, d,
@@ -578,29 +601,17 @@ def f_floor(d: int) -> int:
     return count_bound(d, Fraction(3 * d + 2, 4), 1)
 
 
-def f_interval(d: int) -> RatInterval:
-    """Certified enclosure of f(d) = 1 + (11.51 + 1.5 log d + log mu)/log(mu - d/2)
-    at mu = (3d + 2)/4."""
-    mu, prec = Fraction(3 * d + 2, 4), 320
-    num = Fraction(1151, 100) + Fraction(3, 2) * log_interval(Fraction(d), prec) \
-        + log_interval(mu, prec)
-    den = log_interval(mu - Fraction(d, 2), prec)
-    return RatInterval(1, 1) + num / den
-
-
-def c16(alphas, mu, c0, pairwise_constants: list[GapConstants],
+def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
         mahler_max_log_up: Fraction | None = None) -> tuple[Fraction, dict]:
-    """The four-way height threshold of the counting theorem; returns the
-    rounded-up max and the per-branch provenance."""
+    """The four-way height threshold of the counting theorem, given the
+    largest C_small and C_big of the gap constants over the ordered pairs of
+    distinct numbers; returns the rounded-up max and the per-branch
+    provenance."""
     mu, c0 = Fraction(mu), Fraction(c0)
     d = alphas[0].degree
     branches: dict[str, Fraction] = {}
     branches["uniqueness-C11"] = c11(alphas, mu, c0)
-    if pairwise_constants:
-        branches["pairwise-gap-floor"] = max(g.c_small for g in pairwise_constants)
-        c_big_max = max(g.c_big for g in pairwise_constants)
-    else:
-        c_big_max = Fraction(1)
+    branches["pairwise-gap-floor"] = Fraction(c_small)
     if mahler_max_log_up is None:
         m_up = max(a.mahler_interval().hi if isinstance(a, AlgNum)
                    else _padic_mahler_up(a) for a in alphas)
@@ -618,7 +629,7 @@ def c16(alphas, mu, c0, pairwise_constants: list[GapConstants],
         + (lam_bound / denom) * log4ea
     branches["large-height"] = tidy_up(exp_interval(exponent).hi)
     e_gap = mu - Fraction(d, 2)
-    branches["iteration-floor"] = pow_up(c_big_max, 2 / (e_gap - 1))
+    branches["iteration-floor"] = pow_up(c_big, 2 / (e_gap - 1))
     value = tidy_up(max(branches.values()))
     argmax = max(branches, key=lambda k: branches[k])
     prov = {"branches": {k: compact_str(v) for k, v in branches.items()},

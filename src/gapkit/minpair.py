@@ -16,7 +16,7 @@ from .algnum import (AlgNum, PowerBasisRep, c8, c9, denominator_scalar,
                      power_rep, _power_tables)
 from .intpoly import IntPoly, RatPoly, poly_gcd_q
 from .isolation import eval_on_disk
-from .linalg import integer_kernel, kernel_vectors_up_to, rational_rank
+from .linalg import integer_kernel, kernel_vectors_up_to
 from .padic import PadicAlgNum, padic_abs_poly
 from .rounding import (RatInterval, pow_half_integer_up, pow_up, tidy_down,
                        tidy_up)
@@ -42,12 +42,6 @@ class LinearSystem:
     @property
     def ncols(self) -> int:
         return 2 * self.s + 2
-
-    def rank(self) -> int:
-        return rational_rank([list(r) for r in self.rows])
-
-    def kernel_dim(self) -> int:
-        return self.ncols - self.rank()
 
     def integer_kernel_basis(self) -> list[list[int]]:
         return integer_kernel([list(r) for r in self.scaled_rows], self.ncols)
@@ -297,15 +291,16 @@ def c13(alpha: AlgNum, pair: MinimalPair) -> Fraction:
             encl_branch = tidy_down(img.lo)
             break
         width /= 10 ** 8
-    return max(encl_branch, c13_formula(alpha, Fraction(pair.height_bound)))
+    return max(encl_branch, c13_formula(alpha, Fraction(pair.height_bound),
+                                        alpha.mahler_interval().hi))
 
 
-def c13_formula(alpha: AlgNum, height_bound: Fraction) -> Fraction:
+def c13_formula(alpha: AlgNum, height_bound: Fraction, m_up: Fraction) -> Fraction:
     """Closed lower bound on |W(alpha)| for any pair of heights <= the given
-    bound: (((d^3/2) H^2)**(d-1) (c_alpha**(d-1) M(alpha)/max(1,|alpha|))**(d-1))**(-1)."""
+    bound: (((d^3/2) H^2)**(d-1) (c_alpha**(d-1) M(alpha)/max(1,|alpha|))**(d-1))**(-1),
+    from an upper bound ``m_up`` on the Mahler measure M(alpha)."""
     d = alpha.degree
     h = Fraction(height_bound)
-    m_up = alpha.mahler_interval().hi
     abs_a = alpha.abs_interval()
     max1_down = max(Fraction(1), abs_a.lo)
     inner = Fraction(d ** 3, 2) * h ** 2 * Fraction(alpha.lead) ** (d - 1) * m_up / max1_down

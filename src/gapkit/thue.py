@@ -24,16 +24,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .algnum import AlgNum, NotInFieldError, normalize_minimal_poly, power_rep, theta_upper_bound
+from .algnum import (AlgNum, NotInFieldError, liouville_c6, normalize_minimal_poly,
+                     power_rep, theta_upper_bound)
 from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
                        root_orbit_partition)
 from .binforms import BinForm, discriminant
-from .gap import (ApproxPair, GapConstants, HypothesisError, c16,
-                  compare_to_power, count_bound)
-from .isolation import (ComplexDisk, CRat, PrecisionError, isolate_roots,
-                        mahler_measure, root_system)
+from .gap import (ApproxPair, HypothesisError, archimedean_c2,
+                  archimedean_floor_branches, c16, compare_to_power, count_bound)
+from .intpoly import IntPoly
+from .isolation import (PrecisionError, isolate_roots, mahler_measure,
+                        root_system)
 from .minpair import c12_closed_form, c13_formula
-from .rounding import compact_str, pow_up, root_up, sqrt_down, tidy_up
+from .rounding import (compact_str, log_interval, pow_half_integer_up, pow_up,
+                       root_up, sqrt_down, tidy_up)
 
 
 class ThueError(ValueError):
@@ -224,8 +227,6 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
     if disc == 0:
         raise ThueError("zero discriminant")
     m_up = mahler_measure(f, Fraction(1, 10 ** 20)).hi
-    from .rounding import pow_half_integer_up
-
     num = Fraction(2) ** (d - 1) * pow_half_integer_up(Fraction(d), d - 1) \
         * m_up ** (d - 2)
     return tidy_up(num / sqrt_down(Fraction(abs(disc))))
@@ -320,32 +321,6 @@ def _tie_pick(table, cands) -> tuple[int, str]:
     return chosen[3], chosen[4]
 
 
-def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction) -> bool:
-    """Certified check of the root-assignment inequality
-    min(...) <= C10 |F(x, y)| / H**d for one solution."""
-    poly = normalize_minimal_poly(f.dehomogenize())
-    rhs = c10 * abs(sol.value) / Fraction(sol.height) ** f.degree
-    width = Fraction(1, 10 ** 12)
-    for _ in range(5):
-        best_hi = None
-        for e in isolate_roots(poly, width):
-            if sol.y != 0:
-                di = e.distance_interval(Fraction(sol.x, sol.y))
-                best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
-            if sol.x != 0:
-                try:
-                    disk = e.as_disk().inverse()
-                    point = ComplexDisk.point(CRat.of(Fraction(sol.y, sol.x)))
-                    di = (disk - point).abs_interval()
-                    best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
-                except ZeroDivisionError:
-                    pass
-        if best_hi is not None and best_hi <= rhs:
-            return True
-        width /= 10 ** 8
-    return False
-
-
 # -- the Theorem-1.3 style census -------------------------------------------------
 
 def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
@@ -380,10 +355,10 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
     """Height threshold of the large-solution count: big enough that the
     Lewis-Mahler step (``c10`` = ``lewis_mahler_c10(f)``) forces quality mu,
     and at least both C16 thresholds (with C0 = 1) for the roots and the
-    inverse roots.  The closed-form family and C16 are built once per
-    distinct normalized minimal polynomial: when the reciprocal polynomial
-    normalizes to the polynomial itself (a palindromic form, up to sign),
-    the inverse roots are the roots and their entries repeat the roots'."""
+    inverse roots.  C16 is built once per distinct normalized minimal
+    polynomial: when the reciprocal polynomial normalizes to the polynomial
+    itself (a palindromic form, up to sign), the inverse roots are the
+    roots and their entries repeat the roots'."""
     d = f.degree
     mu = Fraction(mu)
     if not (Fraction(d, 2) + 1 < mu < d):
@@ -396,9 +371,7 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
     thresholds: dict[tuple, tuple[Fraction, dict]] = {}
     for p in (poly, recip):
         if p.coeffs not in thresholds:
-            conj = [AlgNum(p, i) for i in range(p.degree)]
-            thresholds[p.coeffs] = c16(conj, mu, Fraction(1),
-                                       _pairwise_closed_constants(conj, mu, Fraction(1)))
+            thresholds[p.coeffs] = _conjugate_c16(p, mu)
     c16_a, prov_a = thresholds[poly.coeffs]
     c16_b, prov_b = thresholds[recip.coeffs]
     value = tidy_up(max(first, c16_a, c16_b))
@@ -408,46 +381,31 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
     return value, prov
 
 
-def _pairwise_closed_constants(alphas: list[AlgNum], mu: Fraction,
-                               c0: Fraction) -> list[GapConstants]:
-    """Closed-form Archimedean gap constants for every ordered pair of
-    distinct conjugates, using the index bound in place of the exact
-    denominator scalar (no pair computation; all roundings upward).
+def _conjugate_c16(p: IntPoly, mu: Fraction) -> tuple[Fraction, dict]:
+    """C16 with C0 = 1 for the roots of ``p``, from the closed-form
+    Archimedean gap constants of every ordered pair of distinct roots: the
+    index bound stands in for the exact denominator scalar, so no pair is
+    computed (all roundings upward).
 
-    All conjugates share a minimal polynomial, so the heavy shared factors
-    (C12, the large C12 power, the Mahler data) are computed once."""
-    from .algnum import liouville_c6
-    from .rounding import pow_half_integer_up
-
-    d = alphas[0].degree
-    # shared quantities across the conjugate family
-    a0, b0 = alphas[0], alphas[1]
-    c12v = c12_closed_form(a0, b0, theta_upper_bound(a0) * b0.lead)
-    pow_c12_closing = pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2)
-    shared_closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
-        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) \
-        * c0 * pow_c12_closing
-    out = []
-    for a in alphas:
-        c13v = c13_formula(a, c12v)
-        c6v = liouville_c6(a)
-        max1_up = max(Fraction(1), a.abs_interval().hi)
-        b2 = pow_half_integer_up(Fraction(2), d + 6) * Fraction(d + 2, 2) \
-            * c0 * c12v ** 2 / c13v * max1_up ** d
-        branches_a = [pow_up(c0, 1 / mu), pow_up(b2, 1 / mu),
-                      pow_up(shared_closing / (c6v * c13v) * max1_up ** d,
-                             1 / (2 * mu - d))]
-        c_small = tidy_up(max(branches_a))
-        c2_base = tidy_up(c0 * pow_half_integer_up(Fraction(2), d + 2)
-                          * c12v * pow_half_integer_up(max1_up, d))
-        for b in alphas:
-            if a.index == b.index and a.minpoly == b.minpoly:
-                continue
-            c2 = tidy_up(c2_base * (2 + b.abs_interval().hi))
-            out.append(GapConstants(
-                "archimedean", c_small, c2, mu, c0, d,
-                provenance=(("closed-form", "index-bound route"),)))
-    return out
+    C12 and the Mahler measure are shared by the roots and computed once, in
+    that order: the shared root cache hands each later step the enclosures
+    the earlier ones refined, and C12's exact arithmetic costs more on the
+    finer enclosures that the Mahler measure leaves."""
+    d = p.degree
+    c0 = Fraction(1)
+    alphas = [AlgNum(p, i) for i in range(d)]
+    c12v = c12_closed_form(alphas[0], alphas[1],
+                           theta_upper_bound(alphas[0]) * alphas[1].lead)
+    m_up = alphas[0].mahler_interval().hi
+    abs_up = [a.abs_interval().hi for a in alphas]
+    max1_up = [max(Fraction(1), v) for v in abs_up]
+    roots = [(c13_formula(a, c12v, m_up), liouville_c6(a), max1_up[i])
+             for i, a in enumerate(alphas)]
+    c_small = max(tidy_up(max(b for _, b in branches))
+                  for branches in archimedean_floor_branches(d, mu, c0, c12v, roots))
+    c_big = max(archimedean_c2(d, c0, c12v, max1_up[i], abs_up[j])
+                for i in range(d) for j in range(d) if i != j)
+    return c16(alphas, mu, c0, c_small, c_big, log_interval(m_up).hi)
 
 
 @dataclass(frozen=True)

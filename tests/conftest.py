@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gapkit import thue                              # noqa: E402
+from gapkit import algnum, isolation, thue           # noqa: E402
 from gapkit.algnum import AlgNum                     # noqa: E402
 from gapkit.autgroup import aut_prime, d12_family    # noqa: E402
 from gapkit.binforms import BinForm                  # noqa: E402
@@ -73,7 +73,8 @@ def cubic_aut(cubic_form):
 
 @pytest.fixture(scope="session")
 def d12_census_counted(d12_form):
-    """One D12 census, with the calls of the per-form steps counted."""
+    """One D12 census, with the calls of the per-form steps and of the
+    Mahler measure counted."""
     calls = Counter()
 
     def counted(fn):
@@ -83,7 +84,12 @@ def d12_census_counted(d12_form):
         return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("root_orbit_partition", "_pairwise_closed_constants", "c16"):
+        for name in ("root_orbit_partition", "c16"):
             mp.setattr(thue, name, counted(getattr(thue, name)))
+        # every module that calls mahler_measure through its own name for it
+        # (gap imports it from isolation at the call)
+        mahler = counted(isolation.mahler_measure)
+        for module in (isolation, algnum, thue):
+            mp.setattr(module, "mahler_measure", mahler)
         result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
     return result, calls

@@ -18,8 +18,9 @@ from gapkit.minpair import find_pair, verify_pair
 from gapkit.padic import hensel_root, liouville_c7, padic_abs_linear
 from gapkit.sweeps import dichotomy_sweep
 from gapkit.thue import (ThueProblem, census, enumerate_primitive,
-                         lewis_mahler_c10, lewis_mahler_check)
+                         lewis_mahler_c10)
 from tests.conftest import CUBIC, QUARTIC
+from tests.lewis_mahler import lewis_mahler_check
 
 
 def _report(n: int, label: str, ok: bool, detail: str = ""):

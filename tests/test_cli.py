@@ -53,6 +53,33 @@ def test_padic_root_precision_bits(capsys):
     assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 12 == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["aut", "x^3 - 2*y^3", "--format", "csv"], "invalid choice: 'csv'"),
+    (["sweep", "--format", "csv"], "invalid choice: 'csv'"),
+    (["padic", "root", "x^3 - 3*x - 1", "17", "3", "--precision-bits", "-5"],
+     "not a positive integer"),
+    (["padic", "root", "x^3 - 3*x - 1", "17", "3", "--precision-bits", "0"],
+     "not a positive integer"),
+])
+def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
+    # rejected while parsing, before any work is done
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_csv_on_thue_subcommands(capsys):
+    code, out, _ = run_cli(capsys, "thue", "enum", "x^3 - 2*y^3", "1", "10",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["x,y,F,H", "1,0,1,1", "1,1,-1,1"]
+    code, out, _ = run_cli(capsys, "thue", "census", "x^3 - 2*y^3", "1",
+                           "--mu", "11/4", "--box", "10", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "x,y,F,H,rootIndex,side,orbitId"
+
+
 def test_precision_bits_only_on_padic_root(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["aut", "x^3 - 2*y^3", "--precision-bits", "64"])

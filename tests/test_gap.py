@@ -9,7 +9,7 @@ from gapkit.gap import (ApproxPair, HypothesisError, MobiusRelation,
                         archimedean_constants, arch_quality, c11, c15, c16,
                         check_gap_dichotomy, classic_gap_check,
                         compare_to_power, count_bound, derived_approx,
-                        f_floor, f_interval, interval_vs_power,
+                        f_floor, interval_vs_power,
                         mobius_relation, nonarchimedean_constants,
                         resultant_gcd_bound, thue_siegel_conclusion,
                         thue_siegel_params, two_forms_constant,
@@ -280,6 +280,16 @@ def test_count_bound_values():
     assert count_bound(3, Fraction(11, 4), 1) >= count_bound(3, Fraction(29, 10), 1)
 
 
+def f_interval(d: int) -> RatInterval:
+    """Certified enclosure of f(d) = 1 + (11.51 + 1.5 log d + log mu)/log(mu - d/2)
+    at mu = (3d + 2)/4."""
+    mu, prec = Fraction(3 * d + 2, 4), 320
+    num = Fraction(1151, 100) + Fraction(3, 2) * log_interval(Fraction(d), prec) \
+        + log_interval(mu, prec)
+    den = log_interval(mu - Fraction(d, 2), prec)
+    return RatInterval(1, 1) + num / den
+
+
 def test_f_monotone_on_log_grid():
     values = []
     d = 3
@@ -303,14 +313,16 @@ def test_c16_branches(alpha_cubic):
                 continue
             pairwise.append(archimedean_constants(a, b, Fraction(11, 4), 1,
                                                   pair=pair, rep=pair.rep))
-    value, prov = c16(roots, Fraction(11, 4), 1, pairwise)
+    c_small = max(g.c_small for g in pairwise)
+    c_big = max(g.c_big for g in pairwise)
+    value, prov = c16(roots, Fraction(11, 4), 1, c_small, c_big)
     assert value >= max(g.c_small for g in pairwise)
     assert set(prov["branches"]) == {"uniqueness-C11", "pairwise-gap-floor",
                                      "large-height", "iteration-floor"}
     assert prov["argmax"] == "large-height"  # exp(A-scale) dominates at desk scale
     with pytest.raises(HypothesisError):
         # a tiny A makes (4 e^A)^(-1) enormous, violating the C0 hypothesis
-        c16(roots, Fraction(11, 4), 1, pairwise,
+        c16(roots, Fraction(11, 4), 1, c_small, c_big,
             mahler_max_log_up=Fraction(-3))
 
 

@@ -1,12 +1,23 @@
-"""No parameter that nothing sets: every defaulted parameter of a function in
-src/gapkit is passed, positionally or by keyword, by at least one call in
-src/gapkit, tests, demos or perfbench.  A default that no call overrides is
-a constant, and belongs at its use site.
+"""Two guards against code that nothing needs.
 
-Calls are matched by name: ``f(...)`` and ``obj.f(...)`` both count as calls
-of every function named ``f``, and ``C(...)`` as a call of ``C.__init__``.
-A call with ``*args`` passes every positional parameter and one with
-``**kwargs`` every parameter.
+* No parameter that nothing sets: every defaulted parameter of a function in
+  src/gapkit is passed, positionally or by keyword, by at least one call in
+  src/gapkit, tests, demos or perfbench.  A default that no call overrides
+  is a constant, and belongs at its use site.
+
+  Calls are matched by name: ``f(...)`` and ``obj.f(...)`` both count as
+  calls of every function named ``f``, and ``C(...)`` as a call of
+  ``C.__init__``.  A call with ``*args`` passes every positional parameter
+  and one with ``**kwargs`` every parameter.
+
+* No function that only tests use: every function or method in src/gapkit,
+  other than a dunder or a name that gapkit/__init__.py exports (the public
+  API), is referenced from src/gapkit, demos or perfbench.  A helper that
+  only tests need belongs in the tests.
+
+  References are matched by name as well: ``f``, ``obj.f`` and the string
+  ``"f"`` (as in ``getattr`` or perfbench's tracer list) all refer to every
+  function named ``f``.
 """
 
 import ast
@@ -15,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src/gapkit", "tests", "demos", "perfbench")
+USERS = ("src/gapkit", "demos", "perfbench")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -78,3 +90,43 @@ def test_every_defaulted_parameter_is_set_by_some_call():
              for label, called, index, name in defaulted_parameters()
              if not any(_passes(c, index, name) for c in calls[called])]
     assert not unset, "defaulted parameters that no call sets:\n" + "\n".join(unset)
+
+
+def public_names() -> set[str]:
+    tree = _parse(ROOT / "src" / "gapkit" / "__init__.py")
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def referenced_names(tops) -> set[str]:
+    out = set()
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    out.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    out.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    out.add(node.value)
+    return out
+
+
+def test_no_function_is_used_only_by_tests():
+    public, used = public_names(), referenced_names(USERS)
+    unused = []
+    for path in sorted((ROOT / "src" / "gapkit").glob("*.py")):
+        tree = _parse(path)
+        owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = fn.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            cls = owner.get(fn)
+            if (cls is None and name in public) or name in used:
+                continue
+            unused.append(f"{path.stem}.{cls.name + '.' if cls else ''}{name}")
+    assert not unused, "functions that only tests use:\n" + "\n".join(unused)

@@ -8,16 +8,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gapkit import isolation, thue
-from gapkit.algnum import AlgNum, is_irreducible, normalize_minimal_poly
+from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minimal_poly,
+                           theta_upper_bound)
 from gapkit.autgroup import aut_prime, root_orbit_partition
 from gapkit.binforms import BinForm
-from gapkit.gap import arch_quality, c16, interval_vs_power
+from gapkit.gap import GapConstants, arch_quality, c16, interval_vs_power
 from gapkit.intpoly import IntPoly
 from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          census, convergents, enumerate_primitive,
                          galois_status, legendre_height, lewis_mahler_c10,
-                         lewis_mahler_check, window_search)
-from gapkit.rounding import RatInterval, compact_str, sqrt_up, tidy_up
+                         window_search)
+from gapkit.minpair import c12_closed_form, c13_formula
+from gapkit.rounding import (RatInterval, compact_str, pow_half_integer_up, pow_up,
+                             sqrt_up, tidy_up)
+from tests.lewis_mahler import lewis_mahler_check
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
 # forms with a solution above their Legendre height H0 at m, so that the
@@ -293,10 +297,10 @@ def test_census_d12(d12_census_counted):
 
 def test_census_d12_builds_each_per_form_step_once(d12_census_counted):
     # the D12 form is palindromic: the inverse roots are the roots, so one
-    # closed-form family and one C16 serve both sides of C5
+    # C16 serves both sides of C5; the Mahler measure is taken once for C10
+    # and once for C5
     _, calls = d12_census_counted
-    assert calls == {"root_orbit_partition": 1, "_pairwise_closed_constants": 1,
-                     "c16": 1}
+    assert calls == {"root_orbit_partition": 1, "c16": 1, "mahler_measure": 2}
 
 
 def test_census_d12_report_emits_in_full(d12_census_counted):
@@ -337,23 +341,61 @@ def test_census_large_count_at_the_c5_boundary(cubic_form, monkeypatch):
         assert rpt["largeSolutions"] == expected, value
 
 
+def _pairwise_closed_constants(alphas, mu, c0):
+    """Reference: the closed-form Archimedean gap constants of every ordered
+    pair of distinct conjugates, built pair by pair as C5 once built them
+    (the Mahler measure taken afresh for each conjugate, C2 rounded twice)."""
+    d = alphas[0].degree
+    a0, b0 = alphas[0], alphas[1]
+    c12v = c12_closed_form(a0, b0, theta_upper_bound(a0) * b0.lead)
+    pow_c12_closing = pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2)
+    shared_closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
+        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) \
+        * c0 * pow_c12_closing
+    out = []
+    for a in alphas:
+        c13v = c13_formula(a, c12v, a.mahler_interval().hi)
+        c6v = liouville_c6(a)
+        max1_up = max(Fraction(1), a.abs_interval().hi)
+        b2 = pow_half_integer_up(Fraction(2), d + 6) * Fraction(d + 2, 2) \
+            * c0 * c12v ** 2 / c13v * max1_up ** d
+        branches_a = [pow_up(c0, 1 / mu), pow_up(b2, 1 / mu),
+                      pow_up(shared_closing / (c6v * c13v) * max1_up ** d,
+                             1 / (2 * mu - d))]
+        c_small = tidy_up(max(branches_a))
+        c2_base = tidy_up(c0 * pow_half_integer_up(Fraction(2), d + 2)
+                          * c12v * pow_half_integer_up(max1_up, d))
+        for b in alphas:
+            if a.index == b.index:
+                continue
+            c2 = tidy_up(c2_base * (2 + b.abs_interval().hi))
+            out.append(GapConstants("archimedean", c_small, c2, mu, c0, d))
+    return out
+
+
 def test_c5_palindromic_reuse_matches_inverse_roots():
-    f = BinForm((3, 2, -8, 2, 3))           # 3x^4 + 2x^3y - 8x^2y^2 + 2xy^3 + 3y^4
-    mu = Fraction(7, 2)
-    value, prov = c5(f, 1, mu, lewis_mahler_c10(f))
-    poly = normalize_minimal_poly(f.dehomogenize())
-    recip = normalize_minimal_poly(poly.reciprocal())
-    assert recip.coeffs == poly.coeffs
-    explicit = {}
-    for side, p in (("alpha", poly), ("alpha_inv", recip)):
-        conj = [AlgNum(p, i) for i in range(p.degree)]
-        explicit[side] = c16(conj, mu, 1, thue._pairwise_closed_constants(conj, mu, 1))
-    for side, (c16v, branches) in explicit.items():
-        assert prov[f"C16({side})"] == compact_str(c16v)
-        assert prov[f"branches({side})"] == branches
-    lewis_mahler = Fraction(prov["lewis-mahler"])   # small enough to print exactly
-    assert value == tidy_up(max(lewis_mahler, explicit["alpha"][0],
-                                explicit["alpha_inv"][0]))
+    for coeffs, mu, palindromic in (
+            ((3, 2, -8, 2, 3), Fraction(7, 2), True),   # 3x^4 + 2x^3y - 8x^2y^2 + 2xy^3 + 3y^4
+            ((1, 0, -3, -1), Fraction(11, 4), False)):  # x^3 - 3xy^2 - y^3
+        f = BinForm(coeffs)
+        c10 = lewis_mahler_c10(f)
+        value, prov = c5(f, 1, mu, c10)
+        poly = normalize_minimal_poly(f.dehomogenize())
+        recip = normalize_minimal_poly(poly.reciprocal())
+        assert (recip.coeffs == poly.coeffs) == palindromic
+        explicit = {}
+        for side, p in (("alpha", poly), ("alpha_inv", recip)):
+            conj = [AlgNum(p, i) for i in range(p.degree)]
+            pairwise = _pairwise_closed_constants(conj, mu, Fraction(1))
+            explicit[side] = c16(conj, mu, 1, max(g.c_small for g in pairwise),
+                                 max(g.c_big for g in pairwise))
+        for side, (c16v, branches) in explicit.items():
+            assert prov[f"C16({side})"] == compact_str(c16v)
+            assert prov[f"branches({side})"] == branches
+        # the Lewis-Mahler branch, about (C10 m)^(1/(d - mu)), is far below C16
+        c16_max = max(explicit["alpha"][0], explicit["alpha_inv"][0])
+        assert pow_up(c10, 1 / (f.degree - mu)) < c16_max
+        assert value == tidy_up(c16_max)
 
 
 def test_convergents_cbrt2(cbrt2):
