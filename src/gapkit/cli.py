@@ -77,14 +77,17 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+def _at_least(least: int, what: str):
+    """The argparse type of an integer >= ``least``, named ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+    return parse
 
 
 def _pair(text: str) -> ApproxPair:
@@ -310,14 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("poly")
     pr.add_argument("prime", type=int)
     pr.add_argument("residue", type=int)
-    pr.add_argument("--precision-bits", type=_positive, default=256,
+    pr.add_argument("--precision-bits", type=_at_least(1, "a positive integer"),
+                    default=256,
                     help="lift to about this many bits of p-adic precision")
     pr.set_defaults(func=cmd_padic_root)
 
     p = sub.add_parser("sweep", help="run the acceptance experiment suite",
                        parents=[common])
-    p.add_argument("--min-pairs", type=int, default=200)
-    p.add_argument("--dmax", type=int, default=1000)
+    p.add_argument("--min-pairs", type=_count, default=200)
+    p.add_argument("--dmax", type=_at_least(3, "a degree of at least 3"), default=1000)
     p.set_defaults(func=cmd_sweep)
     return ap
 

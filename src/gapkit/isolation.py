@@ -12,6 +12,8 @@ with exact arithmetic only:
   deg(P) regions in total -- so each region holds exactly one root.
 
 Refinement produces new, smaller enclosures; the old value is never mutated.
+An enclosure depends only on (polynomial, root index, requested width), never
+on what the process asked for before.
 """
 
 from __future__ import annotations
@@ -383,46 +385,47 @@ _ORDER_BISECTIONS = 256
 
 
 class _RootSystem:
-    """All-root isolation of one squarefree polynomial, lazily refined."""
+    """All-root isolation of one squarefree polynomial, and its refinements
+    by requested width."""
 
     def __init__(self, p: IntPoly):
         if not is_squarefree(p):
             raise IsolationError(f"polynomial is not squarefree: {p}")
         self.poly = p
-        self.real = isolate_real_roots(p)
-        self.disks = _certified_disks(p, self.real)
-        self._order()
-        # integer enclosure tables by width, each built on first use
+        self.base = self._order(isolate_real_roots(p))
+        # each root's enclosure, and the integer tables, by the width asked for
+        self.memo = tuple({} for _ in self.base)
         self.tables: dict[Fraction, ScaledRoots] = {}
 
-    def _order(self):
+    def _order(self, real: list[RatInterval]) -> tuple[RootEnclosure, ...]:
         """Index the roots by real part, then imaginary part.  Each real
         interval is first bisected until it is disjoint from every disk's
         real-part range, so that its midpoint sorts where the root does; a
         real part shared with a nonreal root (a true tie) is left to the
         midpoint after ``_ORDER_BISECTIONS`` steps."""
-        spans = [d.re_interval() for d in self.disks]
-        for k, iv in enumerate(self.real):
+        disks = _certified_disks(self.poly, real)
+        spans = [d.re_interval() for d in disks]
+        items = [(d.center.re, d.center.im, None, d) for d in disks]
+        for iv in real:
             for _ in range(_ORDER_BISECTIONS):
                 if iv.width == 0 or not any(iv.intersects(s) for s in spans):
                     break
                 iv = _bisect_to_width(self.poly, iv, iv.width / 2)
-            self.real[k] = iv
-        items: list[tuple] = []
-        for iv in self.real:
-            items.append((iv.mid(), Fraction(0), RatInterval(iv.lo, iv.hi), None))
-        for d in self.disks:
-            items.append((d.center.re, d.center.im, None, d))
+            items.append((iv.mid(), Fraction(0), iv, None))
         items.sort(key=lambda t: (t[0], t[1]))
-        self.best = {i: RootEnclosure(self.poly, i, interval=iv, disk=d)
-                     for i, (_, _, iv, d) in enumerate(items)}
+        return tuple(RootEnclosure(self.poly, i, interval=iv, disk=d)
+                     for i, (_, _, iv, d) in enumerate(items))
 
     def refined(self, index: int, width: Fraction) -> RootEnclosure:
-        cur = self.best[index]
-        if cur.width() <= width:
-            return cur
-        out = _refine_enclosure(cur, width)
-        self.best[index] = out
+        """Root ``index`` refined to ``width``: a disk from the base disk, a
+        real interval by bisecting on from the entry of the least width
+        above ``width``, which gives what bisecting the base interval gives."""
+        memo = self.memo[index]
+        out = memo.get(width)
+        if out is None:
+            coarser = [w for w in memo if w > width and self.base[index].is_real]
+            start = memo[min(coarser)] if coarser else self.base[index]
+            out = memo[width] = _refine_enclosure(start, width)
         return out
 
     def scaled(self, width: Fraction) -> "ScaledRoots":
@@ -431,7 +434,7 @@ class _RootSystem:
         table = self.tables.get(width)
         if table is None:
             table = self.tables[width] = ScaledRoots(
-                [self.refined(i, width) for i in sorted(self.best)], width)
+                [self.refined(i, width) for i in range(len(self.base))], width)
         return table
 
 
@@ -651,14 +654,14 @@ def isolate_roots(p: IntPoly, precision: Fraction = _DEFAULT_WIDTH) -> list[Root
     """Exactly deg(p) pairwise-disjoint certified enclosures of the roots of
     squarefree p, each refined to width <= precision."""
     sys = root_system(p)
-    return [sys.refined(i, Fraction(precision)) for i in sorted(sys.best)]
+    return [sys.refined(i, Fraction(precision)) for i in range(len(sys.base))]
 
 
 def root_enclosure(p: IntPoly, index: int, precision: Fraction = _DEFAULT_WIDTH) -> RootEnclosure:
     """Certified enclosure of the index-th root (ordered by real part, then
     imaginary part) of squarefree p."""
     sys = root_system(p)
-    if index not in sys.best:
+    if index not in range(len(sys.base)):
         raise IndexError(f"root index {index} out of range for degree {p.degree}")
     return sys.refined(index, Fraction(precision))
 

@@ -385,12 +385,8 @@ def _conjugate_c16(p: IntPoly, mu: Fraction) -> tuple[Fraction, dict]:
     """C16 with C0 = 1 for the roots of ``p``, from the closed-form
     Archimedean gap constants of every ordered pair of distinct roots: the
     index bound stands in for the exact denominator scalar, so no pair is
-    computed (all roundings upward).
-
-    C12 and the Mahler measure are shared by the roots and computed once, in
-    that order: the shared root cache hands each later step the enclosures
-    the earlier ones refined, and C12's exact arithmetic costs more on the
-    finer enclosures that the Mahler measure leaves."""
+    computed (all roundings upward).  C12 and the Mahler measure are shared
+    by the roots and computed once."""
     d = p.degree
     c0 = Fraction(1)
     alphas = [AlgNum(p, i) for i in range(d)]
@@ -460,9 +456,6 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     f = problem.form
     d = problem.degree
     mu = Fraction(mu)
-    # the group work reads integer root tables, whose cost does not depend
-    # on how refined the shared enclosures are; only C5 does, and it runs
-    # after the Mahler measure inside C10 has refined them
     aut = aut_prime(f)
     part = root_orbit_partition(aut)
     gamma = part.gamma
@@ -515,8 +508,8 @@ def convergents(alpha: AlgNum, count: int | None = None, *,
     denominator <= ``max_den``.  Computed from certified enclosures: a term
     is taken only when the floors of both endpoints agree, and the
     ``max_den`` walk stops once every value the next term can take gives a
-    denominator past ``max_den``.  The refined enclosures are not kept in
-    the shared root cache, whose later users would pay for their size."""
+    denominator past ``max_den``.  The enclosure is refined here rather
+    than through the root cache, because its widths depend on the box."""
     if (count is None) == (max_den is None):
         raise ValueError("give exactly one of count and max_den")
     enc = alpha.enclosure()

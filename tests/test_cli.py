@@ -60,6 +60,8 @@ def test_padic_root_precision_bits(capsys):
      "not a positive integer"),
     (["padic", "root", "x^3 - 3*x - 1", "17", "3", "--precision-bits", "0"],
      "not a positive integer"),
+    (["sweep", "--dmax", "2"], "not a degree of at least 3"),
+    (["sweep", "--min-pairs", "-5"], "not a nonnegative integer"),
 ])
 def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
     # rejected while parsing, before any work is done

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gapkit import isolation
-from gapkit.intpoly import IntPoly, poly_gcd_q
+from gapkit.intpoly import IntPoly, is_squarefree, poly_gcd_q
 from gapkit.isolation import (CRat, ComplexDisk, IsolationError, disk_disjoint,
                               disk_div, disk_mul, disk_sub, house,
                               isolate_roots, mahler_measure,
@@ -193,6 +193,40 @@ def test_root_systems_bounded_lru(monkeypatch):
     assert {p.coeffs for p in polys[-63:]} <= cached
     # an evicted system is rebuilt with the same certified enclosures
     assert bounds(polys[1]) == first[1]
+
+
+def _enclosure_key(e):
+    if e.is_real:
+        return e.index, e.interval.lo, e.interval.hi
+    return e.index, e.disk.center, e.disk.radius
+
+
+def _fresh_view(p, width):
+    table = isolation.root_system(p).scaled(width)
+    return ([_enclosure_key(e) for e in isolate_roots(p, width)],
+            (table.bits, table.real, table.alpha, table.inverse, table.mirror))
+
+
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=5),
+       st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=30))
+@example([-2, 0, 0, 1], 12, 30)        # x^3 - 2: a real root and a complex pair
+@example([1, -3, 0, 1], 12, 30)        # x^3 - 3x + 1: three real roots
+@example([3, 4, 2, 2], 20, 25)         # 2x^3 + 2x^2 + 4x + 3
+@settings(max_examples=25, deadline=None)
+def test_enclosures_do_not_depend_on_earlier_requests(coeffs, digits, step):
+    # an enclosure is a function of (polynomial, index, width): the same on a
+    # cold cache, after a finer request and after a coarser one
+    p = IntPoly(coeffs)
+    assume(p.degree >= 2 and is_squarefree(p))
+    width = Fraction(1, 10 ** digits)
+    views = []
+    for earlier in (None, width / 10 ** step, width * 10 ** step):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(isolation, "_SYSTEMS", {})
+            if earlier is not None:
+                isolate_roots(p, earlier)
+            views.append(_fresh_view(p, width))
+    assert views[1] == views[0] and views[2] == views[0]
 
 
 def test_roots_closer_than_double_precision_certify():

@@ -273,6 +273,34 @@ def test_census_cubic(cubic_form):
     assert len(csv_text.splitlines()) == 7
 
 
+def _report_bytes(result) -> str:
+    return json.dumps(result.report(), sort_keys=True, default=str)
+
+
+def test_census_report_does_not_depend_on_earlier_refinements(monkeypatch):
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    problem = ThueProblem(CUBE_FORM, 1, 100)
+    before = _report_bytes(census(problem, Fraction(11, 4)))
+    isolation.isolate_roots(IntPoly((-2, 0, 0, 1)), Fraction(1, 2 ** 400))
+    assert _report_bytes(census(problem, Fraction(11, 4))) == before
+
+
+def test_census_does_not_depend_on_stage_order(monkeypatch):
+    # 3x^4 + 2x^3y - 8x^2y^2 + 2xy^3 + 3y^4, with C5 built on a cold cache,
+    # before the census's group work and C10 rather than after them
+    f = BinForm((3, 2, -8, 2, 3))
+    problem, mu = ThueProblem(f, 3, 40), Fraction(7, 2)
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    in_order = census(problem, mu)
+    c10 = lewis_mahler_c10(f)
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    early = c5(f, problem.m, mu, c10)
+    monkeypatch.setattr(thue, "c5", lambda *args: early)
+    # the whole result, so C5 to the last digit, not only the six digits
+    # that the report prints
+    assert census(problem, mu) == in_order
+
+
 def test_census_orbit_closure(cubic_form, cubic_aut):
     sols = enumerate_primitive(ThueProblem(cubic_form, 1, 100))
     d = cubic_form.degree
