@@ -314,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("prime", type=int)
     pr.add_argument("residue", type=int)
     pr.add_argument("--precision-bits", type=_at_least(1, "a positive integer"),
-                    default=256,
-                    help="lift to about this many bits of p-adic precision")
+                    default=256, help="lift to about this many bits of p-adic precision")
     pr.set_defaults(func=cmd_padic_root)
 
     p = sub.add_parser("sweep", help="run the acceptance experiment suite",

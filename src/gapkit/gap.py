@@ -473,6 +473,7 @@ def c11(alphas, mu, c0) -> Fraction:
                     dist = ei.distance_interval(ej)
                     if dist.lo <= 0:
                         raise ZeroDivisionError
+                    # rounding down keeps the long denominators of dist.lo out of the root
                     best = max(best, pow_up(2 * c0 / tidy_down(dist.lo), 1 / mu))
             return tidy_up(best)
         except ZeroDivisionError:
