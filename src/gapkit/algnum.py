@@ -20,8 +20,8 @@ import mpmath
 import sympy
 
 from .intpoly import IntPoly, RatPoly, discriminant_poly
-from .isolation import (PrecisionError, RootEnclosure, eval_on_disk, house,
-                        isolate_roots, mahler_measure, root_enclosure)
+from .isolation import (PrecisionError, RootEnclosure, house, isolate_roots,
+                        mahler_measure, root_enclosure)
 from .rounding import RatInterval, tidy_down, tidy_up
 
 
@@ -257,29 +257,20 @@ def _verify_algebraic(f: IntPoly, g: IntPoly, b: RatPoly) -> bool:
 def _verify_embedding(alpha: AlgNum, beta: AlgNum, rep: PowerBasisRep) -> bool:
     """Certify that the representation evaluates to beta's selected root,
     not another conjugate: the certified image must meet beta's enclosure
-    and avoid every other root enclosure."""
+    and avoid every other root enclosure.  Both selected roots are real
+    (``power_rep`` has checked), so the image is a real interval."""
     width = Fraction(1, 10 ** 12)
+    num, den = rep.as_poly().clear_denominators()
     for _ in range(6):
-        a_enc = alpha.enclosure(width)
-        num, den = rep.as_poly().clear_denominators()
-        img = _image_interval(num, a_enc) * Fraction(1, den)
-        b_enc = beta.enclosure(width)
+        img = num.eval_at(alpha.enclosure(width).interval) * Fraction(1, den)
+        biv = beta.enclosure(width).interval
+        if img.certainly_lt(biv) or img.certainly_gt(biv):
+            return False
         others = [e for e in beta.conjugates(width) if e.index != beta.index]
-        if b_enc.is_real:
-            biv = b_enc.interval
-            if img.certainly_lt(biv) or img.certainly_gt(biv):
-                return False
-            if all(_interval_avoids(img, o) for o in others):
-                return True
+        if all(_interval_avoids(img, o) for o in others):
+            return True
         width /= 10 ** 6
     raise PrecisionError("embedding verification undecided at budget")
-
-
-def _image_interval(p: IntPoly, enc: RootEnclosure) -> RatInterval:
-    if enc.is_real:
-        return p.eval_at(RatInterval(enc.interval.lo, enc.interval.hi))
-    img = eval_on_disk(p, enc.disk)
-    return img.re_interval()  # real part only; imaginary handled by caller
 
 
 def _interval_avoids(img: RatInterval, other: RootEnclosure) -> bool:

@@ -19,7 +19,8 @@ Algebraic numbers are written as POLY@root~=DECIMAL or POLY@indexK (a bare
 polynomial selects index 0).  Exit codes: 0 success; 2 bad input or
 hypothesis violation; 3 abstention (a precision or iteration budget ran out
 before the answer was certified); 4 invariant violation or internal error,
-with the exception type named on stderr.
+with the exception type named on stderr; 141 (128 + SIGPIPE) when the reader
+closes stdout early, as in ``gapkit ... | head -1``, with nothing on stderr.
 
 Report convention: integers and fractions printed bare are exact; every
 rounded quantity appears as {"value": ..., "rounding": "up" | "down"}.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_ABSTAIN = 3
 EXIT_INVARIANT = 4
+EXIT_PIPE = 141
 
 
 def _algnum(text: str) -> AlgNum:
@@ -183,7 +186,6 @@ def cmd_gap_check(args) -> int:
     if len(pairs) < 2:
         raise HypothesisError("need at least two approximation pairs")
     if args.prime is not None:
-        from .minpair import find_pair
         from .padic import derive_padic
 
         if args.residue is None:
@@ -329,7 +331,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, with stdout on devnull so
+        # that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except AbstainError as exc:
         # before ValueError: a PrecisionError is both
         return _fail(exc, EXIT_ABSTAIN, kind="abstention")

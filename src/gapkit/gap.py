@@ -18,12 +18,13 @@ from .algnum import AlgNum, PowerBasisRep, liouville_c6, power_rep
 from .intpoly import IntPoly, poly_gcd_q, resultant, squarefree_part
 from .isolation import IsolationError, isolate_roots
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
-from .padic import PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear
+from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
+                    padic_valuation)
 from .rounding import (AbstainError, RatInterval, SqrtVal, certified_floor,
                        compact_str,
                        exp_interval, log_interval, pow_half_integer_down,
-                       pow_half_integer_up, pow_up, sqrt_down, sqrt_up,
-                       tidy_down, tidy_up)
+                       pow_half_integer_up, pow_up, root_down, root_up,
+                       sqrt_down, sqrt_up, tidy_down, tidy_up)
 
 
 class HypothesisError(ValueError):
@@ -220,8 +221,6 @@ def _two_forms_direct(p: IntPoly, q: IntPoly, r: int, s: int) -> Fraction:
 
 
 def _root_iv(n: int, r: int) -> RatInterval:
-    from .rounding import root_down, root_up
-
     f = Fraction(n)
     return RatInterval(root_down(f, r), root_up(f, r))
 
@@ -487,9 +486,7 @@ def _padic_distance(a: PadicAlgNum, b: PadicAlgNum) -> Fraction:
     p = a.prime
     for k in range(1, 200):
         if a.lift(k) != b.lift(k):
-            v = 0
             diff = (a.lift(k) - b.lift(k)) % p ** k
-            from .padic import padic_valuation
             return Fraction(1, p) ** padic_valuation(diff, p)
     raise AbstainError("p-adic roots indistinguishable at depth 200")
 

@@ -7,7 +7,7 @@ Coefficients are stored low-to-high, so ``coeffs[k]`` is the coefficient of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, Sequence
 
 from .rounding import RatInterval
@@ -113,11 +113,6 @@ class IntPoly:
 
     def derivative(self) -> "IntPoly":
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-
-    def divided_derivative(self, i: int) -> "IntPoly":
-        """The i-th divided derivative (1/i!) d^i/dx^i; integer coefficients."""
-        return IntPoly(comb(k, i) * self.coeff(k)
-                       for k in range(i, len(self.coeffs)))
 
     # -- evaluation --------------------------------------------------------------
     def eval_at(self, x):

@@ -2,24 +2,31 @@
 
 Real roots are isolated by Sturm bisection with exact rational endpoints.
 Nonreal roots are seeded by arbitrary-precision numerics and then *certified*
-with exact arithmetic only:
+with exact integer arithmetic only.  A nonreal root's enclosure is an
+integer disk (re, im, rad) at a scale 2**b: the closed disk of radius
+rad / 2**b around z = (re + i im) / 2**b.
 
-* every disk D(c, rho) with rho an upper rounding of
-  ``deg(P) * |P(c)| / |P'(c)|`` contains at least one root of P
-  (log-derivative bound, P'(c) != 0);
-* the certified real intervals together with the disks and their conjugate
-  mirrors are pairwise disjoint, the disks avoid the real axis, and there are
-  deg(P) regions in total -- so each region holds exactly one root.
+* Horner's rule on the integers re, im gives 2**(b n) P(z) and
+  2**(b (n-1)) P'(z) exactly (n = deg P), so rad, the least integer with
+  rad**2 |2**(b (n-1)) P'(z)|**2 >= n**2 |2**(b n) P(z)|**2, satisfies
+  rad / 2**b >= n |P(z)| / |P'(z)|: the disk contains at least one root of
+  P (log-derivative bound, P'(z) != 0);
+* the disks found above the real axis have im > rad, so they avoid it, and
+  are pairwise disjoint (integer comparisons); with their conjugate mirrors
+  and the disjoint certified real intervals they make deg(P) pairwise
+  disjoint regions, each holding a root -- so each holds exactly one.
 
 Refinement produces new, smaller enclosures; the old value is never mutated.
 An enclosure depends only on (polynomial, root index, requested width), never
-on what the process asked for before.
+on what the process asked for before, and the two disks of a conjugate pair
+are exact mirrors at every width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, floor, isqrt
 from typing import Sequence
 
@@ -28,7 +35,7 @@ from mpmath.libmp import mpf_pos
 
 from .intpoly import IntPoly, is_squarefree, poly_gcd_q
 from .rounding import (AbstainError, RatInterval, _mpf_tuple_to_fraction,
-                       pow_half_integer_down, sqrt_down, sqrt_up)
+                       pow_half_integer_down)
 
 
 class IsolationError(ValueError):
@@ -41,148 +48,22 @@ class PrecisionError(IsolationError, AbstainError):
     budget: an abstention, not a property of the input."""
 
 
-# -- exact complex rational arithmetic -----------------------------------------
-
-@dataclass(frozen=True)
-class CRat:
-    """Complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re) -> "CRat":
-        """The real number ``re``."""
-        return CRat(Fraction(re), Fraction(0))
-
-    def __add__(self, other: "CRat") -> "CRat":
-        return CRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CRat") -> "CRat":
-        return CRat(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "CRat") -> "CRat":
-        return CRat(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
-
-    def scale(self, q: Fraction) -> "CRat":
-        return CRat(self.re * q, self.im * q)
-
-    def conj(self) -> "CRat":
-        return CRat(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "CRat":
-        a2 = self.abs2()
-        if a2 == 0:
-            raise ZeroDivisionError
-        return CRat(self.re / a2, -self.im / a2)
-
-    def abs_interval(self) -> RatInterval:
-        a2 = self.abs2()
-        return RatInterval(sqrt_down(a2), sqrt_up(a2))
-
-
-def eval_crat(p: IntPoly, z: CRat) -> CRat:
-    acc = CRat.of(0)
-    for c in reversed(p.coeffs):
-        acc = acc * z + CRat.of(c)
-    return acc
-
-
-class ComplexDisk:
-    """Closed disk with rational-complex center and rational radius; the
-    basic certified enclosure for nonreal values."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center: CRat, radius):
-        self.center = center
-        self.radius = Fraction(radius)
-        if self.radius < 0:
-            raise ValueError("negative radius")
-
-    @staticmethod
-    def from_interval(x: RatInterval) -> "ComplexDisk":
-        return ComplexDisk(CRat.of(x.mid()), x.width / 2)
-
-    @staticmethod
-    def point(z: CRat) -> "ComplexDisk":
-        return ComplexDisk(z, 0)
-
-    def abs_interval(self) -> RatInterval:
-        c = self.center.abs_interval()
-        return RatInterval(max(Fraction(0), c.lo - self.radius), c.hi + self.radius)
-
-    def __add__(self, other: "ComplexDisk") -> "ComplexDisk":
-        return ComplexDisk(self.center + other.center, self.radius + other.radius)
-
-    def __sub__(self, other: "ComplexDisk") -> "ComplexDisk":
-        return ComplexDisk(self.center - other.center, self.radius + other.radius)
-
-    def __mul__(self, other: "ComplexDisk") -> "ComplexDisk":
-        c1, r1, c2, r2 = self.center, self.radius, other.center, other.radius
-        rad = (c1.abs_interval().hi * r2 + c2.abs_interval().hi * r1 + r1 * r2)
-        return ComplexDisk(c1 * c2, rad)
-
-    def inverse(self) -> "ComplexDisk":
-        clo = self.center.abs_interval().lo
-        if clo <= self.radius:
-            raise ZeroDivisionError("disk may contain zero")
-        rad = self.radius / (clo * (clo - self.radius))
-        return ComplexDisk(self.center.inverse(), rad)
-
-    def __truediv__(self, other: "ComplexDisk") -> "ComplexDisk":
-        return self * other.inverse()
-
-    def disjoint_from(self, other: "ComplexDisk") -> bool:
-        d2 = (self.center - other.center).abs2()
-        s = self.radius + other.radius
-        return d2 > s * s
-
-    def contains_disk(self, other: "ComplexDisk") -> bool:
-        if other.radius > self.radius:
-            return False
-        d_hi = (self.center - other.center).abs_interval().hi
-        return d_hi + other.radius <= self.radius
-
-    def re_interval(self) -> RatInterval:
-        return RatInterval(self.center.re - self.radius, self.center.re + self.radius)
-
-    def __repr__(self):
-        return f"ComplexDisk(({float(self.center.re):.6g}, {float(self.center.im):.6g}), r={float(self.radius):.3g})"
-
-
-def eval_on_disk(p: IntPoly, d: ComplexDisk) -> ComplexDisk:
-    """Certified image disk: P(c) plus the Taylor tail sum |D_k P(c)| r^k."""
-    c, r = d.center, d.radius
-    center = eval_crat(p, c)
-    tail = Fraction(0)
-    rk = Fraction(1)
-    for k in range(1, p.degree + 1):
-        rk *= r
-        dk = eval_crat(p.divided_derivative(k), c)
-        tail += dk.abs_interval().hi * rk
-    return ComplexDisk(center, tail)
-
-
 # -- root enclosures -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RootEnclosure:
     """Certified enclosure of exactly one root of ``poly``.
 
-    Real roots carry an exact rational interval; nonreal roots carry a disk
-    that avoids the real axis.  ``index`` is the position in the root
-    ordering (by real part, then imaginary part, midpoints breaking the rare
-    unresolved tie)."""
+    Real roots carry an exact rational interval; nonreal roots carry an
+    integer disk (re, im, rad) at scale 2**``bits`` that avoids the real
+    axis.  ``index`` is the position in the root ordering (by real part,
+    then imaginary part, midpoints breaking the rare unresolved tie)."""
 
     poly: IntPoly
     index: int
     interval: RatInterval | None = None
-    disk: ComplexDisk | None = None
+    disk: tuple[int, int, int] | None = None
+    bits: int = 0
 
     @property
     def is_real(self) -> bool:
@@ -191,35 +72,38 @@ class RootEnclosure:
     def width(self) -> Fraction:
         if self.is_real:
             return self.interval.width
-        return 2 * self.disk.radius
-
-    def as_disk(self) -> ComplexDisk:
-        if self.is_real:
-            return ComplexDisk.from_interval(self.interval)
-        return self.disk
+        return Fraction(2 * self.disk[2], 1 << self.bits)
 
     def abs_interval(self) -> RatInterval:
         if self.is_real:
             return self.interval.abs()
-        return self.disk.abs_interval()
+        return _disk_abs(self.disk, self.bits)
 
     def re_interval(self) -> RatInterval:
-        return self.interval if self.is_real else self.disk.re_interval()
+        if self.is_real:
+            return self.interval
+        re, _, rad = self.disk
+        return RatInterval(Fraction(re - rad, 1 << self.bits),
+                           Fraction(re + rad, 1 << self.bits))
 
     def distance_interval(self, other: "RootEnclosure | RatInterval | Fraction") -> RatInterval:
-        """Certified |self - other|."""
-        if isinstance(other, RootEnclosure):
-            if self.is_real and other.is_real:
-                return (self.interval - other.interval).abs()
-            return (self.as_disk() - other.as_disk()).abs_interval()
-        if isinstance(other, RatInterval):
+        """Certified |self - other|: interval arithmetic when both are real,
+        else ``disk_sub`` at the finer scale of the two, where a real
+        interval is first rounded outward to that scale."""
+        if isinstance(other, RootEnclosure) and not other.is_real:
             if self.is_real:
-                return (self.interval - other).abs()
-            return (self.as_disk() - ComplexDisk.from_interval(other)).abs_interval()
-        q = Fraction(other)
+                return other.distance_interval(self.interval)
+            bits = max(self.bits, other.bits)
+            return _disk_abs(disk_sub(_rescaled(self.disk, self.bits, bits),
+                                      _rescaled(other.disk, other.bits, bits)), bits)
+        if isinstance(other, RootEnclosure):
+            other = other.interval
+        elif not isinstance(other, RatInterval):
+            other = RatInterval(Fraction(other))
         if self.is_real:
-            return (self.interval - RatInterval(q)).abs()
-        return (self.as_disk() - ComplexDisk.point(CRat.of(q))).abs_interval()
+            return (self.interval - other).abs()
+        point = _interval_disk(*_scaled_interval(other, 1 << self.bits))
+        return _disk_abs(disk_sub(self.disk, point), self.bits)
 
     def refine(self, width: Fraction) -> "RootEnclosure":
         """Enclosure of the same root with width <= ``width``."""
@@ -228,7 +112,8 @@ class RootEnclosure:
     def approx(self) -> complex:
         if self.is_real:
             return complex(float(self.interval.mid()), 0.0)
-        return complex(float(self.disk.center.re), float(self.disk.center.im))
+        one = 1 << self.bits
+        return complex(self.disk[0] / one, self.disk[1] / one)
 
 
 # -- Sturm machinery ---------------------------------------------------------
@@ -393,6 +278,10 @@ class _RootSystem:
             raise IsolationError(f"polynomial is not squarefree: {p}")
         self.poly = p
         self.base = self._order(isolate_real_roots(p))
+        # the upper conjugate of each disk below the real axis
+        upper = {e.disk[:2]: e.index for e in self.base if e.disk and e.disk[1] > 0}
+        self.conj = {e.index: upper[e.disk[0], -e.disk[1]]
+                     for e in self.base if e.disk and e.disk[1] < 0}
         # each root's enclosure, and the integer tables, by the width asked for
         self.memo = tuple({} for _ in self.base)
         self.tables: dict[Fraction, ScaledRoots] = {}
@@ -403,9 +292,11 @@ class _RootSystem:
         real-part range, so that its midpoint sorts where the root does; a
         real part shared with a nonreal root (a true tie) is left to the
         midpoint after ``_ORDER_BISECTIONS`` steps."""
-        disks = _certified_disks(self.poly, real)
-        spans = [d.re_interval() for d in disks]
-        items = [(d.center.re, d.center.im, None, d) for d in disks]
+        bits, disks = _certified_disks(self.poly, real)
+        one = 1 << bits
+        spans = [RatInterval(Fraction(re - rad, one), Fraction(re + rad, one))
+                 for re, _, rad in disks]
+        items = [(Fraction(d[0], one), Fraction(d[1], one), None, d) for d in disks]
         for iv in real:
             for _ in range(_ORDER_BISECTIONS):
                 if iv.width == 0 or not any(iv.intersects(s) for s in spans):
@@ -413,19 +304,27 @@ class _RootSystem:
                 iv = _bisect_to_width(self.poly, iv, iv.width / 2)
             items.append((iv.mid(), Fraction(0), iv, None))
         items.sort(key=lambda t: (t[0], t[1]))
-        return tuple(RootEnclosure(self.poly, i, interval=iv, disk=d)
+        return tuple(RootEnclosure(self.poly, i, interval=iv, disk=d, bits=bits)
                      for i, (_, _, iv, d) in enumerate(items))
 
     def refined(self, index: int, width: Fraction) -> RootEnclosure:
         """Root ``index`` refined to ``width``: a disk from the base disk, a
         real interval by bisecting on from the entry of the least width
-        above ``width``, which gives what bisecting the base interval gives."""
+        above ``width``, which gives what bisecting the base interval gives.
+        A disk below the real axis is the mirror of its conjugate's, since
+        rounding to a unit is not symmetric under negation."""
         memo = self.memo[index]
         out = memo.get(width)
         if out is None:
-            coarser = [w for w in memo if w > width and self.base[index].is_real]
-            start = memo[min(coarser)] if coarser else self.base[index]
-            out = memo[width] = _refine_enclosure(start, width)
+            if index in self.conj:
+                up = self.refined(self.conj[index], width)
+                re, im, rad = up.disk
+                out = RootEnclosure(self.poly, index, disk=(re, -im, rad), bits=up.bits)
+            else:
+                coarser = [w for w in memo if w > width and self.base[index].is_real]
+                out = _refine_enclosure(memo[min(coarser)] if coarser else self.base[index],
+                                        width)
+            memo[width] = out
         return out
 
     def scaled(self, width: Fraction) -> "ScaledRoots":
@@ -447,10 +346,19 @@ class ScaledRoots:
     [lo / 2**bits, hi / 2**bits], or a disk (re, im, rad), the complex
     numbers within rad / 2**bits of (re + i im) / 2**bits.  ``alpha[i]`` is
     root i's interval or disk; ``inverse[i]`` is the inverse interval of a
-    real root whose interval excludes 0, else the inverse of its disk, or
-    None when that disk may contain 0.  ``real[i]`` says whether root i is
-    real, and ``mirror[i]`` is the index of the root whose exact disk
-    center is the conjugate of root i's (None for a real root)."""
+    real root whose interval excludes 0, ``disk_div`` of the point 1 by a
+    nonreal root's disk, or None when that interval or disk may contain 0.
+    ``real[i]`` says whether root i is real, and ``mirror[i]`` is the index
+    of the root whose disk is the mirror image of root i's (None for a real
+    root).
+
+    Containment: interval ends are rounded down and up.  A disk is taken to
+    this scale by ``_rescaled``: shifted exactly from a coarser scale, and
+    from a finer one with its center rounded to the nearest unit, which
+    moves it by at most sqrt(2)/2 < 1 unit, and its radius rounded up plus
+    one unit, which covers that move.  The entries of a disk below the real
+    axis are the mirror images of its conjugate's, so mirror disks stay
+    exact mirrors although rounding to a unit is not symmetric."""
 
     __slots__ = ("bits", "real", "alpha", "inverse", "mirror")
 
@@ -458,44 +366,64 @@ class ScaledRoots:
         self.bits = (width.denominator // width.numerator).bit_length() + 32
         one = 1 << self.bits
         self.real = [e.is_real for e in encl]
-        self.alpha, self.inverse, self.mirror = [], [], []
-        for e in encl:
-            iv = e.interval
-            self.alpha.append(_scaled_interval(iv, one) if e.is_real
-                              else _scaled_disk(e.disk, one))
-            if e.is_real and iv.lo * iv.hi > 0:
-                self.inverse.append(_scaled_interval(iv.inverse(), one))
-            else:
+        self.mirror = [None if e.is_real else next(
+            o.index for o in encl if o.disk == (e.disk[0], -e.disk[1], e.disk[2]))
+            for e in encl]
+        self.alpha, self.inverse = [None] * len(encl), [None] * len(encl)
+        for e, j in zip(encl, self.mirror):
+            i = e.index
+            if e.is_real:
+                self.alpha[i] = _scaled_interval(e.interval, one)
+                if e.interval.lo * e.interval.hi > 0:
+                    self.inverse[i] = _scaled_interval(e.interval.inverse(), one)
+            elif e.disk[1] > 0:
+                a = _rescaled(e.disk, e.bits, self.bits)
+                self.alpha[i], self.alpha[j] = a, (a[0], -a[1], a[2])
                 try:
-                    self.inverse.append(_scaled_disk(e.as_disk().inverse(), one))
+                    inv = disk_div((one, 0, 0), a, self.bits)
                 except ZeroDivisionError:
-                    self.inverse.append(None)
-            self.mirror.append(None if e.is_real else next(
-                (o.index for o in encl if not o.is_real
-                 and o.disk.center == e.disk.center.conj()), None))
+                    continue
+                self.inverse[i], self.inverse[j] = inv, (inv[0], -inv[1], inv[2])
 
     def disks(self) -> list[tuple[int, int, int]]:
         """Every root's enclosure as a disk (re, im, rad): a real root's
         interval (lo, hi) becomes the disk around its rounded-down midpoint."""
-        return [((a[0] + a[1]) >> 1, 0, (a[1] - a[0] + 1) >> 1) if real else a
-                for real, a in zip(self.real, self.alpha)]
+        return [_interval_disk(*a) if real else a for real, a in zip(self.real, self.alpha)]
 
 
 def _scaled_interval(iv: RatInterval, one: int) -> tuple[int, int]:
     return floor(iv.lo * one), ceil(iv.hi * one)
 
 
-def _scaled_disk(disk: ComplexDisk, one: int) -> tuple[int, int, int]:
-    # the rounded center moves by at most sqrt(2)/2 < 1 unit, so one more
-    # unit of radius keeps the whole exact disk inside
-    c = disk.center
-    return round(c.re * one), round(c.im * one), ceil(disk.radius * one) + 1
+def _interval_disk(lo: int, hi: int) -> tuple[int, int, int]:
+    """The integer disk around the rounded-down midpoint of [lo, hi] that
+    holds the whole interval."""
+    return (lo + hi) >> 1, 0, (hi - lo + 1) >> 1
+
+
+def _rescaled(disk: tuple[int, int, int], bits: int, to: int) -> tuple[int, int, int]:
+    """The integer disk at scale 2**bits taken to the scale 2**to: shifted
+    exactly when ``to`` is finer, else coarsened outward (``ScaledRoots``)."""
+    re, im, rad = disk
+    if to >= bits:
+        return re << (to - bits), im << (to - bits), rad << (to - bits)
+    n = 1 << (bits - to)
+    return _round_div(re, n), _round_div(im, n), -(-rad // n) + 1
+
+
+def _disk_abs(disk: tuple[int, int, int], bits: int) -> RatInterval:
+    """|z| over the integer disk at scale 2**bits: |center| from ``isqrt``
+    of its square, rounded down and up, less and plus the radius."""
+    re, im, rad = disk
+    n = re * re + im * im
+    return RatInterval(Fraction(max(0, isqrt(n) - rad), 1 << bits),
+                       Fraction(_isqrt_up(n) + rad, 1 << bits))
 
 
 # -- integer disk arithmetic ---------------------------------------------------
 #
-# An integer disk (re, im, rad) at scale 2**bits, as in ``ScaledRoots``, is
-# the closed disk of radius rad / 2**bits around (re + i im) / 2**bits.  Each
+# An integer disk (re, im, rad) at scale 2**bits, as in ``RootEnclosure`` and
+# ``ScaledRoots``, is the closed disk of radius rad / 2**bits around (re + i im) / 2**bits.  Each
 # operation's docstring says why its result holds every result of the exact
 # operation on points of its operands.
 
@@ -555,11 +483,20 @@ def disk_disjoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     return dr * dr + di * di > s * s
 
 
-def _certified_disks(p: IntPoly, real_ivs: list[RatInterval]) -> list[ComplexDisk]:
-    """Certified disks for the nonreal roots of squarefree p."""
+def _disk_within(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """True when disk a lies inside disk b (an exact integer comparison)."""
+    dr, di, room = a[0] - b[0], a[1] - b[1], b[2] - a[2]
+    return room >= 0 and dr * dr + di * di <= room * room
+
+
+def _certified_disks(p: IntPoly, real_ivs: list[RatInterval]
+                     ) -> tuple[int, list[tuple[int, int, int]]]:
+    """(b, disks): certified integer disks at scale 2**b for the nonreal
+    roots of squarefree p, those above the real axis first, then their
+    mirrors in the same order."""
     n_complex = p.degree - len(real_ivs)
     if n_complex == 0:
-        return []
+        return 0, []
     if n_complex % 2:
         raise IsolationError("nonreal root count must be even")
     deriv = p.derivative()
@@ -567,24 +504,22 @@ def _certified_disks(p: IntPoly, real_ivs: list[RatInterval]) -> list[ComplexDis
         seeds = [z for z in _numeric_seeds(p, 120 << attempt) if mpmath.im(z) > 0]
         if len(seeds) != n_complex // 2:
             continue
-        disks: list[ComplexDisk] = []
-        ok = True
-        # centers keep 53 << attempt bits of the seeds: short fractions at
-        # the first attempt, and closer seeds at every retry
-        center_bits = 53 << attempt
-        for z in seeds:
-            c = CRat(_dyadic(mpmath.re(z), center_bits),
-                     _dyadic(mpmath.im(z), center_bits))
-            disk = _containment_disk(p, deriv, c)
-            if disk is None or disk.center.im - disk.radius <= 0:
-                ok = False
+        # centers keep 53 << attempt bits of the seeds: short at the first
+        # attempt, and closer seeds at every retry; the scale holds every
+        # center exactly, with 32 more bits for the radii
+        centers = [(_dyadic(mpmath.re(z), 53 << attempt), _dyadic(mpmath.im(z), 53 << attempt))
+                   for z in seeds]
+        bits = max(q.denominator.bit_length() for c in centers for q in c) + 31
+        disks = []
+        for x, y in centers:
+            re, im = int(x * (1 << bits)), int(y * (1 << bits))
+            got = _newton(p, deriv, re, im, bits)
+            if got is None or im <= got[0]:
                 break
-            disks.append(disk)
-        if not ok:
-            continue
-        mirrored = disks + [ComplexDisk(d.center.conj(), d.radius) for d in disks]
-        if _all_disjoint(mirrored, real_ivs):
-            return mirrored
+            disks.append((re, im, got[0]))
+        else:
+            if all(disk_disjoint(a, b) for a, b in combinations(disks, 2)):
+                return bits, disks + [(re, -im, rad) for re, im, rad in disks]
     raise PrecisionError(f"could not certify nonreal roots of {p}")
 
 
@@ -606,31 +541,30 @@ def _dyadic(x, bits: int) -> Fraction:
     return _mpf_tuple_to_fraction(mpf_pos(v, bits, "n"))
 
 
-def _containment_disk(p: IntPoly, deriv: IntPoly, c: CRat) -> ComplexDisk | None:
-    """Disk around c certified to contain >= 1 root of p (log-derivative
-    bound): radius = deg(p) |p(c)| / |p'(c)| rounded up."""
-    pc = eval_crat(p, c)
-    dc = eval_crat(deriv, c)
-    d2 = dc.abs2()
-    if d2 == 0:
+def _horner(p: IntPoly, re: int, im: int, bits: int) -> tuple[int, int]:
+    """2**(bits deg p) p(z) at z = (re + i im) / 2**bits, exactly: the
+    pair (real part, imaginary part) of integers."""
+    ar = ai = 0
+    for k, c in enumerate(reversed(p.coeffs)):
+        ar, ai = ar * re - ai * im + (c << bits * k), ar * im + ai * re
+    return ar, ai
+
+
+def _newton(p: IntPoly, deriv: IntPoly, re: int, im: int, bits: int
+            ) -> tuple[int, int, int] | None:
+    """(rad, step re, step im) at z = (re + i im) / 2**bits, None when
+    p'(z) = 0.  With P and D the integers ``_horner`` gives for p(z) and
+    p'(z), rad is the least integer with rad**2 |D|**2 >= deg(p)**2 |P|**2,
+    so the disk of radius rad / 2**bits around z contains a root of p
+    (log-derivative bound); the Newton step p(z) / p'(z) is
+    P conj(D) / |D|**2 units, each part rounded to the nearest unit."""
+    pr, pi = _horner(p, re, im, bits)
+    dr, di = _horner(deriv, re, im, bits)
+    n = dr * dr + di * di
+    if n == 0:
         return None
-    rho2 = Fraction(p.degree ** 2) * pc.abs2() / d2
-    return ComplexDisk(c, sqrt_up(rho2))
-
-
-def _all_disjoint(disks: list[ComplexDisk], real_ivs: list[RatInterval]) -> bool:
-    for i in range(len(disks)):
-        if abs(disks[i].center.im) <= disks[i].radius:
-            return False
-        for j in range(i + 1, len(disks)):
-            if not disks[i].disjoint_from(disks[j]):
-                return False
-    # disks avoid the real axis, so they cannot meet real intervals
-    for i in range(len(real_ivs)):
-        for j in range(i + 1, len(real_ivs)):
-            if real_ivs[i].intersects(real_ivs[j]):
-                return False
-    return True
+    rad = _isqrt_up(-(-p.degree ** 2 * (pr * pr + pi * pi) // n))
+    return rad, _round_div(pr * dr + pi * di, n), _round_div(pi * dr - pr * di, n)
 
 
 # root systems by coefficient tuple, least recently used first; past
@@ -672,37 +606,31 @@ def _refine_enclosure(e: RootEnclosure, width: Fraction) -> RootEnclosure:
     if e.is_real:
         return RootEnclosure(e.poly, e.index,
                              interval=_bisect_to_width(e.poly, e.interval, width))
-    disk = _refine_disk(e.poly, e.disk, width)
-    return RootEnclosure(e.poly, e.index, disk=disk)
+    disk, bits = _refine_disk(e.poly, e.disk, e.bits, width)
+    return RootEnclosure(e.poly, e.index, disk=disk, bits=bits)
 
 
-def _refine_disk(p: IntPoly, disk: ComplexDisk, width: Fraction) -> ComplexDisk:
-    """Newton iteration from the disk center with exact validation; each
-    accepted step must stay inside the previous certified disk."""
+def _refine_disk(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
+                 ) -> tuple[tuple[int, int, int], int]:
+    """Newton iteration on integer disks at scale 2**b, b = bits(1/width)
+    plus 72 guard bits (or ``bits`` if finer), from a disk that holds
+    exactly one root.  A step is accepted when its certified disk lies inside
+    that starting disk, so it holds the same root."""
     deriv = p.derivative()
-    cur = disk
-    bits = max(64, 2 * _bits_of(width))
+    b = max(bits, _bits_of(width) + 64)
+    start = _rescaled(disk, bits, b)
+    re, im, rad = start
+    got = _newton(p, deriv, re, im, b)
     for _ in range(64):
-        if 2 * cur.radius <= width:
-            return cur
-        c = cur.center
-        dc = eval_crat(deriv, c)
-        if dc.abs2() == 0:
+        if 2 * rad * width.denominator <= width.numerator << b:
+            return (re, im, rad), b
+        if got is None:
             break
-        step = eval_crat(p, c) * dc.inverse()
-        nxt_center = CRat(_round_dyadic(c.re - step.re, bits),
-                          _round_dyadic(c.im - step.im, bits))
-        nxt = _containment_disk(p, deriv, nxt_center)
-        if nxt is None:
+        re, im = re - got[1], im - got[2]
+        got = _newton(p, deriv, re, im, b)
+        if got is None or not _disk_within((re, im, got[0]), start):
             break
-        if cur.contains_disk(nxt) or nxt.radius < cur.radius / 2:
-            # same root: the new disk intersects the old (both contain it)
-            if not nxt.disjoint_from(cur):
-                cur = nxt
-                continue
-        break
-    if 2 * cur.radius <= width:
-        return cur
+        rad = got[0]
     raise PrecisionError("disk refinement stalled; raise seed precision")
 
 
@@ -710,11 +638,6 @@ def _bits_of(width: Fraction) -> int:
     if width >= 1:
         return 8
     return int(Fraction(width.denominator, width.numerator)).bit_length() + 8
-
-
-def _round_dyadic(q: Fraction, bits: int) -> Fraction:
-    scaled = q * (1 << bits)
-    return Fraction(round(scaled), 1 << bits)
 
 
 # -- derived quantities ---------------------------------------------------------

@@ -15,11 +15,9 @@ from fractions import Fraction
 from .algnum import (AlgNum, PowerBasisRep, c8, c9, denominator_scalar,
                      power_rep, _power_tables)
 from .intpoly import IntPoly, RatPoly, poly_gcd_q
-from .isolation import eval_on_disk
 from .linalg import integer_kernel, kernel_vectors_up_to
 from .padic import PadicAlgNum, padic_abs_poly
-from .rounding import (RatInterval, pow_half_integer_up, pow_up, tidy_down,
-                       tidy_up)
+from .rounding import pow_half_integer_up, pow_up, tidy_down, tidy_up
 
 
 class PairError(ValueError):
@@ -274,23 +272,21 @@ def c12_closed_form(alpha: AlgNum, beta: AlgNum, denom_scalar: int) -> Fraction:
 
 
 def c13(alpha: AlgNum, pair: MinimalPair) -> Fraction:
-    """Positive lower bound on |W(alpha)|: the larger of the certified
-    enclosure floor and the norm-form closed bound."""
+    """Positive lower bound on |W(alpha)|: for a real alpha the larger of
+    the certified enclosure floor and the norm-form closed bound, for a
+    nonreal alpha the closed bound."""
     w = pair.wronskian()
     if w.is_zero:
         raise PairError("Wronskian vanishes identically")
     encl_branch = Fraction(0)
-    width = Fraction(1, 10 ** 15)
-    for _ in range(6):
-        enc = alpha.enclosure(width)
-        if enc.is_real:
-            img = w.eval_at(RatInterval(enc.interval.lo, enc.interval.hi)).abs()
-        else:
-            img = eval_on_disk(w, enc.disk).abs_interval()
-        if img.lo > 0:
-            encl_branch = tidy_down(img.lo)
-            break
-        width /= 10 ** 8
+    if alpha.is_real:
+        width = Fraction(1, 10 ** 15)
+        for _ in range(6):
+            img = w.eval_at(alpha.enclosure(width).interval).abs()
+            if img.lo > 0:
+                encl_branch = tidy_down(img.lo)
+                break
+            width /= 10 ** 8
     return max(encl_branch, c13_formula(alpha, Fraction(pair.height_bound),
                                         alpha.mahler_interval().hi))
 

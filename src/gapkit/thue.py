@@ -183,13 +183,13 @@ def legendre_height(f: BinForm, m: int, c10: Fraction) -> int:
     it never loses a solution."""
     d = f.degree
     height = root_up(2 * c10 * m, d - 2)
-    disks = [e.disk for e in isolate_roots(normalize_minimal_poly(f.dehomogenize()))
-             if not e.is_real]
-    if disks:
+    nonreal = [e for e in isolate_roots(normalize_minimal_poly(f.dehomogenize()))
+               if not e.is_real]
+    if nonreal:
         # |Im alpha| >= |Im c| - r on the disk D(c, r), and
         # |Im alpha^{-1}| = |Im alpha| / |alpha|**2
-        iota = min((abs(disk.center.im) - disk.radius)
-                   / max(1, disk.abs_interval().hi) ** 2 for disk in disks)
+        iota = min(Fraction(abs(e.disk[1]) - e.disk[2], 1 << e.bits)
+                   / max(1, e.abs_interval().hi) ** 2 for e in nonreal)
         height = max(height, root_up(c10 * m / iota, d))
     return max(1, floor(height))
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from gapkit.algnum import normalize_minimal_poly
 from gapkit.binforms import BinForm
-from gapkit.isolation import ComplexDisk, CRat, isolate_roots
+from gapkit.isolation import RootEnclosure, isolate_roots
+from gapkit.rounding import RatInterval, sqrt_down, sqrt_up
 from gapkit.thue import Solution
 
 
@@ -21,15 +22,27 @@ def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction) -> bool:
             if sol.y != 0:
                 di = e.distance_interval(Fraction(sol.x, sol.y))
                 best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
-            if sol.x != 0:
-                try:
-                    disk = e.as_disk().inverse()
-                    point = ComplexDisk.point(CRat.of(Fraction(sol.y, sol.x)))
-                    di = (disk - point).abs_interval()
-                    best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
-                except ZeroDivisionError:
-                    pass
+            di = inverse_distance(e, Fraction(sol.y, sol.x)) if sol.x != 0 else None
+            if di is not None:
+                best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
         if best_hi is not None and best_hi <= rhs:
             return True
         width /= 10 ** 8
     return False
+
+
+def inverse_distance(e: RootEnclosure, q: Fraction) -> RatInterval | None:
+    """Certified |1/alpha - q| for the root alpha in the enclosure e, None
+    when the enclosure may hold 0.  A real interval is read as the disk
+    around its midpoint; a disk D(c, r) with |c| > r has the exact image
+    D(conj(c) / (|c|**2 - r**2), r / (|c|**2 - r**2)) under z -> 1/z."""
+    if e.is_real:
+        c, r = (e.interval.mid(), Fraction(0)), e.interval.width / 2
+    else:
+        one = 1 << e.bits
+        c, r = (Fraction(e.disk[0], one), Fraction(e.disk[1], one)), Fraction(e.disk[2], one)
+    den = c[0] ** 2 + c[1] ** 2 - r * r
+    if den <= 0:
+        return None
+    d2 = (c[0] / den - q) ** 2 + (c[1] / den) ** 2
+    return RatInterval(max(Fraction(0), sqrt_down(d2) - r / den), sqrt_up(d2) + r / den)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gapkit.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -231,3 +237,25 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "not a fraction" in capsys.readouterr().err
+
+
+# more than a pipe holds (64 KiB), so the writer is still writing when the
+# reader goes: the Shanks cubic at m = 100000 has 4,721 solutions of height
+# at most 400, about 210 kB of JSON and 150 kB of CSV
+@pytest.mark.parametrize("argv, first", [
+    (["thue", "enum", "x^3 - 3*x*y^2 - y^3", "100000", "400"], b"{\n"),
+    (["thue", "census", "x^3 - 3*x*y^2 - y^3", "100000", "--mu", "11/4",
+      "--box", "400", "--format", "csv"], b"x,y,F,H,rootIndex,side,orbitId\r\n"),
+])
+def test_closed_stdout_is_a_quiet_exit(argv, first):
+    # block-buffered stdout, as in a terminal session: with PYTHONUNBUFFERED
+    # set, a write that the closed pipe cuts short is dropped without error
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen([sys.executable, "-m", "gapkit.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")

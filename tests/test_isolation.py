@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gapkit import isolation
 from gapkit.intpoly import IntPoly, is_squarefree, poly_gcd_q
-from gapkit.isolation import (CRat, ComplexDisk, IsolationError, disk_disjoint,
-                              disk_div, disk_mul, disk_sub, house,
+from gapkit.isolation import (IsolationError, disk_disjoint, disk_div,
+                              disk_mul, disk_sub, house,
                               isolate_roots, mahler_measure,
                               root_separation_lower_bound, sturm_chain,
                               count_real_roots)
@@ -57,7 +57,7 @@ def test_cubic_three_real_roots():
 def test_complex_pair():
     encl = isolate_roots(IntPoly((1, 0, 1)))
     assert all(not e.is_real for e in encl)
-    assert encl[0].disk.center.im < 0 < encl[1].disk.center.im
+    assert encl[0].disk[1] < 0 < encl[1].disk[1]
     one = encl[1].abs_interval()
     assert one.lo <= 1 <= one.hi
 
@@ -78,7 +78,8 @@ def test_refinement_never_loses_root():
         if c.is_real:
             assert c.interval.intersects(f.interval)
         else:
-            assert not f.disk.disjoint_from(c.disk)
+            shift = f.bits - c.bits
+            assert not disk_disjoint(f.disk, tuple(v << shift for v in c.disk))
 
 
 def test_sturm_counts():
@@ -171,8 +172,8 @@ def test_lone_real_root_ordered_by_real_part():
     # real root's Sturm interval is the whole Cauchy range [-3, 3]
     encl = isolate_roots(IntPoly((3, 4, 2, 2)))
     assert [e.is_real for e in encl] == [True, False, False]
-    assert encl[0].interval.hi < encl[1].disk.re_interval().lo
-    assert encl[1].disk.center.im < 0 < encl[2].disk.center.im
+    assert encl[0].interval.hi < encl[1].re_interval().lo
+    assert encl[1].disk[1] < 0 < encl[2].disk[1]
 
 
 def test_root_systems_bounded_lru(monkeypatch):
@@ -198,7 +199,7 @@ def test_root_systems_bounded_lru(monkeypatch):
 def _enclosure_key(e):
     if e.is_real:
         return e.index, e.interval.lo, e.interval.hi
-    return e.index, e.disk.center, e.disk.radius
+    return e.index, e.disk, e.bits
 
 
 def _fresh_view(p, width):
@@ -239,36 +240,97 @@ def test_roots_closer_than_double_precision_certify():
         roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=400,
                                  extraprec=400)
         assert min(abs(a - b) for a in roots for b in roots if a != b) < mpmath.mpf(2) ** -60
-        def mpf(q: Fraction):
-            return mpmath.mpf(q.numerator) / q.denominator
-
         for e in encl:
-            c = mpmath.mpc(mpf(e.disk.center.re), mpf(e.disk.center.im))
-            assert sum(abs(r - c) < mpf(e.disk.radius) for r in roots) == 1
+            one = mpmath.mpf(2) ** e.bits
+            c = mpmath.mpc(e.disk[0], e.disk[1]) / one
+            assert sum(abs(r - c) < e.disk[2] / one for r in roots) == 1
 
 
-# -- integer disks against ComplexDisk arithmetic -------------------------------
+def _mirror(disk):
+    return disk[0], -disk[1], disk[2]
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=7),
+       st.integers(min_value=1, max_value=40))
+# x^2 + 4^112 + 1: the roots are +-i (2^112 + 2^-113 - ...), so the seeds are
+# +-i 2^112 exactly, and at width 10^-12 (112 bits) the first Newton step is
+# exactly half a unit, where rounding each disk to the nearest unit on its
+# own would break the mirror
+@example([4 ** 112 + 1, 0, 1], 12)
+@example([3, 4, 2, 2], 30)
+@settings(max_examples=30, deadline=None)
+def test_conjugate_disks_are_mirrors_and_hold_their_roots(coeffs, digits):
+    p = IntPoly(coeffs)
+    assume(p.degree >= 2 and is_squarefree(p))
+    assume(p.degree > len(isolation.isolate_real_roots(p)))
+    for width in (Fraction(1, 10 ** digits), Fraction(1, 10 ** (2 * digits + 20))):
+        encl = isolate_roots(p, width)
+        disks = {(e.disk, e.bits) for e in encl if not e.is_real}
+        assert all((_mirror(d), b) in disks for d, b in disks)
+        table = isolation.root_system(p).scaled(width)
+        for i, j in enumerate(table.mirror):
+            if j is not None:
+                assert table.alpha[j] == _mirror(table.alpha[i])
+                assert table.inverse[j] == (table.inverse[i] and _mirror(table.inverse[i]))
+        # 60 digits beyond the width and the size of the roots
+        with mpmath.workdps(60 + 2 * digits + 20 + len(str(max(map(abs, coeffs))))):
+            roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=400,
+                                     extraprec=1000)
+            for e in encl:
+                if not e.is_real:
+                    one = mpmath.mpf(2) ** e.bits
+                    c = mpmath.mpc(e.disk[0], e.disk[1]) / one
+                    assert sum(abs(r - c) <= e.disk[2] / one for r in roots) == 1
+
+
+# -- integer disks against exact complex arithmetic ------------------------------
 
 _coord = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
 _disk = st.tuples(_coord, _coord, st.integers(min_value=0, max_value=2 ** 60))
 
 
-def _as_complex_disk(a, bits):
+def _points(a, bits):
+    """The center of the integer disk a and its boundary points
+    c + r (+-3 +-4i) / 5, as exact (re, im) Fraction pairs."""
+    den = 5 << bits
+    return [(Fraction(5 * a[0] + u * a[2], den), Fraction(5 * a[1] + v * a[2], den))
+            for u, v in ((0, 0), (3, 4), (3, -4), (-3, 4), (-3, -4))]
+
+
+def _inside(z, a, bits):
     one = 1 << bits
-    return ComplexDisk(CRat(Fraction(a[0], one), Fraction(a[1], one)), Fraction(a[2], one))
+    return (z[0] * one - a[0]) ** 2 + (z[1] * one - a[1]) ** 2 <= a[2] ** 2
+
+
+def _sub(z, w):
+    return z[0] - w[0], z[1] - w[1]
+
+
+def _mul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _div(z, w):
+    n = w[0] ** 2 + w[1] ** 2
+    return _mul(z, (w[0] / n, -w[1] / n))
 
 
 @given(_disk, _disk, st.integers(min_value=1, max_value=96))
 @settings(max_examples=200, deadline=None)
 def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
-    x, y = _as_complex_disk(a, bits), _as_complex_disk(b, bits)
-    assert _as_complex_disk(disk_sub(a, b), bits).contains_disk(x - y)
-    assert _as_complex_disk(disk_mul(a, b, bits), bits).contains_disk(x * y)
-    assert disk_disjoint(a, b) == x.disjoint_from(y)
+    # closed disks meet exactly when the point dividing the centers' segment
+    # in the ratio r1 : r2 lies in both
+    t = Fraction(a[2], a[2] + b[2]) if a[2] + b[2] else Fraction(0)
+    one = 1 << bits
+    witness = (Fraction(a[0] + t * (b[0] - a[0]), one), Fraction(a[1] + t * (b[1] - a[1]), one))
+    assert disk_disjoint(a, b) == (not (_inside(witness, a, bits) and _inside(witness, b, bits)))
+    pairs = [(z, w) for z in _points(a, bits) for w in _points(b, bits)]
+    assert all(_inside(_sub(z, w), disk_sub(a, b), bits) for z, w in pairs)
+    assert all(_inside(_mul(z, w), disk_mul(a, b, bits), bits) for z, w in pairs)
     try:
         q = disk_div(a, b, bits)
     except ZeroDivisionError:
         # only when the divisor's center is within rad + 1 units of 0
         assert b[0] ** 2 + b[1] ** 2 < (b[2] + 1) ** 2
         return
-    assert _as_complex_disk(q, bits).contains_disk(x / y)
+    assert all(_inside(_div(z, w), q, bits) for z, w in pairs)

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from gapkit.algnum import AlgNum, power_rep
+from gapkit.algnum import AlgNum, PowerBasisRep, power_rep
 from gapkit.intpoly import IntPoly
 from gapkit.linalg import kernel_vectors_up_to, rational_rank
-from gapkit.minpair import (PairError, build_system, c12, c12_closed_form, c13,
-                            c14, find_pair, verify_pair, wronskian)
+from gapkit.minpair import (MinimalPair, PairError, build_system, c12,
+                            c12_closed_form, c13, c13_formula, c14, find_pair,
+                            verify_pair, wronskian)
 from gapkit.padic import hensel_root
 from tests.conftest import CUBIC, QUARTIC
 
@@ -166,6 +168,24 @@ def test_c13_enclosure_beats_formula(alpha15, beta15):
 
     assert c13_formula(alpha15, Fraction(pair1.height_bound),
                        alpha15.mahler_interval().hi) < v  # enclosure branch won
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_c13_of_a_nonreal_alpha_is_the_closed_bound(index):
+    # the nonreal roots of x^3 - 2, with the pair (P2, Q2): C13 is the
+    # closed norm-form bound, which still lies below |W(alpha)|
+    alpha = AlgNum.make(IntPoly((-2, 0, 0, 1)), index)
+    assert not alpha.is_real
+    pair = MinimalPair(alpha, alpha, PowerBasisRep(alpha, alpha, (0, 1, 0)),
+                       P2, Q2, 2, "exact")
+    v = c13(alpha, pair)
+    assert v == c13_formula(alpha, Fraction(pair.height_bound),
+                            alpha.mahler_interval().hi)
+    with mpmath.workdps(60):
+        z = min(mpmath.polyroots([1, 0, 0, -2], maxsteps=200, extraprec=200),
+                key=lambda r: abs(r - alpha.enclosure().approx()))
+        w = abs(sum(c * z ** k for k, c in enumerate(wronskian(P2, Q2).coeffs)))
+        assert 0 < mpmath.mpf(v.numerator) / v.denominator <= w
 
 
 def test_c14_exact_branch(alpha_cubic, beta_cubic):

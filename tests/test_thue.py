@@ -21,7 +21,7 @@ from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
 from gapkit.minpair import c12_closed_form, c13_formula
 from gapkit.rounding import (RatInterval, compact_str, pow_half_integer_up, pow_up,
                              sqrt_up, tidy_up)
-from tests.lewis_mahler import lewis_mahler_check
+from tests.lewis_mahler import inverse_distance, lewis_mahler_check
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
 # forms with a solution above their Legendre height H0 at m, so that the
@@ -190,19 +190,19 @@ def _exact_assign_root(f: BinForm, sol: Solution, budget: int = 5):
             if sol.y != 0:
                 cands.append((e.distance_interval(Fraction(sol.x, sol.y)), e, "alpha"))
             if sol.x != 0:
-                target = isolation.ComplexDisk.point(isolation.CRat.of(Fraction(sol.y, sol.x)))
+                target = Fraction(sol.y, sol.x)
                 if e.is_real and e.interval.lo * e.interval.hi > 0:
-                    dist = (e.interval.inverse() - target.center.re).abs()
+                    dist = (e.interval.inverse() - target).abs()
                 else:
-                    try:
-                        dist = (e.as_disk().inverse() - target).abs_interval()
-                    except ZeroDivisionError:
+                    dist = inverse_distance(e, target)
+                    if dist is None:
                         continue
                 cands.append((dist, e, "alpha_inv"))
         best = min(cands, key=lambda c: c[0].hi)
         rivals = [c for c in cands if c is not best and c[0].lo < best[0].hi]
         ties = [c for c in rivals if c[2] == best[2] and not c[1].is_real
-                and not best[1].is_real and c[1].disk.center == best[1].disk.center.conj()]
+                and not best[1].is_real
+                and c[1].disk == (best[1].disk[0], -best[1].disk[1], best[1].disk[2])]
         pick = min([best] + (ties if len(ties) == len(rivals) else rivals),
                    key=lambda c: (not c[1].is_real, c[1].index, c[2] != "alpha"))
         if len(ties) == len(rivals):
