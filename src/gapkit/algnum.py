@@ -5,6 +5,13 @@ polynomial is irreducible over Q, primitive, with positive leading
 coefficient, and the index selects one certified root enclosure (roots
 ordered by real part, then imaginary part).
 
+Irreducibility is certified on the package's own exact arithmetic
+(``is_irreducible``): factor degrees modulo small primes, then, for the
+factor sizes those leave open, the elementary symmetric functions of root
+sets on integer disks, which must hold integers, and exact division.  No
+verdict comes from floating point; when the disks cannot decide within
+their refinement budget, the test abstains (``PrecisionError``, exit 3).
+
 The module also houses the power-basis machinery for beta in Q(alpha):
 exact reduction tables, the coefficient-size constants, the denominator
 scalar that replaces the ring index, and the explicit Liouville constant.
@@ -14,14 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, lcm
 
 import mpmath
-import sympy
 
-from .intpoly import IntPoly, RatPoly, discriminant_poly
-from .isolation import (PrecisionError, RootEnclosure, house, isolate_roots,
-                        mahler_measure, root_enclosure)
+from .intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
+                      is_squarefree)
+from .isolation import (PrecisionError, RootEnclosure, disk_elementary,
+                        disk_holds_integer, house, isolate_roots, mahler_measure,
+                        root_enclosure, root_system)
 from .rounding import RatInterval, tidy_down, tidy_up
 
 
@@ -29,13 +38,81 @@ class NotInFieldError(ValueError):
     """beta admits no power-basis representation over the given alpha."""
 
 
-_X = sympy.Symbol("x")
+# the primes whose factor degrees ``is_irreducible`` intersects, and the most
+# conjugation-closed root sets it tests before it abstains
+_SIEVE_PRIMES = 10
+_SUBSET_BUDGET = 4096
 
 
 def is_irreducible(p: IntPoly) -> bool:
+    """Whether p is irreducible over Q.  Its content is ignored; below
+    degree 1, and when p has a repeated factor, the answer is False.
+
+    Let f be the primitive part of p, of degree d and leading coefficient
+    a.  A factor of f over Z has a degree that, modulo each prime dividing
+    neither a nor disc f, is a sum of factor degrees there
+    (``factor_degree_sieve``, on ``_SIEVE_PRIMES`` primes): when no degree
+    1 <= k < d survives, f is irreducible.  Otherwise each
+    conjugation-closed set S of roots of a surviving size k <= d/2 is
+    tested on the integer disks of ``root_system``.  If S is the root set
+    of a factor, every a e_j(S) is an integer (Gauss's lemma), so a disk
+    of some a e_j(S) that holds no integer excludes S.  A set that no disk
+    excludes gives a candidate factor, a prod (x - r) over S with each
+    coefficient the integer nearest its disk, and exact division decides
+    it: if it divides f, f is reducible.  Otherwise the set is tried again
+    on disks refined 10**20 times narrower.  The certificate is the
+    excluding disk of every set, or the exact quotient; no verdict comes
+    from floating point.  The test abstains with ``PrecisionError`` (exit
+    3) when a set is still undecided after five widths, or when more than
+    ``_SUBSET_BUDGET`` sets would have to be tried.
+    """
     if p.degree < 1:
         return False
-    return sympy.Poly(list(reversed(p.coeffs)), _X).is_irreducible
+    f = normalize_minimal_poly(p)
+    if not is_squarefree(f):
+        return False
+    sizes = {k for k in factor_degree_sieve(f, _SIEVE_PRIMES) if 2 * k <= f.degree}
+    if not sizes:
+        return True
+    system, a = root_system(f), f.lead
+    width = Fraction(1, 10 ** 20)
+    todo = _closed_root_sets(system.scaled(width).mirror, sizes)
+    for _ in range(5):
+        table = system.scaled(width)
+        disks, bits = table.disks(), table.bits
+        undecided = []
+        for roots in todo:
+            e = [(a * re, a * im, a * rad)
+                 for re, im, rad in disk_elementary([disks[i] for i in roots], bits)]
+            if not all(disk_holds_integer(ej, bits) for ej in e):
+                continue
+            g = IntPoly(reversed([a] + [(-1) ** j * ((ej[0] + (1 << (bits - 1))) >> bits)
+                                        for j, ej in enumerate(e, 1)]))
+            if RatPoly.from_intpoly(f).divmod(RatPoly.from_intpoly(g))[1].is_zero:
+                return False
+            undecided.append(roots)
+        if not undecided:
+            return True
+        todo, width = undecided, width / 10 ** 20
+    raise PrecisionError(f"irreducibility of {f} undecided at budget")
+
+
+def _closed_root_sets(mirror: list[int | None], sizes: set[int]) -> list[list[int]]:
+    """The root index sets closed under conjugation (``mirror``) whose
+    sizes are in ``sizes``, smallest unions first; of a set of size d/2 and
+    its complement, only the one holding root 0."""
+    d = len(mirror)
+    units = [(i,) if j is None else (i, j) for i, j in enumerate(mirror)
+             if j is None or i < j]
+    out = []
+    for r in range(1, max(sizes) + 1):
+        for pick in combinations(units, r):
+            roots = [i for unit in pick for i in unit]
+            if len(roots) in sizes and (2 * len(roots) < d or 0 in roots):
+                out.append(roots)
+                if len(out) > _SUBSET_BUDGET:
+                    raise PrecisionError(f"more than {_SUBSET_BUDGET} root sets to test")
+    return out
 
 
 def normalize_minimal_poly(p: IntPoly) -> IntPoly:

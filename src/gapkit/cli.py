@@ -101,9 +101,24 @@ def _pair(text: str) -> ApproxPair:
     return ApproxPair.reduced(int(x), int(y))
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full.  Unbuffered (PYTHONUNBUFFERED), stdout
+    writes straight to a raw file, which may take only part of a long write
+    and return the count taken; the rest is written until none is left, so
+    a reader that closed the pipe raises BrokenPipeError here."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if raw is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _emit(payload: dict, fmt: str = "json") -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        _write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
     else:
         for k, v in payload.items():
             print(f"{k}: {v}")
@@ -173,7 +188,7 @@ def cmd_thue_census(args) -> int:
     problem = ThueProblem(parse_form(args.form), args.m, args.box)
     result = census(problem, args.mu)
     if args.format == "csv":
-        sys.stdout.write(result.to_csv())
+        _write(result.to_csv())
     else:
         _emit(result.report(), args.format)
     return EXIT_OK

@@ -7,7 +7,7 @@ Coefficients are stored low-to-high, so ``coeffs[k]`` is the coefficient of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .rounding import RatInterval
@@ -384,3 +384,85 @@ def discriminant_poly(p: IntPoly) -> int:
     num = (-1) ** (d * (d - 1) // 2) * res
     assert num % p.lead == 0
     return num // p.lead
+
+
+# -- factor degrees modulo small primes ------------------------------------------
+#
+# A polynomial over Z/p is a list of residues, low to high, with no zero
+# leading entry; [] is zero.
+
+def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    a, n = a[:], len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        c = q[k] = a[k + n] * inv % p
+        for j, bj in enumerate(b):
+            a[k + j] = (a[k + j] - c * bj) % p
+    return q, list(_trim(a[:n]))
+
+
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    return a
+
+
+def _mulmod_p(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _divmod_p([c % p for c in out], f, p)[1]
+
+
+def factor_degrees_mod(f: IntPoly, p: int) -> list[int] | None:
+    """Degrees of the irreducible factors of f modulo the prime p, by
+    distinct-degree factorization: once the factors of degree below i are
+    divided out of g, gcd(g, x**(p**i) - x) is the product of those of
+    degree i.  None when p divides lc(f) or f mod p is not squarefree."""
+    g = [c % p for c in f.coeffs]
+    dg = list(_trim([k * c % p for k, c in enumerate(g)][1:]))
+    if g[-1] == 0 or len(_gcd_p(g, dg, p)) > 1:
+        return None
+    degrees, h, i = [], [0, 1], 0
+    while len(g) > 2 * i + 2:
+        i += 1
+        # h = x**(p**i) mod g, by square and multiply
+        power, base, e = [1], h, p
+        while e:
+            if e & 1:
+                power = _mulmod_p(power, base, g, p)
+            base, e = _mulmod_p(base, base, g, p), e >> 1
+        h = power
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] -= 1
+        common = _gcd_p(g, list(_trim([c % p for c in shifted])), p)
+        if len(common) > 1:
+            degrees += [i] * ((len(common) - 1) // i)
+            g = _divmod_p(g, common, p)[0]
+            h = _divmod_p(h, g, p)[1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees
+
+
+def factor_degree_sieve(f: IntPoly, primes: int) -> set[int]:
+    """The degrees 1 <= k < deg f that a factor of the squarefree f over Z
+    may have: a factor over Z is a product of factors modulo each prime p
+    that divides neither lc(f) nor disc(f), so its degree is a sum of some
+    of their degrees.  The allowed sets of the first ``primes`` such p are
+    intersected, stopping early once none is left."""
+    allowed, p, used = set(range(1, f.degree)), 1, 0
+    while allowed and used < primes:
+        p += 1
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        degrees = factor_degrees_mod(f, p)
+        if degrees is not None:
+            used += 1
+            sums = {0}
+            for k in degrees:
+                sums |= {s + k for s in sums}
+            allowed &= sums
+    return allowed

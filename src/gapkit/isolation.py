@@ -477,6 +477,31 @@ def disk_div(a: tuple[int, int, int], b: tuple[int, int, int],
             _round_div((ai * br - ar * bi) << bits, n), -(-num // den) + 1)
 
 
+def disk_elementary(disks: list[tuple[int, int, int]], bits: int
+                    ) -> list[tuple[int, int, int]]:
+    """e_1, ..., e_n of points z_1, ..., z_n of the n disks, outward: over
+    the disks, e_j becomes e_j + z e_{j-1} (e_0 = 1), each product by
+    ``disk_mul`` and each sum exact (centers and radii add)."""
+    e = [(1 << bits, 0, 0)]
+    for z in disks:
+        e = [e[0]] + [(a[0] + m[0], a[1] + m[1], a[2] + m[2])
+                      for a, m in zip(e[1:] + [(0, 0, 0)],
+                                      (disk_mul(z, w, bits) for w in e))]
+    return e[1:]
+
+
+def disk_holds_integer(disk: tuple[int, int, int], bits: int) -> bool:
+    """False when no integer lies in the disk, an exact integer test: the
+    disk meets the real axis in the segment re +- s, s**2 = rad**2 - im**2,
+    and it holds an integer when the greatest multiple of 2**bits at most
+    re + s is at least re - s (s rounded up, so True may be spurious)."""
+    re, im, rad = disk
+    if abs(im) > rad:
+        return False
+    s = _isqrt_up(rad * rad - im * im)
+    return (re + s) >> bits << bits >= re - s
+
+
 def disk_disjoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     """True when no point lies in both disks (an exact integer comparison)."""
     dr, di, s = a[0] - b[0], a[1] - b[1], a[2] + b[2]

@@ -1,15 +1,22 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapkit import algnum, isolation
 from gapkit.algnum import (AlgNum, NotInFieldError, c8, c9, denominator_scalar,
-                           liouville_c6, power_rep, power_table,
+                           is_irreducible, liouville_c6, power_rep, power_table,
                            theta_upper_bound)
+from gapkit.autgroup import aut_prime, d12_family
 from gapkit.intpoly import IntPoly
-from tests.conftest import QUARTIC
+from gapkit.isolation import PrecisionError
+from gapkit.thue import ThueProblem
+from tests.conftest import CBRT2, CUBIC, QUARTIC
 
 
 def max_abs(rep):
@@ -160,3 +167,106 @@ def test_liouville_c6_on_convergents(cbrt2):
     for pr in convergents(cbrt2, 12):
         dist_lo = max(enc.lo - pr.value(), pr.value() - enc.hi)
         assert dist_lo * Fraction(pr.height) ** 3 >= c6
+
+
+# -- irreducibility against sympy ----------------------------------------------
+
+def sympy_irreducible(p: IntPoly) -> bool:
+    """sympy's verdict, with gapkit's convention below degree 1."""
+    return p.degree >= 1 and sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible
+
+
+def _poly_of_degree(lo, hi, size):
+    return st.integers(lo, hi).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(-size, size), min_size=d, max_size=d),
+        st.integers(-size, size).filter(bool))).map(lambda t: IntPoly(t[0] + [t[1]]))
+
+
+def _product(factors):
+    out = IntPoly.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+_random_poly = _poly_of_degree(1, 12, 12)
+_product_poly = st.lists(_poly_of_degree(1, 4, 5), min_size=2, max_size=4).map(
+    _product).filter(lambda p: p.degree <= 12)
+_content = st.sampled_from([1, -1, 2, -3, 6])
+
+D12 = d12_family(3, 1).dehomogenize()
+SPECIAL = [
+    IntPoly((1, 0, 0, 0, 1)),                   # x^4 + 1: reducible mod every p
+    IntPoly((6, 0, -5, 0, 1)),                  # (x^2 - 2)(x^2 - 3)
+    D12,                                        # the sieve leaves size 6 open
+    D12 * IntPoly((1, 1)),                      # ... and with a rational root
+    IntPoly((5,)), IntPoly((4, 2)), IntPoly((4, 0, 2)), IntPoly((-4, 0, 4)),
+    IntPoly((1, -2, 1)),                        # (x - 1)^2: not squarefree
+    IntPoly((0, -2, 0, 1)),                     # x (x^2 - 2)
+    CUBIC, CBRT2, QUARTIC,
+]
+
+
+@given(st.one_of(_random_poly, _product_poly), _content)
+@settings(max_examples=80, deadline=None)
+def test_is_irreducible_matches_sympy(p, content):
+    p = p * content
+    assert is_irreducible(p) == sympy_irreducible(p)
+
+
+@pytest.mark.parametrize("p", SPECIAL, ids=str)
+def test_is_irreducible_special_cases(p):
+    assert is_irreducible(p) == sympy_irreducible(p)
+    assert not is_irreducible(IntPoly.zero())
+
+
+def test_undecided_disks_abstain(monkeypatch):
+    # with no disk ever certified free of integers, no root set is excluded:
+    # the test must abstain where the sieve leaves a size open, not say True
+    monkeypatch.setattr(algnum, "disk_holds_integer", lambda disk, bits: True)
+    for p in (IntPoly((1, 0, 0, 0, 1)), D12):
+        with pytest.raises(PrecisionError):
+            is_irreducible(p)
+    assert is_irreducible(CUBIC)                # decided by the sieve alone
+
+
+@contextmanager
+def _without_sieve():
+    """Leave every factor degree open, as if the sieve ruled out none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algnum, "factor_degree_sieve", lambda f, primes: set(range(1, f.degree)))
+        yield
+
+
+@given(st.one_of(_poly_of_degree(2, 9, 6), _product_poly))
+@settings(max_examples=25, deadline=None)
+def test_is_irreducible_needs_no_sieve(p):
+    # the sieve only prunes: with every size left open the verdicts agree
+    expected = is_irreducible(p)
+    with _without_sieve():
+        assert is_irreducible(p) == expected
+
+
+def test_special_cases_need_no_sieve():
+    with _without_sieve():
+        assert [is_irreducible(q) for q in SPECIAL] == [sympy_irreducible(q) for q in SPECIAL]
+
+
+def test_d12_root_system_is_built_once(monkeypatch):
+    # validating the D12 problem builds the root system and the table that
+    # aut_prime then reads, under the key the census uses
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    built = []
+    init = isolation._RootSystem.__init__
+
+    def counted(self, p):
+        built.append(p.coeffs)
+        init(self, p)
+
+    monkeypatch.setattr(isolation._RootSystem, "__init__", counted)
+    form = d12_family(3, 1)
+    ThueProblem(form, 3, 40)
+    assert built == [D12.coeffs] and list(isolation._SYSTEMS) == built
+    assert Fraction(1, 10 ** 20) in isolation._SYSTEMS[D12.coeffs].tables
+    assert aut_prime(form).order == 24
+    assert built == [D12.coeffs]

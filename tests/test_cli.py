@@ -248,14 +248,25 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
       "--box", "400", "--format", "csv"], b"x,y,F,H,rootIndex,side,orbitId\r\n"),
 ])
 def test_closed_stdout_is_a_quiet_exit(argv, first):
-    # block-buffered stdout, as in a terminal session: with PYTHONUNBUFFERED
-    # set, a write that the closed pipe cuts short is dropped without error
+    # block-buffered stdout, as in a terminal session, and unbuffered stdout
+    # (PYTHONUNBUFFERED), a raw file whose write the closed pipe may cut short
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.Popen([sys.executable, "-m", "gapkit.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == first
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(), err) == (141, b"")
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen([sys.executable, "-m", "gapkit.cli", *argv],
+                                env={**env, **extra},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err, extra) == (141, b"", extra)
+
+
+def test_import_loads_no_sympy():
+    # sympy is a test oracle only; a fresh interpreter runs the CLI without it
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import gapkit.cli, sys; sys.exit('sympy' in sys.modules)"], env=env)
+    assert proc.returncode == 0

@@ -5,8 +5,9 @@ from math import comb
 import pytest
 import sympy
 
-from gapkit.intpoly import (IntPoly, RatPoly, discriminant_poly, is_squarefree,
-                            poly_gcd_q, resultant, squarefree_part)
+from gapkit.intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
+                            factor_degrees_mod, is_squarefree, poly_gcd_q,
+                            resultant, squarefree_part)
 
 X = sympy.Symbol("x")
 
@@ -156,3 +157,29 @@ def test_rat_poly_division():
     q, r = f.divmod(g)
     # x^2 - 2 = (x + 2)(x - 2) + 2
     assert q == RatPoly((-2, 1)) and r == RatPoly((2,))
+
+
+def test_factor_degrees_mod_vs_sympy():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(200):
+        d = rng.randint(1, 10)
+        p = IntPoly([rng.randint(-20, 20) for _ in range(d)] + [rng.choice([1, 2, 3, -5])])
+        prime = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
+        mod_p = sympy.Poly(list(reversed(p.coeffs)), X, modulus=prime)
+        factors = mod_p.factor_list()[1] if mod_p.degree() == d else []
+        if mod_p.degree() != d or any(k > 1 for _, k in factors):
+            assert factor_degrees_mod(p, prime) is None
+        else:
+            assert sorted(factor_degrees_mod(p, prime)) == sorted(g.degree() for g, _ in factors)
+            checked += 1
+    assert checked > 100
+
+
+def test_factor_degree_sieve():
+    assert factor_degree_sieve(IntPoly((-1, -3, 0, 1)), 10) == set()     # x^3 - 3x - 1
+    assert factor_degree_sieve(IntPoly((-2, 0, 0, 1)), 10) == set()      # x^3 - 2
+    # x^4 + 1 splits into quadratics or linears modulo every prime
+    assert factor_degree_sieve(IntPoly((1, 0, 0, 0, 1)), 10) == {2}
+    # (x^2 - 2)(x^2 - 3): the true factor degree always survives
+    assert 2 in factor_degree_sieve(IntPoly((6, 0, -5, 0, 1)), 10)

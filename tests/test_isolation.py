@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gapkit import isolation
 from gapkit.intpoly import IntPoly, is_squarefree, poly_gcd_q
 from gapkit.isolation import (IsolationError, disk_disjoint, disk_div,
+                              disk_elementary, disk_holds_integer,
                               disk_mul, disk_sub, house,
                               isolate_roots, mahler_measure,
                               root_separation_lower_bound, sturm_chain,
@@ -334,3 +335,38 @@ def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
         assert b[0] ** 2 + b[1] ** 2 < (b[2] + 1) ** 2
         return
     assert all(_inside(_div(z, w), q, bits) for z, w in pairs)
+
+
+@given(st.lists(_disk, min_size=1, max_size=5), st.integers(min_value=1, max_value=96),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_disk_elementary_contains_the_exact_functions(disks, bits, corner):
+    # one point of each disk (its center or a boundary point), e_1..e_n exact
+    points = [_points(a, bits)[corner] for a in disks]
+    e = [(Fraction(1), Fraction(0))]
+    for z in points:
+        e = [e[0]] + [(x[0] + m[0], x[1] + m[1])
+                      for x, m in zip(e[1:] + [(Fraction(0), Fraction(0))],
+                                      (_mul(z, w) for w in e))]
+    got = disk_elementary(disks, bits)
+    assert len(got) == len(disks)
+    assert all(_inside(z, a, bits) for z, a in zip(e[1:], got))
+
+
+@given(_disk, st.integers(min_value=1, max_value=96))
+@settings(max_examples=200, deadline=None)
+def test_disk_holds_integer_never_misses_one(a, bits):
+    # the integers nearest the center's real part are the only candidates
+    one = 1 << bits
+    near = [a[0] // one + k for k in (-1, 0, 1, 2)]
+    if any(_inside((Fraction(n), Fraction(0)), a, bits) for n in near):
+        assert disk_holds_integer(a, bits)
+
+
+def test_disk_holds_integer_examples():
+    bits = 8
+    assert disk_holds_integer((3 << bits, 0, 0), bits)
+    assert not disk_holds_integer((3 << bits | 128, 0, 127), bits)    # 3.5 +- 0.496
+    assert disk_holds_integer((3 << bits | 128, 0, 128), bits)
+    assert not disk_holds_integer((3 << bits, 10, 9), bits)           # off the axis
+    assert not disk_holds_integer((-(3 << bits) - 128, 0, 100), bits)
