@@ -79,7 +79,7 @@ def is_irreducible(p: IntPoly) -> bool:
     todo = _closed_root_sets(system.scaled(width).mirror, sizes)
     for _ in range(5):
         table = system.scaled(width)
-        disks, bits = table.disks(), table.bits
+        disks, bits = table.alpha, table.bits
         undecided = []
         for roots in todo:
             e = [(a * re, a * im, a * rad)

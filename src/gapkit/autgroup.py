@@ -161,7 +161,7 @@ def aut_prime(f: BinForm) -> EnhancedAut:
 def _candidate_matrices(table: ScaledRoots):
     """Primitive integer matrices reconstructed from the correspondences of
     (r0, r1, r2) to the ordered target triples that survive exclusion."""
-    disks = table.disks()
+    disks = table.alpha
     w_src = _three_point(*disks[:3], table.bits)
     for triple in _surviving_triples(disks, table.bits):
         m = _mobius_from_triples(w_src, [disks[i] for i in triple], table.bits)
@@ -349,7 +349,7 @@ def root_orbit_partition(aut: EnhancedAut) -> OrbitPartition:
     width = Fraction(1, 10 ** 15)
     for _ in range(5):
         table = root_system(poly).scaled(width)
-        disks = table.disks()
+        disks = table.alpha
         edges = {(i, _image_index(el.matrix, z, disks, table.bits))
                  for el in aut.elements for i, z in enumerate(disks)}
         if all(j is not None for _, j in edges):

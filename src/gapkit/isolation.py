@@ -1,20 +1,30 @@
 """Certified root enclosures for squarefree integer polynomials.
 
-Real roots are isolated by Sturm bisection with exact rational endpoints.
-Nonreal roots are seeded by arbitrary-precision numerics and then *certified*
-with exact integer arithmetic only.  A nonreal root's enclosure is an
-integer disk (re, im, rad) at a scale 2**b: the closed disk of radius
-rad / 2**b around z = (re + i im) / 2**b.
+Every root's enclosure is an integer disk (re, im, rad) at a scale 2**b:
+the closed disk of radius rad / 2**b around z = (re + i im) / 2**b.  The
+arithmetic on these disks is exact integer arithmetic, rounded outward
+where it must round; the two kinds of root differ only in how their disks
+are found and refined.
 
-* Horner's rule on the integers re, im gives 2**(b n) P(z) and
+* A real root's disk lies on the real axis (im = 0) and its diameter is the
+  root's isolating interval.  Sturm counts isolate the real roots from the
+  Cauchy bound rounded up to a power of two, splitting at dyadic non-roots,
+  so every endpoint is an integer at some 2**b and the interval
+  [lo, hi] / 2**b is exactly the disk (lo + hi, 0, hi - lo) at 2**(b+1).
+  Sign-change bisection refines it: each step keeps the half at whose ends
+  P takes opposite signs, and a midpoint where P vanishes is the root, a
+  disk of radius 0.
+* A nonreal root's disk is seeded by arbitrary-precision numerics and then
+  *certified*: Horner's rule on the integers re, im gives 2**(b n) P(z) and
   2**(b (n-1)) P'(z) exactly (n = deg P), so rad, the least integer with
   rad**2 |2**(b (n-1)) P'(z)|**2 >= n**2 |2**(b n) P(z)|**2, satisfies
   rad / 2**b >= n |P(z)| / |P'(z)|: the disk contains at least one root of
-  P (log-derivative bound, P'(z) != 0);
-* the disks found above the real axis have im > rad, so they avoid it, and
-  are pairwise disjoint (integer comparisons); with their conjugate mirrors
-  and the disjoint certified real intervals they make deg(P) pairwise
-  disjoint regions, each holding a root -- so each holds exactly one.
+  P (log-derivative bound, P'(z) != 0).  The disks found above the real
+  axis have im > rad, so they avoid it, and are pairwise disjoint (integer
+  comparisons); with their conjugate mirrors and the disjoint real disks
+  they make deg(P) pairwise disjoint regions, each holding a root -- so
+  each holds exactly one.  Newton steps refine it, each accepted only when
+  its certified disk lies inside the starting disk.
 
 Refinement produces new, smaller enclosures; the old value is never mutated.
 An enclosure depends only on (polynomial, root index, requested width), never
@@ -27,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, isqrt
+from math import ceil, isqrt
 from typing import Sequence
 
 import mpmath
@@ -52,66 +62,55 @@ class PrecisionError(IsolationError, AbstainError):
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """Certified enclosure of exactly one root of ``poly``.
-
-    Real roots carry an exact rational interval; nonreal roots carry an
-    integer disk (re, im, rad) at scale 2**``bits`` that avoids the real
-    axis.  ``index`` is the position in the root ordering (by real part,
-    then imaginary part, midpoints breaking the rare unresolved tie)."""
+    """Certified enclosure of exactly one root of ``poly``: the integer disk
+    ``disk`` = (re, im, rad) at scale 2**``bits``.  A real root's disk is
+    centered on the real axis; a nonreal root's avoids it (|im| > rad).
+    ``index`` is the position in the root ordering (by real part, then
+    imaginary part, centers breaking the rare unresolved tie)."""
 
     poly: IntPoly
     index: int
-    interval: RatInterval | None = None
-    disk: tuple[int, int, int] | None = None
-    bits: int = 0
+    disk: tuple[int, int, int]
+    bits: int
 
     @property
     def is_real(self) -> bool:
-        return self.interval is not None
+        return self.disk[1] == 0
+
+    @property
+    def interval(self) -> RatInterval:
+        """A real root's isolating interval, the disk's diameter."""
+        if self.disk[1]:
+            raise ValueError("a nonreal root has no isolating interval")
+        return self.re_interval()
 
     def width(self) -> Fraction:
-        if self.is_real:
-            return self.interval.width
         return Fraction(2 * self.disk[2], 1 << self.bits)
 
     def abs_interval(self) -> RatInterval:
-        if self.is_real:
-            return self.interval.abs()
         return _disk_abs(self.disk, self.bits)
 
     def re_interval(self) -> RatInterval:
-        if self.is_real:
-            return self.interval
-        re, _, rad = self.disk
-        return RatInterval(Fraction(re - rad, 1 << self.bits),
-                           Fraction(re + rad, 1 << self.bits))
+        return _span(self.disk, self.bits)
 
-    def distance_interval(self, other: "RootEnclosure | RatInterval | Fraction") -> RatInterval:
-        """Certified |self - other|: interval arithmetic when both are real,
-        else ``disk_sub`` at the finer scale of the two, where a real
-        interval is first rounded outward to that scale."""
-        if isinstance(other, RootEnclosure) and not other.is_real:
-            if self.is_real:
-                return other.distance_interval(self.interval)
+    def distance_interval(self, other: "RootEnclosure | Fraction") -> RatInterval:
+        """Certified |self - other|: ``disk_sub`` at the finer scale of two
+        enclosures, or ``disk_distance`` to a rational, which is exact for a
+        real root's disk."""
+        if isinstance(other, RootEnclosure):
             bits = max(self.bits, other.bits)
             return _disk_abs(disk_sub(_rescaled(self.disk, self.bits, bits),
                                       _rescaled(other.disk, other.bits, bits)), bits)
-        if isinstance(other, RootEnclosure):
-            other = other.interval
-        elif not isinstance(other, RatInterval):
-            other = RatInterval(Fraction(other))
-        if self.is_real:
-            return (self.interval - other).abs()
-        point = _interval_disk(*_scaled_interval(other, 1 << self.bits))
-        return _disk_abs(disk_sub(self.disk, point), self.bits)
+        q = Fraction(other)
+        lo, hi = disk_distance(self.disk, q.numerator, q.denominator, 1 << self.bits)
+        den = q.denominator << self.bits
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
     def refine(self, width: Fraction) -> "RootEnclosure":
         """Enclosure of the same root with width <= ``width``."""
         return _refine_enclosure(self, Fraction(width))
 
     def approx(self) -> complex:
-        if self.is_real:
-            return complex(float(self.interval.mid()), 0.0)
         one = 1 << self.bits
         return complex(self.disk[0] / one, self.disk[1] / one)
 
@@ -175,88 +174,72 @@ def cauchy_root_bound(p: IntPoly) -> Fraction:
 
 # -- real isolation ----------------------------------------------------------
 
-def isolate_real_roots(p: IntPoly) -> list[RatInterval]:
-    """Disjoint isolating intervals for all real roots of squarefree p,
-    sorted increasingly.  Exact rational roots give point intervals."""
+def isolate_real_roots(p: IntPoly) -> list[tuple[tuple[int, int, int], int]]:
+    """Pairwise disjoint isolating disks (c, 0, r) at scales 2**b, as pairs
+    (disk, b), for all real roots of squarefree p, sorted increasingly.
+
+    The search starts from (-2**e, 2**e], 2**e >= ``cauchy_root_bound``,
+    and splits a half-open interval holding two or more roots at a dyadic
+    non-root, so the Sturm counts of its halves partition its roots and
+    every endpoint is a non-root: an interval that holds one root is a
+    sign-change interval.  Adjacent intervals may share a split point, and
+    are bisected until they are disjoint."""
     if p.is_zero:
         raise IsolationError("zero polynomial")
     if p.degree == 0:
         return []
-    if p.degree == 1:
-        root = Fraction(-p.coeffs[0], p.coeffs[1])
-        return [RatInterval(root, root)]
     chain = sturm_chain(p)
-    bound = cauchy_root_bound(p)
-    total = count_real_roots(p, -bound, bound, chain)
-    out: list[RatInterval] = []
-    stack = [(-bound, bound, total)]
+    e = (ceil(cauchy_root_bound(p)) - 1).bit_length()
+    out = []
+    stack = [((0, 0, 1 << e), 0, count_real_roots(p, Fraction(-1 << e), Fraction(1 << e), chain))]
     while stack:
-        lo, hi, n = stack.pop()
-        if n == 0:
-            continue
+        (c, _, r), b, n = stack.pop()
         if n == 1:
-            out.append(_tighten_single(p, chain, lo, hi))
+            out.append(((c, 0, r), b))
+        if n < 2:
             continue
-        # split at a certified non-root so the half-open Sturm counts
-        # partition the roots exactly
-        split = (lo + hi) / 2
-        k = 1
-        while p.eval_at(split) == 0:
-            split = lo + (hi - lo) * Fraction(2 * k + 1, 4 * k + 3)
-            k += 1
-        left = count_real_roots(p, lo, split, chain)
-        stack.append((lo, split, left))
-        stack.append((split, hi, n - left))
-    out.sort(key=lambda iv: iv.lo)
-    # adjacent isolating intervals may share a (non-root) split endpoint;
-    # bisect until the closures are pairwise disjoint
+        # the midpoint c, else c + r / 2**j for j = 1, 2, ...: p vanishes
+        # at finitely many of them
+        j, s = 0, c
+        while _sign(p, s, b + j) == 0:
+            j += 1
+            s = (c << j) + r
+        lo, hi = (c - r) << j, (c + r) << j
+        left = count_real_roots(p, Fraction(lo, 1 << b + j), Fraction(s, 1 << b + j), chain)
+        stack.append(((lo + s, 0, s - lo), b + j + 1, left))
+        stack.append(((s + hi, 0, hi - s), b + j + 1, n - left))
+    out.sort(key=lambda t: Fraction(t[0][0], 1 << t[1]))
     for i in range(len(out) - 1):
-        guard = 0
-        while out[i].intersects(out[i + 1]):
-            if out[i].width > 0:
-                out[i] = _bisect_to_width(p, out[i], out[i].width / 4)
-            if out[i + 1].width > 0:
-                out[i + 1] = _bisect_to_width(p, out[i + 1], out[i + 1].width / 4)
-            guard += 1
-            if guard > 300:
-                raise PrecisionError("isolating intervals failed to separate")
+        for _ in range(300):
+            if _span(*out[i]).hi < _span(*out[i + 1]).lo:
+                break
+            out[i:i + 2] = [_bisect(p, d, b, Fraction(d[2], 1 << b)) for d, b in out[i:i + 2]]
+        else:
+            raise PrecisionError("isolating intervals failed to separate")
     return out
 
 
-def _tighten_single(p: IntPoly, chain, lo: Fraction, hi: Fraction) -> RatInterval:
-    """Shrink an interval known to hold exactly one root until the endpoint
-    signs are nonzero and opposite (or the root is hit exactly)."""
-    for _ in range(4 * p.degree + 64):
-        vlo, vhi = p.eval_at(lo), p.eval_at(hi)
-        if vlo == 0:
-            return RatInterval(lo, lo)
-        if vhi == 0:
-            return RatInterval(hi, hi)
-        if (vlo > 0) != (vhi > 0):
-            return RatInterval(lo, hi)
-        mid = (lo + hi) / 2
-        if count_real_roots(p, lo, mid, chain) == 1:
-            hi = mid
-        else:
-            lo = mid
-    raise PrecisionError("failed to trap sign change")
+def _sign(p: IntPoly, x: int, bits: int) -> int:
+    """The sign of p(x / 2**bits), from ``_horner``'s exact integer."""
+    v = _horner(p, x, 0, bits)[0]
+    return (v > 0) - (v < 0)
 
 
-def _bisect_to_width(p: IntPoly, iv: RatInterval, width: Fraction) -> RatInterval:
-    lo, hi = iv.lo, iv.hi
-    if lo == hi:
-        return iv
-    vlo = p.eval_at(lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        vmid = p.eval_at(mid)
-        if vmid == 0:
-            return RatInterval(mid, mid)
-        if (vlo > 0) != (vmid > 0):
-            hi = mid
-        else:
-            lo, vlo = mid, vmid
-    return RatInterval(lo, hi)
+def _bisect(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
+            ) -> tuple[tuple[int, int, int], int]:
+    """Sign-change bisection of the real disk (c, 0, r) at scale 2**bits to
+    width <= ``width``.  p has one sign left of the root, so the step keeps
+    [c - r, c], the disk (2c - r, 0, r) at 2**(bits+1), when p(c) differs
+    in sign from p(c - r), and [c, c + r], the disk (2c + r, 0, r), when
+    it agrees; p(c) = 0 makes c the root, a disk of radius 0."""
+    c, _, r = disk
+    left = _sign(p, c - r, bits)
+    while 2 * r * width.denominator > width.numerator << bits:
+        mid = _sign(p, c, bits)
+        if mid == 0:
+            return (c, 0, 0), bits
+        c, bits = 2 * c + (r if mid == left else -r), bits + 1
+    return (c, 0, r), bits
 
 
 # -- full isolation (real + nonreal), with certification ----------------------
@@ -264,8 +247,8 @@ def _bisect_to_width(p: IntPoly, iv: RatInterval, width: Fraction) -> RatInterva
 _DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 
 
-# bisections of a real interval spent separating it from the real-part
-# ranges of the disks before the root order falls back to its midpoint
+# bisections of a real disk spent separating it from the real-part ranges of
+# the nonreal disks before the root order falls back to its center
 _ORDER_BISECTIONS = 256
 
 
@@ -279,38 +262,36 @@ class _RootSystem:
         self.poly = p
         self.base = self._order(isolate_real_roots(p))
         # the upper conjugate of each disk below the real axis
-        upper = {e.disk[:2]: e.index for e in self.base if e.disk and e.disk[1] > 0}
+        upper = {e.disk[:2]: e.index for e in self.base if e.disk[1] > 0}
         self.conj = {e.index: upper[e.disk[0], -e.disk[1]]
-                     for e in self.base if e.disk and e.disk[1] < 0}
+                     for e in self.base if e.disk[1] < 0}
         # each root's enclosure, and the integer tables, by the width asked for
         self.memo = tuple({} for _ in self.base)
         self.tables: dict[Fraction, ScaledRoots] = {}
 
-    def _order(self, real: list[RatInterval]) -> tuple[RootEnclosure, ...]:
-        """Index the roots by real part, then imaginary part.  Each real
-        interval is first bisected until it is disjoint from every disk's
-        real-part range, so that its midpoint sorts where the root does; a
-        real part shared with a nonreal root (a true tie) is left to the
-        midpoint after ``_ORDER_BISECTIONS`` steps."""
-        bits, disks = _certified_disks(self.poly, real)
-        one = 1 << bits
-        spans = [RatInterval(Fraction(re - rad, one), Fraction(re + rad, one))
-                 for re, _, rad in disks]
-        items = [(Fraction(d[0], one), Fraction(d[1], one), None, d) for d in disks]
-        for iv in real:
+    def _order(self, real: list[tuple[tuple[int, int, int], int]]
+               ) -> tuple[RootEnclosure, ...]:
+        """Index the roots by real part, then imaginary part, of their disk
+        centers.  Each real disk is first bisected until it is disjoint from
+        every nonreal disk's real-part range, so that its center sorts where
+        the root does; a real part shared with a nonreal root (a true tie)
+        is left to the center after ``_ORDER_BISECTIONS`` steps."""
+        bits, disks = _certified_disks(self.poly, len(real))
+        roots = [(d, bits) for d in disks]
+        spans = [_span(d, bits) for d in disks]
+        for disk, b in real:
             for _ in range(_ORDER_BISECTIONS):
-                if iv.width == 0 or not any(iv.intersects(s) for s in spans):
+                if disk[2] == 0 or not any(_span(disk, b).intersects(s) for s in spans):
                     break
-                iv = _bisect_to_width(self.poly, iv, iv.width / 2)
-            items.append((iv.mid(), Fraction(0), iv, None))
-        items.sort(key=lambda t: (t[0], t[1]))
-        return tuple(RootEnclosure(self.poly, i, interval=iv, disk=d, bits=bits)
-                     for i, (_, _, iv, d) in enumerate(items))
+                disk, b = _bisect(self.poly, disk, b, Fraction(disk[2], 1 << b))
+            roots.append((disk, b))
+        roots.sort(key=lambda t: (Fraction(t[0][0], 1 << t[1]), Fraction(t[0][1], 1 << t[1])))
+        return tuple(RootEnclosure(self.poly, i, d, b) for i, (d, b) in enumerate(roots))
 
     def refined(self, index: int, width: Fraction) -> RootEnclosure:
-        """Root ``index`` refined to ``width``: a disk from the base disk, a
-        real interval by bisecting on from the entry of the least width
-        above ``width``, which gives what bisecting the base interval gives.
+        """Root ``index`` refined to ``width``: a nonreal disk from the base
+        disk, a real disk by bisecting on from the entry of the least width
+        above ``width``, which gives what bisecting the base disk gives.
         A disk below the real axis is the mirror of its conjugate's, since
         rounding to a unit is not symmetric under negation."""
         memo = self.memo[index]
@@ -318,8 +299,7 @@ class _RootSystem:
         if out is None:
             if index in self.conj:
                 up = self.refined(self.conj[index], width)
-                re, im, rad = up.disk
-                out = RootEnclosure(self.poly, index, disk=(re, -im, rad), bits=up.bits)
+                out = RootEnclosure(self.poly, index, _mirror(up.disk), up.bits)
             else:
                 coarser = [w for w in memo if w > width and self.base[index].is_real]
                 out = _refine_enclosure(memo[min(coarser)] if coarser else self.base[index],
@@ -338,67 +318,50 @@ class _RootSystem:
 
 
 class ScaledRoots:
-    """Outward-rounded integer enclosures of every root alpha and of 1/alpha,
-    at the scale 2**bits with bits = bits(1/width) + 32, taken from
-    enclosures of width <= ``width``.
+    """Integer disks of every root alpha and of 1/alpha at the scale 2**bits
+    with bits = bits(1/width) + 32, taken by ``_rescaled`` from enclosures
+    of width <= ``width``.
 
-    An enclosure is an interval (lo, hi), the reals in
-    [lo / 2**bits, hi / 2**bits], or a disk (re, im, rad), the complex
-    numbers within rad / 2**bits of (re + i im) / 2**bits.  ``alpha[i]`` is
-    root i's interval or disk; ``inverse[i]`` is the inverse interval of a
-    real root whose interval excludes 0, ``disk_div`` of the point 1 by a
-    nonreal root's disk, or None when that interval or disk may contain 0.
-    ``real[i]`` says whether root i is real, and ``mirror[i]`` is the index
-    of the root whose disk is the mirror image of root i's (None for a real
-    root).
+    ``alpha[i]`` is root i's disk; ``inverse[i]`` is ``disk_div`` of the
+    point 1 by it, or None when that disk may contain 0; ``mirror[i]`` is
+    the index of the root whose disk is the mirror image of root i's (None
+    for a real root).  ``_rescaled`` shifts a disk exactly from a coarser
+    scale, and from a finer one rounds its center to the nearest unit, which
+    moves it by at most sqrt(2)/2 < 1 unit, and its radius up plus one unit,
+    which covers that move.  The entries of a disk below the real axis are
+    the mirror images of its conjugate's, so mirror disks stay exact mirrors
+    although rounding to a unit is not symmetric."""
 
-    Containment: interval ends are rounded down and up.  A disk is taken to
-    this scale by ``_rescaled``: shifted exactly from a coarser scale, and
-    from a finer one with its center rounded to the nearest unit, which
-    moves it by at most sqrt(2)/2 < 1 unit, and its radius rounded up plus
-    one unit, which covers that move.  The entries of a disk below the real
-    axis are the mirror images of its conjugate's, so mirror disks stay
-    exact mirrors although rounding to a unit is not symmetric."""
-
-    __slots__ = ("bits", "real", "alpha", "inverse", "mirror")
+    __slots__ = ("bits", "alpha", "inverse", "mirror")
 
     def __init__(self, encl: list[RootEnclosure], width: Fraction):
         self.bits = (width.denominator // width.numerator).bit_length() + 32
         one = 1 << self.bits
-        self.real = [e.is_real for e in encl]
         self.mirror = [None if e.is_real else next(
-            o.index for o in encl if o.disk == (e.disk[0], -e.disk[1], e.disk[2]))
-            for e in encl]
+            o.index for o in encl if o.disk == _mirror(e.disk)) for e in encl]
         self.alpha, self.inverse = [None] * len(encl), [None] * len(encl)
         for e, j in zip(encl, self.mirror):
+            if e.disk[1] < 0:
+                continue
             i = e.index
-            if e.is_real:
-                self.alpha[i] = _scaled_interval(e.interval, one)
-                if e.interval.lo * e.interval.hi > 0:
-                    self.inverse[i] = _scaled_interval(e.interval.inverse(), one)
-            elif e.disk[1] > 0:
-                a = _rescaled(e.disk, e.bits, self.bits)
-                self.alpha[i], self.alpha[j] = a, (a[0], -a[1], a[2])
-                try:
-                    inv = disk_div((one, 0, 0), a, self.bits)
-                except ZeroDivisionError:
-                    continue
-                self.inverse[i], self.inverse[j] = inv, (inv[0], -inv[1], inv[2])
-
-    def disks(self) -> list[tuple[int, int, int]]:
-        """Every root's enclosure as a disk (re, im, rad): a real root's
-        interval (lo, hi) becomes the disk around its rounded-down midpoint."""
-        return [_interval_disk(*a) if real else a for real, a in zip(self.real, self.alpha)]
+            a = self.alpha[i] = _rescaled(e.disk, e.bits, self.bits)
+            try:
+                self.inverse[i] = disk_div((one, 0, 0), a, self.bits)
+            except ZeroDivisionError:
+                pass
+            if j is not None:
+                self.alpha[j] = _mirror(a)
+                self.inverse[j] = self.inverse[i] and _mirror(self.inverse[i])
 
 
-def _scaled_interval(iv: RatInterval, one: int) -> tuple[int, int]:
-    return floor(iv.lo * one), ceil(iv.hi * one)
+def _mirror(disk: tuple[int, int, int]) -> tuple[int, int, int]:
+    return disk[0], -disk[1], disk[2]
 
 
-def _interval_disk(lo: int, hi: int) -> tuple[int, int, int]:
-    """The integer disk around the rounded-down midpoint of [lo, hi] that
-    holds the whole interval."""
-    return (lo + hi) >> 1, 0, (hi - lo + 1) >> 1
+def _span(disk: tuple[int, int, int], bits: int) -> RatInterval:
+    """The real parts of the points of the integer disk at scale 2**bits."""
+    re, _, rad = disk
+    return RatInterval(Fraction(re - rad, 1 << bits), Fraction(re + rad, 1 << bits))
 
 
 def _rescaled(disk: tuple[int, int, int], bits: int, to: int) -> tuple[int, int, int]:
@@ -440,6 +403,19 @@ def _round_div(x: int, n: int) -> int:
 def disk_sub(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     """a - b, exactly: z - w is within r1 + r2 of c1 - c2."""
     return a[0] - b[0], a[1] - b[1], a[2] + b[2]
+
+
+def disk_distance(disk: tuple[int, int, int], p: int, q: int, one: int
+                  ) -> tuple[int, int]:
+    """Integers lo <= hi with lo <= one |q z - p| <= hi for every z in the
+    integer disk at scale ``one`` = 2**bits (q != 0), so |z - p/q| lies in
+    [lo, hi] / (|q| one): the center's distance, from ``isqrt`` of its
+    square rounded down and up, less and plus |q| rad.  Exact for a disk on
+    the real axis, whose squared distance is a perfect square."""
+    re, im, rad = disk
+    n = (re * q - p * one) ** 2 + (im * q) ** 2
+    s, r = isqrt(n), rad * abs(q)
+    return max(0, s - r), s + (s * s != n) + r
 
 
 def disk_mul(a: tuple[int, int, int], b: tuple[int, int, int],
@@ -514,12 +490,11 @@ def _disk_within(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     return room >= 0 and dr * dr + di * di <= room * room
 
 
-def _certified_disks(p: IntPoly, real_ivs: list[RatInterval]
-                     ) -> tuple[int, list[tuple[int, int, int]]]:
+def _certified_disks(p: IntPoly, n_real: int) -> tuple[int, list[tuple[int, int, int]]]:
     """(b, disks): certified integer disks at scale 2**b for the nonreal
     roots of squarefree p, those above the real axis first, then their
     mirrors in the same order."""
-    n_complex = p.degree - len(real_ivs)
+    n_complex = p.degree - n_real
     if n_complex == 0:
         return 0, []
     if n_complex % 2:
@@ -628,11 +603,8 @@ def root_enclosure(p: IntPoly, index: int, precision: Fraction = _DEFAULT_WIDTH)
 def _refine_enclosure(e: RootEnclosure, width: Fraction) -> RootEnclosure:
     if e.width() <= width:
         return e
-    if e.is_real:
-        return RootEnclosure(e.poly, e.index,
-                             interval=_bisect_to_width(e.poly, e.interval, width))
-    disk, bits = _refine_disk(e.poly, e.disk, e.bits, width)
-    return RootEnclosure(e.poly, e.index, disk=disk, bits=bits)
+    refine = _bisect if e.is_real else _refine_disk
+    return RootEnclosure(e.poly, e.index, *refine(e.poly, e.disk, e.bits, width))
 
 
 def _refine_disk(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction

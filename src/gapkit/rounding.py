@@ -286,11 +286,6 @@ class RatInterval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def point(x) -> "RatInterval":
-        return RatInterval(Fraction(x))
-
     # -- structure ---------------------------------------------------------
     @property
     def width(self) -> Rat:

@@ -29,11 +29,11 @@ from .algnum import (AlgNum, NotInFieldError, liouville_c6, normalize_minimal_po
 from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
                        root_orbit_partition)
 from .binforms import BinForm, discriminant
-from .gap import (ApproxPair, HypothesisError, archimedean_c2,
+from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
 from .intpoly import IntPoly
-from .isolation import (PrecisionError, isolate_roots, mahler_measure,
-                        root_system)
+from .isolation import (PrecisionError, disk_distance, isolate_roots,
+                        mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
 from .rounding import (compact_str, log_interval, pow_half_integer_up, pow_up,
                        root_up, sqrt_down, tidy_up)
@@ -240,25 +240,18 @@ def assign_root(f: BinForm, sol: Solution) -> tuple[int, str, bool]:
     Other ties refine, and a tie that survives every level is reported.
 
     Each level of width w (10**-12, then divided by 10**8, at most 5
-    levels) reads the root system's ``ScaledRoots`` table for w,
-    built once and shared by every solution.  The table rounds each
-    enclosure of width <= w outward to integers at scale 2**b: interval
-    ends down and up, disk centers to the nearest integer and radii up plus
-    one unit, which covers the center's move of at most sqrt(2)/2 unit.  So
-    each rounded enclosure contains the exact one, hence the root or its
-    inverse.  For a target p/q (x/y, or y/x on the inverse side) and any z
-    in a rounded enclosure, |z - p/q| = |q z - p| / |q|, and
-    ``_scaled_distance`` bounds 2**b |q z - p| by integers: the ends of
-    q [lo, hi] - p 2**b made absolute for an interval; for a disk the
-    center's distance |q c - p 2**b|, from ``isqrt`` of its square rounded
-    down and up, less and plus |q| rad.  Every candidate's distance is thus
+    levels) reads the root system's ``ScaledRoots`` table for w, built once
+    and shared by every solution: integer disks at scale 2**b that contain
+    each root and its inverse.  For a target p/q (x/y, or y/x on the
+    inverse side), ``disk_distance`` bounds 2**b |q z - p| = 2**b |q| |z -
+    p/q| by integers over each disk, so every candidate's distance is
     enclosed over the denominator |y| 2**b or |x| 2**b, and two candidates
     compare by cross-multiplying with the other's |y| or |x|.  The best
     candidate has the least upper end; it is decided when no rival's lower
     end lies below that upper end, which then holds for the exact distances
-    too.  Rounding widens an enclosure by about w 2**-32 at most, so a level
-    that decides on the exact enclosures nearly always decides on the table,
-    and otherwise the next level does."""
+    too.  The table widens an enclosure by about w 2**-32 at most, so a
+    level that decides on the exact enclosures nearly always decides on the
+    table, and otherwise the next level does."""
     system = root_system(normalize_minimal_poly(f.dehomogenize()))
     x, y = sol.x, sol.y
     width = Fraction(1, 10 ** 12)
@@ -269,9 +262,9 @@ def assign_root(f: BinForm, sol: Solution) -> tuple[int, str, bool]:
         cands: list[tuple[int, int, int, int, str]] = []
         for i, (enc, inv) in enumerate(zip(table.alpha, table.inverse)):
             if y != 0:
-                cands.append((*_scaled_distance(enc, x, y, one), abs(y), i, "alpha"))
+                cands.append((*disk_distance(enc, x, y, one), abs(y), i, "alpha"))
             if x != 0 and inv is not None:
-                cands.append((*_scaled_distance(inv, y, x, one), abs(x), i, "alpha_inv"))
+                cands.append((*disk_distance(inv, y, x, one), abs(x), i, "alpha_inv"))
         best = cands[0]
         for c in cands[1:]:
             if c[1] * best[2] < best[1] * c[2]:
@@ -294,30 +287,11 @@ def assign_root(f: BinForm, sol: Solution) -> tuple[int, str, bool]:
     return idx, side, True
 
 
-def _scaled_distance(enc: tuple, p: int, q: int, one: int) -> tuple[int, int]:
-    """Integers lo <= hi with lo <= one |q z - p| <= hi for every z in the
-    ``ScaledRoots`` enclosure ``enc`` (an interval or a disk at scale
-    ``one``); q != 0."""
-    if len(enc) == 2:
-        a, b = enc[0] * q - p * one, enc[1] * q - p * one
-        if a > b:
-            a, b = b, a
-        if a >= 0:
-            return a, b
-        if b <= 0:
-            return -b, -a
-        return 0, max(-a, b)
-    re, im, rad = enc
-    n = (re * q - p * one) ** 2 + (im * q) ** 2
-    s = isqrt(n)
-    r = rad * abs(q)
-    return max(0, s - r), s + (s * s != n) + r
-
-
 def _tie_pick(table, cands) -> tuple[int, str]:
     """Deterministic representative among tied candidates: prefer real
-    roots, then the smaller root index, then the alpha side."""
-    chosen = min(cands, key=lambda c: (not table.real[c[3]], c[3], c[4] != "alpha"))
+    roots (those without a mirror), then the smaller root index, then the
+    alpha side."""
+    chosen = min(cands, key=lambda c: (table.mirror[c[3]] is not None, c[3], c[4] != "alpha"))
     return chosen[3], chosen[4]
 
 
@@ -360,9 +334,7 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
     itself (a palindromic form, up to sign), the inverse roots are the
     roots and their entries repeat the roots'."""
     d = f.degree
-    mu = Fraction(mu)
-    if not (Fraction(d, 2) + 1 < mu < d):
-        raise HypothesisError(f"mu = {mu} outside ((d/2)+1, d)")
+    mu = _validate_mu(d, mu)
     first = pow_up(c10 * m, 1 / (d - mu))
     while not compare_to_power(first, c10 * Fraction(m), Fraction(1, 1) / (d - mu)) > 0:
         first += Fraction(1, 10 ** 6)
@@ -452,10 +424,11 @@ class Census:
 
 
 def census(problem: ThueProblem, mu: Fraction) -> Census:
-    """Box enumeration + orbit grouping + the counting-theorem checks."""
+    """Box enumeration + orbit grouping + the counting-theorem checks.  mu
+    is checked before any of them runs."""
     f = problem.form
     d = problem.degree
-    mu = Fraction(mu)
+    mu = _validate_mu(d, mu)
     aut = aut_prime(f)
     part = root_orbit_partition(aut)
     gamma = part.gamma

@@ -33,14 +33,11 @@ def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction) -> bool:
 
 def inverse_distance(e: RootEnclosure, q: Fraction) -> RatInterval | None:
     """Certified |1/alpha - q| for the root alpha in the enclosure e, None
-    when the enclosure may hold 0.  A real interval is read as the disk
-    around its midpoint; a disk D(c, r) with |c| > r has the exact image
-    D(conj(c) / (|c|**2 - r**2), r / (|c|**2 - r**2)) under z -> 1/z."""
-    if e.is_real:
-        c, r = (e.interval.mid(), Fraction(0)), e.interval.width / 2
-    else:
-        one = 1 << e.bits
-        c, r = (Fraction(e.disk[0], one), Fraction(e.disk[1], one)), Fraction(e.disk[2], one)
+    when the enclosure may hold 0.  A disk D(c, r) with |c| > r has the
+    exact image D(conj(c) / (|c|**2 - r**2), r / (|c|**2 - r**2)) under
+    z -> 1/z."""
+    one = 1 << e.bits
+    c, r = (Fraction(e.disk[0], one), Fraction(e.disk[1], one)), Fraction(e.disk[2], one)
     den = c[0] ** 2 + c[1] ** 2 - r * r
     if den <= 0:
         return None

@@ -241,8 +241,7 @@ def element_triples(aut, roots) -> set[tuple[int, int, int]]:
 
 def survivors(f: BinForm) -> set[tuple[int, int, int]]:
     table = root_system(f.dehomogenize()).scaled(Fraction(1, 10 ** 20))
-    disks = table.disks()
-    return set(_surviving_triples(disks, table.bits))
+    return set(_surviving_triples(table.alpha, table.bits))
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -198,15 +198,13 @@ def test_root_systems_bounded_lru(monkeypatch):
 
 
 def _enclosure_key(e):
-    if e.is_real:
-        return e.index, e.interval.lo, e.interval.hi
     return e.index, e.disk, e.bits
 
 
 def _fresh_view(p, width):
     table = isolation.root_system(p).scaled(width)
     return ([_enclosure_key(e) for e in isolate_roots(p, width)],
-            (table.bits, table.real, table.alpha, table.inverse, table.mirror))
+            (table.bits, table.alpha, table.inverse, table.mirror))
 
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=5),
@@ -277,11 +275,62 @@ def test_conjugate_disks_are_mirrors_and_hold_their_roots(coeffs, digits):
         with mpmath.workdps(60 + 2 * digits + 20 + len(str(max(map(abs, coeffs))))):
             roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=400,
                                      extraprec=1000)
+            # a rational root may be a disk of radius 0, which mpmath's root
+            # meets within its own error
+            tol = mpmath.mpf(10) ** -(2 * digits + 40)
             for e in encl:
-                if not e.is_real:
+                one = mpmath.mpf(2) ** e.bits
+                c = mpmath.mpc(e.disk[0], e.disk[1]) / one
+                assert sum(abs(r - c) <= e.disk[2] / one + tol for r in roots) == 1
+
+
+def _small_factor(rng):
+    """A factor of degree 1 to 4 with small coefficients; of degree 1 with
+    a dyadic root, a non-dyadic rational root or an integer root."""
+    deg = rng.randint(1, 4)
+    if deg == 1:
+        num = rng.randint(-9, 9)
+        den = rng.choice([1, 2, 4, 8, 3, 5, 6, 7, 9])
+        return IntPoly((-num, den))
+    return IntPoly([rng.randint(-5, 5) for _ in range(deg)] + [rng.choice([1, 2, 3, -1])])
+
+
+def _squarefree_products(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = IntPoly((1,))
+        for _ in range(rng.randint(1, 4)):
+            q = _small_factor(rng)
+            if p.degree + q.degree <= 9:
+                p = p * q
+        if p.degree >= 1 and is_squarefree(p):
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_and_nonreal_disks_hold_one_mpmath_root(seed):
+    # squarefree products of small factors of degree 1 to 9, with rational
+    # roots dyadic and not: every disk holds one mpmath root, on the real
+    # axis exactly when the root is real, within the width asked for
+    for p in _squarefree_products(seed, 12):
+        with mpmath.workdps(120):
+            roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=400,
+                                     extraprec=2000)
+            real = [abs(mpmath.im(r)) < mpmath.mpf(10) ** -60 for r in roots]
+            tol = mpmath.mpf(10) ** -80
+            for width in (Fraction(1, 10 ** 6), Fraction(1, 10 ** 30)):
+                encl = isolate_roots(p, width)
+                assert len(encl) == p.degree
+                for e in encl:
+                    assert e.width() <= width
                     one = mpmath.mpf(2) ** e.bits
                     c = mpmath.mpc(e.disk[0], e.disk[1]) / one
-                    assert sum(abs(r - c) <= e.disk[2] / one for r in roots) == 1
+                    held = [k for k, r in enumerate(roots)
+                            if abs(r - c) <= e.disk[2] / one + tol]
+                    assert len(held) == 1, (p, e)
+                    assert e.is_real == (e.disk[1] == 0) == real[held[0]], (p, e)
 
 
 # -- integer disks against exact complex arithmetic ------------------------------

@@ -12,7 +12,8 @@ from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minim
                            theta_upper_bound)
 from gapkit.autgroup import aut_prime, root_orbit_partition
 from gapkit.binforms import BinForm
-from gapkit.gap import GapConstants, arch_quality, c16, interval_vs_power
+from gapkit.gap import (GapConstants, HypothesisError, arch_quality, c16,
+                        interval_vs_power)
 from gapkit.intpoly import IntPoly
 from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          census, convergents, enumerate_primitive,
@@ -226,13 +227,11 @@ def test_scaled_roots_contain_the_roots(f, m, box):
         one = 1 << table.bits
         with mpmath.workdps(60):
             for i, r in enumerate(roots):
-                assert table.real[i] == (r.imag == 0)
+                assert (table.mirror[i] is None) == (r.imag == 0)
+                assert (table.alpha[i][1] == 0) == (r.imag == 0)
                 for enc, z in ((table.alpha[i], r), (table.inverse[i], 1 / r)):
-                    if len(enc) == 2:
-                        assert enc[0] <= z.real * one <= enc[1]
-                    else:
-                        assert abs(z * one - mpmath.mpc(enc[0], enc[1])) <= enc[2]
-                if not table.real[i]:
+                    assert abs(z * one - mpmath.mpc(enc[0], enc[1])) <= enc[2]
+                if table.mirror[i] is not None:
                     j = table.mirror[i]
                     assert abs(roots[j] - mpmath.conj(r)) < mpmath.mpf(10) ** -40
             # the integer distance bounds enclose the exact distances
@@ -241,12 +240,11 @@ def test_scaled_roots_contain_the_roots(f, m, box):
                     for enc, z, p, q in ((table.alpha[i], r, s.x, s.y),
                                          (table.inverse[i], 1 / r, s.y, s.x)):
                         if q != 0:
-                            lo, hi = thue._scaled_distance(enc, p, q, one)
+                            lo, hi = isolation.disk_distance(enc, p, q, one)
                             assert lo <= abs(q * z - p) * one <= hi
-    # a real interval that meets 0 has no inverse interval, and its disk
-    # meets 0 too: no inverse enclosure at all
+    # a real disk that meets 0, here [-1, 3]: no inverse enclosure at all
     straddle = isolation.ScaledRoots(
-        [isolation.RootEnclosure(poly, 0, interval=RatInterval(-1, 3))],
+        [isolation.RootEnclosure(poly, 0, (1, 0, 2), 0)],
         Fraction(1, 10 ** 12))
     assert straddle.inverse == [None] and straddle.mirror == [None]
 
@@ -310,6 +308,18 @@ def test_census_orbit_closure(cubic_form, cubic_aut):
             img = Solution.normalized(xp, yp, cubic_form.value(xp, yp), d)
             assert abs(img.value) == abs(s.value)
     # det-3-style scaling check is covered by verify_729 on the D12 family
+
+
+@pytest.mark.parametrize("mu", [Fraction(7), Fraction(12), Fraction(5)])
+def test_census_checks_mu_before_any_stage(d12_form, mu, monkeypatch):
+    # mu must lie in ((d/2)+1, d) = (7, 12): a bad one is reported before
+    # the automorphism group (the first expensive stage) is built
+    def unreachable(f):
+        raise AssertionError("aut_prime ran before mu was checked")
+
+    monkeypatch.setattr(thue, "aut_prime", unreachable)
+    with pytest.raises(HypothesisError, match="outside"):
+        census(ThueProblem(d12_form, 3, 40), mu)
 
 
 def test_census_d12(d12_census_counted):
