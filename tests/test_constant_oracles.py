@@ -1,10 +1,19 @@
-"""The constants read off root enclosures against mpmath at 200 digits.
+"""The constants read off root enclosures, and the height floors built from
+them, against mpmath at 200 digits.
 
 Each constant is a directed bound: C6 and the enclosure branch of C13 are
 lower bounds, C9 and C11 upper bounds.  The value gapkit reports must lie on
 its safe side of the mpmath value of the closed expression, and within 1e-9
 of it relatively, so an enclosure that is rounded the wrong way or far too
 wide fails here.
+
+The height floors (the Wronskian-floor and Liouville-closing branches of C1
+and C3, C16's large-height and iteration-floor branches, and C5) are upper
+bounds with up to millions of digits.  Their closed forms are evaluated in
+log2 from the same inputs gapkit used (C12, C13, C6, max(1, |alpha|), ...),
+and the reported value must lie above, within 1e-9 relatively in log2.
+Reports print these values through ``compact_str``; the tests swap it for
+``Fraction`` to read them exactly.
 """
 
 from fractions import Fraction
@@ -12,12 +21,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from gapkit import gap, thue
 from gapkit.algnum import AlgNum, PowerBasisRep, c9, liouville_c6
 from gapkit.autgroup import d12_family
-from gapkit.gap import c11
+from gapkit.binforms import BinForm
+from gapkit.gap import archimedean_constants, c11, nonarchimedean_constants
 from gapkit.intpoly import IntPoly
-from gapkit.minpair import MinimalPair, c13, c13_formula
-from tests.conftest import CBRT2, CUBIC, QUARTIC
+from gapkit.minpair import MinimalPair, c13, c13_formula, find_pair
+from gapkit.padic import hensel_root
+from tests.conftest import CBRT2, CUBIC, CUBIC_IMAGE, QUARTIC
 
 DPS = 200
 RELATIVE = mpmath.mpf("1e-9")
@@ -104,3 +116,177 @@ def test_c13_enclosure_branch_against_mpmath(name):
     with mpmath.workdps(DPS):
         _, z = _roots(alpha)
         _check(value, 2 * abs(z), "lower")
+
+
+# -- height floors, in log2 --------------------------------------------------------
+
+# mpmath's own error at 200 digits, far below the rounding steps of the
+# monomial branches and of C16's large-height branch (2^-127 relatively at
+# the finest); the iteration floor's finer step is checked exactly as well
+LOG2_NOISE = mpmath.mpf(10) ** -150
+CENSUS_FORMS = {
+    "d12": (d12_family(3, 1), 3, Fraction(38, 4)),
+    "x^3 - 3xy^2 - y^3": (BinForm((1, 0, -3, -1)), 1, Fraction(11, 4)),
+}
+
+
+def _log2(x: Fraction):
+    """log2 of a positive rational, from the top 1,100 bits of its
+    numerator and of its denominator."""
+    def lg(n: int):
+        s = max(0, n.bit_length() - 1100)
+        return s + mpmath.log(mpmath.mpf(n >> s), 2)
+
+    x = Fraction(x)
+    return lg(x.numerator) - lg(x.denominator)
+
+
+def _check_log2_upper(value: Fraction, exact):
+    got = _log2(value)
+    assert got >= exact - LOG2_NOISE, (float(got), float(exact))
+    assert got - exact <= RELATIVE * abs(exact), float((got - exact) / exact)
+
+
+def _closing_log2(d: int, mu: Fraction, rest):
+    """log2 of (2^(d^2 mu/4) ((d+2)/2)^((3d^2+4d) mu/8) L)^(1/(2mu - d)),
+    given log2 L."""
+    return (_q(Fraction(d * d, 4) * mu)
+            + _q(Fraction(3 * d * d + 4 * d, 8) * mu) * mpmath.log(_q(Fraction(d + 2, 2)), 2)
+            + rest) / _q(2 * mu - d)
+
+
+def _arch_floor_log2(d, mu, c0, c12v, c13v, c6v, max1_up):
+    """log2 of C1's Wronskian-floor and Liouville-closing branches:
+    (2^((d+6)/2) ((d+2)/2) C0 C12^2 max(1,|alpha|)^d / C13)^(1/mu) and the
+    closing of L = C0 C12^((d^2+3d) mu/2 + 2) max(1,|alpha|)^d / (C6 C13)."""
+    lc0, l12, l13, l6, lmax = (_log2(v) for v in (c0, c12v, c13v, c6v, max1_up))
+    wronskian = (_q(Fraction(d + 6, 2)) + mpmath.log(_q(Fraction(d + 2, 2)), 2)
+                 + lc0 + 2 * l12 - l13 + d * lmax) / _q(mu)
+    closing = _closing_log2(d, mu, lc0 + _q(Fraction(d * d + 3 * d, 2) * mu + 2) * l12
+                            + d * lmax - l6 - l13)
+    return wronskian, closing
+
+
+@pytest.fixture(scope="module")
+def c5_runs():
+    """c5 of each census form, with every call to archimedean_floor_branches
+    and to c16 recorded, and C16's branches exact."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gap, "compact_str", Fraction)
+        for name, (f, m, mu) in CENSUS_FORMS.items():
+            calls = {"floor": [], "c16": []}
+
+            def recorded(fn, log):
+                def wrapper(*args):
+                    out = fn(*args)
+                    log.append((args, out))
+                    return out
+                return wrapper
+
+            mp.setattr(thue, "archimedean_floor_branches",
+                       recorded(gap.archimedean_floor_branches, calls["floor"]))
+            mp.setattr(thue, "c16", recorded(gap.c16, calls["c16"]))
+            c10 = thue.lewis_mahler_c10(f)
+            value, _ = thue.c5(f, m, mu, c10)
+            runs[name] = (f, m, mu, c10, value, calls)
+    return runs
+
+
+def test_d12_height_floor_branches_against_mpmath(c5_runs):
+    # every root of D12, root 0 included, from the census's own C5 inputs
+    *_, calls = c5_runs["d12"]
+    assert calls["floor"]
+    with mpmath.workdps(DPS):
+        for (d, mu, c0, c12v, roots), out in calls["floor"]:
+            for (c13v, c6v, max1_up), branches in zip(roots, out):
+                wronskian, closing = _arch_floor_log2(d, mu, c0, c12v, c13v, c6v, max1_up)
+                values = dict(branches)
+                _check_log2_upper(values["wronskian-floor"], wronskian)
+                _check_log2_upper(values["liouville-closing"], closing)
+
+
+def test_alpha15_height_floor_branches_against_mpmath(monkeypatch, alpha15, beta15):
+    monkeypatch.setattr(gap, "compact_str", Fraction)
+    mu, c0 = Fraction(7, 2), Fraction(1)
+    constants = archimedean_constants(alpha15, beta15, mu, c0)
+    prov = dict(constants.provenance)
+    max1_up = max(Fraction(1), alpha15.abs_interval().hi)
+    with mpmath.workdps(DPS):
+        wronskian, closing = _arch_floor_log2(alpha15.degree, mu, c0, prov["C12"],
+                                              prov["C13"], prov["C6"], max1_up)
+        _check_log2_upper(prov["wronskian-floor"], wronskian)
+        _check_log2_upper(prov["liouville-closing"], closing)
+        # C1 itself, the largest branch rounded up
+        _check_log2_upper(constants.c_small, max(_log2(c0) / _q(mu), wronskian, closing))
+
+
+def test_padic_height_floor_branches_against_mpmath(monkeypatch):
+    # the README's `constants padic` pair: 17-adic root ~ 3 of x^3 - 3x - 1
+    monkeypatch.setattr(gap, "compact_str", Fraction)
+    mu, c0 = Fraction(11, 4), Fraction(1)
+    alpha = AlgNum.near(CUBIC, Fraction(1879, 1000))
+    beta = AlgNum.near(CUBIC_IMAGE, Fraction(1532, 1000))
+    xi = hensel_root(CUBIC, 17, 3)
+    constants = nonarchimedean_constants(xi, find_pair(alpha, beta), mu, c0)
+    prov = dict(constants.provenance)
+    d = xi.degree
+    with mpmath.workdps(DPS):
+        lc0, l12, l14, l7, lca = (_log2(v) for v in (c0, prov["C12"], prov["C14"],
+                                                     prov["C7"], Fraction(xi.lead)))
+        # (2 C0 c_alpha^((3d-4)/2) / C14)^(1/mu), and the closing of
+        # L = c_alpha^(d-1) C0 C12^((d^2+3d) mu/2) / (C7 C14)
+        wronskian = (1 + lc0 - l14 + _q(Fraction(3 * d - 4, 2)) * lca) / _q(mu)
+        closing = _closing_log2(d, mu, (d - 1) * lca + lc0 - l7
+                                + _q(Fraction(d * d + 3 * d, 2) * mu) * l12 - l14)
+        _check_log2_upper(prov["wronskian-floor"], wronskian)
+        _check_log2_upper(prov["liouville-closing"], closing)
+        _check_log2_upper(constants.c_small, max(lc0 / _q(mu), wronskian, closing))
+
+
+def _c16_branches_log2(alphas, mu, c0, c_big, mahler_max_log_up):
+    """log2 of C16's large-height branch,
+    exp((log C0 + 1.42 sqrt(d) (log 4 + A)) / (mu - 1.42 sqrt(d))) with
+    A = 500^2 (log M + d/2), and of its iteration floor
+    C_big^(2/(mu - d/2 - 1))."""
+    d = alphas[0].degree
+    lam = mpmath.mpf("1.42") * mpmath.sqrt(d)
+    a_big = 500 ** 2 * (_q(Fraction(mahler_max_log_up)) + mpmath.mpf(d) / 2)
+    large = (mpmath.log(_q(Fraction(c0))) + lam * (mpmath.log(4) + a_big)) \
+        / (_q(Fraction(mu)) - lam) / mpmath.log(2)
+    iteration = 2 * _log2(c_big) / _q(Fraction(mu) - Fraction(d, 2) - 1)
+    return large, iteration
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_FORMS))
+def test_c16_branches_against_mpmath(c5_runs, name):
+    *_, calls = c5_runs[name]
+    assert calls["c16"]
+    with mpmath.workdps(DPS):
+        for (alphas, mu, c0, _c_small, c_big, mahler), (_, prov) in calls["c16"]:
+            large, iteration = _c16_branches_log2(alphas, mu, c0, c_big, mahler)
+            _check_log2_upper(prov["branches"]["large-height"], large)
+            _check_log2_upper(prov["branches"]["iteration-floor"], iteration)
+            # the iteration floor's slack can lie below 200 digits; its side,
+            # v^q >= C_big^p for the exponent p/q, is checked exactly
+            e = 2 / (mu - Fraction(alphas[0].degree, 2) - 1)
+            assert prov["branches"]["iteration-floor"] ** e.denominator >= c_big ** e.numerator
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_FORMS))
+def test_c5_against_mpmath(c5_runs, name):
+    # C5 = max((C10 m)^(1/(d - mu)), C16 of the roots, C16 of the inverse
+    # roots), every C16 branch in closed form; C11 from mpmath's roots
+    f, m, mu, c10, value, calls = c5_runs[name]
+    d = f.degree
+    with mpmath.workdps(DPS):
+        candidates = [_log2(c10 * m) / _q(d - mu)]
+        for ((_, _, c0, c12v, roots), _), ((alphas, _, _, _, c_big, mahler), _) \
+                in zip(calls["floor"], calls["c16"]):
+            floor = max(max(_arch_floor_log2(d, mu, c0, c12v, *root)) for root in roots)
+            poly_roots, _ = _roots(alphas[0])
+            least = min(abs(a - b) for k, a in enumerate(poly_roots) for b in poly_roots[k + 1:])
+            uniqueness = mpmath.log(2 * _q(Fraction(c0)) / least, 2) / _q(mu)
+            candidates += [floor, uniqueness,
+                           *_c16_branches_log2(alphas, mu, c0, c_big, mahler)]
+        _check_log2_upper(value, max(candidates))
