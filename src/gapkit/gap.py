@@ -21,10 +21,9 @@ from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
 from .rounding import (AbstainError, RatInterval, SqrtVal, certified_floor,
-                       compact_str,
-                       exp_interval, log_interval, pow_half_integer_down,
-                       pow_half_integer_up, pow_up, root_down, root_up,
-                       sqrt_down, sqrt_up, tidy_down, tidy_up)
+                       compact_str, exp_interval, log_interval, monomial_up,
+                       pow_half_integer_down, pow_half_integer_up, pow_up,
+                       root_down, root_up, sqrt_down, sqrt_up, tidy_down, tidy_up)
 
 
 class HypothesisError(ValueError):
@@ -345,22 +344,23 @@ def _validate_mu(d: int, mu: Fraction):
 
 
 def height_floor_branches(d: int, mu: Fraction, c0: Fraction,
-                          wronskian_floor: Fraction, closing: Fraction
-                          ) -> tuple[tuple[str, Fraction], ...]:
+                          wronskian_floor, closing) -> tuple[tuple[str, Fraction], ...]:
     """The three branches of the height floor C1 (C3 in the p-adic case),
-    each rounded up; the floor is their maximum:
+    each one ``monomial_up``; the floor is their maximum:
 
-        C0^(1/mu), wronskian_floor^(1/mu) and
-        (2^(d^2 mu/4) ((d+2)/2)^((3d^2+4d) mu/8) closing)^(1/(2mu - d)),
+        C0^(1/mu), W^(1/mu) and
+        (2^(d^2 mu/4) ((d+2)/2)^((3d^2+4d) mu/8) L)^(1/(2mu - d)).
 
-    where ``wronskian_floor`` and ``closing`` are the metric's own upper
-    roundings of the Wronskian-floor base and of the rest of the Liouville
-    closing."""
-    closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
-        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) * closing
-    return (("C0^(1/mu)", pow_up(c0, 1 / mu)),
-            ("wronskian-floor", pow_up(wronskian_floor, 1 / mu)),
-            ("liouville-closing", pow_up(closing, 1 / (2 * mu - d))))
+    ``wronskian_floor`` and ``closing`` are the metric's factor lists
+    [(base, exponent), ...] of the Wronskian-floor base W and of the rest L
+    of the Liouville closing: upper bounds on the bases (the reciprocal of a
+    lower bound where a constant divides), with exponents before the
+    division by mu or by 2mu - d."""
+    closing = [(2, Fraction(d * d, 4) * mu),
+               (Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu), *closing]
+    return (("C0^(1/mu)", monomial_up([(c0, 1 / mu)])),
+            ("wronskian-floor", monomial_up([(b, x / mu) for b, x in wronskian_floor])),
+            ("liouville-closing", monomial_up([(b, x / (2 * mu - d)) for b, x in closing])))
 
 
 def archimedean_floor_branches(d: int, mu: Fraction, c0: Fraction, c12v: Fraction,
@@ -368,14 +368,15 @@ def archimedean_floor_branches(d: int, mu: Fraction, c0: Fraction, c12v: Fractio
     """The branches of C1 (``height_floor_branches``) of each number in
     ``roots``, given as (C13, C6, max(1, |alpha|)): lower bounds on |W(alpha)|
     and on the Liouville constant, and an upper bound on max(1, |alpha|).
-    The numbers share the bound C12, so the large power of C12 in the
-    Liouville closing is computed once."""
-    pow_c12 = pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2)
+    The factors are W = 2^((d+6)/2) ((d+2)/2) C0 C12^2 max(1, |alpha|)^d / C13
+    and L = C0 C12^((d^2+3d) mu/2 + 2) max(1, |alpha|)^d / (C6 C13), with the
+    upper bound C12 that the numbers share."""
     return [height_floor_branches(
         d, mu, c0,
-        pow_half_integer_up(Fraction(2), d + 6) * Fraction(d + 2, 2)
-        * c0 * c12v ** 2 / c13v * max1_up ** d,
-        c0 / (c6v * c13v) * pow_c12 * max1_up ** d)
+        [(2, Fraction(d + 6, 2)), (Fraction(d + 2, 2), 1), (c0, 1), (c12v, 2),
+         (1 / c13v, 1), (max1_up, d)],
+        [(c0, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu + 2), (max1_up, d),
+         (1 / c6v, 1), (1 / c13v, 1)])
         for c13v, c6v, max1_up in roots]
 
 
@@ -435,9 +436,9 @@ def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
 
     c4 = tidy_up((d + 2) * c0 * c12v * pow_half_integer_up(c_alpha, d) * c_beta)
     branches = height_floor_branches(
-        d, mu, c0, 2 * c0 / c14v * pow_half_integer_up(c_alpha, 3 * d - 4),
-        c_alpha ** (d - 1) * c0 / c7v
-        * pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu) / c14v)
+        d, mu, c0, [(2 * c0 / c14v, 1), (c_alpha, Fraction(3 * d - 4, 2))],
+        [(c_alpha, d - 1), (c0 / c7v, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu),
+         (1 / c14v, 1)])
     c3 = max(b for _, b in branches)
     prov = tuple((name, compact_str(val)) for name, val in branches)
     return GapConstants("p-adic", tidy_up(c3), c4, mu, c0, d,

@@ -38,10 +38,6 @@ class IntPoly:
         return IntPoly(())
 
     @staticmethod
-    def one() -> "IntPoly":
-        return IntPoly((1,))
-
-    @staticmethod
     def x() -> "IntPoly":
         return IntPoly((0, 1))
 

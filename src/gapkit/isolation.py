@@ -313,7 +313,7 @@ class _RootSystem:
         table = self.tables.get(width)
         if table is None:
             table = self.tables[width] = ScaledRoots(
-                [self.refined(i, width) for i in range(len(self.base))], width)
+                [self.refined(i, width) for i in range(len(self.base))], width, self.conj)
         return table
 
 
@@ -325,20 +325,24 @@ class ScaledRoots:
     ``alpha[i]`` is root i's disk; ``inverse[i]`` is ``disk_div`` of the
     point 1 by it, or None when that disk may contain 0; ``mirror[i]`` is
     the index of the root whose disk is the mirror image of root i's (None
-    for a real root).  ``_rescaled`` shifts a disk exactly from a coarser
-    scale, and from a finer one rounds its center to the nearest unit, which
-    moves it by at most sqrt(2)/2 < 1 unit, and its radius up plus one unit,
-    which covers that move.  The entries of a disk below the real axis are
-    the mirror images of its conjugate's, so mirror disks stay exact mirrors
-    although rounding to a unit is not symmetric."""
+    for a real root), read off ``conj``, the upper conjugate of each disk
+    below the real axis (``_RootSystem.conj``).  ``_rescaled`` shifts a
+    disk exactly from a coarser scale, and from a finer one rounds its
+    center to the nearest unit, which moves it by at most sqrt(2)/2 < 1
+    unit, and its radius up plus one unit, which covers that move.  The
+    entries of a disk below the real axis are the mirror images of its
+    conjugate's, so mirror disks stay exact mirrors although rounding to a
+    unit is not symmetric."""
 
     __slots__ = ("bits", "alpha", "inverse", "mirror")
 
-    def __init__(self, encl: list[RootEnclosure], width: Fraction):
+    def __init__(self, encl: list[RootEnclosure], width: Fraction,
+                 conj: dict[int, int] | None = None):
         self.bits = (width.denominator // width.numerator).bit_length() + 32
         one = 1 << self.bits
-        self.mirror = [None if e.is_real else next(
-            o.index for o in encl if o.disk == _mirror(e.disk)) for e in encl]
+        self.mirror = [None] * len(encl)
+        for i, j in (conj or {}).items():
+            self.mirror[i], self.mirror[j] = j, i
         self.alpha, self.inverse = [None] * len(encl), [None] * len(encl)
         for e, j in zip(encl, self.mirror):
             if e.disk[1] < 0:

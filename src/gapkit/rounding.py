@@ -6,6 +6,9 @@ lower bounds round down.  This module supplies the primitives:
 
 * directed square roots and n-th roots of nonnegative rationals,
 * directed rational powers ``base**(p/q)``,
+* :func:`monomial_up`, an upper bound on a product of rational powers,
+  carried as a dyadic ``m * 2**e`` with a fixed-width mantissa, so huge
+  constants never become exact rationals,
 * :class:`SqrtVal`, an exact value ``q * sqrt(n)`` (half-integer exponents
   such as ``(1 - 3r)/2`` produce these),
 * :class:`RatInterval`, a closed interval with rational endpoints, and
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+import math
+from math import isqrt, log2
 
-import mpmath
 from mpmath import iv
 
 Rat = Fraction
@@ -37,7 +40,10 @@ def _nth_root_floor(n: int, k: int) -> int:
         return n
     if k == 2:
         return isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # power of two >= true root
+    # start just above the root: its top 40 bits from a float, plus 2, and
+    # the low t bits left to Newton
+    t = max(0, n.bit_length() // k - 40)
+    x = (int(2 ** (log2(n >> t * k) / k)) + 2) << t
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -66,60 +72,27 @@ def sqrt_up(x: Rat) -> Rat:
 _ROOT_SCALE = 1 << 100
 
 
-# operands above this bit size go through the top-bits fast path (relative
-# error ~2^-160, plenty for directed bounds on astronomical constants)
-_BIG_OPERAND_BITS = 8192
-
-
-def _root_big(x: Fraction, k: int, up: bool) -> Fraction:
-    """Directed k-th root via mantissa/exponent split: sandwich x between
-    dyadic bounds with ~160k-bit mantissas, root the mantissa exactly."""
-    num, den = x.numerator, x.denominator
-    bits = 160
-    a = k * bits - (num.bit_length() - den.bit_length())
-    a -= a % k  # keep 2^(a/k) exact
-    if up:
-        u = (num << a) // den + 1 if a >= 0 else num // (den << -a) + 1
-        r = _nth_root_floor(u, k)
-        if r ** k != u:
-            r += 1
-    else:
-        u = (num << a) // den if a >= 0 else num // (den << -a)
-        r = _nth_root_floor(u, k)
-    e = a // k
-    return Fraction(r, 1 << e) if e >= 0 else Fraction(r << -e)
-
-
 def root_down(x: Rat, k: int) -> Rat:
     """Rational lower bound on x**(1/k) for x >= 0."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    if max(num.bit_length(), den.bit_length()) > _BIG_OPERAND_BITS:
-        return _root_big(x, k, up=False)
-    # x**(1/k) = nthroot(num * den**(k-1)) / den ; scale for accuracy.
-    m = num * den ** (k - 1) * _ROOT_SCALE ** k
-    return Fraction(_nth_root_floor(m, k), den * _ROOT_SCALE)
+    return _root(x, k, False)
 
 
 def root_up(x: Rat, k: int) -> Rat:
     """Rational upper bound on x**(1/k) for x >= 0."""
+    return _root(x, k, True)
+
+
+def _root(x: Rat, k: int, up: bool) -> Rat:
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return Fraction(0)
     num, den = x.numerator, x.denominator
-    if max(num.bit_length(), den.bit_length()) > _BIG_OPERAND_BITS:
-        return _root_big(x, k, up=True)
+    # x**(1/k) = nthroot(num * den**(k-1)) / den ; scale for accuracy.
     m = num * den ** (k - 1) * _ROOT_SCALE ** k
     r = _nth_root_floor(m, k)
-    if r ** k != m:
-        r += 1
-    return Fraction(r, den * _ROOT_SCALE)
+    return Fraction(r + (up and r ** k != m), den * _ROOT_SCALE)
 
 
 def pow_down(base: Rat, exp: Rat) -> Rat:
@@ -150,6 +123,64 @@ def pow_up(base: Rat, exp: Rat) -> Rat:
     if q == 1:
         return base ** p
     return root_up(base ** p, q)
+
+
+# mantissa width of monomial_up, in bits; a value between 2^-5 and 2^133
+# then stays a fraction under 10^40, which compact_str prints exactly
+_MONOMIAL_BITS = 128
+
+
+def _dyadic_up(m: int, e: int) -> tuple[int, int]:
+    """(m, e) with m cut to _MONOMIAL_BITS bits, rounded up."""
+    k = max(0, m.bit_length() - _MONOMIAL_BITS)
+    return -(-m >> k), e + k
+
+
+def _dyadic_pow_up(base: Fraction, n: int) -> tuple[int, int]:
+    """Upper bound (m, e) on base**n for base > 0 and n >= 0: base rounded
+    up to a dyadic, then square-and-multiply, rounding up at every step."""
+    p, q = base.numerator, base.denominator
+    s = _MONOMIAL_BITS + q.bit_length() - p.bit_length()
+    m = -(-(p << s) // q) if s >= 0 else -(-p // (q << -s))
+    m, e = _dyadic_up(m, -s)
+    rm, re = 1, 0
+    while True:
+        if n & 1:
+            rm, re = _dyadic_up(rm * m, re + e)
+        n >>= 1
+        if not n:
+            return rm, re
+        m, e = _dyadic_up(m * m, 2 * e)
+
+
+def _dyadic_root_up(m: int, e: int, k: int) -> tuple[int, int]:
+    """Upper bound on (m 2^e)^(1/k) with a _MONOMIAL_BITS-bit mantissa: the
+    mantissa is shifted left by s, with k dividing e - s, and rooted exactly."""
+    s = k * _MONOMIAL_BITS - m.bit_length()
+    s += (e - s) % k
+    big = m << s
+    r = _nth_root_floor(big, k)
+    return r + (r ** k != big), (e - s) // k
+
+
+def monomial_up(terms) -> Rat:
+    """Upper bound on the product of b**x over the (b, x) in ``terms``, for
+    positive rational b and nonnegative rational x.  Each b**(p/q) is the
+    integer power b**p followed by a q-th root, on dyadics m * 2**e whose
+    mantissa is rounded up to _MONOMIAL_BITS bits at every step, so each
+    factor is within about (p/q + 1) 2^(2 - _MONOMIAL_BITS) of its value,
+    relatively, however many bits b has.  Exact when every intermediate
+    mantissa fits."""
+    m, e = 1, 0
+    for base, exp in terms:
+        base, exp = Fraction(base), Fraction(exp)
+        if base <= 0 or exp < 0:
+            raise ValueError("positive base and nonnegative exponent required")
+        tm, te = _dyadic_pow_up(base, exp.numerator)
+        if exp.denominator > 1:
+            tm, te = _dyadic_root_up(tm, te, exp.denominator)
+        m, e = _dyadic_up(m * tm, e + te)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 @dataclass(frozen=True)
@@ -441,8 +472,6 @@ def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
     """The rational with smallest denominator in [lo, hi] (Stern-Brocot).
     When the interval is tight around a rational p/q (width < 1/q**2), that
     rational is the unique denominator-<=q element, hence the result."""
-    import math
-
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
@@ -475,34 +504,27 @@ def _dec_exponent(x: Rat) -> int:
 def tidy_up(x: Rat) -> Rat:
     """Upper bound on x keeping about 18 significant digits; keeps reported
     constants and their downstream powers small."""
-    import math
-
-    x = Fraction(x)
-    if x == 0:
-        return x
-    scale = 10 ** max(0, _TIDY_DIGITS - _dec_exponent(x))
-    out = Fraction(math.ceil(x * scale), scale)
-    return out if out != 0 else x
+    return _tidy(x, math.ceil)
 
 
 def tidy_down(x: Rat) -> Rat:
     """Lower bound on x keeping about 18 significant digits; never loses the
     sign of a positive value."""
-    import math
+    return _tidy(x, math.floor)
 
+
+def _tidy(x: Rat, rounding) -> Rat:
     x = Fraction(x)
     if x == 0:
         return x
     scale = 10 ** max(0, _TIDY_DIGITS - _dec_exponent(x))
-    out = Fraction(math.floor(x * scale), scale)
+    out = Fraction(rounding(x * scale), scale)
     return out if out != 0 else x
 
 
 def compact_str(x) -> str:
     """Exact p/q for small fractions, mantissa*10^e approximation for the
     astronomically large constants (no big-integer arithmetic at all)."""
-    import math
-
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     if abs(num) < 10 ** 40 and den < 10 ** 40:
@@ -520,8 +542,6 @@ def compact_str(x) -> str:
 def certified_floor(x: RatInterval) -> int:
     """Floor of the real enclosed by x, provided the enclosure does not
     straddle an integer.  Raises ValueError otherwise (caller refines)."""
-    import math
-
     flo = math.floor(x.lo)
     fhi = math.floor(x.hi)
     if flo != fhi:

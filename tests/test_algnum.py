@@ -183,7 +183,7 @@ def _poly_of_degree(lo, hi, size):
 
 
 def _product(factors):
-    out = IntPoly.one()
+    out = IntPoly((1,))
     for f in factors:
         out = out * f
     return out

@@ -17,7 +17,9 @@
 
   References are matched by name as well: ``f``, ``obj.f`` and the string
   ``"f"`` (as in ``getattr`` or perfbench's tracer list) all refer to every
-  function named ``f``.
+  function named ``f``.  A bare ``f`` does not count inside a function or
+  lambda that binds ``f`` itself, as a parameter or an assignment target,
+  or inside one nested in such a function: there it names a local.
 """
 
 import ast
@@ -98,18 +100,92 @@ def public_names() -> set[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(fn) -> set[str]:
+    """The names a function or lambda binds as parameters or as targets
+    assigned in its own body, less those it declares global or nonlocal.  A
+    function defined in the body is not counted: its name, read there,
+    refers to a function."""
+    a = fn.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if isinstance(node, (*_SCOPES, ast.ClassDef)):
+            continue                      # a scope of its own
+        todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _references(node: ast.AST, local: frozenset = frozenset(), out=None) -> set[str]:
+    """Every name that ``node`` refers to by a Name outside the locals of
+    its enclosing functions, by an attribute or by a string constant."""
+    out = set() if out is None else out
+    if isinstance(node, _SCOPES):
+        local = local | _bound(node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            if child.id not in local:
+                out.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            out.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            out.add(child.value)
+        _references(child, local, out)
+    return out
+
+
 def referenced_names(tops) -> set[str]:
     out = set()
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
-                    out.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    out.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    out.add(node.value)
+            _references(_parse(path), out=out)
     return out
+
+
+SHADOWED = """
+def helper():
+    return 1
+
+def dead():
+    return 2
+
+def dead_too():
+    return 3
+
+def user(xs, dead_too=0):
+    dead = len(xs)
+    def inner():
+        return dead + dead_too
+    return helper() + inner() + (lambda dead: dead)(1)
+
+def caller():
+    return [dead_too() for _ in range(2)]
+
+def wrapper():
+    def nested():
+        return 4
+    return nested()
+"""
+
+
+def test_references_skip_locals_named_like_functions():
+    # ``dead`` is bound in ``user`` (assignment, lambda parameter) and only
+    # read there or in a function nested in it; ``dead_too`` is a parameter
+    # of ``user`` but called from ``caller``, where nothing binds it; a
+    # function defined in a function is referenced where it is called
+    refs = _references(ast.parse(SHADOWED))
+    assert {"helper", "dead_too", "nested"} <= refs
+    assert "dead" not in refs
 
 
 def test_no_function_is_used_only_by_tests():

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapkit.isolation import _dyadic
-from gapkit.rounding import (RatInterval, SqrtVal, _mpf_tuple_to_fraction,
-                             certified_floor, compact_str, pow_down,
+from gapkit.rounding import (_MONOMIAL_BITS, RatInterval, SqrtVal,
+                             _mpf_tuple_to_fraction, certified_floor,
+                             compact_str, monomial_up, pow_down,
                              pow_half_integer_down, pow_half_integer_up,
                              pow_up, root_down, root_up, simplest_rational_in,
                              tidy_down, tidy_up, exp_interval, log_interval)
@@ -39,7 +40,75 @@ def test_big_operand_roots_stay_directed():
     x = Fraction(7 ** 4000, 3 ** 2500)
     lo, hi = root_down(x, 5), root_up(x, 5)
     assert lo ** 5 <= x <= hi ** 5
-    assert hi / lo < Fraction(10 ** 30 + 1, 10 ** 30)  # tight despite the fast path
+    assert hi / lo < Fraction(10 ** 30 + 1, 10 ** 30)
+
+
+# long rationals, large values (more bits than the mantissa) and short
+# integers, whose mantissas are exact, so that no rounding hides behind
+# another
+monomial_bases = st.one_of(
+    st.builds(Fraction, st.integers(min_value=1, max_value=2 ** 2000),
+              st.integers(min_value=1, max_value=2 ** 2000)),
+    st.builds(Fraction, st.integers(min_value=1, max_value=2 ** 2000),
+              st.integers(min_value=1, max_value=2 ** 64)),
+    st.integers(min_value=1, max_value=2 ** 64).map(Fraction))
+monomial_terms = st.lists(
+    st.tuples(monomial_bases,
+              st.fractions(min_value=0, max_value=1000, max_denominator=12)),
+    min_size=1, max_size=4)
+
+
+def _dyadic_mpf(v: Fraction):
+    """v exactly as an mpf, read as mantissa and exponent: v is a dyadic
+    whose mantissa has at most one bit more than the monomial width."""
+    num, den = v.numerator, v.denominator
+    assert den & (den - 1) == 0
+    shift = (num & -num).bit_length() - 1
+    assert (num >> shift).bit_length() <= _MONOMIAL_BITS + 1
+    return mpmath.ldexp(mpmath.mpf(num >> shift), shift - den.bit_length() + 1)
+
+
+@given(monomial_terms)
+# one input for each rounding step: converting a base above and below the
+# mantissa width, squaring, multiplying into the power, the root
+@example([(Fraction(3 ** 300, 7), Fraction(1))])
+@example([(Fraction(1, 3), Fraction(1))])
+@example([(Fraction(3), Fraction(128))])
+@example([(Fraction(3), Fraction(97))])
+@example([(Fraction(2), Fraction(1, 3))])
+@settings(max_examples=100, deadline=None)
+def test_monomial_up_is_a_tight_upper_bound(terms):
+    # mpmath at 4x the mantissa width is within about 2^-(4w - 20) of the
+    # exact product, so the 2^-3w allowance below absorbs its own rounding
+    # and none of monomial_up's, whose steps are 2^-(w - 1) apart
+    w = _MONOMIAL_BITS
+    with mpmath.workprec(4 * w):
+        exact = mpmath.fprod(mpmath.root((mpmath.mpf(b.numerator) / b.denominator)
+                                         ** x.numerator, x.denominator)
+                             for b, x in terms)
+        got = _dyadic_mpf(monomial_up(terms))
+        assert got >= exact * (1 - mpmath.mpf(2) ** (-3 * w))
+        assert got <= exact * (1 + mpmath.mpf(2) ** (16 - w))
+    # each factor with a small numerator, exactly: v^q >= b^p
+    for b, x in terms:
+        if x.numerator <= 8:
+            assert monomial_up([(b, x)]) ** x.denominator >= b ** x.numerator
+
+
+def test_monomial_up_exact_cases():
+    # integer powers whose product fits the mantissa come out exact
+    assert monomial_up([(3, 20), (5, 7), (Fraction(1, 8), 3)]) == Fraction(3 ** 20 * 5 ** 7, 2 ** 9)
+    assert monomial_up([(Fraction(9, 4), Fraction(3, 2)), (7, 0)]) == Fraction(27, 8)
+    assert monomial_up([(2 ** 400, Fraction(1, 4))]) == 2 ** 100
+    assert monomial_up([]) == 1
+    top = 2 ** _MONOMIAL_BITS
+    assert monomial_up([(top - 1, 1)]) == top - 1
+    # one bit too many: the last bit rounds up
+    assert monomial_up([(top + 1, 1)]) == top + 2
+    with pytest.raises(ValueError):
+        monomial_up([(0, 1)])
+    with pytest.raises(ValueError):
+        monomial_up([(2, -1)])
 
 
 def test_sqrtval_exactness_and_comparison():
