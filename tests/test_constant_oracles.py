@@ -14,20 +14,32 @@ log2 from the same inputs gapkit used (C12, C13, C6, max(1, |alpha|), ...),
 and the reported value must lie above, within 1e-9 relatively in log2.
 Reports print these values through ``compact_str``; the tests swap it for
 ``Fraction`` to read them exactly.
+
+The constants built as products of rational powers (C10, C12's closed form,
+C14's closed form, C2, C4, C15, the closed branch of the two-forms constant
+and the root-separation bound) are checked against the same products at 200
+digits, in log2, each on its safe side and within 1e-9 relatively.  C10 is
+also checked against a naive search of the Lewis-Mahler inequality that it
+bounds.
 """
 
+import heapq
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 
 from gapkit import gap, thue
-from gapkit.algnum import AlgNum, PowerBasisRep, c9, liouville_c6
+from gapkit.algnum import AlgNum, PowerBasisRep, c8, c9, liouville_c6, power_rep
 from gapkit.autgroup import d12_family
 from gapkit.binforms import BinForm
-from gapkit.gap import archimedean_constants, c11, nonarchimedean_constants
+from gapkit.gap import (archimedean_constants, c11, c15, nonarchimedean_constants,
+                        two_forms_constant)
 from gapkit.intpoly import IntPoly
-from gapkit.minpair import MinimalPair, c13, c13_formula, find_pair
+from gapkit.isolation import root_separation_lower_bound
+from gapkit.minpair import (MinimalPair, c12_closed_form, c13, c13_formula, c14_formula,
+                            find_pair)
 from gapkit.padic import hensel_root
 from tests.conftest import CBRT2, CUBIC, CUBIC_IMAGE, QUARTIC
 
@@ -290,3 +302,185 @@ def test_c5_against_mpmath(c5_runs, name):
             candidates += [floor, uniqueness,
                            *_c16_branches_log2(alphas, mu, c0, c_big, mahler)]
         _check_log2_upper(value, max(candidates))
+
+
+# -- products of rational powers, in log2 -----------------------------------------
+
+def _check_log2(value: Fraction, exact, side: str):
+    """``value`` on its side of 2^exact, within 1e-9 relatively."""
+    got = _log2(value)
+    if side == "upper":
+        assert got >= exact - LOG2_NOISE, (float(got), float(exact))
+    else:
+        assert got <= exact + LOG2_NOISE, (float(got), float(exact))
+    assert abs(mpmath.expm1((got - exact) * mpmath.log(2))) <= RELATIVE, float(got - exact)
+
+
+def _monomial_log2(terms):
+    """log2 of the product of b^x over the (b, x) in ``terms``."""
+    return mpmath.fsum(_q(Fraction(x)) * _log2(Fraction(b)) for b, x in terms)
+
+
+LM_FORMS = {
+    "x^3 - 2y^3": BinForm((1, 0, 0, -2)),
+    "3x^4 + 2x^3y - 8x^2y^2 + 2xy^3 + 3y^4": BinForm((3, 2, -8, 2, 3)),
+    "x^3 - 3xy^2 - y^3": BinForm((1, 0, -3, -1)),
+    "d12": d12_family(3, 1),
+}
+
+
+def _form_roots(f: BinForm):
+    return mpmath.polyroots([mpmath.mpf(c) for c in f.coeffs], maxsteps=400,
+                            extraprec=4 * DPS)
+
+
+@pytest.mark.parametrize("name", sorted(LM_FORMS))
+def test_lewis_mahler_c10_against_mpmath(name):
+    # 2^(d-1) d^((d-1)/2) M^(d-2) / |D|^(1/2), with M and D from the roots
+    f = LM_FORMS[name]
+    d, lead = f.degree, abs(f.coeffs[0])
+    with mpmath.workdps(DPS):
+        roots = _form_roots(f)
+        log_m = mpmath.log(lead, 2) + mpmath.fsum(mpmath.log(max(1, abs(r)), 2) for r in roots)
+        log_disc = (2 * d - 2) * mpmath.log(lead, 2) + 2 * mpmath.fsum(
+            mpmath.log(abs(roots[i] - roots[j]), 2) for i in range(d) for j in range(i + 1, d))
+        exact = (d - 1) + mpmath.mpf(d - 1) / 2 * mpmath.log(d, 2) + (d - 2) * log_m - log_disc / 2
+        _check_log2(thue.lewis_mahler_c10(f), exact, "upper")
+
+
+def _lewis_mahler_ratios(f: BinForm, height: int):
+    """The largest ratios min over the roots alpha of
+    min(|alpha - x/y|, |1/alpha - y/x|) H^d / |F(x, y)| over the primitive
+    (x, y) with H = max(|x|, |y|) <= height, found in floating point and
+    recomputed at 50 digits; C10 bounds every one of them."""
+    d = f.degree
+    with mpmath.workdps(50):
+        roots = _form_roots(f)
+    approx = [complex(r) for r in roots]
+
+    def ratio(x, y, roots):
+        dist = min(abs(a - x / y) for a in roots) if y else mpmath.inf
+        if x:
+            dist = min(dist, min(abs(1 / a - y / x) for a in roots))
+        return dist * max(abs(x), abs(y)) ** d / abs(f.value(x, y))
+
+    pairs = [(1, 0)] + [(x, y) for y in range(1, height + 1)
+                        for x in range(-height, height + 1) if gcd(x, y) == 1]
+    top = heapq.nlargest(20, pairs, key=lambda p: ratio(p[0], p[1], approx))
+    with mpmath.workdps(50):
+        return [ratio(mpmath.mpf(x), mpmath.mpf(y), roots) for x, y in top]
+
+
+@pytest.mark.parametrize("name", ["x^3 - 2y^3", "3x^4 + 2x^3y - 8x^2y^2 + 2xy^3 + 3y^4"])
+def test_lewis_mahler_c10_against_naive_search(name):
+    f = LM_FORMS[name]
+    c10 = thue.lewis_mahler_c10(f)
+    ratios = _lewis_mahler_ratios(f, 200)
+    assert 0 < max(ratios) <= _q(c10), (float(max(ratios)), float(c10))
+
+
+C12_PAIRS = {
+    "alpha15": ((QUARTIC, Fraction(1827, 1000)), (QUARTIC, Fraction(1338, 1000))),
+    "alpha_cubic": ((CUBIC, Fraction(1879, 1000)), (CUBIC_IMAGE, Fraction(1532, 1000))),
+    "cbrt2": ((CBRT2, Fraction(126, 100)), (CBRT2, Fraction(126, 100))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(C12_PAIRS))
+def test_c12_closed_form_against_mpmath(name):
+    # ((2s+2) D c_alpha^s C9 (1 + s C8^s))^(d/(2s+2-d)) 2^(d/2) at s = floor(d/2),
+    # from gapkit's C8 and C9
+    (pa, na), (pb, nb) = C12_PAIRS[name]
+    alpha, beta = AlgNum.near(pa, na), AlgNum.near(pb, nb)
+    rep = power_rep(alpha, beta)
+    d = alpha.degree
+    s = d // 2
+    base = Fraction(2 * s + 2) * rep.denominator * alpha.lead ** s \
+        * c9(alpha, beta) * (1 + s * c8(alpha) ** s)
+    with mpmath.workdps(DPS):
+        exact = _monomial_log2([(base, Fraction(d, 2 * s + 2 - d)), (2, Fraction(d, 2))])
+        _check_log2(c12_closed_form(alpha, beta, rep.denominator), exact, "upper")
+
+
+@pytest.mark.parametrize("poly, prime, r0, height", [
+    (CUBIC, 17, 3, 1), (CUBIC, 17, 3, 10 ** 6), (QUARTIC, 31, 3, 41)])
+def test_c14_formula_against_mpmath(poly, prime, r0, height):
+    # ((d+1)^((d-1)/2) d^(d/2) H(alpha)^(2d-2) ((d^2/2) H^2)^d)^(-1)
+    xi = hensel_root(poly, prime, r0)
+    d, h = xi.degree, Fraction(height)
+    with mpmath.workdps(DPS):
+        exact = -_monomial_log2([(d + 1, Fraction(d - 1, 2)), (d, Fraction(d, 2)),
+                                 (xi.minpoly.height(), 2 * d - 2),
+                                 (Fraction(d * d, 2) * h * h, d)])
+        _check_log2(c14_formula(xi, h), exact, "lower")
+
+
+def test_c2_against_mpmath(monkeypatch, alpha15, beta15, alpha_cubic, beta_cubic):
+    # C0 2^((d+2)/2) (2 + |beta|) C12 max(1, |alpha|)^(d/2), from gapkit's
+    # C12 and its upper bounds on |alpha| and |beta|
+    monkeypatch.setattr(gap, "compact_str", Fraction)
+    for alpha, beta, mu, c0 in ((alpha15, beta15, Fraction(7, 2), Fraction(1)),
+                                (alpha_cubic, beta_cubic, Fraction(11, 4), Fraction(3, 7))):
+        constants = archimedean_constants(alpha, beta, mu, c0)
+        d = alpha.degree
+        max1_up = max(Fraction(1), alpha.abs_interval().hi)
+        with mpmath.workdps(DPS):
+            exact = _monomial_log2([(c0, 1), (2, Fraction(d + 2, 2)),
+                                    (2 + beta.abs_interval().hi, 1),
+                                    (dict(constants.provenance)["C12"], 1),
+                                    (max1_up, Fraction(d, 2))])
+            _check_log2(constants.c_big, exact, "upper")
+
+
+def test_c4_against_mpmath(monkeypatch):
+    # (d+2) C0 C12 c_alpha^(d/2) c_beta for the README's 17-adic pair
+    monkeypatch.setattr(gap, "compact_str", Fraction)
+    alpha = AlgNum.near(CUBIC, Fraction(1879, 1000))
+    beta = AlgNum.near(CUBIC_IMAGE, Fraction(1532, 1000))
+    xi = hensel_root(CUBIC, 17, 3)
+    pair = find_pair(alpha, beta)
+    for c0 in (Fraction(1), Fraction(5, 3)):
+        constants = nonarchimedean_constants(xi, pair, MU, c0)
+        d = xi.degree
+        with mpmath.workdps(DPS):
+            exact = _monomial_log2([(d + 2, 1), (c0, 1), (dict(constants.provenance)["C12"], 1),
+                                    (xi.lead, Fraction(d, 2)), (pair.beta.lead, 1)])
+            _check_log2(constants.c_big, exact, "upper")
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_c15_against_mpmath(r):
+    # 2^(r^2) (r+1)^((3r^2+2r)/2)
+    with mpmath.workdps(DPS):
+        exact = _monomial_log2([(2, r * r), (r + 1, Fraction(3 * r * r + 2 * r, 2))])
+        _check_log2(c15(r).round_up(), exact, "upper")
+
+
+TWO_FORMS = [((2, 0, -1), (1,)), ((-1, -3, 0, 1), (7,)), ((-1, -3, 0, 1), (-2, 0, 1)),
+             ((-2, 0, 0, 1), (1, 1)), ((1, 4, -4, -1, 1), (3, 0, -5, 2))]
+
+
+@pytest.mark.parametrize("p, q", TWO_FORMS)
+def test_two_forms_closed_branch_against_mpmath(monkeypatch, p, q):
+    # with the direct enclosure switched off, the constant is its closed
+    # branch: 1/(2 sqrt(r+1) H) when Q is constant, else
+    # 2^(-r) H^(-2r-1) (r+1)^(-3r/2), with H = max(H(P), H(Q))
+    monkeypatch.setattr(gap, "_two_forms_direct", lambda *args: Fraction(0))
+    p, q = IntPoly(p), IntPoly(q)
+    r, h = p.degree, max(p.height(), q.height())
+    if q.degree == 0:
+        terms = [(2, 1), (r + 1, Fraction(1, 2)), (h, 1)]
+    else:
+        terms = [(2, r), (h, 2 * r + 1), (r + 1, Fraction(3 * r, 2))]
+    with mpmath.workdps(DPS):
+        _check_log2(two_forms_constant(p, q), -_monomial_log2(terms), "lower")
+
+
+@pytest.mark.parametrize("p, q", TWO_FORMS + [((0, 1), (1, 1)), ((3, 0, 0, 0, 0, -7), (1,))])
+def test_root_separation_lower_bound_against_mpmath(p, q):
+    # 2^(1-r) (r+1)^((1-3r)/2) H^(-2r)
+    p, q = IntPoly(p), IntPoly(q)
+    r, h = p.degree, max(p.height(), q.height())
+    with mpmath.workdps(DPS):
+        exact = -_monomial_log2([(2, r - 1), (r + 1, Fraction(3 * r - 1, 2)), (h, 2 * r)])
+        _check_log2(root_separation_lower_bound(p, q), exact, "lower")
