@@ -36,9 +36,9 @@ print("  C3 =", compact_str(padic.c_small), "  C4 =", compact_str(padic.c_big))
 
 ps = thue_siegel_params(3, mahler_max_log=Fraction(106, 100))
 print("\nThue-Siegel parameters at d = 3 (a = 1/500):")
-print("  t   =", ps.t, "~", float(ps.t.round_up()))
-print("  tau =", ps.tau, "~", float(ps.tau.round_up()))
-print("  lambda ~", float(ps.lam.round_up()), " < 1.42 sqrt(3) ~ 2.4595")
+print("  t^2   =", ps.t2, "  t ~", float(ps.t2) ** 0.5)
+print("  tau^2 =", ps.tau2, "  tau ~", float(ps.tau2) ** 0.5)
+print("  lambda ~", float(ps.lam2) ** 0.5, " < 1.42 sqrt(3) ~ 2.4595")
 print("  delta^{-1} =", float(ps.delta_inverse), " < 41667 * 9 =", 41667 * 9)
 print("  A =", compact_str(ps.A))
 

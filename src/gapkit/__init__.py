@@ -21,7 +21,7 @@ from .minpair import (LinearSystem, MinimalPair, build_system, c12, c13, c14,
                       find_pair, verify_pair, wronskian)
 from .padic import (PadicAlgNum, hensel_root, liouville_c7, padic_abs_linear)
 from .parse import parse_algnum_spec, parse_form, parse_poly
-from .rounding import RatInterval, SqrtVal
+from .rounding import RatInterval
 from .thue import (Census, Solution, ThueProblem, assign_root, census,
                    convergents, enumerate_primitive, lewis_mahler_c10)
 

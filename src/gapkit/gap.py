@@ -20,10 +20,9 @@ from .isolation import IsolationError, isolate_roots
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
-from .rounding import (AbstainError, RatInterval, SqrtVal, certified_floor,
-                       compact_str, exp_interval, log_interval, monomial_up,
-                       pow_half_integer_down, pow_half_integer_up, pow_up,
-                       root_down, root_up, sqrt_down, sqrt_up, tidy_down, tidy_up)
+from .rounding import (AbstainError, RatInterval, certified_floor, compact_str,
+                       exp_interval, log_interval, monomial_up, pow_up, root_down,
+                       root_up, tidy_down, tidy_up)
 
 
 class HypothesisError(ValueError):
@@ -133,15 +132,12 @@ def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction) -
 
 # -- the vanishing-case gap machinery -----------------------------------------------
 
-def c15(r: int) -> SqrtVal:
-    """2**(r**2) * (r+1)**((3r**2+2r)/2), exact in q*sqrt(n) form."""
+def c15(r: int) -> Fraction:
+    """Upper bound on 2**(r**2) * (r+1)**((3r**2+2r)/2), exact when the
+    mantissa fits (r = 2 and r = 3, for instance)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    two_part = Fraction(2) ** (r * r)
-    e = 3 * r * r + 2 * r  # twice the exponent of (r+1)
-    k, rem = divmod(e, 2)
-    val = SqrtVal(two_part * Fraction(r + 1) ** k, (r + 1) if rem else 1)
-    return val
+    return monomial_up([(2, r * r), (r + 1, Fraction(3 * r * r + 2 * r, 2))])
 
 
 def resultant_gcd_bound(p: IntPoly, q: IntPoly) -> int:
@@ -169,10 +165,9 @@ def two_forms_constant(p: IntPoly, q: IntPoly) -> Fraction:
         raise ValueError("polynomials share a factor")
     h = Fraction(max(p.height(), q.height()))
     if s == 0:
-        closed = Fraction(1) / tidy_up(2 * sqrt_up(Fraction(r + 1)) * h)
+        closed = 1 / monomial_up([(2, 1), (r + 1, Fraction(1, 2)), (h, 1)])
     else:
-        closed = Fraction(2) ** (-r) * h ** (-2 * r - 1) \
-            * pow_half_integer_down(Fraction(r + 1), -3 * r)
+        closed = 1 / monomial_up([(2, r), (h, 2 * r + 1), (r + 1, Fraction(3 * r, 2))])
     direct = _two_forms_direct(p, q, r, s)
     return max(tidy_down(closed), direct)
 
@@ -250,7 +245,7 @@ def vanishing_gap(p: IntPoly, q: IntPoly, x1: int, y1: int
         x2, y2 = -x2, -y2
     h = Fraction(max(p.height(), q.height()))
     h1 = Fraction(max(abs(x1), abs(y1)))
-    denom_up = c15(r).round_up() * h ** (2 * r * r + 3 * r)
+    denom_up = c15(r) * h ** (2 * r * r + 3 * r)
     bound = h1 ** r / denom_up
     if max(abs(x2), abs(y2)) < bound:
         raise AssertionError("vanishing-gap height bound violated")
@@ -384,8 +379,8 @@ def archimedean_c2(d: int, c0: Fraction, c12v: Fraction, max1_up: Fraction,
                    beta_abs_up: Fraction) -> Fraction:
     """C2 = C0 2^((d+2)/2) (2 + |beta|) C12 max(1, |alpha|)^(d/2), rounded up,
     from upper bounds on C12, max(1, |alpha|) and |beta|."""
-    return tidy_up(c0 * pow_half_integer_up(Fraction(2), d + 2) * (2 + beta_abs_up)
-                   * c12v * pow_half_integer_up(max1_up, d))
+    return tidy_up(monomial_up([(c0, 1), (2, Fraction(d + 2, 2)), (2 + beta_abs_up, 1),
+                                (c12v, 1), (max1_up, Fraction(d, 2))]))
 
 
 def archimedean_constants(alpha: AlgNum, beta: AlgNum, mu, c0,
@@ -434,7 +429,8 @@ def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
     c14v = c14(xi, pair)
     c7v = liouville_c7(xi)
 
-    c4 = tidy_up((d + 2) * c0 * c12v * pow_half_integer_up(c_alpha, d) * c_beta)
+    c4 = tidy_up(monomial_up([(d + 2, 1), (c0, 1), (c12v, 1), (c_alpha, Fraction(d, 2)),
+                              (c_beta, 1)]))
     branches = height_floor_branches(
         d, mu, c0, [(2 * c0 / c14v, 1), (c_alpha, Fraction(3 * d - 4, 2))],
         [(c_alpha, d - 1), (c0 / c7v, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu),
@@ -473,8 +469,7 @@ def c11(alphas, mu, c0) -> Fraction:
                     dist = ei.distance_interval(ej)
                     if dist.lo <= 0:
                         raise ZeroDivisionError
-                    # rounding down keeps the long denominators of dist.lo out of the root
-                    best = max(best, pow_up(2 * c0 / tidy_down(dist.lo), 1 / mu))
+                    best = max(best, pow_up(2 * c0 / dist.lo, 1 / mu))
             return tidy_up(best)
         except ZeroDivisionError:
             width /= 10 ** 8
@@ -497,13 +492,14 @@ def _padic_distance(a: PadicAlgNum, b: PadicAlgNum) -> Fraction:
 @dataclass(frozen=True)
 class ThueSiegelParams:
     """Exact parameter bundle for the two-approximation principle at
-    a = 1/500: t, tau are exact q*sqrt(n) values; delta is rational."""
+    a = 1/500: the squares t2, tau2 and lam2 of t, tau and lambda, and
+    delta, all rational."""
 
     d: int
     a: Fraction
-    t: SqrtVal
-    tau: SqrtVal
-    lam: SqrtVal
+    t2: Fraction
+    tau2: Fraction
+    lam2: Fraction
     delta: Fraction
     A: Fraction | None = None
 
@@ -514,26 +510,21 @@ class ThueSiegelParams:
 
 def thue_siegel_params(d: int, mahler_max_log: Fraction | None = None
                        ) -> ThueSiegelParams:
-    """Exact t = sqrt(2/(d + a^2)), tau = 2 a t, lambda = 2/((1-2a) t),
-    delta = 6 a^2/((d + a^2)(d - 1)) at a = 1/500, with the certified
-    assertions lambda < 1.42 sqrt(d), delta^{-1} < 41667 d^2, and interval
-    membership for (t, tau).  ``mahler_max_log`` (an upper rounding of
+    """The exact squares of t = sqrt(2/(d + a^2)), tau = 2 a t and
+    lambda = 2/((1-2a) t), and delta = 6 a^2/((d + a^2)(d - 1)), at
+    a = 1/500, with the certified assertions lambda < 1.42 sqrt(d),
+    delta^{-1} < 41667 d^2, and interval membership for (t, tau).  ``mahler_max_log`` (an upper rounding of
     log max M(alpha_i)) turns into A = 500^2 (log max M + d/2)."""
     if d < 3:
         raise HypothesisError("degree must be >= 3")
     a = Fraction(1, 500)
     da2 = d + a * a
-    t2 = Fraction(2) / da2                      # t^2 rational
-    p_, q_ = t2.numerator, t2.denominator
-    t = SqrtVal(Fraction(1, q_), p_ * q_)       # sqrt(p/q) = sqrt(pq)/q
-    tau = t * (2 * a)
-    lam_coeff = Fraction(2) / ((1 - 2 * a))     # lambda = lam_coeff / t
-    # 1/t = sqrt(q/p) = sqrt(pq)/p
-    lam = SqrtVal(lam_coeff * Fraction(1, p_), p_ * q_)
+    t2 = Fraction(2) / da2
+    tau2 = 4 * a * a * t2
+    lam2 = 4 / ((1 - 2 * a) ** 2 * t2)
     delta = 6 * a * a / (da2 * (d - 1))
 
     # certified assertions (all exact rational comparisons)
-    lam2 = lam.coeff ** 2 * lam.radicand
     if not lam2 < Fraction(71, 50) ** 2 * d:
         raise AssertionError("lambda bound 1.42 sqrt(d) fails")
     if not 1 / delta < 41667 * d * d:
@@ -542,7 +533,7 @@ def thue_siegel_params(d: int, mahler_max_log: Fraction | None = None
     A = None
     if mahler_max_log is not None:
         A = 500 ** 2 * (Fraction(mahler_max_log) + Fraction(d, 2))
-    return ThueSiegelParams(d, a, t, tau, lam, delta, A)
+    return ThueSiegelParams(d, a, t2, tau2, lam2, delta, A)
 
 
 def _assert_interval_membership(d: int, a: Fraction, t2: Fraction):
@@ -618,7 +609,7 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
     a_big = 500 ** 2 * (Fraction(mahler_max_log_up) + Fraction(d, 2))
     if not c0 > 1 / (4 * exp_interval(RatInterval(a_big)).lo):
         raise HypothesisError("C0 must exceed (4 e^A)^(-1)")
-    sqrt_d = RatInterval(sqrt_down(Fraction(d)), sqrt_up(Fraction(d)))
+    sqrt_d = RatInterval(root_down(d, 2), root_up(d, 2))
     lam_bound = Fraction(71, 50) * sqrt_d
     denom = RatInterval(mu) - lam_bound
     if denom.lo <= 0:

@@ -44,8 +44,7 @@ import mpmath
 from mpmath.libmp import mpf_pos
 
 from .intpoly import IntPoly, is_squarefree, poly_gcd_q
-from .rounding import (AbstainError, RatInterval, _mpf_tuple_to_fraction,
-                       pow_half_integer_down)
+from .rounding import AbstainError, RatInterval, _mpf_tuple_to_fraction, monomial_up
 
 
 class IsolationError(ValueError):
@@ -384,7 +383,7 @@ def _disk_abs(disk: tuple[int, int, int], bits: int) -> RatInterval:
     re, im, rad = disk
     n = re * re + im * im
     return RatInterval(Fraction(max(0, isqrt(n) - rad), 1 << bits),
-                       Fraction(_isqrt_up(n) + rad, 1 << bits))
+                       Fraction(_ceil_isqrt(n) + rad, 1 << bits))
 
 
 # -- integer disk arithmetic ---------------------------------------------------
@@ -394,7 +393,7 @@ def _disk_abs(disk: tuple[int, int, int], bits: int) -> RatInterval:
 # operation's docstring says why its result holds every result of the exact
 # operation on points of its operands.
 
-def _isqrt_up(n: int) -> int:
+def _ceil_isqrt(n: int) -> int:
     r = isqrt(n)
     return r + (r * r != n)
 
@@ -431,7 +430,7 @@ def disk_mul(a: tuple[int, int, int], b: tuple[int, int, int],
     most sqrt(2)/2 < 1 unit, so one more unit of radius covers the move."""
     (ar, ai, ra), (br, bi, rb) = a, b
     one = 1 << bits
-    rad = (ra * _isqrt_up(br * br + bi * bi) + _isqrt_up(ar * ar + ai * ai) * rb
+    rad = (ra * _ceil_isqrt(br * br + bi * bi) + _ceil_isqrt(ar * ar + ai * ai) * rb
            + ra * rb)
     return (_round_div(ar * br - ai * bi, one), _round_div(ar * bi + ai * br, one),
             -(-rad >> bits) + 1)
@@ -451,7 +450,7 @@ def disk_div(a: tuple[int, int, int], b: tuple[int, int, int],
     low = isqrt(n)
     if low <= rb:
         raise ZeroDivisionError("divisor disk may contain zero")
-    num = (ra * low + _isqrt_up(ar * ar + ai * ai) * rb) << bits
+    num = (ra * low + _ceil_isqrt(ar * ar + ai * ai) * rb) << bits
     den = (low - rb) * low
     return (_round_div((ar * br + ai * bi) << bits, n),
             _round_div((ai * br - ar * bi) << bits, n), -(-num // den) + 1)
@@ -478,7 +477,7 @@ def disk_holds_integer(disk: tuple[int, int, int], bits: int) -> bool:
     re, im, rad = disk
     if abs(im) > rad:
         return False
-    s = _isqrt_up(rad * rad - im * im)
+    s = _ceil_isqrt(rad * rad - im * im)
     return (re + s) >> bits << bits >= re - s
 
 
@@ -567,7 +566,7 @@ def _newton(p: IntPoly, deriv: IntPoly, re: int, im: int, bits: int
     n = dr * dr + di * di
     if n == 0:
         return None
-    rad = _isqrt_up(-(-p.degree ** 2 * (pr * pr + pi * pi) // n))
+    rad = _ceil_isqrt(-(-p.degree ** 2 * (pr * pr + pi * pi) // n))
     return rad, _round_div(pr * dr + pi * di, n), _round_div(pi * dr - pr * di, n)
 
 
@@ -706,13 +705,12 @@ def root_separation_lower_bound(p: IntPoly, q: IntPoly) -> Fraction:
 
         2**(1-r) (r+1)**((1-3r)/2) max(H(P), H(Q))**(-2r)
 
-    rounded down when the half-integer exponent makes the value irrational.
+    rounded down: the reciprocal of ``monomial_up``'s bound on its reciprocal.
     """
     r, s = p.degree, q.degree
     if r < 1 or r < s:
         raise ValueError("need deg P >= max(1, deg Q)")
     if poly_gcd_q(p, q).degree != 0:
         raise ValueError("polynomials share a factor")
-    h = Fraction(max(p.height(), q.height()))
-    val = Fraction(2) ** (1 - r) * h ** (-2 * r)
-    return val * pow_half_integer_down(Fraction(r + 1), 1 - 3 * r)
+    h = max(p.height(), q.height())
+    return 1 / monomial_up([(2, r - 1), (r + 1, Fraction(3 * r - 1, 2)), (h, 2 * r)])

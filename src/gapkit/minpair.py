@@ -17,7 +17,7 @@ from .algnum import (AlgNum, PowerBasisRep, c8, c9, denominator_scalar,
 from .intpoly import IntPoly, RatPoly, poly_gcd_q
 from .linalg import integer_kernel, kernel_vectors_up_to
 from .padic import PadicAlgNum, padic_abs_poly
-from .rounding import pow_half_integer_up, pow_up, tidy_down, tidy_up
+from .rounding import monomial_up, pow_up, tidy_down, tidy_up
 
 
 class PairError(ValueError):
@@ -267,8 +267,7 @@ def c12_closed_form(alpha: AlgNum, beta: AlgNum, denom_scalar: int) -> Fraction:
     s = d // 2
     a = Fraction(2 * s + 2) * denom_scalar * alpha.lead ** s \
         * c9(alpha, beta) * (1 + s * c8(alpha) ** s)
-    base = pow_up(a, Fraction(d, 2 * s + 2 - d))
-    return tidy_up(base * pow_half_integer_up(Fraction(2), d))
+    return tidy_up(monomial_up([(a, Fraction(d, 2 * s + 2 - d)), (2, Fraction(d, 2))]))
 
 
 def c13(alpha: AlgNum, pair: MinimalPair) -> Fraction:
@@ -321,11 +320,10 @@ def c14(xi: PadicAlgNum, pair: MinimalPair) -> Fraction:
 
 
 def c14_formula(xi: PadicAlgNum, height_bound: Fraction) -> Fraction:
-    """((d+1)**((d-1)/2) d**(d/2) H(alpha)**(2d-2) ((d^2/2) C12^2)**d)**(-1)."""
+    """((d+1)**((d-1)/2) d**(d/2) H(alpha)**(2d-2) ((d^2/2) C12^2)**d)**(-1),
+    rounded down."""
     d = xi.degree
     h_alpha = Fraction(xi.minpoly.height())
-    denom = pow_half_integer_up(Fraction(d + 1), d - 1) \
-        * pow_half_integer_up(Fraction(d), d) \
-        * h_alpha ** (2 * d - 2) \
-        * (Fraction(d * d, 2) * height_bound ** 2) ** d
+    denom = monomial_up([(d + 1, Fraction(d - 1, 2)), (d, Fraction(d, 2)),
+                         (h_alpha, 2 * d - 2), (Fraction(d * d, 2) * height_bound ** 2, d)])
     return tidy_down(1 / denom)

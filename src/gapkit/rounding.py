@@ -4,13 +4,13 @@ Every inequality verdict in this package is made from rational bounds that
 are rounded *away* from the claim being certified: upper bounds round up,
 lower bounds round down.  This module supplies the primitives:
 
-* directed square roots and n-th roots of nonnegative rationals,
-* directed rational powers ``base**(p/q)``,
-* :func:`monomial_up`, an upper bound on a product of rational powers,
-  carried as a dyadic ``m * 2**e`` with a fixed-width mantissa, so huge
-  constants never become exact rationals,
-* :class:`SqrtVal`, an exact value ``q * sqrt(n)`` (half-integer exponents
-  such as ``(1 - 3r)/2`` produce these),
+* :func:`monomial_up`, an upper bound on a product of rational powers
+  b**(p/q), carried as a dyadic ``m * 2**e`` with a fixed-width mantissa
+  rounded up at every step, so huge constants never become exact
+  rationals.  It is the only code that rounds a power: :func:`pow_up` and
+  :func:`root_up` are its one-factor cases, and a lower bound is the
+  reciprocal of ``monomial_up`` on the reciprocal bases, as in
+  :func:`root_down`,
 * :class:`RatInterval`, a closed interval with rational endpoints, and
 * certified ``log``/``exp`` enclosures backed by ``mpmath.iv`` interval
   arithmetic with exact dyadic endpoint extraction.
@@ -18,7 +18,6 @@ lower bounds round down.  This module supplies the primitives:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 from math import isqrt, log2
@@ -54,75 +53,6 @@ def _nth_root_floor(n: int, k: int) -> int:
     while (x + 1) ** k <= n:
         x += 1
     return x
-
-
-def sqrt_down(x: Rat) -> Rat:
-    """Rational lower bound on sqrt(x), exact when x is a perfect square."""
-    return root_down(x, 2)
-
-
-def sqrt_up(x: Rat) -> Rat:
-    """Rational upper bound on sqrt(x), exact when x is a perfect square."""
-    return root_up(x, 2)
-
-
-# Extra denominator scaling so directed roots are tight enough for strict
-# comparisons without a refinement loop at every call site.  A power of two
-# keeps denominators dyadic along enclosure arithmetic.
-_ROOT_SCALE = 1 << 100
-
-
-def root_down(x: Rat, k: int) -> Rat:
-    """Rational lower bound on x**(1/k) for x >= 0."""
-    return _root(x, k, False)
-
-
-def root_up(x: Rat, k: int) -> Rat:
-    """Rational upper bound on x**(1/k) for x >= 0."""
-    return _root(x, k, True)
-
-
-def _root(x: Rat, k: int, up: bool) -> Rat:
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    # x**(1/k) = nthroot(num * den**(k-1)) / den ; scale for accuracy.
-    m = num * den ** (k - 1) * _ROOT_SCALE ** k
-    r = _nth_root_floor(m, k)
-    return Fraction(r + (up and r ** k != m), den * _ROOT_SCALE)
-
-
-def pow_down(base: Rat, exp: Rat) -> Rat:
-    """Rational lower bound on base**exp for base > 0 and rational exp;
-    exact for integer exponents."""
-    base, exp = Fraction(base), Fraction(exp)
-    if base <= 0:
-        raise ValueError("base must be positive")
-    if exp < 0:
-        up = pow_up(base, -exp)
-        return Fraction(up.denominator, up.numerator)
-    p, q = exp.numerator, exp.denominator
-    if q == 1:
-        return base ** p
-    return root_down(base ** p, q)
-
-
-def pow_up(base: Rat, exp: Rat) -> Rat:
-    """Rational upper bound on base**exp for base > 0 and rational exp;
-    exact for integer exponents."""
-    base, exp = Fraction(base), Fraction(exp)
-    if base <= 0:
-        raise ValueError("base must be positive")
-    if exp < 0:
-        dn = pow_down(base, -exp)
-        return Fraction(dn.denominator, dn.numerator)
-    p, q = exp.numerator, exp.denominator
-    if q == 1:
-        return base ** p
-    return root_up(base ** p, q)
 
 
 # mantissa width of monomial_up, in bits; a value between 2^-5 and 2^133
@@ -183,123 +113,26 @@ def monomial_up(terms) -> Rat:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-@dataclass(frozen=True)
-class SqrtVal:
-    """Exact value ``coeff * sqrt(radicand)`` with coeff rational, radicand a
-    nonnegative integer.  Closed under multiplication by rationals and by
-    SqrtVals sharing the same radicand; supports exact comparison against
-    rationals and other SqrtVals via squaring."""
-
-    coeff: Rat
-    radicand: int = 1
-
-    def __post_init__(self):
-        if self.radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        r = _nth_root_floor(self.radicand, 2)
-        if r * r == self.radicand:  # collapse perfect squares to pure rationals
-            object.__setattr__(self, "coeff", self.coeff * r)
-            object.__setattr__(self, "radicand", 1)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_rational(self) -> Rat:
-        if not self.is_rational:
-            raise ValueError("value is irrational")
-        return self.coeff
-
-    def round_down(self) -> Rat:
-        if self.radicand == 1:
-            return self.coeff
-        s = sqrt_down(Fraction(self.radicand)) if self.coeff >= 0 else sqrt_up(Fraction(self.radicand))
-        return self.coeff * s
-
-    def round_up(self) -> Rat:
-        if self.radicand == 1:
-            return self.coeff
-        s = sqrt_up(Fraction(self.radicand)) if self.coeff >= 0 else sqrt_down(Fraction(self.radicand))
-        return self.coeff * s
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtVal):
-            if other.radicand == self.radicand:
-                return SqrtVal(self.coeff * other.coeff * self.radicand, 1)
-            return SqrtVal(self.coeff * other.coeff, self.radicand * other.radicand)
-        return SqrtVal(self.coeff * Fraction(other), self.radicand)
-
-    __rmul__ = __mul__
-
-    def _cmp_key(self, other) -> int:
-        """Sign of self - other, decided exactly."""
-        if isinstance(other, SqrtVal) and not other.is_rational:
-            if other.radicand == self.radicand:
-                return (self.coeff > other.coeff) - (self.coeff < other.coeff)
-            # sign(a*sqrt(m) - b*sqrt(n)): compare squares once signs agree
-            a, m = self.coeff, self.radicand
-            b, n = other.coeff, other.radicand
-            sa = (a > 0) - (a < 0)
-            sb = (b > 0) - (b < 0)
-            if sa != sb:
-                return (sa > sb) - (sa < sb)
-            lhs, rhs = a * a * m, b * b * n
-            s = (lhs > rhs) - (lhs < rhs)
-            return s if sa >= 0 else -s
-        q = Fraction(other.as_rational() if isinstance(other, SqrtVal) else other)
-        a, m = self.coeff, self.radicand
-        if m == 1:
-            return (a > q) - (a < q)
-        sa = (a > 0) - (a < 0)
-        sq = (q > 0) - (q < 0)
-        if sa != sq:
-            return (sa > sq) - (sa < sq)
-        lhs, rhs = a * a * m, q * q
-        s = (lhs > rhs) - (lhs < rhs)
-        return s if sa >= 0 else -s
-
-    def __lt__(self, other):
-        return self._cmp_key(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_key(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_key(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_key(other) >= 0
-
-    def __repr__(self):
-        if self.radicand == 1:
-            return f"SqrtVal({self.coeff})"
-        return f"SqrtVal({self.coeff}*sqrt({self.radicand}))"
+def pow_up(base: Rat, exp: Rat) -> Rat:
+    """Upper bound on base**exp for base > 0 and rational exp: the
+    one-factor ``monomial_up``, on the reciprocal base when exp < 0."""
+    base, exp = Fraction(base), Fraction(exp)
+    if exp < 0 < base:
+        base, exp = 1 / base, -exp
+    return monomial_up([(base, exp)])
 
 
-def pow_half_integer_down(base: Rat, twice_exp: int) -> Rat:
-    """Lower bound on base**(twice_exp/2) for base > 0: exact q*sqrt(n) form
-    rounded down.  ``twice_exp`` is 2*exponent, so half-integer exponents
-    stay exact until the final directed rounding."""
-    return _pow_half(base, twice_exp).round_down()
+def root_up(x: Rat, k: int) -> Rat:
+    """Upper bound on x**(1/k) for x >= 0; 0 stays exact."""
+    x = Fraction(x)
+    return monomial_up([(x, Fraction(1, k))]) if x else x
 
 
-def pow_half_integer_up(base: Rat, twice_exp: int) -> Rat:
-    """Upper bound on base**(twice_exp/2); see :func:`pow_half_integer_down`."""
-    return _pow_half(base, twice_exp).round_up()
-
-
-def _pow_half(base: Rat, twice_exp: int) -> SqrtVal:
-    base = Fraction(base)
-    if base <= 0:
-        raise ValueError("base must be positive")
-    k, rem = divmod(twice_exp, 2)
-    val = base ** k
-    if rem == 0:
-        return SqrtVal(val, 1)
-    # base**(k + 1/2) = base**k * sqrt(base); sqrt(p/q) = sqrt(p*q)/q
-    p, q = base.numerator, base.denominator
-    return SqrtVal(Fraction(val, q), p * q)
+def root_down(x: Rat, k: int) -> Rat:
+    """Lower bound on x**(1/k) for x >= 0: the reciprocal of the upper bound
+    on (1/x)**(1/k); 0 stays exact."""
+    x = Fraction(x)
+    return 1 / monomial_up([(1 / x, Fraction(1, k))]) if x else x
 
 
 class RatInterval:
@@ -373,23 +206,6 @@ class RatInterval:
         if self.hi <= 0:
             return -self
         return RatInterval(0, max(-self.lo, self.hi))
-
-    def pow_int(self, k: int) -> "RatInterval":
-        if k < 0:
-            return self.pow_int(-k).inverse()
-        out = RatInterval(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def sqrt(self) -> "RatInterval":
-        if self.lo < 0:
-            raise ValueError("sqrt of interval with negative part")
-        return RatInterval(sqrt_down(self.lo), sqrt_up(self.hi))
 
     def max_with(self, x) -> "RatInterval":
         x = Fraction(x)

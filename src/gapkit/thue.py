@@ -35,8 +35,7 @@ from .intpoly import IntPoly
 from .isolation import (PrecisionError, disk_distance, isolate_roots,
                         mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
-from .rounding import (compact_str, log_interval, pow_half_integer_up, pow_up,
-                       root_up, sqrt_down, tidy_up)
+from .rounding import compact_str, log_interval, monomial_up, pow_up, root_up, tidy_up
 
 
 class ThueError(ValueError):
@@ -227,9 +226,8 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
     if disc == 0:
         raise ThueError("zero discriminant")
     m_up = mahler_measure(f, Fraction(1, 10 ** 20)).hi
-    num = Fraction(2) ** (d - 1) * pow_half_integer_up(Fraction(d), d - 1) \
-        * m_up ** (d - 2)
-    return tidy_up(num / sqrt_down(Fraction(abs(disc))))
+    return tidy_up(monomial_up([(2, d - 1), (d, Fraction(d - 1, 2)), (m_up, d - 2),
+                                (Fraction(1, abs(disc)), Fraction(1, 2))]))
 
 
 def assign_root(f: BinForm, sol: Solution) -> tuple[int, str, bool]:

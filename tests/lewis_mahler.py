@@ -6,7 +6,7 @@ from fractions import Fraction
 from gapkit.algnum import normalize_minimal_poly
 from gapkit.binforms import BinForm
 from gapkit.isolation import RootEnclosure, isolate_roots
-from gapkit.rounding import RatInterval, sqrt_down, sqrt_up
+from gapkit.rounding import RatInterval, root_down, root_up
 from gapkit.thue import Solution
 
 
@@ -42,4 +42,4 @@ def inverse_distance(e: RootEnclosure, q: Fraction) -> RatInterval | None:
     if den <= 0:
         return None
     d2 = (c[0] / den - q) ** 2 + (c[1] / den) ** 2
-    return RatInterval(max(Fraction(0), sqrt_down(d2) - r / den), sqrt_up(d2) + r / den)
+    return RatInterval(max(Fraction(0), root_down(d2, 2) - r / den), root_up(d2, 2) + r / den)

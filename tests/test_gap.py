@@ -31,24 +31,24 @@ def rand_coprime_pair(rng, max_deg=3, max_h=6):
 
 
 def test_c15_values():
-    assert c15(2).as_rational() == 2 ** 4 * 3 ** 8 == 104976
-    v1 = c15(1)
-    assert not v1.is_rational
-    up = v1.round_up()
+    assert c15(2) == 2 ** 4 * 3 ** 8 == 104976
+    up = c15(1)                                # 2 * 2^(5/2) = 8 sqrt 2
     assert up ** 2 >= 128 and up <= Fraction(11314, 1000)
-    assert c15(3).as_rational() == 2 ** 42
+    assert c15(3) == 2 ** 42
     with pytest.raises(ValueError):
         c15(0)
 
 
 def test_c15_upper_bound_over_r_range():
-    # exact comparison via 8th powers: c15(r)^8 <= (2^(d^2/4) ((d+2)/2)^((3d^2+4d)/8))^8
+    # exact comparison via 8th powers: C15(r)^8 <= (2^(d^2/4) ((d+2)/2)^((3d^2+4d)/8))^8,
+    # with equality at r = d/2, so it is made on the exact square
+    # C15(r)^2 = 2^(2r^2) (r+1)^(3r^2+2r); c15 is an upper bound on C15
     for d in range(3, 13):
         rhs8 = Fraction(2) ** (2 * d * d) * Fraction(d + 2, 2) ** (3 * d * d + 4 * d)
         for r in range(1, d // 2 + 1):
-            lhs = c15(r)
-            lhs8 = lhs.coeff ** 8 * Fraction(lhs.radicand) ** 4
-            assert lhs8 <= rhs8, (d, r)
+            square = Fraction(2) ** (2 * r * r) * Fraction(r + 1) ** (3 * r * r + 2 * r)
+            assert square ** 4 <= rhs8, (d, r)
+            assert c15(r) ** 2 >= square, r
 
 
 def test_resultant_gcd_bound_examples():
@@ -246,8 +246,9 @@ def test_c11_examples(alpha_cubic):
 
 def test_thue_siegel_params_assertions():
     ps = thue_siegel_params(3)
-    lam2 = ps.lam.coeff ** 2 * ps.lam.radicand
-    assert lam2 < Fraction(71, 50) ** 2 * 3          # lambda < 1.42 sqrt(3)
+    assert ps.lam2 < Fraction(71, 50) ** 2 * 3       # lambda < 1.42 sqrt(3)
+    assert ps.lam2 * ps.t2 * (1 - 2 * ps.a) ** 2 == 4   # lambda = 2/((1-2a) t)
+    assert ps.tau2 == 4 * ps.a ** 2 * ps.t2           # tau = 2 a t
     assert ps.delta_inverse < 41667 * 9               # < 375003
     ps14 = thue_siegel_params(14, mahler_max_log=Fraction(3))
     assert ps14.A == 500 ** 2 * (3 + 7)

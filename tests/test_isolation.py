@@ -14,7 +14,7 @@ from gapkit.isolation import (IsolationError, disk_disjoint, disk_div,
                               isolate_roots, mahler_measure,
                               root_separation_lower_bound, sturm_chain,
                               count_real_roots)
-from gapkit.rounding import AbstainError, sqrt_down, sqrt_up
+from gapkit.rounding import AbstainError, root_down, root_up
 
 
 def bisection_oracle(p: IntPoly, lo: Fraction, hi: Fraction, steps=80):
@@ -124,7 +124,7 @@ def test_mahler_contains_refined_product_and_landau():
 
 def test_house_examples():
     h = house(IntPoly((-2, 0, 1)))
-    assert h.lo <= sqrt_up(Fraction(2)) and sqrt_down(Fraction(2)) <= h.hi
+    assert h.lo <= root_up(2, 2) and root_down(2, 2) <= h.hi
     h3 = house(IntPoly((-2, 0, 0, 1)))
     target = Fraction(2) ** Fraction(1)  # 2^(1/3): compare via cubes
     assert h3.lo ** 3 <= 2 <= h3.hi ** 3
@@ -139,7 +139,7 @@ def test_separation_bound_examples():
     # formula: 2^-1 * 3^(-5/2) * 2^-4, rounded down; also below sqrt(2)
     assert 0 < b
     assert b ** 2 <= Fraction(1, 4) * Fraction(1, 3 ** 5) * Fraction(1, 2 ** 8)
-    assert b <= sqrt_up(Fraction(2))
+    assert b <= root_up(2, 2)
     b2 = root_separation_lower_bound(IntPoly((0, 1)), IntPoly((1, 1)))
     assert b2 == Fraction(1, 2) <= 1  # separation of 0 and -1 is 1
 

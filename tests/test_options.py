@@ -19,7 +19,9 @@
   ``"f"`` (as in ``getattr`` or perfbench's tracer list) all refer to every
   function named ``f``.  A bare ``f`` does not count inside a function or
   lambda that binds ``f`` itself, as a parameter or an assignment target,
-  or inside one nested in such a function: there it names a local.
+  or inside one nested in such a function: there it names a local.  No
+  reference to ``f`` counts inside a function named ``f`` or one nested in
+  it, so recursion alone keeps no function alive.
 """
 
 import ast
@@ -126,21 +128,27 @@ def _bound(fn) -> set[str]:
     return names - declared
 
 
-def _references(node: ast.AST, local: frozenset = frozenset(), out=None) -> set[str]:
+def _references(node: ast.AST, local: frozenset = frozenset(),
+                own: frozenset = frozenset(), out=None) -> set[str]:
     """Every name that ``node`` refers to by a Name outside the locals of
-    its enclosing functions, by an attribute or by a string constant."""
+    its enclosing functions, by an attribute or by a string constant, less
+    the names of the functions ``node`` lies in (``own``)."""
     out = set() if out is None else out
     if isinstance(node, _SCOPES):
         local = local | _bound(node)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        own = own | {node.name}
     for child in ast.iter_child_nodes(node):
+        name = None
         if isinstance(child, ast.Name):
-            if child.id not in local:
-                out.add(child.id)
+            name = None if child.id in local else child.id
         elif isinstance(child, ast.Attribute):
-            out.add(child.attr)
+            name = child.attr
         elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-            out.add(child.value)
-        _references(child, local, out)
+            name = child.value
+        if name is not None and name not in own:
+            out.add(name)
+        _references(child, local, own, out)
     return out
 
 
@@ -175,6 +183,15 @@ def wrapper():
     def nested():
         return 4
     return nested()
+
+def countdown(n):
+    return 0 if n == 0 else countdown(n - 1)
+
+class Walker:
+    def walk(self, n):
+        def step():
+            return self.walk(n - 1)
+        return step() if n else 0
 """
 
 
@@ -182,10 +199,12 @@ def test_references_skip_locals_named_like_functions():
     # ``dead`` is bound in ``user`` (assignment, lambda parameter) and only
     # read there or in a function nested in it; ``dead_too`` is a parameter
     # of ``user`` but called from ``caller``, where nothing binds it; a
-    # function defined in a function is referenced where it is called
+    # function defined in a function is referenced where it is called;
+    # ``countdown`` and ``Walker.walk`` are referenced only from their own
+    # bodies, which keeps neither alive
     refs = _references(ast.parse(SHADOWED))
-    assert {"helper", "dead_too", "nested"} <= refs
-    assert "dead" not in refs
+    assert {"helper", "dead_too", "nested", "step"} <= refs
+    assert not {"dead", "countdown", "walk"} & refs
 
 
 def test_no_function_is_used_only_by_tests():

@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapkit.isolation import _dyadic
-from gapkit.rounding import (_MONOMIAL_BITS, RatInterval, SqrtVal,
-                             _mpf_tuple_to_fraction, certified_floor,
-                             compact_str, monomial_up, pow_down,
-                             pow_half_integer_down, pow_half_integer_up,
-                             pow_up, root_down, root_up, simplest_rational_in,
-                             tidy_down, tidy_up, exp_interval, log_interval)
+from gapkit.rounding import (_MONOMIAL_BITS, RatInterval, _mpf_tuple_to_fraction,
+                             certified_floor, compact_str, monomial_up, pow_up,
+                             root_down, root_up, simplest_rational_in, tidy_down,
+                             tidy_up, exp_interval, log_interval)
 
 rationals = st.fractions(min_value=Fraction(1, 10 ** 6),
                          max_value=Fraction(10 ** 6),
@@ -31,9 +29,11 @@ def test_directed_roots_sandwich(x, k):
 @given(rationals, exponents)
 @settings(max_examples=80, deadline=None)
 def test_directed_pow_sandwich(b, e):
-    lo, hi = pow_down(b, e), pow_up(b, e)
+    # a lower bound is the reciprocal of the upper bound on the reciprocal
+    lo, hi = 1 / pow_up(1 / b, e), pow_up(b, e)
     p, q = e.numerator, e.denominator
     assert lo ** q <= b ** p <= hi ** q
+    assert pow_up(b, -e) == pow_up(1 / b, e)
 
 
 def test_big_operand_roots_stay_directed():
@@ -111,24 +111,17 @@ def test_monomial_up_exact_cases():
         monomial_up([(2, -1)])
 
 
-def test_sqrtval_exactness_and_comparison():
-    v = SqrtVal(Fraction(8), 2)   # 8 sqrt 2
-    assert v.round_down() < v.round_up()
-    assert float(v.round_down()) == pytest.approx(11.313708, abs=1e-5)
-    assert v > 11 and v < 12
-    assert SqrtVal(Fraction(3), 4) == SqrtVal(Fraction(6), 1)  # collapses square
-    assert SqrtVal(Fraction(1), 2) < SqrtVal(Fraction(1), 3)
-    assert SqrtVal(Fraction(-1), 2) < 0
-
-
 def test_pow_half_integer():
-    assert pow_half_integer_up(Fraction(2), 4) == 4
-    lo = pow_half_integer_down(Fraction(2), 5)   # 2^(5/2) = 4 sqrt 2
-    hi = pow_half_integer_up(Fraction(2), 5)
-    assert lo ** 2 <= 32 <= hi ** 2
-    # negative half-integer exponents
-    lo = pow_half_integer_down(Fraction(3), -5)
+    # half-integer powers are monomials: exact when the value is rational
+    assert monomial_up([(2, Fraction(4, 2))]) == 4
+    # 2^(5/2) = 4 sqrt 2, sandwiched by the upper bounds on it and on 2^(-5/2)
+    lo, hi = 1 / monomial_up([(Fraction(1, 2), Fraction(5, 2))]), monomial_up([(2, Fraction(5, 2))])
+    assert lo < hi and lo ** 2 <= 32 <= hi ** 2
+    assert float(lo) == pytest.approx(5.656854, abs=1e-5)
+    # a lower bound on 3^(-5/2)
+    lo = 1 / monomial_up([(3, Fraction(5, 2))])
     assert lo > 0 and lo ** 2 <= Fraction(1, 3 ** 5)
+    assert lo == 1 / pow_up(Fraction(1, 3), Fraction(-5, 2))
 
 
 def test_simplest_rational():
@@ -150,7 +143,7 @@ def test_interval_arithmetic():
     assert (-a).hi == -1
     with pytest.raises(ZeroDivisionError):
         b.inverse()
-    assert a.pow_int(3).hi == 8
+    assert (a * a * a).hi == 8
     assert a.certainly_gt(RatInterval(Fraction(1, 2)))
 
 

@@ -20,8 +20,7 @@ from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          galois_status, legendre_height, lewis_mahler_c10,
                          window_search)
 from gapkit.minpair import c12_closed_form, c13_formula
-from gapkit.rounding import (RatInterval, compact_str, pow_half_integer_up, pow_up,
-                             sqrt_up, tidy_up)
+from gapkit.rounding import RatInterval, compact_str, root_up, tidy_up
 from tests.lewis_mahler import inverse_distance, lewis_mahler_check
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
@@ -78,7 +77,7 @@ def test_sign_normalization_idempotent():
 def test_lewis_mahler_c10():
     c10 = lewis_mahler_c10(CUBE_FORM)
     # 4 sqrt(3) * M / |D|^(1/2) = 4/sqrt(3) ~ 2.3094, rounded up
-    target = 4 / sqrt_up(Fraction(3))
+    target = 4 / root_up(3, 2)
     assert c10 >= target
     assert c10 <= Fraction(231, 100)
     with pytest.raises(ThueError):
@@ -379,30 +378,55 @@ def test_census_large_count_at_the_c5_boundary(cubic_form, monkeypatch):
         assert rpt["largeSolutions"] == expected, value
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n**(1/k)) for n >= 1: Newton's iteration from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _exact_pow_up(base: Fraction, exp: Fraction) -> Fraction:
+    """Upper bound on base**exp for base > 0 and exp >= 0 on exact rationals:
+    the integer power base**p, then its q-th root, scaled by 2^100 and
+    rounded up; a route of its own, independent of gapkit's monomials."""
+    p, q = Fraction(exp).numerator, Fraction(exp).denominator
+    x = Fraction(base) ** p
+    if q == 1:
+        return x
+    scale = 1 << 100
+    m = x.numerator * x.denominator ** (q - 1) * scale ** q
+    r = _iroot(m, q)
+    return Fraction(r + (r ** q != m), x.denominator * scale)
+
+
 def _pairwise_closed_constants(alphas, mu, c0):
     """Reference: the closed-form Archimedean gap constants of every ordered
     pair of distinct conjugates, built pair by pair as C5 once built them
-    (the Mahler measure taken afresh for each conjugate, C2 rounded twice)."""
+    (the Mahler measure taken afresh for each conjugate, C2 rounded twice),
+    with every power on exact rationals (``_exact_pow_up``)."""
     d = alphas[0].degree
     a0, b0 = alphas[0], alphas[1]
     c12v = c12_closed_form(a0, b0, theta_upper_bound(a0) * b0.lead)
-    pow_c12_closing = pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2)
-    shared_closing = pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
-        * pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) \
+    pow_c12_closing = _exact_pow_up(c12v, Fraction(d * d + 3 * d, 2) * mu + 2)
+    shared_closing = _exact_pow_up(Fraction(2), Fraction(d * d, 4) * mu) \
+        * _exact_pow_up(Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu) \
         * c0 * pow_c12_closing
     out = []
     for a in alphas:
         c13v = c13_formula(a, c12v, a.mahler_interval().hi)
         c6v = liouville_c6(a)
         max1_up = max(Fraction(1), a.abs_interval().hi)
-        b2 = pow_half_integer_up(Fraction(2), d + 6) * Fraction(d + 2, 2) \
+        b2 = _exact_pow_up(Fraction(2), Fraction(d + 6, 2)) * Fraction(d + 2, 2) \
             * c0 * c12v ** 2 / c13v * max1_up ** d
-        branches_a = [pow_up(c0, 1 / mu), pow_up(b2, 1 / mu),
-                      pow_up(shared_closing / (c6v * c13v) * max1_up ** d,
-                             1 / (2 * mu - d))]
+        branches_a = [_exact_pow_up(c0, 1 / mu), _exact_pow_up(b2, 1 / mu),
+                      _exact_pow_up(shared_closing / (c6v * c13v) * max1_up ** d,
+                                    1 / (2 * mu - d))]
         c_small = tidy_up(max(branches_a))
-        c2_base = tidy_up(c0 * pow_half_integer_up(Fraction(2), d + 2)
-                          * c12v * pow_half_integer_up(max1_up, d))
+        c2_base = tidy_up(c0 * _exact_pow_up(Fraction(2), Fraction(d + 2, 2))
+                          * c12v * _exact_pow_up(max1_up, Fraction(d, 2)))
         for b in alphas:
             if a.index == b.index:
                 continue
@@ -432,7 +456,7 @@ def test_c5_palindromic_reuse_matches_inverse_roots():
             assert prov[f"branches({side})"] == branches
         # the Lewis-Mahler branch, about (C10 m)^(1/(d - mu)), is far below C16
         c16_max = max(explicit["alpha"][0], explicit["alpha_inv"][0])
-        assert pow_up(c10, 1 / (f.degree - mu)) < c16_max
+        assert _exact_pow_up(c10, 1 / (f.degree - mu)) < c16_max
         assert value == tidy_up(c16_max)
 
 
