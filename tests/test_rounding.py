@@ -111,6 +111,22 @@ def test_monomial_up_exact_cases():
         monomial_up([(2, -1)])
 
 
+def test_sqrtval_exactness_and_comparison():
+    # c sqrt n values, now bounded by directed monomials
+    lo = 8 * root_down(2, 2)                              # 8 sqrt 2
+    hi = monomial_up([(8, 1), (2, Fraction(1, 2))])
+    assert lo < hi and lo ** 2 <= 128 <= hi ** 2
+    assert float(lo) == pytest.approx(11.313708, abs=1e-5)
+    assert lo > 11 and hi < 12
+    # a perfect square under the root collapses exactly: 3 sqrt 4 = 6
+    assert monomial_up([(3, 1), (4, Fraction(1, 2))]) == 6
+    assert 3 * root_down(4, 2) == 6
+    assert root_up(2, 2) < root_down(3, 2)                # sqrt 2 < sqrt 3
+    # the sign stays outside the monomial
+    with pytest.raises(ValueError):
+        monomial_up([(-1, 1), (2, Fraction(1, 2))])
+
+
 def test_pow_half_integer():
     # half-integer powers are monomials: exact when the value is rational
     assert monomial_up([(2, Fraction(4, 2))]) == 4
