@@ -44,6 +44,7 @@ f15 = parse_poly("x^4 - x^3 - 4*x^2 + 4*x + 1")
 a15 = AlgNum.near(f15, Fraction("1.827"))
 b15 = AlgNum.near(f15, Fraction("1.338"))
 desk15 = archimedean_constants(a15, b15, Fraction(7, 2), Fraction(10 ** 5)).desk_mode()
+rel15 = mobius_relation(a15, b15)
 pa = convergents(a15, 8)
 pb = convergents(b15, 8)
 shown = 0
@@ -53,7 +54,7 @@ for p1 in pa:
             continue
         try:
             v = check_gap_dichotomy(a15, b15, Fraction(7, 2), Fraction(10 ** 5),
-                                    p1, p2, desk15)
+                                    p1, p2, desk15, rel15)
         except HypothesisError:
             continue
         print(f"  {p1.x}/{p1.y} vs {p2.x}/{p2.y}: {v.verdict}")

@@ -215,12 +215,12 @@ def cmd_gap_check(args) -> int:
         check_alpha, check_beta = alpha, beta
     if args.desk_floor:
         constants = constants.desk_mode()
+    rel = mobius_relation(alpha, beta)
     first, rest = pairs[0], pairs[1:]
     out = []
     for p2 in rest:
         v = check_gap_dichotomy(check_alpha, check_beta, args.mu, args.c0,
-                                first, p2, constants,
-                                alg_alpha=alpha, alg_beta=beta)
+                                first, p2, constants, rel)
         entry = {
             "pair1": f"{first.x}/{first.y}", "pair2": f"{p2.x}/{p2.y}",
             "verdict": v.verdict,

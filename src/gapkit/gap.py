@@ -21,7 +21,7 @@ from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
 from .rounding import (AbstainError, RatInterval, certified_floor, compact_str,
-                       exp_interval, log_interval, monomial_up, pow_up, root_down,
+                       exp_up, log_interval, monomial_up, pow_up, root_down,
                        root_up, tidy_down, tidy_up)
 
 
@@ -607,7 +607,8 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
                    else _padic_mahler_up(a) for a in alphas)
         mahler_max_log_up = log_interval(m_up).hi
     a_big = 500 ** 2 * (Fraction(mahler_max_log_up) + Fraction(d, 2))
-    if not c0 > 1 / (4 * exp_interval(RatInterval(a_big)).lo):
+    # C0 > (4 e^A)^(-1), checked as A > log(1/(4 C0)): no e^A is built
+    if not a_big > log_interval(1 / (4 * c0)).hi:
         raise HypothesisError("C0 must exceed (4 e^A)^(-1)")
     sqrt_d = RatInterval(root_down(d, 2), root_up(d, 2))
     lam_bound = Fraction(71, 50) * sqrt_d
@@ -617,11 +618,11 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
     log4ea = log_interval(Fraction(4)) + RatInterval(a_big)
     exponent = (RatInterval(1) / denom) * log_interval(c0) \
         + (lam_bound / denom) * log4ea
-    branches["large-height"] = tidy_up(exp_interval(exponent).hi)
+    branches["large-height"] = tidy_up(exp_up(exponent.hi))
     e_gap = mu - Fraction(d, 2)
     branches["iteration-floor"] = pow_up(c_big, 2 / (e_gap - 1))
-    value = tidy_up(max(branches.values()))
-    argmax = max(branches, key=lambda k: branches[k])
+    argmax = max(branches, key=branches.__getitem__)
+    value = tidy_up(branches[argmax])
     prov = {"branches": {k: compact_str(v) for k, v in branches.items()},
             "argmax": argmax, "A": compact_str(a_big)}
     return value, prov
@@ -646,13 +647,12 @@ class Verdict:
 
 def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,
                         pair2: ApproxPair, constants: GapConstants,
-                        relation: MobiusRelation | None = None,
-                        alg_alpha: AlgNum | None = None,
-                        alg_beta: AlgNum | None = None) -> Verdict:
+                        relation: MobiusRelation | None) -> Verdict:
     """Certified dichotomy check for one approximation pair.
 
-    alpha, beta: AlgNum (Archimedean) or PadicAlgNum (with alg_alpha,
-    alg_beta supplying the algebraic side for the Moebius relation).
+    alpha, beta: AlgNum (Archimedean) or PadicAlgNum.  relation: the Moebius
+    relation of the algebraic numbers (``mobius_relation``), or None when
+    they have none; the caller computes it once for all its pairs.
     Preconditions (certified, else HypothesisError): H2 >= H1 >= C_small and
     both approximation qualities strictly below C0/H**mu.
     """
@@ -669,11 +669,6 @@ def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,
     gap_holds = compare_to_power(h2 * constants.c_big, h1,
                                  mu - Fraction(constants.degree, 2)) > 0
 
-    if relation is None:
-        a_alg = alg_alpha if alg_alpha is not None else alpha
-        b_alg = alg_beta if alg_beta is not None else beta
-        if isinstance(a_alg, AlgNum) and isinstance(b_alg, AlgNum):
-            relation = mobius_relation(a_alg, b_alg)
     mobius_case = False
     if relation is not None:
         den = relation.u * pair1.x + relation.v * pair1.y

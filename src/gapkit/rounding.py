@@ -13,7 +13,9 @@ lower bounds round down.  This module supplies the primitives:
   :func:`root_down`,
 * :class:`RatInterval`, a closed interval with rational endpoints, and
 * certified ``log``/``exp`` enclosures backed by ``mpmath.iv`` interval
-  arithmetic with exact dyadic endpoint extraction.
+  arithmetic with exact dyadic endpoint extraction, and :func:`exp_up`,
+  the upper endpoint of the exp enclosure alone, for the huge exponentials
+  whose lower endpoint nobody reads.
 """
 
 from __future__ import annotations
@@ -244,15 +246,19 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _iv_to_interval(x) -> RatInterval:
-    # raw endpoint tuples: no re-rounding at the ambient working precision
-    a, b = x._mpi_
-    return RatInterval(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
-
-
-def _fraction_to_iv(q: Fraction):
-    # iv.mpf(int) rounds outward, so the quotient encloses q
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _endpoint(fn, x: Fraction, side: int, prec: int) -> Fraction:
+    """Endpoint ``side`` (0 = lower, 1 = upper) of mpmath's interval
+    ``fn`` (``iv.log`` or ``iv.exp``) at the rational x, at ``prec`` bits,
+    read from the raw endpoint tuple: no re-rounding at the ambient working
+    precision."""
+    old = iv.prec
+    try:
+        iv.prec = prec
+        # iv.mpf(int) rounds outward, so the quotient encloses x
+        y = fn(iv.mpf(x.numerator) / iv.mpf(x.denominator))
+        return _mpf_tuple_to_fraction(y._mpi_[side])
+    finally:
+        iv.prec = old
 
 
 def log_interval(x, prec: int = 160) -> RatInterval:
@@ -260,28 +266,20 @@ def log_interval(x, prec: int = 160) -> RatInterval:
     x = _as_interval(x)
     if x.lo <= 0:
         raise ValueError("log of nonpositive value")
-    old = iv.prec
-    try:
-        iv.prec = prec
-        lo = iv.log(_fraction_to_iv(x.lo))
-        hi = iv.log(_fraction_to_iv(x.hi))
-        return RatInterval(_iv_to_interval(lo).lo, _iv_to_interval(hi).hi)
-    finally:
-        iv.prec = old
+    return RatInterval(_endpoint(iv.log, x.lo, 0, prec), _endpoint(iv.log, x.hi, 1, prec))
 
 
 def exp_interval(x) -> RatInterval:
     """Certified enclosure of exp(x) for x a Fraction or RatInterval, at 160
     bits."""
     x = _as_interval(x)
-    old = iv.prec
-    try:
-        iv.prec = 160
-        lo = iv.exp(_fraction_to_iv(x.lo))
-        hi = iv.exp(_fraction_to_iv(x.hi))
-        return RatInterval(_iv_to_interval(lo).lo, _iv_to_interval(hi).hi)
-    finally:
-        iv.prec = old
+    return RatInterval(_endpoint(iv.exp, x.lo, 0, 160), _endpoint(iv.exp, x.hi, 1, 160))
+
+
+def exp_up(x: Rat) -> Rat:
+    """Upper bound on exp(x): the upper endpoint of ``exp_interval(x)``,
+    without converting the lower one (a megabit integer for large x)."""
+    return _endpoint(iv.exp, Fraction(x), 1, 160)
 
 
 def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
@@ -320,22 +318,26 @@ def _dec_exponent(x: Rat) -> int:
 def tidy_up(x: Rat) -> Rat:
     """Upper bound on x keeping about 18 significant digits; keeps reported
     constants and their downstream powers small."""
-    return _tidy(x, math.ceil)
+    return _tidy(x, True)
 
 
 def tidy_down(x: Rat) -> Rat:
     """Lower bound on x keeping about 18 significant digits; never loses the
     sign of a positive value."""
-    return _tidy(x, math.floor)
+    return _tidy(x, False)
 
 
-def _tidy(x: Rat, rounding) -> Rat:
+def _tidy(x: Rat, up: bool) -> Rat:
+    """x rounded up or down to a multiple of 10^-k, k chosen from its
+    decimal exponent, by one integer division; an integer (0 included)
+    comes back unchanged, as does a value that would round to 0."""
     x = Fraction(x)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if den == 1:
         return x
     scale = 10 ** max(0, _TIDY_DIGITS - _dec_exponent(x))
-    out = Fraction(rounding(x * scale), scale)
-    return out if out != 0 else x
+    q = -(-num * scale // den) if up else num * scale // den
+    return Fraction(q, scale) if q else x
 
 
 def compact_str(x) -> str:

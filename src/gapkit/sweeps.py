@@ -32,8 +32,6 @@ class SweepInstance:
     metric: str
     alpha: object            # AlgNum | PadicAlgNum
     beta: object
-    alg_alpha: AlgNum
-    alg_beta: AlgNum
     mu: Fraction
     c0: Fraction
     constants: GapConstants
@@ -72,8 +70,8 @@ def _arch_instance(name, f_alpha, near_alpha, f_beta, near_beta, mu, c0) -> Swee
                                       pair=pair, rep=pair.rep).desk_mode()
     pa = convergents(alpha, 14)
     pb = convergents(beta, 14) + _derived(rel, pa)
-    return SweepInstance(name, "archimedean", alpha, beta, alpha, beta,
-                         mu, c0, constants, rel, pa, pb)
+    return SweepInstance(name, "archimedean", alpha, beta, mu, c0, constants,
+                         rel, pa, pb)
 
 
 def _padic_instance(name, f_alpha, near_alpha, prime, r_alpha, f_beta,
@@ -89,8 +87,8 @@ def _padic_instance(name, f_alpha, near_alpha, prime, r_alpha, f_beta,
           for x, y in good_padic_approximations(xi_alpha, 16)]
     pb = [ApproxPair.reduced(x, y)
           for x, y in good_padic_approximations(xi_beta, 16)] + _derived(rel, pa)
-    return SweepInstance(name, "p-adic", xi_alpha, xi_beta, alg_alpha,
-                         alg_beta, mu, c0, constants, rel, pa, pb)
+    return SweepInstance(name, "p-adic", xi_alpha, xi_beta, mu, c0, constants,
+                         rel, pa, pb)
 
 
 def default_instances() -> list[SweepInstance]:
@@ -131,8 +129,7 @@ def dichotomy_sweep(min_pairs: int = 200) -> dict:
                 try:
                     v = check_gap_dichotomy(
                         inst.alpha, inst.beta, inst.mu, inst.c0, p1, p2,
-                        inst.constants, relation=inst.relation,
-                        alg_alpha=inst.alg_alpha, alg_beta=inst.alg_beta)
+                        inst.constants, inst.relation)
                 except HypothesisError:
                     counts["skipped_hypothesis"] += 1
                     continue

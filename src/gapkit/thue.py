@@ -439,8 +439,9 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     c5v, prov = c5(f, problem.m, mu, c10)
     inner = count_bound(d, mu, 1)
     bound = aut.order * inner
-    # heights are integers: H >= C5 exactly when H >= ceil(C5)
-    threshold = ceil(c5v)
+    # heights are integers: H >= C5 exactly when H >= ceil(C5); C5 is
+    # usually a megabit integer, read without ceil's division
+    threshold = c5v.numerator if c5v.denominator == 1 else ceil(c5v)
     large = [s for s in sols if s.height >= threshold]
     if len(large) > bound:
         raise AssertionError("counting bound violated: defect or non-Galois input")

@@ -327,6 +327,19 @@ def test_c16_branches(alpha_cubic):
             mahler_max_log_up=Fraction(-3))
 
 
+def test_c16_c0_hypothesis_boundary():
+    # A = 500^2 (log M + d/2) = 1/4: the hypothesis C0 > (4 e^A)^(-1) reads
+    # C0 > 0.19470..., so 1/5 passes and 19/100 fails
+    roots = [AlgNum.make(CUBIC, i) for i in range(3)]
+    log_m = Fraction(1, 4 * 500 ** 2) - Fraction(3, 2)
+    value, prov = c16(roots, Fraction(11, 4), Fraction(1, 5), 1, 1,
+                      mahler_max_log_up=log_m)
+    assert value > 0 and prov["A"] == "1/4"
+    with pytest.raises(HypothesisError, match="C0 must exceed"):
+        c16(roots, Fraction(11, 4), Fraction(19, 100), 1, 1,
+            mahler_max_log_up=log_m)
+
+
 def test_check_gap_dichotomy_cases(alpha_cubic, beta_cubic):
     pair = find_pair(alpha_cubic, beta_cubic)
     rel = mobius_relation(alpha_cubic, beta_cubic, rep=pair.rep)

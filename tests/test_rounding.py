@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import mpmath
 import pytest
@@ -9,7 +10,8 @@ from gapkit.isolation import _dyadic
 from gapkit.rounding import (_MONOMIAL_BITS, RatInterval, _mpf_tuple_to_fraction,
                              certified_floor, compact_str, monomial_up, pow_up,
                              root_down, root_up, simplest_rational_in, tidy_down,
-                             tidy_up, exp_interval, log_interval)
+                             tidy_up, exp_interval, exp_up, log_interval)
+from gapkit.rounding import _TIDY_DIGITS, _dec_exponent
 
 rationals = st.fractions(min_value=Fraction(1, 10 ** 6),
                          max_value=Fraction(10 ** 6),
@@ -187,6 +189,58 @@ def test_tidy_directions():
     assert 0 < tidy_down(tiny) <= tiny
     huge = Fraction(10 ** 60 + 1, 7)
     assert tidy_up(huge) >= huge
+
+
+def _tidy_reference(x, rounding):
+    """The former tidying formula, as the oracle: a Fraction multiply and a
+    ceil or floor."""
+    if x == 0:
+        return x
+    scale = 10 ** max(0, _TIDY_DIGITS - _dec_exponent(x))
+    out = Fraction(rounding(x * scale), scale)
+    return out if out != 0 else x
+
+
+_signs = st.sampled_from([1, -1])
+_tidy_inputs = st.one_of(
+    # integers beyond 10^18, up to 20 kbit
+    st.builds(lambda s, n: s * n, _signs,
+              st.integers(min_value=10 ** 18 + 1, max_value=2 ** 20000)),
+    # 34-kbit denominators, as on C13's closed form
+    st.builds(lambda s, n, d: Fraction(s * n, d), _signs,
+              st.integers(min_value=1, max_value=2 ** 34200),
+              st.integers(min_value=2 ** 34100, max_value=2 ** 34200)),
+    # values below 10^-18
+    st.builds(lambda s, n, d: Fraction(s * n, d), _signs,
+              st.integers(min_value=1, max_value=10 ** 6),
+              st.integers(min_value=10 ** 24, max_value=10 ** 60)),
+    st.fractions(max_denominator=10 ** 30),
+    st.just(Fraction(0)))
+
+
+@given(_tidy_inputs)
+@example(Fraction(0))
+@example(Fraction(-1, 10 ** 40))
+@example(Fraction(10 ** 60 + 1, 7))
+@example(2 ** 20000)
+@settings(max_examples=150, deadline=None)
+def test_tidy_matches_the_fraction_formula(x):
+    x = Fraction(x)
+    up, down = tidy_up(x), tidy_down(x)
+    assert up == _tidy_reference(x, math.ceil)
+    assert down == _tidy_reference(x, math.floor)
+    assert down <= x <= up
+
+
+def test_exp_up_is_the_upper_endpoint():
+    for x in (Fraction(-3), Fraction(2), Fraction(6749000)):
+        assert exp_up(x) == exp_interval(x).hi
+    with mpmath.workdps(200):
+        for x in (-3, 2):
+            up = exp_up(Fraction(x))
+            exact = mpmath.exp(x)
+            assert mpmath.mpf(up.numerator) / up.denominator > exact
+            assert mpmath.mpf(up.numerator) / up.denominator - exact < exact * mpmath.mpf(2) ** -150
 
 
 def test_compact_str():
