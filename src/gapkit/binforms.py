@@ -96,10 +96,12 @@ class BinForm:
         return IntPoly(tuple(reversed(self.coeffs)))
 
     def value(self, x: int, y: int) -> int:
-        acc = 0
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            acc += c * x ** (d - i) * y ** i
+        """F(x, y), exactly, by Horner's rule in x on the coefficients
+        c_k y**k."""
+        acc, yk = 0, 1
+        for c in self.coeffs:
+            acc = acc * x + c * yk
+            yk *= y
         return acc
 
     def __eq__(self, other):

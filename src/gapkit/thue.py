@@ -3,12 +3,18 @@
 The enumeration is complete over the height box H(x, y) <= B and splits it
 at a Legendre height H0 (``legendre_height``).  Up to H0 a window search
 confines, for each y, the candidate x values to certified windows around
-y * Re(root): a solution of 0 < |F(x, y)| <= m lies within (m/|c_d|)**(1/d)
-of some root ray.  Above H0 the Lewis-Mahler inequality puts x/y (or y/x)
-within 1/(2 y**2) (or 1/(2 x**2)) of a real root (or a real inverse root),
-so by Legendre's theorem it is a continued-fraction convergent; the
-certified convergents with denominator <= B are the only candidates there.
-The work is O(d * min(H0, B) + d log B), so boxes far past H0 are cheap.
+y * Re(root): a solution of 0 < |F(x, y)| <= m lies within delta0 =
+(m/|c_d|)**(1/d) of some root ray alpha_i y, and then within the radius
+r_i(y) = (m/|c_d|) / prod_{j != i} (L_ij y - delta0), which falls like
+y**(1-d) once y passes delta0 / L_ij for the certified root distances L_ij.
+A nonreal root's window is empty once |Im alpha_i| y exceeds its radius.
+Above H0 the Lewis-Mahler inequality puts x/y (or y/x) within 1/(2 y**2)
+(or 1/(2 x**2)) of a real root (or a real inverse root), so by Legendre's
+theorem it is a continued-fraction convergent; the certified convergents
+with denominator <= B are the only candidates there.  The work is
+O(d**2 * min(H0, B)) integer operations for the windows, about
+2 min(delta0, r_i(y)) + 2 candidates per open window and row, and O(d log B)
+candidates above H0, so boxes far past H0 are cheap.
 
 The census groups solutions into orbits of the unimodular part of the
 enhanced automorphism group, computes the height threshold and the counting
@@ -32,7 +38,7 @@ from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
 from .intpoly import IntPoly
-from .isolation import (PrecisionError, disk_distance, isolate_roots,
+from .isolation import (PrecisionError, disk_distance, disk_sub, isolate_roots,
                         mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
 from .rounding import compact_str, log_interval, monomial_up, pow_up, root_up, tidy_up
@@ -110,43 +116,85 @@ def enumerate_primitive(problem: ThueProblem, h0: int | None = None) -> list[Sol
 def window_search(f: BinForm, m: int, height: int) -> list[Solution]:
     """Every sign-normalized primitive solution of 0 < |F(x, y)| <= m with
     H(x, y) <= height, via certified per-y windows around the root rays.
-    Costs O(height * d) value computations."""
+
+    Each solution has a root alpha_i with |x - alpha_i y| <= delta0 =
+    (m/|c_d|)**(1/d), since |F(x, y)| = |c_d| prod_j |x - alpha_j y|.  If
+    L_ij <= |alpha_i - alpha_j|, then |x - alpha_j y| >= L_ij y - delta0 for
+    every j != i, and when all of these are positive the radius around root
+    i shrinks to r_i(y) = (m/|c_d|) / prod_{j != i} (L_ij y - delta0).  A
+    nonreal alpha_i with |Im alpha_i| >= I_i has |x - alpha_i y| >= I_i y
+    for every real x, so its window is empty once I_i y exceeds the radius.
+
+    Each row y costs O(d**2) integer operations for the windows
+    (``_root_windows``).  Its candidates are evaluated by Horner's rule on
+    the row's coefficients c_k y**k, and only those with 0 < |F| <= m pay
+    a gcd.  An open window holds about 2 min(delta0, r_i(y)) + 2
+    candidates, so once the radii fall below 1 and the nonreal windows
+    close, a row costs O(d) candidates."""
     d = f.degree
-    # window radius: |F(x,y)| > |c_d| * delta**d outside distance delta of
-    # every root ray, so delta0 = (m/|c_d|)**(1/d) rounded up
-    delta0 = root_up(Fraction(m, abs(f.lead_x)), d)
-    roots = isolate_roots(normalize_minimal_poly(f.dehomogenize()),
-                          Fraction(1, 10 ** 12))
-    re_bounds = [e.re_interval() for e in roots]
-    out: dict[tuple[int, int], Solution] = {}
-
-    def consider(x: int, y: int):
-        if gcd(abs(x), abs(y)) != 1:
-            return
-        v = f.value(x, y)
-        if 0 < abs(v) <= m:
-            sol = Solution.normalized(x, y, v, d)
-            out[(sol.x, sol.y)] = sol
-
-    if 0 < abs(f.lead_x) <= m:
-        consider(1, 0)
-    for y in range(1, height + 1):
-        windows = []
-        for iv in re_bounds:
-            lo = floor(iv.lo * y - delta0)
-            hi = ceil(iv.hi * y + delta0)
-            windows.append((lo, hi))
-        windows.sort()
+    out = [Solution(1, 0, f.lead_x)] if abs(f.lead_x) <= m else []
+    for y, windows in _root_windows(f, m, height):
         merged: list[list[int]] = []
-        for lo, hi in windows:
+        for lo, hi in sorted(w for w in windows if w is not None):
             if merged and lo <= merged[-1][1] + 1:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
+        row, yk = [], 1
+        for c in f.coeffs:
+            row.append(c * yk)
+            yk *= y
         for lo, hi in merged:
             for x in range(max(lo, -height), min(hi, height) + 1):
-                consider(x, y)
-    return sorted(out.values(), key=lambda s: (s.height, s.x, s.y))
+                v = 0
+                for a in row:
+                    v = v * x + a
+                if 0 < abs(v) <= m and gcd(x, y) == 1:
+                    out.append(Solution.normalized(x, y, v, d))
+    return sorted(out, key=lambda s: (s.height, s.x, s.y))
+
+
+def _root_windows(f: BinForm, m: int, height: int):
+    """(y, windows) for y = 1, ..., height: windows[i] is an integer range
+    (lo, hi) holding every x with |x - alpha_i y| <= min(delta0, r_i(y))
+    (``window_search``), or None when no real x is that close, alpha_i
+    being root i of the root system's ``ScaledRoots`` table.
+
+    The constants are integers at the table's scale 2**b, taken once:
+    l_ij <= L_ij 2**b and I_i 2**b rounded down, D >= delta0 2**b and
+    k >= K 2**b (K = m/|c_d|) rounded up.  Then g_j = l_ij y - D is at most
+    (L_ij y - delta0) 2**b, so when every g_j > 0, r_i(y) 2**b is at most
+    k 2**(b (d-1)) / prod_j g_j, rounded up.  Every radius and window end
+    is thus rounded outward, and each window end costs one multiply and
+    one shift."""
+    d = f.degree
+    table = root_system(normalize_minimal_poly(f.dehomogenize())).scaled(
+        Fraction(1, 10 ** 12))
+    b = table.bits
+    lead = abs(f.lead_x)
+    delta = ceil(root_up(Fraction(m, lead), d) * (1 << b))
+    num = -(-(m << b) // lead) << (b * (d - 1))
+    roots = []
+    for i, (re, im, rad) in enumerate(table.alpha):
+        gaps = []
+        for j, other in enumerate(table.alpha):
+            if j != i:
+                dr, di, s = disk_sub((re, im, rad), other)
+                gaps.append(isqrt(dr * dr + di * di) - s)
+        roots.append((re - rad, re + rad, abs(im) - rad if im else 0, gaps))
+    for y in range(1, height + 1):
+        windows = []
+        for re_lo, re_hi, im_lo, gaps in roots:
+            rho, den = delta, 1
+            for g in gaps:
+                den *= g * y - delta
+                if den <= 0:
+                    break
+            else:
+                rho = min(delta, -(-num // den))
+            windows.append(None if im_lo * y > rho else
+                           ((re_lo * y - rho) >> b, -(-(re_hi * y + rho) >> b)))
+        yield y, windows
 
 
 def legendre_height(f: BinForm, m: int, c10: Fraction) -> int:
@@ -455,16 +503,18 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
 
 def _solution_orbits(f: BinForm, aut: EnhancedAut,
                      sols: list[Solution]) -> tuple[tuple[int, ...], ...]:
-    d = f.degree
     index_of = {(s.x, s.y): i for i, s in enumerate(sols)}
+    maps = [el.matrix for el in aut.unimodular()]
     edges = set()
     for i, s in enumerate(sols):
-        for el in aut.unimodular():
-            xp, yp = el.matrix.apply(s.x, s.y)
-            img = Solution.normalized(xp, yp, f.value(xp, yp), d)
-            if abs(img.value) != abs(s.value):
+        for mat in maps:
+            xp, yp = mat.apply(s.x, s.y)
+            if abs(f.value(xp, yp)) != abs(s.value):
                 raise AssertionError("unimodular image changed |F|: identity broken")
-            j = index_of.get((img.x, img.y))
+            # sign-normalize the image as Solution.normalized does
+            if (xp or yp) < 0:
+                xp, yp = -xp, -yp
+            j = index_of.get((xp, yp))
             if j is not None:
                 edges.add((i, j))
     return _components(len(sols), edges).blocks

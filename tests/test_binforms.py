@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gapkit.autgroup import d12_family
 from gapkit.binforms import BinForm, IntMat2, discriminant, form_action, poly_height
 from gapkit.intpoly import IntPoly
 from gapkit.parse import ParseError, parse_form, parse_poly
@@ -9,6 +12,26 @@ from gapkit.parse import ParseError, parse_form, parse_poly
 
 def adjugate(m: IntMat2) -> IntMat2:
     return IntMat2(m.v, -m.u, -m.t, m.s)
+
+
+D12 = list(d12_family(3, 1).coeffs)
+
+_coeff = st.one_of(st.just(0), st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+_coord = st.integers(min_value=-10 ** 5, max_value=10 ** 5)
+
+
+@given(st.lists(_coeff, min_size=4, max_size=13).filter(any), _coord, _coord)
+@example(coeffs=[1, 0, 0, -2], x=0, y=-7)
+@example(coeffs=[2, 0, 5, 0, 0], x=-5, y=0)
+@example(coeffs=D12, x=-7, y=3)
+@example(coeffs=D12, x=0, y=2)
+@example(coeffs=D12, x=3, y=0)
+@settings(max_examples=300, deadline=None)
+def test_value_is_the_naive_sum(coeffs, x, y):
+    # degrees 3 to 12: F(x, y) = sum c_k x**(d-k) y**k, power by power
+    d = len(coeffs) - 1
+    assert BinForm(coeffs).value(x, y) == sum(c * x ** (d - k) * y ** k
+                                              for k, c in enumerate(coeffs))
 
 
 def test_height_of_form():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from gapkit import isolation
 from gapkit.intpoly import IntPoly, is_squarefree, poly_gcd_q
-from gapkit.isolation import (IsolationError, disk_disjoint, disk_div,
+from gapkit.isolation import (IsolationError, disk_disjoint, disk_distance, disk_div,
                               disk_elementary, disk_holds_integer,
                               disk_mul, disk_sub, house,
                               isolate_roots, mahler_measure,
@@ -419,3 +420,36 @@ def test_disk_holds_integer_examples():
     assert disk_holds_integer((3 << bits | 128, 0, 128), bits)
     assert not disk_holds_integer((3 << bits, 10, 9), bits)           # off the axis
     assert not disk_holds_integer((-(3 << bits) - 128, 0, 100), bits)
+
+
+@given(st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+       st.integers(min_value=1, max_value=2 ** 40), st.integers(min_value=0, max_value=2 ** 20),
+       st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=50),
+       st.integers(min_value=1, max_value=64))
+@example(re=3, im=1, rad=0, p=0, q=1, bits=1)       # |3/2 + i/2|**2 = 5/2
+@settings(max_examples=200, deadline=None)
+def test_disk_distance_brackets_the_center_exactly(re, im, rad, p, q, bits):
+    # an off-axis center's squared distance n is rarely a perfect square:
+    # the upper end must then come from the ceiling of its root, not isqrt
+    one = 1 << bits
+    n = (re * q - p * one) ** 2 + (im * q) ** 2
+    lo, hi = disk_distance((re, im, rad), p, q, one)
+    r = rad * q
+    assert (hi - r) ** 2 >= n
+    assert lo == 0 or (lo + r) ** 2 <= n
+    assert hi - lo <= 2 * r + 1
+
+
+@pytest.mark.parametrize("im, rad", [(1, 2), (3, 5), (7, 9), (12, 20), (100, 101)])
+def test_disk_holds_integer_where_the_chord_ends_just_past_one(im, rad):
+    # the chord re +- sqrt(rad**2 - im**2) ends at or just past the integer
+    # k, by less than one unit, at either end; no other integer lies in the
+    # disk (rad**2 - im**2 is a square for (3, 5) and (12, 20), where the
+    # chord ends exactly on k)
+    s = isqrt(rad * rad - im * im)
+    for bits in ((2 * s).bit_length(), 40):
+        for k in (-3, 0, 5):
+            for re in ((k << bits) - s, (k << bits) + s):
+                assert _inside((Fraction(k), Fraction(0)), (re, im, rad), bits)
+                assert disk_holds_integer((re, im, rad), bits)
+                assert disk_holds_integer((re, -im, rad), bits)

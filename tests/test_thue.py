@@ -30,7 +30,9 @@ ABOVE_H0 = ((BinForm((1, 4, 2, -2)), 3), (BinForm((2, -2, 0, -4)), 5),
             (BinForm((1, -3, -1, 3, -3)), 4))
 
 
-def naive_enumeration(f: BinForm, m: int, bound: int):
+def naive_solutions(f: BinForm, m: int, bound: int):
+    """(x, y, F(x, y)) of every sign-normalized solution in the box, by
+    trying every pair."""
     out = set()
     d = f.degree
     for x in range(-bound, bound + 1):
@@ -40,8 +42,12 @@ def naive_enumeration(f: BinForm, m: int, bound: int):
             v = f.value(x, y)
             if 0 < abs(v) <= m:
                 s = Solution.normalized(x, y, v, d)
-                out.add((s.x, s.y))
+                out.add((s.x, s.y, s.value))
     return out
+
+
+def naive_enumeration(f: BinForm, m: int, bound: int):
+    return {(x, y) for x, y, _ in naive_solutions(f, m, bound)}
 
 
 def test_enumerate_examples():
@@ -58,6 +64,55 @@ def test_enumeration_complete_vs_naive(cubic_form):
                         (cubic_form, 5, 40), (CUBE_FORM, 6, 50)):
         sols = enumerate_primitive(ThueProblem(f, m, bound))
         assert {(s.x, s.y) for s in sols} == naive_enumeration(f, m, bound)
+
+
+# the wide regime: m set for at least 200 solutions at box 80, so delta0 =
+# (m/|c_d|)**(1/d) is 10 to 15 and the shrinking radius r_i(y) binds from
+# small heights on (the tests above use m <= 6, where it never does)
+WIDE = ((BinForm((1, -1, -4, -1)), 1175),      # Galois cubic
+        (BinForm((1, 0, -1, 3)), 2727),        # cubic with a complex pair
+        (BinForm((3, -4, 1, -2)), 4006),       # cubic with c_d = 3, a complex pair
+        (BinForm((2, -1, -5, -1, 2)), 27451),  # palindromic quartic, c_d = 2
+        (BinForm((1, 0, 1, 1, 2)), 53777))     # quartic with two complex pairs
+
+
+@pytest.mark.parametrize("f, m", WIDE)
+def test_wide_regime_matches_naive(f, m):
+    want = naive_solutions(f, m, 80)
+    assert len(want) >= 200
+    for sols in (window_search(f, m, 80), enumerate_primitive(ThueProblem(f, m, 80))):
+        assert {(s.x, s.y, s.value) for s in sols} == want
+
+
+@pytest.mark.parametrize("f, m", WIDE)
+def test_windows_shrink_to_the_radius(f, m):
+    """Each root's window is certified and no wider than the radius
+    min(delta0, r_i(y)) taken with the exact root distances, and a nonreal
+    root's window is empty once |Im alpha_i| y exceeds that radius."""
+    d = f.degree
+    table = isolation.root_system(normalize_minimal_poly(f.dehomogenize())).scaled(
+        Fraction(1, 10 ** 12))
+    with mpmath.workdps(40):
+        exact = mpmath.polyroots(f.coeffs, maxsteps=200, extraprec=200)
+        one = mpmath.mpf(2) ** table.bits
+        roots = [min(exact, key=lambda r: abs(r - mpmath.mpc(re, im) / one))
+                 for re, im, _ in table.alpha]
+        k = mpmath.mpf(m) / abs(f.lead_x)
+        delta0 = mpmath.root(k, d)
+        slack = mpmath.mpf(10) ** -6
+        for y, windows in thue._root_windows(f, m, 80):
+            for i, (a, w) in enumerate(zip(roots, windows)):
+                gaps = [abs(a - b) * y - delta0 for j, b in enumerate(roots) if j != i]
+                rho = min(delta0, k / mpmath.fprod(gaps)) if min(gaps) > 0 else delta0
+                far = abs(mpmath.im(a)) * y - rho
+                if w is None:
+                    assert far > -slack
+                    continue
+                assert far <= slack * (1 + rho)
+                lo, hi = w
+                assert lo <= a.real * y - rho + slack and hi >= a.real * y + rho - slack
+                assert lo >= a.real * y - rho - 1 - slack * (1 + rho)
+                assert hi <= a.real * y + rho + 1 + slack * (1 + rho)
 
 
 def test_enumeration_complete_box500(cubic_form):
