@@ -27,8 +27,8 @@ from math import isqrt, lcm
 import mpmath
 
 from .intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
-                      is_squarefree)
-from .isolation import (PrecisionError, RootEnclosure, disk_elementary,
+                      is_squarefree, normalize_minimal_poly)
+from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, disk_elementary,
                         disk_holds_integer, house, isolate_roots, mahler_measure,
                         root_enclosure, root_system)
 from .rounding import RatInterval, tidy_down, tidy_up
@@ -64,7 +64,8 @@ def is_irreducible(p: IntPoly) -> bool:
     excluding disk of every set, or the exact quotient; no verdict comes
     from floating point.  The test abstains with ``PrecisionError`` (exit
     3) when a set is still undecided after five widths, or when more than
-    ``_SUBSET_BUDGET`` sets would have to be tried.
+    ``_SUBSET_BUDGET`` sets would have to be tried.  The root system keeps
+    the root-set verdict, so testing a polynomial again only reads it.
     """
     if p.degree < 1:
         return False
@@ -74,8 +75,16 @@ def is_irreducible(p: IntPoly) -> bool:
     sizes = {k for k in factor_degree_sieve(f, _SIEVE_PRIMES) if 2 * k <= f.degree}
     if not sizes:
         return True
-    system, a = root_system(f), f.lead
-    width = Fraction(1, 10 ** 20)
+    system = root_system(f)
+    if system.irreducible is None:
+        system.irreducible = _root_set_test(system, sizes)
+    return system.irreducible
+
+
+def _root_set_test(system, sizes: set[int]) -> bool:
+    """``is_irreducible``'s verdict on the root sets of the open sizes."""
+    f, a = system.poly, system.poly.lead
+    width = TABLE_WIDTH
     todo = _closed_root_sets(system.scaled(width).mirror, sizes)
     for _ in range(5):
         table = system.scaled(width)
@@ -113,14 +122,6 @@ def _closed_root_sets(mirror: list[int | None], sizes: set[int]) -> list[list[in
                 if len(out) > _SUBSET_BUDGET:
                     raise PrecisionError(f"more than {_SUBSET_BUDGET} root sets to test")
     return out
-
-
-def normalize_minimal_poly(p: IntPoly) -> IntPoly:
-    """Primitive form with positive leading coefficient."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    p = p.primitive()
-    return p if p.lead > 0 else -p
 
 
 @dataclass(frozen=True)

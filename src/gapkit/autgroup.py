@@ -11,7 +11,8 @@ pinned by three roots.  Target triples are excluded, and the survivors'
 maps reconstructed, in outward-rounded integer disk arithmetic on the
 ``ScaledRoots`` tables; entry ratios are rationalized by the simplest
 rational in the enclosure, and every candidate is accepted or rejected by
-the exact identity alone.
+the exact identity alone.  Each element carries its certified permutation
+of the roots, and the root orbits are read off those permutations.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt, lcm
 
-from .binforms import BinForm, IntMat2, discriminant, form_action
-from .isolation import (PrecisionError, ScaledRoots, disk_disjoint, disk_div,
-                        disk_mul, disk_sub, root_system)
+from .algnum import is_irreducible
+from .binforms import BinForm, IntMat2, form_action
+from .isolation import (TABLE_WIDTH, PrecisionError, ScaledRoots, disk_disjoint,
+                        disk_div, disk_mul, disk_sub, root_system)
 from .rounding import simplest_rational_in
 
 
@@ -38,6 +40,7 @@ class AutElement:
     matrix: IntMat2
     scale: int   # integer with scale**2 == |det|**d
     sign: int    # F(M0 x) = sign * scale * F
+    perm: tuple[int, ...]   # root i of F(x, 1) goes to root perm[i]
 
     @property
     def det(self) -> int:
@@ -95,17 +98,6 @@ def membership_scale(f: BinForm, m: IntMat2) -> tuple[int, int] | None:
     return None
 
 
-def _validate_form(f: BinForm):
-    from .algnum import is_irreducible
-
-    if f.degree < 3:
-        raise AutError("degree must be >= 3")
-    if f.lead_x == 0 or not is_irreducible(f.dehomogenize()):
-        raise AutError(f"form is not irreducible over Q: {f}")
-    if discriminant(f) == 0:
-        raise AutError("zero discriminant")
-
-
 def aut_prime(f: BinForm) -> EnhancedAut:
     """Compute Aut'|F| for an irreducible form of degree >= 3.
 
@@ -117,39 +109,43 @@ def aut_prime(f: BinForm) -> EnhancedAut:
       rational or not: the map through it sends r3 or r4 (where the degree
       has them) to a disk disjoint from every root disk;
     * every returned element satisfies the exact identity, and the returned
-      set is closed under products (with the +-M0 pairing built in).
+      set is closed under products (with the +-M0 pairing built in);
+    * each element's ``perm`` sends root i to the root whose disk alone
+      meets the image of root i's disk under z -> (v z - u)/(-t z + s); an
+      element maps roots to roots, and each disk holds exactly one root.
 
     Each surviving triple's map is reconstructed and its entry ratios are
     rationalized.  A survivor whose ratios never rationalize is dropped
     without being certified absent, so the returned group is certified to
-    lie in Aut'|F| but not to be all of it.  The enclosures are refined
-    until the verified set closes under products.
+    lie in Aut'|F| but not to be all of it.  The enclosures are refined,
+    from the ``TABLE_WIDTH`` table on, until every element's permutation is
+    certified on the table that found the group.
     """
-    _validate_form(f)
-    poly = f.dehomogenize()
-    width = Fraction(1, 10 ** 20)
+    if f.degree < 3:
+        raise AutError("degree must be >= 3")
+    if f.lead_x == 0 or not is_irreducible(f.dehomogenize()):
+        raise AutError(f"form is not irreducible over Q: {f}")
+    system = root_system(f.dehomogenize())
+    width = TABLE_WIDTH
     found: dict[tuple, tuple[int, int]] = {}
     for _ in range(5):
-        for cand in _candidate_matrices(root_system(poly).scaled(width)):
-            m = cand.primitive()
-            if m.entries() in found or (-m).entries() in found:
-                continue
-            ok = membership_scale(f, m)
-            if ok is not None:
-                found[m.entries()] = ok
-                neg = -m
-                okn = membership_scale(f, neg)
-                if okn is not None:
-                    found[neg.entries()] = okn
-        closed = _close_under_products(f, found)
-        if closed is not None:
-            found = closed
+        table = system.scaled(width)
+        for m in _candidate_matrices(table):
+            if m.entries() not in found and (-m).entries() not in found:
+                ok = membership_scale(f, m)
+                if ok is not None:   # then so is -M0, as F(-x) = (-1)**d F
+                    found[m.entries()] = ok
+                    found[(-m).entries()] = membership_scale(f, -m)
+        found = _close_under_products(f, found)
+        perms = {k: tuple(_image_index(IntMat2(*k), z, table.alpha, table.bits)
+                          for z in table.alpha) for k in found}
+        if all(None not in p for p in perms.values()):
             break
         width /= 10 ** 10
     else:
-        raise PrecisionError("automorphism search did not close within budget")
+        raise PrecisionError("root permutations not certified within budget")
     elements = tuple(sorted(
-        (AutElement(IntMat2(*k), sc, sg) for k, (sc, sg) in found.items()),
+        (AutElement(IntMat2(*k), sc, sg, perms[k]) for k, (sc, sg) in found.items()),
         key=lambda e: (abs(e.det), e.matrix.entries())))
     if len(elements) > 24:
         raise AutError(f"group order {len(elements)} exceeds 24: invariant broken")
@@ -251,17 +247,12 @@ def _rationalize_projective(entries, bits: int) -> tuple[Fraction, ...] | None:
     return tuple(out)
 
 
-def _close_under_products(f: BinForm, found: dict) -> dict | None:
-    """Product closure of the verified set; None if it will not stabilize
-    below the order bound (signals missing precision)."""
+def _close_under_products(f: BinForm, found: dict) -> dict:
+    """Product closure of the verified set, with +-I: the primitive product
+    of two elements is an element, so each passes the exact identity."""
     work = dict(found)
-    if (1, 0, 0, 1) not in work:
-        ok = membership_scale(f, IntMat2.identity())
-        work[(1, 0, 0, 1)] = ok
-    if (-1, 0, 0, -1) not in work:
-        ok = membership_scale(f, -IntMat2.identity())
-        if ok is not None:
-            work[(-1, 0, 0, -1)] = ok
+    for m in (IntMat2.identity(), -IntMat2.identity()):
+        work.setdefault(m.entries(), membership_scale(f, m))
     changed = True
     while changed:
         changed = False
@@ -272,7 +263,7 @@ def _close_under_products(f: BinForm, found: dict) -> dict | None:
                 if prod.entries() not in work:
                     ok = membership_scale(f, prod)
                     if ok is None:
-                        return None  # closure failure: inconsistent set
+                        raise AssertionError("a product of elements failed the identity")
                     work[prod.entries()] = ok
                     changed = True
                     if len(work) > 24:
@@ -341,21 +332,11 @@ class OrbitPartition:
 
 
 def root_orbit_partition(aut: EnhancedAut) -> OrbitPartition:
-    """Partition the roots of one irreducible polynomial into orbits under
-    the root actions of Aut'|F|: image indices are certified by enclosure
-    separation (the image of a root enclosure must meet exactly one root
-    enclosure)."""
-    poly = aut.form.dehomogenize()
-    width = Fraction(1, 10 ** 15)
-    for _ in range(5):
-        table = root_system(poly).scaled(width)
-        disks = table.alpha
-        edges = {(i, _image_index(el.matrix, z, disks, table.bits))
-                 for el in aut.elements for i, z in enumerate(disks)}
-        if all(j is not None for _, j in edges):
-            return _components(len(disks), edges)
-        width /= 10 ** 8
-    raise PrecisionError("orbit image certification failed at budget")
+    """Partition the roots of F(x, 1) into orbits under the root actions of
+    Aut'|F|: the connected components of i -> perm[i] over the elements'
+    permutations, which ``aut_prime`` certified.  No enclosure is read."""
+    perms = [el.perm for el in aut.elements]
+    return _components(len(perms[0]), {(i, j) for p in perms for i, j in enumerate(p)})
 
 
 def _image_index(m: IntMat2, z, disks: list, bits: int) -> int | None:

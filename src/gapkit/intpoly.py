@@ -296,6 +296,14 @@ def poly_gcd_q(p: IntPoly, q: IntPoly) -> IntPoly:
     return g if g.lead > 0 else -g
 
 
+def normalize_minimal_poly(p: IntPoly) -> IntPoly:
+    """Primitive form with positive leading coefficient."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    p = p.primitive()
+    return p if p.lead > 0 else -p
+
+
 def is_squarefree(p: IntPoly) -> bool:
     if p.is_zero:
         return False

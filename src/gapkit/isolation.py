@@ -43,7 +43,7 @@ from typing import Sequence
 import mpmath
 from mpmath.libmp import mpf_pos
 
-from .intpoly import IntPoly, is_squarefree, poly_gcd_q
+from .intpoly import IntPoly, is_squarefree, normalize_minimal_poly, poly_gcd_q
 from .rounding import AbstainError, RatInterval, _mpf_tuple_to_fraction, monomial_up
 
 
@@ -245,6 +245,10 @@ def _bisect(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
 
 _DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 
+# the width of the one ``ScaledRoots`` table that irreducibility, Aut' with its
+# root permutations, the window search and root assignment all read first
+TABLE_WIDTH = Fraction(1, 10 ** 20)
+
 
 # bisections of a real disk spent separating it from the real-part ranges of
 # the nonreal disks before the root order falls back to its center
@@ -267,6 +271,8 @@ class _RootSystem:
         # each root's enclosure, and the integer tables, by the width asked for
         self.memo = tuple({} for _ in self.base)
         self.tables: dict[Fraction, ScaledRoots] = {}
+        # the root-set verdict of ``algnum.is_irreducible``, once it is taken
+        self.irreducible: bool | None = None
 
     def _order(self, real: list[tuple[tuple[int, int, int], int]]
                ) -> tuple[RootEnclosure, ...]:
@@ -470,14 +476,14 @@ def disk_elementary(disks: list[tuple[int, int, int]], bits: int
 
 
 def disk_holds_integer(disk: tuple[int, int, int], bits: int) -> bool:
-    """False when no integer lies in the disk, an exact integer test: the
-    disk meets the real axis in the segment re +- s, s**2 = rad**2 - im**2,
-    and it holds an integer when the greatest multiple of 2**bits at most
-    re + s is at least re - s (s rounded up, so True may be spurious)."""
+    """Whether an integer lies in the disk, exactly: a multiple N of 2**bits
+    lies in it when (N - re)**2 <= rad**2 - im**2, that is |N - re| <= s =
+    isqrt(rad**2 - im**2) as N - re is an integer, so when the greatest
+    multiple of 2**bits at most re + s is at least re - s."""
     re, im, rad = disk
     if abs(im) > rad:
         return False
-    s = _ceil_isqrt(rad * rad - im * im)
+    s = isqrt(rad * rad - im * im)
     return (re + s) >> bits << bits >= re - s
 
 
@@ -570,13 +576,16 @@ def _newton(p: IntPoly, deriv: IntPoly, re: int, im: int, bits: int
     return rad, _round_div(pr * dr + pi * di, n), _round_div(pi * dr - pr * di, n)
 
 
-# root systems by coefficient tuple, least recently used first; past
+# root systems by normalized coefficient tuple, least recently used first; past
 # _MAX_SYSTEMS the oldest is dropped, and rebuilt from scratch if needed again
 _SYSTEMS: dict[tuple, _RootSystem] = {}
 _MAX_SYSTEMS = 64
 
 
 def root_system(p: IntPoly) -> _RootSystem:
+    """The root system of p, built for its primitive part with positive lead:
+    F(x, 1) has one whatever the sign of c_d or the content of F."""
+    p = normalize_minimal_poly(p)
     key = p.coeffs
     sys = _SYSTEMS.pop(key, None)
     if sys is None:

@@ -30,16 +30,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .algnum import (AlgNum, NotInFieldError, liouville_c6, normalize_minimal_poly,
-                     power_rep, theta_upper_bound)
+from .algnum import (AlgNum, NotInFieldError, is_irreducible, liouville_c6,
+                     normalize_minimal_poly, power_rep, theta_upper_bound)
 from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
                        root_orbit_partition)
 from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
 from .intpoly import IntPoly
-from .isolation import (PrecisionError, disk_distance, disk_sub, isolate_roots,
-                        mahler_measure, root_system)
+from .isolation import (TABLE_WIDTH, PrecisionError, _RootSystem, disk_distance,
+                        disk_sub, isolate_roots, mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
 from .rounding import compact_str, log_interval, monomial_up, pow_up, root_up, tidy_up
 
@@ -57,8 +57,6 @@ class ThueProblem:
     bound: int
 
     def __post_init__(self):
-        from .algnum import is_irreducible
-
         if self.m < 1:
             raise ThueError("m must be >= 1 (the inequality is strict at 0)")
         if self.bound < 1:
@@ -158,7 +156,7 @@ def _root_windows(f: BinForm, m: int, height: int):
     """(y, windows) for y = 1, ..., height: windows[i] is an integer range
     (lo, hi) holding every x with |x - alpha_i y| <= min(delta0, r_i(y))
     (``window_search``), or None when no real x is that close, alpha_i
-    being root i of the root system's ``ScaledRoots`` table.
+    being root i of the root system's ``TABLE_WIDTH`` table.
 
     The constants are integers at the table's scale 2**b, taken once:
     l_ij <= L_ij 2**b and I_i 2**b rounded down, D >= delta0 2**b and
@@ -168,8 +166,7 @@ def _root_windows(f: BinForm, m: int, height: int):
     is thus rounded outward, and each window end costs one multiply and
     one shift."""
     d = f.degree
-    table = root_system(normalize_minimal_poly(f.dehomogenize())).scaled(
-        Fraction(1, 10 ** 12))
+    table = root_system(f.dehomogenize()).scaled(TABLE_WIDTH)
     b = table.bits
     lead = abs(f.lead_x)
     delta = ceil(root_up(Fraction(m, lead), d) * (1 << b))
@@ -230,8 +227,7 @@ def legendre_height(f: BinForm, m: int, c10: Fraction) -> int:
     it never loses a solution."""
     d = f.degree
     height = root_up(2 * c10 * m, d - 2)
-    nonreal = [e for e in isolate_roots(normalize_minimal_poly(f.dehomogenize()))
-               if not e.is_real]
+    nonreal = [e for e in isolate_roots(f.dehomogenize()) if not e.is_real]
     if nonreal:
         # |Im alpha| >= |Im c| - r on the disk D(c, r), and
         # |Im alpha^{-1}| = |Im alpha| / |alpha|**2
@@ -278,30 +274,30 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
                                 (Fraction(1, abs(disc)), Fraction(1, 2))]))
 
 
-def assign_root(f: BinForm, sol: Solution) -> tuple[int, str, bool]:
+def assign_root(system: _RootSystem, sol: Solution) -> tuple[int, str, bool]:
     """(root index, side, tie) minimizing
-    min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|); the side is "alpha" or
-    "alpha_inv".  Complex-conjugate candidates tie exactly against rational
-    targets; such ties resolve to the smaller root index with tie=True.
-    Other ties refine, and a tie that survives every level is reported.
+    min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|) over the roots of F(x, 1),
+    ``system``; the side is "alpha" or "alpha_inv".  Conjugate candidates
+    tie exactly against rational targets; such ties resolve to the smaller
+    root index with tie=True.  Other ties refine, and a tie that survives
+    every level is reported.
 
-    Each level of width w (10**-12, then divided by 10**8, at most 5
-    levels) reads the root system's ``ScaledRoots`` table for w, built once
-    and shared by every solution: integer disks at scale 2**b that contain
-    each root and its inverse.  For a target p/q (x/y, or y/x on the
-    inverse side), ``disk_distance`` bounds 2**b |q z - p| = 2**b |q| |z -
-    p/q| by integers over each disk, so every candidate's distance is
-    enclosed over the denominator |y| 2**b or |x| 2**b, and two candidates
-    compare by cross-multiplying with the other's |y| or |x|.  The best
-    candidate has the least upper end; it is decided when no rival's lower
-    end lies below that upper end, which then holds for the exact distances
-    too.  The table widens an enclosure by about w 2**-32 at most, so a
-    level that decides on the exact enclosures nearly always decides on the
-    table, and otherwise the next level does."""
-    system = root_system(normalize_minimal_poly(f.dehomogenize()))
+    Each level of width w (``TABLE_WIDTH``, then divided by 10**8 down to
+    10**-44: 4 levels) reads the root system's ``ScaledRoots`` table for w,
+    built once and shared by every solution: integer disks at scale 2**b
+    that contain each root and its inverse.  For a target p/q (x/y, or y/x
+    on the inverse side), ``disk_distance`` bounds 2**b |q z - p| = 2**b
+    |q| |z - p/q| by integers over each disk, so every candidate's distance
+    is enclosed over the denominator |y| 2**b or |x| 2**b, and two
+    candidates compare by cross-multiplying with the other's |y| or |x|.
+    The best candidate has the least upper end; it is decided when no
+    rival's lower end lies below that upper end, which then holds for the
+    exact distances too.  The table widens an enclosure by about w 2**-32
+    at most, so a level that decides on the exact enclosures nearly always
+    decides on the table, and otherwise the next level does."""
     x, y = sol.x, sol.y
-    width = Fraction(1, 10 ** 12)
-    for _ in range(5):
+    width = TABLE_WIDTH
+    for _ in range(4):
         table = system.scaled(width)
         one = 1 << table.bits
         # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
@@ -494,7 +490,8 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
     if len(large) > bound:
         raise AssertionError("counting bound violated: defect or non-Galois input")
     orbits = _solution_orbits(f, aut, sols)
-    assignments = tuple(assign_root(f, s) for s in sols)
+    system = root_system(f.dehomogenize())
+    assignments = tuple(assign_root(system, s) for s in sols)
     prov.update({"countBoundInner": inner, "H0": h0,
                  "routes": [s.route for s in sols]})
     return Census(problem, tuple(sols), assignments, orbits, gamma, aut.order,

@@ -73,9 +73,10 @@ def cubic_aut(cubic_form):
 
 @pytest.fixture(scope="session")
 def d12_census_counted(d12_form):
-    """One D12 census, with the calls of the per-form steps and of the
-    Mahler measure counted."""
-    calls = Counter()
+    """One D12 census on fresh root systems, with the calls of the per-form
+    steps, of the Mahler measure and of ``is_irreducible``'s root-set test
+    counted, and the width of each ``ScaledRoots`` table built listed."""
+    calls, widths = Counter(), []
 
     def counted(fn):
         def wrapped(*args, **kwargs):
@@ -83,13 +84,22 @@ def d12_census_counted(d12_form):
             return fn(*args, **kwargs)
         return wrapped
 
+    init = isolation.ScaledRoots.__init__
+
+    def listed(self, encl, width, conj):
+        widths.append(width)
+        init(self, encl, width, conj)
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isolation, "_SYSTEMS", {})
+        mp.setattr(isolation.ScaledRoots, "__init__", listed)
         for name in ("root_orbit_partition", "c16"):
             mp.setattr(thue, name, counted(getattr(thue, name)))
+        mp.setattr(algnum, "_root_set_test", counted(algnum._root_set_test))
         # every module that calls mahler_measure through its own name for it
         # (gap imports it from isolation at the call)
         mahler = counted(isolation.mahler_measure)
         for module in (isolation, algnum, thue):
             mp.setattr(module, "mahler_measure", mahler)
         result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
-    return result, calls
+    return result, calls, widths

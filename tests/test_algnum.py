@@ -222,7 +222,9 @@ def test_is_irreducible_special_cases(p):
 
 def test_undecided_disks_abstain(monkeypatch):
     # with no disk ever certified free of integers, no root set is excluded:
-    # the test must abstain where the sieve leaves a size open, not say True
+    # the test must abstain where the sieve leaves a size open, not say True;
+    # fresh root systems, since each keeps the verdict it was given
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
     monkeypatch.setattr(algnum, "disk_holds_integer", lambda disk, bits: True)
     for p in (IntPoly((1, 0, 0, 0, 1)), D12):
         with pytest.raises(PrecisionError):
@@ -232,8 +234,10 @@ def test_undecided_disks_abstain(monkeypatch):
 
 @contextmanager
 def _without_sieve():
-    """Leave every factor degree open, as if the sieve ruled out none."""
+    """Leave every factor degree open, as if the sieve ruled out none, on
+    fresh root systems, so that no verdict kept from a sieved test is read."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isolation, "_SYSTEMS", {})
         mp.setattr(algnum, "factor_degree_sieve", lambda f, primes: set(range(1, f.degree)))
         yield
 

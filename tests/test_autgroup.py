@@ -4,6 +4,7 @@ from itertools import permutations, product
 import mpmath
 import pytest
 
+from gapkit import isolation
 from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR,
                              _surviving_triples, aut_prime, d12_family,
                              element_order, membership_scale,
@@ -186,6 +187,37 @@ def test_d12_orbit_partition_against_mpmath(d12_form, d12_aut):
     part = root_orbit_partition(d12_aut)
     oracle = mpmath_orbit_blocks(d12_form, [e.matrix.entries() for e in d12_aut.elements])
     assert {frozenset(b) for b in part.blocks} == oracle
+
+
+@pytest.mark.parametrize("coeffs", [
+    d12_family(3, 1).coeffs, (1, 0, 0, 0, 1), (3, 2, -8, 2, 3), (1, 0, -3, -1)])
+def test_element_permutations_against_mpmath(coeffs):
+    # each element's certified permutation is where its root action sends
+    # the 50-digit roots, each image within 10^-40 of its root
+    f = BinForm(coeffs)
+    aut = aut_prime(f)
+    with mpmath.workdps(50):
+        roots = mpmath_roots(f)
+        for e in aut.elements:
+            s, u, t, v = e.matrix.entries()
+            images = [(v * z - u) / (-t * z + s) for z in roots]
+            assert e.perm == tuple(nearest(roots, w) for w in images), e
+            assert all(abs(w - roots[j]) < mpmath.mpf(10) ** -40
+                       for w, j in zip(images, e.perm)), e
+
+
+@pytest.mark.parametrize("coeffs", [d12_family(3, 1).coeffs, (1, 0, -3, -1)])
+def test_orbit_partition_reads_no_enclosure(coeffs, monkeypatch):
+    # the orbits come from the permutations aut_prime certified: the root
+    # system gains no table and no refined enclosure
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    f = BinForm(coeffs)
+    aut = aut_prime(f)
+    system = root_system(f.dehomogenize())
+    tables, memo = dict(system.tables), [dict(m) for m in system.memo]
+    part = root_orbit_partition(aut)
+    assert part.gamma == f.degree
+    assert system.tables == tables and [dict(m) for m in system.memo] == memo
 
 
 def test_orbit_partition_is_equivalence(d12_aut):

@@ -52,7 +52,7 @@ def test_census_golden(entry, request):
         got = write_census.cli_fields(entry["cli"])
     elif entry["census"].startswith("d12"):
         # the session's one D12 census
-        result, _ = request.getfixturevalue("d12_census_counted")
+        result = request.getfixturevalue("d12_census_counted")[0]
         assert (result.problem, result.mu) == (
             ThueProblem(BinForm(entry["form"]), entry["m"], entry["box"]),
             Fraction(entry["mu"]))

@@ -413,6 +413,20 @@ def test_disk_holds_integer_never_misses_one(a, bits):
         assert disk_holds_integer(a, bits)
 
 
+@given(st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+       st.integers(min_value=-2 ** 12, max_value=2 ** 12),
+       st.integers(min_value=0, max_value=2 ** 12), st.integers(min_value=1, max_value=12))
+@example(re=2, im=1, rad=2, bits=2)     # the chord (2 +- sqrt(3)) / 4 holds no integer
+@settings(max_examples=200, deadline=None)
+def test_disk_holds_integer_is_exact(re, im, rad, bits):
+    # True exactly when some integer n lies in the disk, every candidate n
+    # between the ends of its real span tried
+    one = 1 << bits
+    near = range((re - rad) // one, (re + rad) // one + 1)
+    assert disk_holds_integer((re, im, rad), bits) == any(
+        (n * one - re) ** 2 + im * im <= rad * rad for n in near)
+
+
 def test_disk_holds_integer_examples():
     bits = 8
     assert disk_holds_integer((3 << bits, 0, 0), bits)

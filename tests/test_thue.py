@@ -149,11 +149,12 @@ def test_lewis_mahler_inequality_on_solutions(cubic_form):
 def test_assign_root_examples():
     sols = enumerate_primitive(ThueProblem(CUBE_FORM, 1, 100))
     by_pair = {(s.x, s.y): s for s in sols}
+    system = isolation.root_system(CUBE_FORM.dehomogenize())
     # (1, 1): |alpha^{-1} - 1| = 0.2063 < |alpha - 1| = 0.2599: inverse side
-    idx, side, tie = assign_root(CUBE_FORM, by_pair[(1, 1)])
+    idx, side, tie = assign_root(system, by_pair[(1, 1)])
     assert (idx, side, tie) == (2, "alpha_inv", False)
     # (1, 0): all inverse roots tie at modulus 2^(-1/3); real root reported
-    idx, side, tie = assign_root(CUBE_FORM, by_pair[(1, 0)])
+    idx, side, tie = assign_root(system, by_pair[(1, 0)])
     assert side == "alpha_inv" and tie and idx == 2
 
 
@@ -200,9 +201,10 @@ ASSIGN_CASES = ((BinForm((1, 1, -2, -1)), 8219, 300),
 def test_assign_root_against_mpmath(f, m, box):
     sols = enumerate_primitive(ThueProblem(f, m, box))
     roots = _mp_roots(f)
+    system = isolation.root_system(f.dehomogenize())
     ties = []
     for s in sols:
-        got = assign_root(f, s)
+        got = assign_root(system, s)
         _check_assignment(f, roots, s, got)
         ties.append(got[2])
     assert len(sols) >= 150
@@ -217,18 +219,19 @@ def test_assign_root_conjugate_tie_and_zero_coordinates():
     # x^3 - 2y^3 at (1, -2): x/y = -1/2 is nearest the complex pair
     # -0.63 +- 1.09i, an exact tie broken to the smaller index
     roots = _mp_roots(CUBE_FORM)
+    system = isolation.root_system(CUBE_FORM.dehomogenize())
     tie = Solution.normalized(1, -2, CUBE_FORM.value(1, -2), 3)
-    assert assign_root(CUBE_FORM, tie) == (0, "alpha", True)
+    assert assign_root(system, tie) == (0, "alpha", True)
     _check_assignment(CUBE_FORM, roots, tie, (0, "alpha", True))
     # (0, 1): only the alpha side, x/y = 0, and every root has modulus
     # 2**(1/3): a three-way tie the real root (index 2) wins
     zero_x = Solution.normalized(0, 1, CUBE_FORM.value(0, 1), 3)
-    got = assign_root(CUBE_FORM, zero_x)
+    got = assign_root(system, zero_x)
     _check_assignment(CUBE_FORM, roots, zero_x, got)
     assert got == (2, "alpha", True)
     # (1, 0): only the alpha_inv side, y/x = 0: the same three-way tie
     zero_y = Solution.normalized(1, 0, CUBE_FORM.value(1, 0), 3)
-    got = assign_root(CUBE_FORM, zero_y)
+    got = assign_root(system, zero_y)
     _check_assignment(CUBE_FORM, roots, zero_y, got)
     assert got == (2, "alpha_inv", True)
 
@@ -268,8 +271,9 @@ def _exact_assign_root(f: BinForm, sol: Solution, budget: int = 5):
 
 @pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
 def test_assign_root_matches_exact_enclosures(f, m, box):
+    system = isolation.root_system(f.dehomogenize())
     for s in enumerate_primitive(ThueProblem(f, m, box // 2)):
-        assert assign_root(f, s) == _exact_assign_root(f, s), (f, s)
+        assert assign_root(system, s) == _exact_assign_root(f, s), (f, s)
 
 
 @pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
@@ -353,6 +357,24 @@ def test_census_does_not_depend_on_stage_order(monkeypatch):
     assert census(problem, mu) == in_order
 
 
+@pytest.mark.parametrize("coeffs", [(-1, 0, 3, 1), (2, 0, -6, -2)])
+def test_census_builds_one_root_system_per_polynomial(coeffs, monkeypatch):
+    # -x^3 + 3xy^2 + y^3 and 2x^3 - 6xy^2 - 2y^3 have the roots of
+    # x^3 - 3x - 1, whatever the sign of c_d or the content: every stage
+    # reads one root system for them, and one for the reciprocal's roots
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    built = []
+    init = isolation._RootSystem.__init__
+
+    def counted(self, p):
+        built.append(p.coeffs)
+        init(self, p)
+
+    monkeypatch.setattr(isolation._RootSystem, "__init__", counted)
+    census(ThueProblem(BinForm(coeffs), 3, 100), Fraction(11, 4))
+    assert sorted(built) == [(-1, -3, 0, 1), (-1, 0, 3, 1)]
+
+
 def test_census_orbit_closure(cubic_form, cubic_aut):
     sols = enumerate_primitive(ThueProblem(cubic_form, 1, 100))
     d = cubic_form.degree
@@ -377,7 +399,7 @@ def test_census_checks_mu_before_any_stage(d12_form, mu, monkeypatch):
 
 
 def test_census_d12(d12_census_counted):
-    result, _ = d12_census_counted
+    result = d12_census_counted[0]
     rpt = result.report()
     assert rpt["gamma"] == 12 and rpt["autOrder"] == 24
     assert rpt["boundRespected"] and rpt["largeSolutions"] == 0
@@ -390,15 +412,22 @@ def test_census_d12(d12_census_counted):
 def test_census_d12_builds_each_per_form_step_once(d12_census_counted):
     # the D12 form is palindromic: the inverse roots are the roots, so one
     # C16 serves both sides of C5; the Mahler measure is taken once for C10
-    # and once for C5
-    _, calls = d12_census_counted
-    assert calls == {"root_orbit_partition": 1, "c16": 1, "mahler_measure": 2}
+    # and once for C5; irreducibility's root-set test runs for the problem,
+    # and aut_prime reads its verdict.  Every stage reads the TABLE_WIDTH
+    # table first; the three finer tables are root assignment's refinement
+    # of the genuine tie at (1, 1): the swap (x, y) -> (y, x) is in the
+    # group, so x/y = y/x = 1 is as close to a root as to an inverse root
+    _, calls, widths = d12_census_counted
+    assert calls == {"root_orbit_partition": 1, "c16": 1, "mahler_measure": 2,
+                     "_root_set_test": 1}
+    assert not {Fraction(1, 10 ** 12), Fraction(1, 10 ** 15)} & set(widths)
+    assert widths == [Fraction(1, 10 ** k) for k in (20, 28, 36, 44)]
 
 
 def test_census_d12_report_emits_in_full(d12_census_counted):
     # C5 has millions of bits: str() of the raw Fraction raises ValueError
     # (the 4300-digit limit), which the CLI would report as exit 2
-    result, _ = d12_census_counted
+    result = d12_census_counted[0]
     with pytest.raises(ValueError):
         str(result.c5_value)
     rpt = result.report()
