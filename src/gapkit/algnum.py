@@ -26,6 +26,7 @@ from math import isqrt, lcm
 
 import mpmath
 
+from . import isolation
 from .intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
                       is_squarefree, normalize_minimal_poly)
 from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, disk_elementary,
@@ -65,11 +66,15 @@ def is_irreducible(p: IntPoly) -> bool:
     from floating point.  The test abstains with ``PrecisionError`` (exit
     3) when a set is still undecided after five widths, or when more than
     ``_SUBSET_BUDGET`` sets would have to be tried.  The root system keeps
-    the root-set verdict, so testing a polynomial again only reads it.
+    the root-set verdict, so testing a polynomial again only reads it,
+    before the squarefree test and the sieve.
     """
     if p.degree < 1:
         return False
     f = normalize_minimal_poly(p)
+    known = isolation._SYSTEMS.get(f.coeffs)
+    if known is not None and known.irreducible is not None:
+        return known.irreducible
     if not is_squarefree(f):
         return False
     sizes = {k for k in factor_degree_sieve(f, _SIEVE_PRIMES) if 2 * k <= f.degree}

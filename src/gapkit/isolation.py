@@ -14,9 +14,14 @@ are found and refined.
   Sign-change bisection refines it: each step keeps the half at whose ends
   P takes opposite signs, and a midpoint where P vanishes is the root, a
   disk of radius 0.
-* A nonreal root's disk is seeded by arbitrary-precision numerics and then
-  *certified*: Horner's rule on the integers re, im gives 2**(b n) P(z) and
-  2**(b (n-1)) P'(z) exactly (n = deg P), so rad, the least integer with
+* A nonreal root's disk is seeded numerically and then *certified*.  The
+  seeds come from Aberth's simultaneous iteration in machine floats on P
+  with x scaled by a power of two, so that nothing leaves the float range,
+  each polished by exact integer Newton steps; a precision ladder retries
+  at twice the precision, with the same iteration in mpmath, when roots
+  lie closer than double precision.  Horner's rule on the integers re, im
+  of a center gives 2**(b n) P(z) and 2**(b (n-1)) P'(z) exactly
+  (n = deg P), so rad, the least integer with
   rad**2 |2**(b (n-1)) P'(z)|**2 >= n**2 |2**(b n) P(z)|**2, satisfies
   rad / 2**b >= n |P(z)| / |P'(z)|: the disk contains at least one root of
   P (log-derivative bound, P'(z) != 0).  The disks found above the real
@@ -37,14 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, isqrt
+from math import ceil, frexp, isqrt, ldexp, log2, pi
 from typing import Sequence
 
+import cmath
 import mpmath
-from mpmath.libmp import mpf_pos
 
 from .intpoly import IntPoly, is_squarefree, normalize_minimal_poly, poly_gcd_q
-from .rounding import AbstainError, RatInterval, _mpf_tuple_to_fraction, monomial_up
+from .rounding import AbstainError, RatInterval, monomial_up
 
 
 class IsolationError(ValueError):
@@ -502,7 +507,8 @@ def _disk_within(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
 def _certified_disks(p: IntPoly, n_real: int) -> tuple[int, list[tuple[int, int, int]]]:
     """(b, disks): certified integer disks at scale 2**b for the nonreal
     roots of squarefree p, those above the real axis first, then their
-    mirrors in the same order."""
+    mirrors in the same order.  Attempt a rounds the ``_numeric_seeds`` at
+    _SEED_BITS << a bits to 53 << a bits; the seeds are only hints."""
     n_complex = p.degree - n_real
     if n_complex == 0:
         return 0, []
@@ -510,14 +516,14 @@ def _certified_disks(p: IntPoly, n_real: int) -> tuple[int, list[tuple[int, int,
         raise IsolationError("nonreal root count must be even")
     deriv = p.derivative()
     for attempt in range(8):
-        seeds = [z for z in _numeric_seeds(p, 120 << attempt) if mpmath.im(z) > 0]
+        seeds = [z for z in _numeric_seeds(p, _SEED_BITS << attempt) if z[1] > 0]
         if len(seeds) != n_complex // 2:
             continue
         # centers keep 53 << attempt bits of the seeds: short at the first
         # attempt, and closer seeds at every retry; the scale holds every
         # center exactly, with 32 more bits for the radii
-        centers = [(_dyadic(mpmath.re(z), 53 << attempt), _dyadic(mpmath.im(z), 53 << attempt))
-                   for z in seeds]
+        centers = [(_dyadic(re, b, 53 << attempt), _dyadic(im, b, 53 << attempt))
+                   for re, im, b in seeds]
         bits = max(q.denominator.bit_length() for c in centers for q in c) + 31
         disks = []
         for x, y in centers:
@@ -532,22 +538,121 @@ def _certified_disks(p: IntPoly, n_real: int) -> tuple[int, list[tuple[int, int,
     raise PrecisionError(f"could not certify nonreal roots of {p}")
 
 
-def _numeric_seeds(p: IntPoly, bits: int) -> list:
-    old = mpmath.mp.prec
-    try:
-        mpmath.mp.prec = bits
-        coeffs = [mpmath.mpf(c) for c in reversed(p.coeffs)]
-        return [mpmath.mpc(r)
-                for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits)]
-    finally:
-        mpmath.mp.prec = old
+# the precision of the first seeding attempt, doubled at each retry, and the
+# guard bits of the integer Newton polish
+_SEED_BITS = 120
+_GUARD_BITS = 32
 
 
-def _dyadic(x, bits: int) -> Fraction:
-    """Exact dyadic rational of the mpf or float x with its mantissa rounded
-    to nearest at ``bits`` bits (the whole mantissa when bits is 0)."""
-    v = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x)._mpf_
-    return _mpf_tuple_to_fraction(mpf_pos(v, bits, "n"))
+def _numeric_seeds(p: IntPoly, bits: int) -> list[tuple[int, int, int]]:
+    """Approximations (re, im, b) of the roots of squarefree p, which has
+    nonreal roots: each the point (re + i im) / 2**b, within about 2**-bits
+    of a root relative to its modulus.
+
+    x = 2**s t, with s the least integer that bounds every |c_k / c_n| by
+    2**(s (n - k)) through the bit lengths of the coefficients c_k: the
+    roots in t lie in |t| < 2, and p(2**s t) / 2**(s n + bits(c_n)) has
+    coefficients below 1, so neither leaves the float range.  ``_aberth``
+    finds all the roots in Python complex; above _SEED_BITS bits, a retry
+    after roots closer than double precision, it runs again in mpmath.mpc
+    at ``bits`` bits from those approximations (from its starting points
+    when two coincide or one is not finite).  ``_polish`` then takes each
+    to ``bits`` bits, where a real root's imaginary part rounds to 0."""
+    n, c = p.degree, p.coeffs
+    s = max(-((c[n].bit_length() - ck.bit_length() - 1) // (n - k))
+            for k, ck in enumerate(c[:n]) if ck)
+    scaled = [(c[k], s * (k - n) - c[n].bit_length()) for k in range(n, -1, -1)]
+    start = _start_points(c, s)
+    zs = _aberth([ck / (1 << -e) if e < 0 else float(ck << e) for ck, e in scaled],
+                 start, 2.0 ** -26)
+    k = bits + _GUARD_BITS
+    if bits <= _SEED_BITS:
+        approx = [(int(ldexp(z.real, k - e)), int(ldexp(z.imag, k - e)), k - e - s)
+                  for z in zs if cmath.isfinite(z) for e in [frexp(abs(z))[1]]]
+    else:
+        if len(set(zs)) < n or not all(map(cmath.isfinite, zs)):
+            zs = start
+        with mpmath.workprec(bits):
+            zs = _aberth([mpmath.ldexp(ck, e) for ck, e in scaled],
+                         [mpmath.mpc(z) for z in zs], mpmath.ldexp(1, -bits // 2))
+            approx = [(int(mpmath.ldexp(z.real, k - e)), int(mpmath.ldexp(z.imag, k - e)),
+                       k - e - s) for z in zs for e in [mpmath.mag(z) if z else 0]]
+    deriv = p.derivative()
+    return [_polish(p, deriv, *a) for a in approx]
+
+
+def _start_points(c: list[int], s: int) -> list[complex]:
+    """Aberth's starting points in t = x / 2**s for the roots of sum c_k x**k
+    (D. A. Bini, Numer. Algorithms 13, 1996): an edge from (k, log2 |c_k|)
+    to (l, log2 |c_l|) of the upper convex hull of those points puts l - k
+    points on the circle of radius (|c_k| / |c_l|)**(1 / (l - k)), near
+    which l - k roots lie; a root 0 gets the point 0."""
+    hull: list[tuple[int, float]] = []
+    for k, u in ((k, log2(abs(ck))) for k, ck in enumerate(c) if ck):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (u - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, u))
+    out = [0j] * hull[0][0]
+    for (k, u), (l, v) in zip(hull, hull[1:]):
+        r = 2.0 ** ((u - v) / (l - k) - s)
+        out += [cmath.rect(r, 2 * pi * j / (l - k) + 0.4 + k) for j in range(l - k)]
+    return out
+
+
+def _aberth(coeffs: list, zs: list, eps) -> list:
+    """Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973) for all the
+    roots of the polynomial with ``coeffs``, leading first, from the distinct
+    points zs, in their arithmetic (complex, or mpmath.mpc).  A sweep moves
+    each z by w = P / (P' - P S) at z, S the sum of 1 / (z - u) over the
+    other points u.  It stops after a sweep with every |w| <= eps |z|, after
+    100 sweeps, or at a division by 0: the points are only hints."""
+    zs = list(zs)
+    for _ in range(100):
+        done = True
+        for i, z in enumerate(zs):
+            v, d = coeffs[0], 0
+            for a in coeffs[1:]:
+                v, d = v * z + a, d * z + v
+            if not v:
+                continue
+            try:
+                w = v / (d - v * sum(1 / (z - u) for j, u in enumerate(zs) if j != i))
+            except ZeroDivisionError:
+                return zs
+            zs[i] = z - w
+            done = done and abs(w) <= eps * abs(z)
+        if done:
+            break
+    return zs
+
+
+def _polish(p: IntPoly, deriv: IntPoly, re: int, im: int, b: int) -> tuple[int, int, int]:
+    """Exact integer Newton steps (``_newton``'s) from (re + i im) / 2**b, at
+    b >= 0, until a step is at most a unit in each part or for at most 8
+    steps; the result rounded to the scale 2**(b - _GUARD_BITS)."""
+    if b < 0:
+        re, im, b = re << -b, im << -b, 0
+    for _ in range(8):
+        got = _newton(p, deriv, re, im, b)
+        if got is None:
+            break
+        re, im = re - got[1], im - got[2]
+        if abs(got[1]) <= 1 and abs(got[2]) <= 1:
+            break
+    one = 1 << _GUARD_BITS
+    return _round_div(re, one), _round_div(im, one), b - _GUARD_BITS
+
+
+def _dyadic(m: int, b: int, bits: int) -> Fraction:
+    """m / 2**b with m rounded to nearest at ``bits`` significant bits, ties
+    to even (as mpmath rounds an mpf), as an exact Fraction."""
+    drop = m.bit_length() - bits
+    if drop > 0:
+        q, r = divmod(abs(m), 1 << drop)
+        q += r > 1 << drop - 1 or r == 1 << drop - 1 and q & 1
+        m, b = q if m > 0 else -q, b - drop
+    return Fraction(m, 1 << b) if b >= 0 else Fraction(m << -b)
 
 
 def _horner(p: IntPoly, re: int, im: int, bits: int) -> tuple[int, int]:

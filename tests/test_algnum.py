@@ -15,7 +15,7 @@ from gapkit.algnum import (AlgNum, NotInFieldError, c8, c9, denominator_scalar,
 from gapkit.autgroup import aut_prime, d12_family
 from gapkit.intpoly import IntPoly
 from gapkit.isolation import PrecisionError
-from gapkit.thue import ThueProblem
+from gapkit.thue import ThueProblem, census
 from tests.conftest import CBRT2, CUBIC, QUARTIC
 
 
@@ -274,3 +274,20 @@ def test_d12_root_system_is_built_once(monkeypatch):
     assert Fraction(1, 10 ** 20) in isolation._SYSTEMS[D12.coeffs].tables
     assert aut_prime(form).order == 24
     assert built == [D12.coeffs]
+
+
+def test_d12_census_reads_the_kept_irreducibility_verdict(monkeypatch):
+    # ThueProblem takes the verdict; the census's aut_prime asks again and
+    # reads the one kept on the root system, without sieving
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    problem = ThueProblem(d12_family(3, 1), 3, 40)
+    sieved = []
+    sieve = algnum.factor_degree_sieve
+
+    def counted(f, primes):
+        sieved.append(f.coeffs)
+        return sieve(f, primes)
+
+    monkeypatch.setattr(algnum, "factor_degree_sieve", counted)
+    assert census(problem, Fraction(38, 4)).report()["autOrder"] == 24
+    assert sieved == []

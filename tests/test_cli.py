@@ -186,6 +186,13 @@ def test_abstention_exit_code(capsys, monkeypatch):
     assert json.loads(err)["kind"] == "abstention"
 
 
+def test_cubic_with_a_3301_bit_lead_exits_0(capsys):
+    # its roots, about 2^-1100, are certified, not an internal error
+    code, out, _ = run_cli(capsys, "thue", "enum", "(2^3300+1)*x^3 - 3*y^3", "1", "10")
+    assert code == 0
+    assert json.loads(out)["solutions"] == []
+
+
 def test_unproven_prime_abstains(capsys):
     # 2^89 - 1 is prime, but above the range where 13 Miller-Rabin bases
     # prove it

@@ -4,6 +4,7 @@ from math import isqrt
 
 import mpmath
 import pytest
+from mpmath.libmp import to_rational
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +247,115 @@ def test_roots_closer_than_double_precision_certify():
             assert sum(abs(r - c) < e.disk[2] / one for r in roots) == 1
 
 
+# -- seeding against an independent reference ------------------------------------
+
+def _mpf_fraction(x):
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _reference_disks(p):
+    """(bits, sorted disks) for the nonreal roots of p from mpmath's
+    Durand-Kerner roots (``polyroots``) at 120 + 120 bits: each root above
+    the real axis with its coordinates rounded to 53 significant bits, at
+    the scale that holds every center with 31 bits to spare, its radius
+    from ``_newton``, and the mirrors."""
+    with mpmath.workprec(120):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)],
+                                 maxsteps=200, extraprec=120)
+    with mpmath.workprec(53):
+        centers = [(_mpf_fraction(+mpmath.mpf(z.real)), _mpf_fraction(+mpmath.mpf(z.imag)))
+                   for z in roots if mpmath.im(z) > 0]
+    if not centers:
+        return 0, []
+    bits = max(q.denominator.bit_length() for c in centers for q in c) + 31
+    disks = []
+    for x, y in centers:
+        re, im = int(x * (1 << bits)), int(y * (1 << bits))
+        disks.append((re, im, isolation._newton(p, p.derivative(), re, im, bits)[0]))
+    return bits, sorted(disks + [(re, -im, rad) for re, im, rad in disks])
+
+
+# forms high to low: the D12 form, the benchmark's seeded cubics and quartics
+# for seeds 1 to 3, the README's, and x^4 + 1, x^7 - 3 and 5x^10 + 1
+_SEEDING_FORMS = [
+    [3, -18, 139, -530, 745, 2, -679, 2, 745, -530, 139, -18, 3],
+    [1, 0, -3, -1], [3, -4, 1, -2], [3, 2, -8, 2, 3], [1, -3, -1, -1, 2],
+    [1, 1, -2, -1], [1, 0, -1, 3], [1, -3, -6, -1], [2, 0, 1, 4],
+    [1, -1, -4, -1], [1, -2, 4, 5], [1, -2, -3, -2, 1], [2, -3, -3, -3, 1],
+    [1, -2, -5, -1], [1, -2, 0, -3], [1, 0, -2, -5],
+    [1, -5, -8, -1], [1, -2, -1, -4], [2, -3, -6, -3, 2], [3, -2, 2, -4, 4],
+    [1, 5, -1, 5], [1, -3, 3, 2],
+    [1, -1, -4, 4, 1], [1, 0, -3, 1], [1, 0, 0, -2],
+    [1, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, -3], [5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+]
+
+
+@pytest.mark.parametrize("form", _SEEDING_FORMS, ids=str)
+def test_seeds_give_the_reference_disks(form):
+    # the form and its reciprocal, F(x, 1) and F(1, y)
+    for p in (IntPoly(form[::-1]), IntPoly(form)):
+        bits, disks = isolation._certified_disks(p, len(isolation.isolate_real_roots(p)))
+        assert (bits, sorted(disks)) == _reference_disks(p)
+
+
+def _scaled(coeffs, k):
+    """Integer coefficients (low to high) of the polynomial whose roots are
+    those of ``coeffs`` divided by 2**k."""
+    n = len(coeffs) - 1
+    return [c << k * j if k >= 0 else c << -k * (n - j) for j, c in enumerate(coeffs)]
+
+
+_seed_factor = st.tuples(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+                         st.sampled_from([1, -1, 2, 3, 7]),
+                         st.integers(min_value=-1200, max_value=1200))
+
+
+@given(_seed_factor, st.one_of(st.none(), _seed_factor), st.integers(min_value=0, max_value=150))
+# the 2^3300 + 1 cubic, whose roots are about 2^-1100
+@example(([-3, 0, 0], 1, 1100), None, 0)
+@example(([1, 0, 0, 0], 1, -1000), None, 0)                  # x^4 + 2^-4000
+@example(([1, 1], 1, 0), ([1, 0, 0, 0, 0, 0, 0], 5, 0), 0)  # (x^2 + x + 1)(5x^7 + 1)
+# nonreal roots near 1 and near 2^-150, and near 2^150 and near 1
+@example(([1, 1], 1, 0), ([1, 1, 1, 1], 2, 0), 150)
+@example(([3, -1, 2], 1, -150), ([2, 0, 1], 1, 0), 150)
+@settings(max_examples=40, deadline=None)
+def test_certified_disks_hold_one_root_each(a, b, spread):
+    # degrees 3 to 12, roots of sizes up to 2^1200 and down to 2^-1200, and
+    # a second factor 2^spread times smaller: every certified disk holds
+    # exactly one mpmath root of a factor, scaled exactly by its power of two
+    factors = [(tail + [lead], k) for tail, lead, k in [a] + ([] if b is None else [b[:2] + (a[2] + spread,)])]
+    p = IntPoly((1,))
+    for coeffs, k in factors:
+        p = p * IntPoly(_scaled(coeffs, k))
+    assume(p.degree >= 3 and is_squarefree(p))
+    roots = []
+    with mpmath.workdps(80):
+        for coeffs, k in factors:
+            roots += [(r * mpmath.ldexp(1, -k), k) for r in
+                      mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)]
+        nonreal = [(r, k) for r, k in roots if mpmath.im(r)]
+        bits, disks = isolation._certified_disks(p, len(roots) - len(nonreal))
+        assert len(disks) == len(nonreal)
+        for re, im, rad in disks:
+            c = mpmath.mpc(re, im) * mpmath.ldexp(1, -bits)
+            held = [r for r, k in nonreal
+                    if abs(r - c) <= mpmath.ldexp(rad, -bits) + mpmath.ldexp(1, -k - 200)]
+            assert len(held) == 1
+
+
+def test_cubic_with_a_3301_bit_lead_certifies():
+    # (2^3300 + 1) x^3 - 3: roots r, r w, r w^2 with r about 2^-1100, far
+    # below the float range, at a width that separates them
+    encl = isolate_roots(IntPoly((-3, 0, 0, 2 ** 3300 + 1)), Fraction(1, 2 ** 1200))
+    assert [e.is_real for e in encl] == [False, False, True]
+    with mpmath.workprec(1400):
+        r = mpmath.cbrt(3 / (mpmath.mpf(2) ** 3300 + 1))
+        roots = [r * mpmath.expjpi(mpmath.mpf(2 * k) / 3) for k in range(3)]
+        for e in encl:
+            c = mpmath.mpc(e.disk[0], e.disk[1]) * mpmath.ldexp(1, -e.bits)
+            assert sum(abs(z - c) <= mpmath.ldexp(e.disk[2], -e.bits) for z in roots) == 1
+
+
 def _mirror(disk):
     return disk[0], -disk[1], disk[2]
 
@@ -367,6 +477,11 @@ def _div(z, w):
 
 
 @given(_disk, _disk, st.integers(min_value=1, max_value=96))
+# points whose exact product lies half a unit off the grid, in the real part
+# (1/2 * 1/2 at 2^-1) and in both parts ((1 + i) 2 / 16 at 2^-2): the
+# rounded center misses it, and only disk_mul's extra unit of radius covers it
+@example((1, 0, 0), (1, 0, 0), 1)
+@example((1, 1, 0), (2, 0, 0), 2)
 @settings(max_examples=200, deadline=None)
 def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
     # closed disks meet exactly when the point dividing the centers' segment

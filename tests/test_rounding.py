@@ -3,6 +3,7 @@ import math
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp, mpf_pos
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -264,14 +265,20 @@ def test_mpf_tuple_to_fraction_is_exact(negative, man, exp):
 
 
 @given(st.booleans(), st.integers(min_value=1, max_value=2 ** 200),
-       st.integers(min_value=-10 ** 7, max_value=10 ** 7))
+       st.integers(min_value=-10 ** 7, max_value=10 ** 7),
+       st.integers(min_value=1, max_value=220))
+@example(False, 3, 0, 1)            # 11b: a tie, rounded to the even 100b
+@example(True, 5, -2, 2)            # -101b: a tie, rounded to the even -100b
+@example(False, 7, 5, 2)            # 111b rounds up to 1000b
 @settings(max_examples=60, deadline=None)
-def test_isolation_dyadic_is_exact(negative, man, exp):
-    # enough working precision that mpf() keeps the whole mantissa
-    with mpmath.workprec(max(53, man.bit_length())):
-        x = mpmath.mp.make_mpf((int(negative), man, exp, man.bit_length()))
-        q = _dyadic(x, 0)
-    assert _is_dyadic_value(q, -man if negative else man, exp)
+def test_isolation_dyadic_is_exact(negative, man, exp, bits):
+    # man * 2**exp rounded to `bits` significant bits as mpmath rounds an
+    # mpf (to nearest, ties to even), and exactly the value when it fits
+    m = -man if negative else man
+    q = _dyadic(m, -exp, bits)
+    assert q == _mpf_tuple_to_fraction(mpf_pos(from_man_exp(m, exp), bits, "n"))
+    if man.bit_length() <= bits:
+        assert _is_dyadic_value(q, m, exp)
 
 
 def test_exp_interval_of_a_huge_argument():
