@@ -356,6 +356,14 @@ def test_cubic_with_a_3301_bit_lead_certifies():
             assert sum(abs(z - c) <= mpmath.ldexp(e.disk[2], -e.bits) for z in roots) == 1
 
 
+def test_roots_spread_beyond_the_float_range_abstain():
+    # (x^2 + 1)(2^2400 x^2 + 1): scaled to roots of modulus 1, its constant
+    # 2^-2405 underflows a float, and from the unit circle no seeding attempt
+    # reaches the roots near 2^-1200, so isolation abstains instead of erring
+    with pytest.raises(isolation.PrecisionError):
+        isolate_roots(IntPoly((1, 0, 1)) * IntPoly((1, 0, 2 ** 2400)))
+
+
 def _mirror(disk):
     return disk[0], -disk[1], disk[2]
 

@@ -3,7 +3,6 @@ import math
 
 import mpmath
 import pytest
-from mpmath.libmp import from_man_exp, mpf_pos
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -269,15 +268,23 @@ def test_mpf_tuple_to_fraction_is_exact(negative, man, exp):
        st.integers(min_value=1, max_value=220))
 @example(False, 3, 0, 1)            # 11b: a tie, rounded to the even 100b
 @example(True, 5, -2, 2)            # -101b: a tie, rounded to the even -100b
+@example(False, 13, 3, 3)           # 1101b: a tie, rounded down to the even 110b
 @example(False, 7, 5, 2)            # 111b rounds up to 1000b
 @settings(max_examples=60, deadline=None)
 def test_isolation_dyadic_is_exact(negative, man, exp, bits):
-    # man * 2**exp rounded to `bits` significant bits as mpmath rounds an
-    # mpf (to nearest, ties to even), and exactly the value when it fits
+    # man * 2**exp rounded to `bits` significant bits: the kept mantissa k,
+    # at 2**(exp + drop), is within half its unit of the value, even at a
+    # tie, and the value itself when it fits
     m = -man if negative else man
     q = _dyadic(m, -exp, bits)
-    assert q == _mpf_tuple_to_fraction(mpf_pos(from_man_exp(m, exp), bits, "n"))
-    if man.bit_length() <= bits:
+    drop = max(man.bit_length() - bits, 0)
+    k = q * Fraction(2) ** -(exp + drop)
+    assert k.denominator == 1 and abs(k.numerator) <= 1 << bits
+    err = abs((k.numerator << drop) - m)
+    assert 2 * err <= 1 << drop
+    if 2 * err == 1 << drop:
+        assert k.numerator % 2 == 0
+    if drop == 0:
         assert _is_dyadic_value(q, m, exp)
 
 
