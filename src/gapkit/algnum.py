@@ -22,16 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import mpmath
 
 from . import isolation
 from .intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
                       is_squarefree, normalize_minimal_poly)
-from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, disk_elementary,
-                        disk_holds_integer, house, isolate_roots, mahler_measure,
-                        root_enclosure, root_system)
+from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _rescaled,
+                        disk_elementary, disk_holds_integer, disk_sub, house,
+                        isolate_roots, mahler_measure, root_enclosure, root_system)
 from .rounding import RatInterval, tidy_down, tidy_up
 
 
@@ -367,27 +367,29 @@ def c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
     representation of beta over alpha:
 
         d * house(beta) * max_j prod_{i != j} (1 + |alpha_i|) / |alpha_i - alpha_j|
-    """
+
+    each product one integer quotient read off the root disks (``_abs_bounds``
+    at the finer scale of disks i and j); a distance bound of 0 refines them."""
     d = alpha.degree
     width = Fraction(1, 10 ** 12)
     for _ in range(8):
         encl = alpha.conjugates(width)
-        try:
-            best = RatInterval(0)
-            for j in range(d):
-                prod = RatInterval(1)
-                for i in range(d):
-                    if i == j:
-                        continue
-                    num = encl[i].abs_interval() + 1
-                    den = encl[i].distance_interval(encl[j])
-                    prod = prod * (num / den)
-                if prod.hi > best.hi:
-                    best = prod
-            hb = house(beta.minpoly, width)
-            return tidy_up(d * hb.hi * best.hi)
-        except ZeroDivisionError:
-            width /= 10 ** 6
+        up = [_abs_bounds(e.disk)[1] + (1 << e.bits) for e in encl]
+        best = Fraction(0)
+        for j, ej in enumerate(encl):
+            num = den = 1
+            for i, ei in enumerate(encl):
+                if i != j:
+                    bits = max(ei.bits, ej.bits)
+                    num *= up[i] << (bits - ei.bits)
+                    den *= _abs_bounds(disk_sub(_rescaled(ei.disk, ei.bits, bits),
+                                                _rescaled(ej.disk, ej.bits, bits)))[0]
+            if not den:
+                break
+            best = max(best, Fraction(num, den))
+        else:
+            return tidy_up(d * house(beta.minpoly, width).hi * best)
+        width /= 10 ** 6
     raise PrecisionError("conjugate separation undecided at budget")
 
 
@@ -406,12 +408,10 @@ def liouville_c6(alpha: AlgNum) -> Fraction:
     """Positive rational C6 with |alpha - x/y| >= C6 / H(x, y)**d for every
     rational x/y != alpha (y != 0):
 
-        C6 = (c_alpha * prod_{i != selected} (1 + |alpha_i|))**(-1), rounded down.
+        C6 = (c_alpha * prod_{i != selected} (1 + |alpha_i|))**(-1), rounded down,
+
+    one integer product of ``_abs_bounds`` read off the root disks.
     """
-    encl = alpha.conjugates(Fraction(1, 10 ** 12))
-    denom = RatInterval(Fraction(alpha.lead))
-    for e in encl:
-        if e.index == alpha.index:
-            continue
-        denom = denom * (e.abs_interval() + 1)
-    return tidy_down(Fraction(1) / denom.hi)
+    others = [e for e in alpha.conjugates(Fraction(1, 10 ** 12)) if e.index != alpha.index]
+    den = alpha.lead * prod(_abs_bounds(e.disk)[1] + (1 << e.bits) for e in others)
+    return tidy_down(Fraction(1 << sum(e.bits for e in others), den))

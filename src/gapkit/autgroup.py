@@ -25,7 +25,7 @@ from math import gcd, isqrt, lcm
 from .algnum import is_irreducible
 from .binforms import BinForm, IntMat2, form_action
 from .isolation import (TABLE_WIDTH, PrecisionError, ScaledRoots, disk_disjoint,
-                        disk_div, disk_mul, disk_sub, root_system)
+                        disk_div, disk_mul, disk_sub, root_system, separation_bits)
 from .rounding import simplest_rational_in
 
 
@@ -119,7 +119,8 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     without being certified absent, so the returned group is certified to
     lie in Aut'|F| but not to be all of it.  The enclosures are refined,
     from the ``TABLE_WIDTH`` table on, until every element's permutation is
-    certified on the table that found the group.
+    certified on the table that found the group (abstaining far below the
+    roots' separation, ``separation_bits``).
     """
     if f.degree < 3:
         raise AutError("degree must be >= 3")
@@ -128,7 +129,8 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     system = root_system(f.dehomogenize())
     width = TABLE_WIDTH
     found: dict[tuple, tuple[int, int]] = {}
-    for _ in range(5):
+    # a step of 10**-10 is over 2**-32: the last width is far below 2**-separation_bits
+    for _ in range(5 + separation_bits(system.poly) // 32):
         table = system.scaled(width)
         for m in _candidate_matrices(table):
             if m.entries() not in found and (-m).entries() not in found:

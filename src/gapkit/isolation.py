@@ -188,7 +188,8 @@ def isolate_real_roots(p: IntPoly) -> list[tuple[tuple[int, int, int], int]]:
     non-root, so the Sturm counts of its halves partition its roots and
     every endpoint is a non-root: an interval that holds one root is a
     sign-change interval.  Adjacent intervals may share a split point, and
-    are bisected until they are disjoint."""
+    are bisected until they are disjoint, within a budget that
+    ``separation_bits`` certifies: running past it is a defect."""
     if p.is_zero:
         raise IsolationError("zero polynomial")
     if p.degree == 0:
@@ -214,14 +215,27 @@ def isolate_real_roots(p: IntPoly) -> list[tuple[tuple[int, int, int], int]]:
         stack.append(((lo + s, 0, s - lo), b + j + 1, left))
         stack.append(((s + hi, 0, hi - s), b + j + 1, n - left))
     out.sort(key=lambda t: Fraction(t[0][0], 1 << t[1]))
+    sep = separation_bits(p)
     for i in range(len(out) - 1):
-        for _ in range(300):
+        # each pass halves both widths, from below 2**top to 2**-(sep+1):
+        # narrower than half the roots' distance, the two are disjoint
+        top = max((2 * disk[2]).bit_length() - b for disk, b in out[i:i + 2])
+        for _ in range(max(0, top + sep + 1) + 1):
             if _span(*out[i]).hi < _span(*out[i + 1]).lo:
                 break
             out[i:i + 2] = [_bisect(p, d, b, Fraction(d[2], 1 << b)) for d, b in out[i:i + 2]]
         else:
-            raise PrecisionError("isolating intervals failed to separate")
+            raise AssertionError("isolating intervals failed to separate within Mahler's bound")
     return out
+
+
+def separation_bits(p: IntPoly) -> int:
+    """s with 2**-s below the distance of any two roots of squarefree p of
+    degree d: Mahler's sep > sqrt(3) d**(-(d+2)/2) |p|_2**(1-d), as |disc p|
+    >= 1 (Michigan Math. J. 11, 1964), through bit lengths."""
+    d = p.degree
+    return ((d + 2) * d.bit_length() + (d - 1) * sum(c * c for c in p.coeffs).bit_length()
+            + 1) // 2
 
 
 def _sign(p: IntPoly, x: int, bits: int) -> int:
@@ -390,12 +404,19 @@ def _rescaled(disk: tuple[int, int, int], bits: int, to: int) -> tuple[int, int,
 
 
 def _disk_abs(disk: tuple[int, int, int], bits: int) -> RatInterval:
-    """|z| over the integer disk at scale 2**bits: |center| from ``isqrt``
-    of its square, rounded down and up, less and plus the radius."""
+    """|z| over the integer disk at scale 2**bits, from ``_abs_bounds``."""
+    lo, hi = _abs_bounds(disk)
+    return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+
+def _abs_bounds(disk: tuple[int, int, int]) -> tuple[int, int]:
+    """Integers lo <= |z| <= hi for every z in the integer disk, at the
+    disk's own scale: |center| from ``isqrt`` of its square, rounded down
+    and up, less and plus the radius, lo clamped at 0."""
     re, im, rad = disk
     n = re * re + im * im
-    return RatInterval(Fraction(max(0, isqrt(n) - rad), 1 << bits),
-                       Fraction(_ceil_isqrt(n) + rad, 1 << bits))
+    s = isqrt(n)
+    return max(0, s - rad), s + (s * s != n) + rad
 
 
 # -- integer disk arithmetic ---------------------------------------------------
@@ -424,13 +445,11 @@ def disk_distance(disk: tuple[int, int, int], p: int, q: int, one: int
                   ) -> tuple[int, int]:
     """Integers lo <= hi with lo <= one |q z - p| <= hi for every z in the
     integer disk at scale ``one`` = 2**bits (q != 0), so |z - p/q| lies in
-    [lo, hi] / (|q| one): the center's distance, from ``isqrt`` of its
-    square rounded down and up, less and plus |q| rad.  Exact for a disk on
-    the real axis, whose squared distance is a perfect square."""
+    [lo, hi] / (|q| one): ``_abs_bounds`` of the disk q z - p, whose center
+    is (q re - p one, q im) and radius |q| rad.  Exact for a disk on the
+    real axis, whose squared distance is a perfect square."""
     re, im, rad = disk
-    n = (re * q - p * one) ** 2 + (im * q) ** 2
-    s, r = isqrt(n), rad * abs(q)
-    return max(0, s - r), s + (s * s != n) + r
+    return _abs_bounds((re * q - p * one, im * q, rad * abs(q)))
 
 
 def disk_mul(a: tuple[int, int, int], b: tuple[int, int, int],
@@ -739,6 +758,8 @@ def mahler_measure(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterva
 
     Accepts an IntPoly or a BinForm (measured through F(x, 1); the degree
     drops with leading zero coefficients, matching M(Q) = M(Q(x, 1))).
+    For squarefree P each end is one integer product of ``_abs_bounds``
+    read off the root disks, each factor at least 2**b at its scale 2**b.
     Multiple roots are handled by the multiplicative splitting
     M(P) = M(gcd(P, P')) * M(P / gcd(P, P')).  For a nonzero integer
     polynomial the lower endpoint is clamped at 1 (Landau).
@@ -758,10 +779,11 @@ def _mahler_rec(p: IntPoly, width: Fraction) -> RatInterval:
         v = abs(p.coeffs[0])
         return RatInterval(v, v)
     if is_squarefree(p):
-        out = RatInterval(Fraction(abs(p.lead)))
+        lo, hi, one = abs(p.lead), abs(p.lead), 1
         for e in isolate_roots(p, width):
-            out = out * e.abs_interval().max_with(1)
-        return out
+            a, b = _abs_bounds(e.disk)
+            lo, hi, one = lo * max(a, 1 << e.bits), hi * max(b, 1 << e.bits), one << e.bits
+        return RatInterval(Fraction(lo, one), Fraction(hi, one))
     g = poly_gcd_q(p, p.derivative())
     quot, rem = RatPoly.from_intpoly(p).divmod(RatPoly.from_intpoly(g))
     assert rem.is_zero

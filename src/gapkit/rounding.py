@@ -209,10 +209,6 @@ class RatInterval:
             return -self
         return RatInterval(0, max(-self.lo, self.hi))
 
-    def max_with(self, x) -> "RatInterval":
-        x = Fraction(x)
-        return RatInterval(max(self.lo, x), max(self.hi, x))
-
     # -- certified comparisons ---------------------------------------------
     def certainly_lt(self, other) -> bool:
         other = _as_interval(other)

@@ -193,6 +193,13 @@ def test_cubic_with_a_3301_bit_lead_exits_0(capsys):
     assert json.loads(out)["solutions"] == []
 
 
+def test_cubic_with_roots_2_to_the_minus_310_apart_exits_0(capsys):
+    # its roots near +-1.7 2^-310 first meet at the split at 0
+    code, out, _ = run_cli(capsys, "aut", "2^620*x^3 + 2^620*x^2*y - 2*x*y^2 - 3*y^3")
+    assert code == 0
+    assert json.loads(out)["order"] == 2
+
+
 def test_unproven_prime_abstains(capsys):
     # 2^89 - 1 is prime, but above the range where 13 Miller-Rabin bases
     # prove it

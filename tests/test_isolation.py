@@ -120,7 +120,8 @@ def test_mahler_contains_refined_product_and_landau():
             continue
         prod = RatInterval(abs(p.lead))
         for e in isolate_roots(q, Fraction(1, 10 ** 30)):
-            prod = prod * e.abs_interval().max_with(1)
+            a = e.abs_interval()
+            prod = prod * RatInterval(max(a.lo, 1), max(a.hi, 1))
         assert m.lo <= prod.hi and prod.lo <= m.hi
 
 
@@ -354,6 +355,41 @@ def test_cubic_with_a_3301_bit_lead_certifies():
         for e in encl:
             c = mpmath.mpc(e.disk[0], e.disk[1]) * mpmath.ldexp(1, -e.bits)
             assert sum(abs(z - c) <= mpmath.ldexp(e.disk[2], -e.bits) for z in roots) == 1
+
+
+def test_real_roots_2_to_the_minus_310_apart_separate():
+    # 2^620 x^2 - 2: roots +-sqrt(2) 2^-310, which the first split, at 0,
+    # leaves in two intervals that share it; more than 300 bisections part them
+    encl = isolate_roots(IntPoly((-2, 0, 2 ** 620)))
+    assert [e.is_real for e in encl] == [True, True]
+    assert encl[0].interval.hi < encl[1].interval.lo
+    with mpmath.workprec(800):
+        r = mpmath.sqrt(2) * mpmath.ldexp(1, -310)
+        for e, z in zip(encl, (-r, r)):
+            lo, hi = e.interval.lo, e.interval.hi
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= z
+            assert z <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+def test_separating_past_the_mahler_budget_is_a_defect(monkeypatch):
+    # the budget holds for every squarefree integer polynomial, so running
+    # out of it is an internal error, not an abstention
+    monkeypatch.setattr(isolation, "separation_bits", lambda p: -400)
+    with pytest.raises(AssertionError):
+        isolation.isolate_real_roots(IntPoly((-2, 0, 2 ** 620)))
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=8))
+@example([-2, 0, 2 ** 40])
+@settings(max_examples=30, deadline=None)
+def test_separation_bits_lie_below_the_root_distances(coeffs):
+    p = IntPoly(coeffs)
+    assume(p.degree >= 2 and is_squarefree(p))
+    s = isolation.separation_bits(p)
+    with mpmath.workprec(200 + 4 * s):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)],
+                                 maxsteps=400, extraprec=400 + 8 * s)
+        assert min(abs(a - b) for i, a in enumerate(roots) for b in roots[:i]) > mpmath.ldexp(1, -s)
 
 
 def test_roots_spread_beyond_the_float_range_abstain():
