@@ -7,7 +7,9 @@ polynomial identity F(M0 x) = eps * |det M0|**(d/2) * F with eps = +-1.
 
 Candidates come from the root correspondence: every element permutes the
 roots of F(x, 1) through z -> (v z - u)/(-t z + s), and a Moebius map is
-pinned by three roots.  Target triples are excluded, and the survivors'
+pinned by three roots.  Only the target triples that a real map reaches
+(keeping each root's side of the real axis, or swapping all of them, and
+keeping conjugate pairs) are tried; they are excluded, and the survivors'
 maps reconstructed, in outward-rounded integer disk arithmetic on the
 ``ScaledRoots`` tables; entry ratios are rationalized by the simplest
 rational in the enclosure, and every candidate is accepted or rejected by
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .algnum import is_irreducible
@@ -105,9 +107,11 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     distinct roots, and is the Moebius map fixed by that correspondence.
     What is certified:
 
-    * an excluded target triple holds no root-permuting Moebius map,
-      rational or not: the map through it sends r3 or r4 (where the degree
-      has them) to a disk disjoint from every root disk;
+    * an excluded target triple holds no root-permuting real Moebius map,
+      rational or not: a real map cannot send (r0, r1, r2) to it, by the
+      certified sides of the real axis and conjugate pairs of its roots, or
+      the map through it sends r3 or r4 (where the degree has them) to a
+      disk disjoint from every root disk;
     * every returned element satisfies the exact identity, and the returned
       set is closed under products (with the +-M0 pairing built in);
     * each element's ``perm`` sends root i to the root whose disk alone
@@ -127,20 +131,23 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     if f.lead_x == 0 or not is_irreducible(f.dehomogenize()):
         raise AutError(f"form is not irreducible over Q: {f}")
     system = root_system(f.dehomogenize())
+    sides = [(e.disk[1] > 0) - (e.disk[1] < 0) for e in system.base]
     width = TABLE_WIDTH
     found: dict[tuple, tuple[int, int]] = {}
     # a step of 10**-10 is over 2**-32: the last width is far below 2**-separation_bits
     for _ in range(5 + separation_bits(system.poly) // 32):
         table = system.scaled(width)
-        for m in _candidate_matrices(table):
+        for m in _candidate_matrices(table, sides):
             if m.entries() not in found and (-m).entries() not in found:
                 ok = membership_scale(f, m)
                 if ok is not None:   # then so is -M0, as F(-x) = (-1)**d F
                     found[m.entries()] = ok
-                    found[(-m).entries()] = membership_scale(f, -m)
+                    found[(-m).entries()] = ok[0], ok[1] * (-1) ** f.degree
         found = _close_under_products(f, found)
-        perms = {k: tuple(_image_index(IntMat2(*k), z, table.alpha, table.bits)
-                          for z in table.alpha) for k in found}
+        perms = {}
+        for k in found:   # -M0 acts on the roots as M0 does
+            perms[k] = perms.get((-IntMat2(*k)).entries()) or tuple(
+                _image_index(IntMat2(*k), z, table.alpha, table.bits) for z in table.alpha)
         if all(None not in p for p in perms.values()):
             break
         width /= 10 ** 10
@@ -156,27 +163,39 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     return EnhancedAut(f, elements, structure, table1)
 
 
-def _candidate_matrices(table: ScaledRoots):
+def _candidate_matrices(table: ScaledRoots, sides: list[int]):
     """Primitive integer matrices reconstructed from the correspondences of
     (r0, r1, r2) to the ordered target triples that survive exclusion."""
     disks = table.alpha
     w_src = _three_point(*disks[:3], table.bits)
-    for triple in _surviving_triples(disks, table.bits):
+    for triple in _surviving_triples(table, sides):
         m = _mobius_from_triples(w_src, [disks[i] for i in triple], table.bits)
         if m is not None:
             yield m
 
 
-def _surviving_triples(disks: list, bits: int):
+def _surviving_triples(table: ScaledRoots, sides: list[int]):
     """The ordered triples (i, j, k) of distinct root indices that are not
-    certified to hold no root-permuting Moebius map.
+    certified to hold no root-permuting real Moebius map.
 
-    For l = 3 and 4 (as far as the degree goes), the map sending (r0, r1,
-    r2) to (ri, rj, rk) preserves lam_l = CR(r0, r1, r2; rl), so it sends
-    rl to w_l = (ri (rj - rk) - rk lam_l (rj - ri)) / ((rj - rk) -
-    lam_l (rj - ri)).  A triple is dropped when some w_l is disjoint from
-    every root disk; it is kept when a division cannot be decided."""
+    A real map keeps R u {oo}, sends the upper half-plane to the half-plane
+    of its determinant's sign and commutes with conjugation, so only the
+    triples whose ``sides`` (0 on the axis, else the sign of the base disk's
+    imaginary part, which ``_certified_disks`` certifies by im > rad) are
+    eps = +-1 times those of (r0, r1, r2), and whose conjugate pairs
+    (``table.mirror``) sit where theirs do, are tested.  For l = 3 and 4
+    (as far as the degree goes), the map sending (r0, r1, r2) to (ri, rj,
+    rk) preserves lam_l = CR(r0, r1, r2; rl), so it sends rl to w_l = (ri
+    (rj - rk) - rk lam_l (rj - ri)) / ((rj - rk) - lam_l (rj - ri)).  A
+    triple is dropped when some w_l is disjoint from every root disk; it is
+    kept when a division cannot be decided."""
+    disks, bits, mirror = table.alpha, table.bits, table.mirror
     d = len(disks)
+    pairs = [(a, b, mirror[a] == b) for a, b in ((0, 1), (0, 2), (1, 2))]
+    triples = dict.fromkeys(
+        t for eps in (1, -1)
+        for t in product(*([r for r in range(d) if sides[r] == eps * s] for s in sides[:3]))
+        if len(set(t)) == 3 and all((mirror[t[a]] == t[b]) == c for a, b, c in pairs))
     diff = {(j, k): disk_sub(disks[j], disks[k])
             for j in range(d) for k in range(d) if j != k}
     tests = []
@@ -186,8 +205,8 @@ def _surviving_triples(disks: list, bits: int):
                            disk_mul(diff[l, 2], diff[1, 0], bits), bits)
         except ZeroDivisionError:
             continue
-        tests.append({key: disk_mul(lam, dk, bits) for key, dk in diff.items()})
-    for i, j, k in permutations(range(d), 3):
+        tests.append({(j, i): disk_mul(lam, diff[j, i], bits) for i, j, _ in triples})
+    for i, j, k in triples:
         for scaled in tests:
             try:
                 w = disk_div(disk_sub(disk_mul(disks[i], diff[j, k], bits),

@@ -1,16 +1,17 @@
-from fractions import Fraction
+import json
 from itertools import permutations, product
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from gapkit import isolation
-from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR,
+from gapkit import autgroup, isolation
+from gapkit.autgroup import (AutError, D12_DET3, D12_UNIMODULAR, _image_index,
                              _surviving_triples, aut_prime, d12_family,
                              element_order, membership_scale,
                              root_orbit_partition, verify_729)
 from gapkit.binforms import BinForm, IntMat2
-from gapkit.isolation import isolate_roots, root_system
+from gapkit.isolation import TABLE_WIDTH, isolate_roots, root_system
 
 
 def adjugate(m: IntMat2) -> IntMat2:
@@ -244,15 +245,24 @@ def test_aut_rejects_reducible():
 
 # -- the certified triple exclusion against mpmath --------------------------------
 
-def mpmath_permuting_triples(roots) -> set[tuple[int, int, int]]:
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "aut.json").read_text())
+GOLDEN_FORMS = [e["coeffs"] for e in GOLDEN]
+GOLDEN_IDS = [",".join(map(str, c)) for c in GOLDEN_FORMS]
+
+
+def mpmath_permuting_triples(roots) -> dict[tuple[int, int, int], bool]:
     """Oracle: the ordered triples (i, j, k) for which the Moebius map
     sending (r0, r1, r2) to (ri, rj, rk) sends every root to within 10^-30
-    of a root.  Each image is solved from the cross ratio CR(r0, r1, r2; rl),
-    with CR(a, b, c; z) = (z - a)(b - c) / ((z - c)(b - a))."""
+    of a root, each with whether that map commutes with conjugation (sends
+    the conjugate of each root to the conjugate of its image), that is,
+    whether it has real coefficients.  Each image is solved from the cross
+    ratio CR(r0, r1, r2; rl), with CR(a, b, c; z) = (z - a)(b - c) / ((z -
+    c)(b - a))."""
     eps = mpmath.mpf(10) ** -30
     lams = [(z - roots[0]) * (roots[1] - roots[2])
             / ((z - roots[2]) * (roots[1] - roots[0])) for z in roots[3:]]
-    out = set()
+    conj = [nearest(roots, mpmath.conj(z)) for z in roots]
+    out = {}
     for i, j, k in permutations(range(len(roots)), 3):
         a, b, c = roots[i], roots[j], roots[k]
         try:
@@ -261,7 +271,8 @@ def mpmath_permuting_triples(roots) -> set[tuple[int, int, int]]:
         except ZeroDivisionError:
             continue
         if all(min(abs(w - r) for r in roots) < eps for w in images):
-            out.add((i, j, k))
+            perm = (i, j, k) + tuple(nearest(roots, w) for w in images)
+            out[i, j, k] = all(perm[conj[r]] == conj[perm[r]] for r in range(len(roots)))
     return out
 
 
@@ -272,8 +283,9 @@ def element_triples(aut, roots) -> set[tuple[int, int, int]]:
 
 
 def survivors(f: BinForm) -> set[tuple[int, int, int]]:
-    table = root_system(f.dehomogenize()).scaled(Fraction(1, 10 ** 20))
-    return set(_surviving_triples(table.alpha, table.bits))
+    system = root_system(f.dehomogenize())
+    sides = [(e.disk[1] > 0) - (e.disk[1] < 0) for e in system.base]
+    return set(_surviving_triples(system.scaled(TABLE_WIDTH), sides))
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -283,21 +295,67 @@ def test_triple_exclusion_keeps_every_permuting_map(coeffs):
     kept = survivors(f)
     with mpmath.workdps(50):
         roots = mpmath_roots(f)
-        true_triples = mpmath_permuting_triples(roots)
+        permuting = mpmath_permuting_triples(roots)
         mine = element_triples(aut_prime(f), roots)
-    assert mine <= true_triples
-    assert true_triples <= kept
+    real = {t for t, is_real in permuting.items() if is_real}
+    assert mine <= real
+    assert real <= kept
+    # no permuting map with nonreal coefficients keeps its triple
+    assert not kept & (permuting.keys() - real)
     if f.degree == 12:
         # on D12 exactly the 12 projective elements survive
         assert kept == mine and len(kept) == 12
 
 
 def test_irrational_permuting_map_survives_but_is_not_accepted():
-    # z -> i z permutes the roots of x^4 + 1 and is not in PGL2(Q)
-    f = BinForm((1, 0, 0, 0, 1))
+    # z -> sqrt(2)/z permutes the roots of x^4 - 2 and is real, but is not a
+    # multiple of a rational matrix
+    f = BinForm((1, 0, 0, 0, -2))
+    aut = aut_prime(f)
     with mpmath.workdps(50):
         roots = mpmath_roots(f)
+        flip = tuple(nearest(roots, mpmath.sqrt(2) / z) for z in roots[:3])
+        assert mpmath_permuting_triples(roots)[flip]
+        assert flip not in element_triples(aut, roots)
+    assert flip == (0, 2, 1) and flip in survivors(f)
+    assert {e.matrix.entries() for e in aut.elements} == {
+        (1, 0, 0, 1), (-1, 0, 0, -1), (1, 0, 0, -1), (-1, 0, 0, 1)}
+    # z -> i z permutes the roots of x^4 + 1 and is not real: excluded
+    g = BinForm((1, 0, 0, 0, 1))
+    with mpmath.workdps(50):
+        roots = mpmath_roots(g)
         rotation = tuple(nearest(roots, 1j * z) for z in roots[:3])
-        assert rotation in mpmath_permuting_triples(roots)
-        assert rotation not in element_triples(aut_prime(f), roots)
-    assert rotation in survivors(f)
+        assert mpmath_permuting_triples(roots)[rotation] is False
+    assert rotation not in survivors(g)
+
+
+@pytest.mark.parametrize("coeffs", GOLDEN_FORMS, ids=GOLDEN_IDS)
+def test_every_element_triple_survives(coeffs):
+    # the product closure rebuilds elements whose triples a wrong exclusion
+    # dropped, so the group's order alone would not show one
+    f = BinForm(coeffs)
+    kept = survivors(f)
+    assert all(e.perm[:3] in kept for e in aut_prime(f).elements)
+
+
+def test_d12_cross_ratio_test_runs_on_60_triples(d12_form, monkeypatch):
+    # of the 1,320 ordered triples of D12's 12 roots (six conjugate pairs),
+    # 60 are reachable by a real map; each takes at most two divisions, after
+    # the two cross ratios' (each of the 1,320 took at least one before)
+    calls = []
+    monkeypatch.setattr(autgroup, "disk_div",
+                        lambda *a: calls.append(a) or isolation.disk_div(*a))
+    assert len(survivors(d12_form)) == 12
+    assert len(calls) <= 2 + 2 * 60
+
+
+@pytest.mark.parametrize("coeffs", GOLDEN_FORMS, ids=GOLDEN_IDS)
+def test_stored_scale_sign_and_perm_are_each_elements_own(coeffs):
+    # -M0 takes its scale, sign and perm from M0's: each must be what the
+    # exact identity and the image disks give for -M0 itself
+    f = BinForm(coeffs)
+    table = root_system(f.dehomogenize()).scaled(TABLE_WIDTH)
+    for e in aut_prime(f).elements:
+        assert (e.scale, e.sign) == membership_scale(f, e.matrix)
+        assert e.perm == tuple(_image_index(e.matrix, z, table.alpha, table.bits)
+                               for z in table.alpha)

@@ -526,6 +526,10 @@ def _div(z, w):
 # rounded center misses it, and only disk_mul's extra unit of radius covers it
 @example((1, 0, 0), (1, 0, 0), 1)
 @example((1, 1, 0), (2, 0, 0), 2)
+# and quotients likewise half a unit off it ((1/2) / 2 and ((1 + i) / 2) / 2
+# at 2^-1), which only disk_div's extra unit of radius covers
+@example((1, 0, 0), (4, 0, 0), 1)
+@example((1, 1, 0), (4, 0, 0), 1)
 @settings(max_examples=200, deadline=None)
 def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
     # closed disks meet exactly when the point dividing the centers' segment
