@@ -27,7 +27,7 @@ from math import isqrt, lcm, prod
 import mpmath
 
 from . import isolation
-from .intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
+from .intpoly import (IntPoly, RatPoly, describe, discriminant_poly, factor_degree_sieve,
                       is_squarefree, normalize_minimal_poly)
 from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _rescaled,
                         disk_elementary, disk_holds_integer, disk_sub, house,
@@ -108,7 +108,7 @@ def _root_set_test(system, sizes: set[int]) -> bool:
         if not undecided:
             return True
         todo, width = undecided, width / 10 ** 20
-    raise PrecisionError(f"irreducibility of {f} undecided at budget")
+    raise PrecisionError(f"irreducibility of the polynomial of {describe(f)} undecided at budget")
 
 
 def _closed_root_sets(mirror: list[int | None], sizes: set[int]) -> list[list[int]]:
@@ -147,7 +147,7 @@ class AlgNum:
     def make(p: IntPoly, index: int = 0, check_irreducible: bool = True) -> "AlgNum":
         p = normalize_minimal_poly(p)
         if check_irreducible and not is_irreducible(p):
-            raise ValueError(f"polynomial is not irreducible over Q: {p}")
+            raise ValueError(f"polynomial of {describe(p)} is not irreducible over Q")
         return AlgNum(p, index)
 
     @staticmethod
@@ -155,7 +155,7 @@ class AlgNum:
         """Select the root whose enclosure is nearest to a rational guess."""
         p = normalize_minimal_poly(p)
         if not is_irreducible(p):
-            raise ValueError(f"polynomial is not irreducible over Q: {p}")
+            raise ValueError(f"polynomial of {describe(p)} is not irreducible over Q")
         approx = Fraction(approx)
         encl = isolate_roots(p, Fraction(1, 10 ** 9))
         best = min(encl, key=lambda e: e.distance_interval(approx).hi)

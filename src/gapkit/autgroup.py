@@ -26,6 +26,7 @@ from math import gcd, isqrt, lcm
 
 from .algnum import is_irreducible
 from .binforms import BinForm, IntMat2, form_action
+from .intpoly import describe
 from .isolation import (TABLE_WIDTH, PrecisionError, ScaledRoots, disk_disjoint,
                         disk_div, disk_mul, disk_sub, root_system, separation_bits)
 from .rounding import simplest_rational_in
@@ -129,7 +130,7 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     if f.degree < 3:
         raise AutError("degree must be >= 3")
     if f.lead_x == 0 or not is_irreducible(f.dehomogenize()):
-        raise AutError(f"form is not irreducible over Q: {f}")
+        raise AutError(f"form of {describe(f)} is not irreducible over Q")
     system = root_system(f.dehomogenize())
     sides = [(e.disk[1] > 0) - (e.disk[1] < 0) for e in system.base]
     width = TABLE_WIDTH

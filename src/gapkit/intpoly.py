@@ -181,6 +181,12 @@ def format_poly(p: IntPoly) -> str:
     return out
 
 
+def describe(p) -> str:
+    """An IntPoly or BinForm named by its degree and height's bit length, for
+    error messages: ``str`` of an int over 4,300 digits raises ValueError."""
+    return f"degree {p.degree} with {p.height().bit_length()}-bit coefficients"
+
+
 # -- rational-coefficient helpers (reduction mod f, gcd over Q) ----------------
 
 class RatPoly:

@@ -3,32 +3,31 @@
 Every root's enclosure is an integer disk (re, im, rad) at a scale 2**b:
 the closed disk of radius rad / 2**b around z = (re + i im) / 2**b.  The
 arithmetic on these disks is exact integer arithmetic, rounded outward
-where it must round; the two kinds of root differ only in how their disks
-are found and refined.
+where it must round.
 
-* A real root's disk lies on the real axis (im = 0) and its diameter is the
-  root's isolating interval.  Sturm counts isolate the real roots from the
-  Cauchy bound rounded up to a power of two, splitting at dyadic non-roots,
-  so every endpoint is an integer at some 2**b and the interval
-  [lo, hi] / 2**b is exactly the disk (lo + hi, 0, hi - lo) at 2**(b+1).
-  Sign-change bisection refines it: each step keeps the half at whose ends
-  P takes opposite signs, and a midpoint where P vanishes is the root, a
-  disk of radius 0.
-* A nonreal root's disk is seeded numerically and then *certified*.  The
-  seeds come from Aberth's simultaneous iteration in machine floats on P
-  with x scaled by a power of two, so that no root or coefficient
-  overflows a float, each polished by exact integer Newton steps; a
-  precision ladder retries at twice the precision, with the same
-  iteration in mpmath, when roots lie closer than double precision.
-  Horner's rule on the integers re, im of a center gives 2**(b n) P(z)
-  and 2**(b (n-1)) P'(z) exactly (n = deg P), so rad, the least integer with
-  rad**2 |2**(b (n-1)) P'(z)|**2 >= n**2 |2**(b n) P(z)|**2, satisfies
-  rad / 2**b >= n |P(z)| / |P'(z)|: the disk contains at least one root of
-  P (log-derivative bound, P'(z) != 0).  The disks found above the real
-  axis have im > rad, so they avoid it, and are pairwise disjoint (integer
-  comparisons); with their conjugate mirrors and the disjoint real disks
-  they make deg(P) pairwise disjoint regions, each holding a root -- so
-  each holds exactly one.  Newton steps refine it, each accepted only when
+All n = deg P roots are isolated on one path, as in MPSolve (D. Bini,
+Numer. Algorithms 13, 1996; D. Bini and G. Fiorentino, Numer. Algorithms
+23, 2000).  Aberth's simultaneous iteration approximates them
+(``_numeric_seeds``), and exact integer Newton steps polish each
+approximation, so that a real root's seed has imaginary part 0.  Horner's
+rule on the integers re, im of a center gives 2**(b n) P(z) and
+2**(b (n-1)) P'(z) exactly, so rad, the least integer with
+rad**2 |2**(b (n-1)) P'(z)|**2 >= n**2 |2**(b n) P(z)|**2, satisfies
+rad / 2**b >= n |P(z)| / |P'(z)|: the disk contains at least one root of P
+(log-derivative bound, P'(z) != 0).  A seed on the real axis gives the disk
+(re, 0, rad); a seed above it gives a disk and that disk's conjugate
+mirror, which are disjoint only when im > rad.  When these are n pairwise
+disjoint disks (integer comparisons), each holding at least one of the n
+roots, each holds exactly one.  Conjugation maps a disk centered on the
+real axis onto itself, and so its one root onto itself: that root is real,
+and a disk off the axis, disjoint from its mirror, holds no real root.  The
+real roots are thus counted as well as isolated.
+
+* A real root's disk is refined by sign-change bisection of its diameter,
+  the root's isolating interval: P has one sign left of the root in it, so
+  each step keeps the half at whose ends P takes opposite signs, and a
+  midpoint where P vanishes is the root, a disk of radius 0.
+* A nonreal root's disk is refined by Newton steps, each accepted only when
   its certified disk lies inside the starting disk.
 
 Refinement produces new, smaller enclosures; the old value is never mutated.
@@ -42,14 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, isqrt, pi
-from typing import Sequence
+from math import isqrt, pi
 
 import cmath
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_pos
 
-from .intpoly import IntPoly, is_squarefree, normalize_minimal_poly, poly_gcd_q
+from .intpoly import IntPoly, describe, is_squarefree, normalize_minimal_poly, poly_gcd_q
 from .rounding import AbstainError, RatInterval, _mpf_tuple_to_fraction, monomial_up
 
 
@@ -120,114 +118,7 @@ class RootEnclosure:
         return complex(self.disk[0] / one, self.disk[1] / one)
 
 
-# -- Sturm machinery ---------------------------------------------------------
-
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Signed pseudo-remainder Sturm chain with integer coefficients."""
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        # multiply by an even power of lc(b) so signs are preserved
-        delta = a.degree - b.degree + 1
-        mult = b.lead ** (2 * ((delta + 1) // 2))
-        rem = _int_poly_rem(a * mult, b)
-        rem = -rem
-        if rem.is_zero:
-            break
-        chain.append(rem.primitive())
-    return chain
-
-
-def _int_poly_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Remainder of a by b; requires the division to stay integral (callers
-    pre-scale by powers of lc(b))."""
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.lead
-    while len(rem) - 1 >= db and rem:
-        k = len(rem) - 1 - db
-        q, r = divmod(rem[-1], lb)
-        if r != 0:
-            # scale once more; keeps sign since lb**2 > 0
-            rem = [c * lb for c in rem]
-            continue
-        for j, c in enumerate(b.coeffs):
-            rem[k + j] -= q * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return IntPoly(rem)
-
-
-def _sign_variations(chain: Sequence[IntPoly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval_at(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: IntPoly, lo: Fraction, hi: Fraction, chain=None) -> int:
-    """Number of real roots of squarefree p in (lo, hi]."""
-    chain = chain or sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def cauchy_root_bound(p: IntPoly) -> Fraction:
-    """All complex roots have modulus < 1 + H(p)/|lc(p)|."""
-    return 1 + Fraction(p.height(), abs(p.lead))
-
-
-# -- real isolation ----------------------------------------------------------
-
-def isolate_real_roots(p: IntPoly) -> list[tuple[tuple[int, int, int], int]]:
-    """Pairwise disjoint isolating disks (c, 0, r) at scales 2**b, as pairs
-    (disk, b), for all real roots of squarefree p, sorted increasingly.
-
-    The search starts from (-2**e, 2**e], 2**e >= ``cauchy_root_bound``,
-    and splits a half-open interval holding two or more roots at a dyadic
-    non-root, so the Sturm counts of its halves partition its roots and
-    every endpoint is a non-root: an interval that holds one root is a
-    sign-change interval.  Adjacent intervals may share a split point, and
-    are bisected until they are disjoint, within a budget that
-    ``separation_bits`` certifies: running past it is a defect."""
-    if p.is_zero:
-        raise IsolationError("zero polynomial")
-    if p.degree == 0:
-        return []
-    chain = sturm_chain(p)
-    e = (ceil(cauchy_root_bound(p)) - 1).bit_length()
-    out = []
-    stack = [((0, 0, 1 << e), 0, count_real_roots(p, Fraction(-1 << e), Fraction(1 << e), chain))]
-    while stack:
-        (c, _, r), b, n = stack.pop()
-        if n == 1:
-            out.append(((c, 0, r), b))
-        if n < 2:
-            continue
-        # the midpoint c, else c + r / 2**j for j = 1, 2, ...: p vanishes
-        # at finitely many of them
-        j, s = 0, c
-        while _sign(p, s, b + j) == 0:
-            j += 1
-            s = (c << j) + r
-        lo, hi = (c - r) << j, (c + r) << j
-        left = count_real_roots(p, Fraction(lo, 1 << b + j), Fraction(s, 1 << b + j), chain)
-        stack.append(((lo + s, 0, s - lo), b + j + 1, left))
-        stack.append(((s + hi, 0, hi - s), b + j + 1, n - left))
-    out.sort(key=lambda t: Fraction(t[0][0], 1 << t[1]))
-    sep = separation_bits(p)
-    for i in range(len(out) - 1):
-        # each pass halves both widths, from below 2**top to 2**-(sep+1):
-        # narrower than half the roots' distance, the two are disjoint
-        top = max((2 * disk[2]).bit_length() - b for disk, b in out[i:i + 2])
-        for _ in range(max(0, top + sep + 1) + 1):
-            if _span(*out[i]).hi < _span(*out[i + 1]).lo:
-                break
-            out[i:i + 2] = [_bisect(p, d, b, Fraction(d[2], 1 << b)) for d, b in out[i:i + 2]]
-        else:
-            raise AssertionError("isolating intervals failed to separate within Mahler's bound")
-    return out
-
+# -- root separation and real refinement ------------------------------------
 
 def separation_bits(p: IntPoly) -> int:
     """s with 2**-s below the distance of any two roots of squarefree p of
@@ -281,9 +172,9 @@ class _RootSystem:
 
     def __init__(self, p: IntPoly):
         if not is_squarefree(p):
-            raise IsolationError(f"polynomial is not squarefree: {p}")
+            raise IsolationError(f"polynomial of {describe(p)} is not squarefree")
         self.poly = p
-        self.base = self._order(isolate_real_roots(p))
+        self.base = self._order()
         # the upper conjugate of each disk below the real axis
         upper = {e.disk[:2]: e.index for e in self.base if e.disk[1] > 0}
         self.conj = {e.index: upper[e.disk[0], -e.disk[1]]
@@ -294,18 +185,19 @@ class _RootSystem:
         # the root-set verdict of ``algnum.is_irreducible``, once it is taken
         self.irreducible: bool | None = None
 
-    def _order(self, real: list[tuple[tuple[int, int, int], int]]
-               ) -> tuple[RootEnclosure, ...]:
-        """Index the roots by real part, then imaginary part, of their disk
-        centers.  Each real disk is first bisected until it is disjoint from
-        every nonreal disk's real-part range, so that its center sorts where
-        the root does; a real part shared with a nonreal root (a true tie)
-        is left to the center after ``_ORDER_BISECTIONS`` steps."""
-        bits, disks = _certified_disks(self.poly, len(real))
-        roots = [(d, bits) for d in disks]
-        spans = [_span(d, bits) for d in disks]
-        for disk, b in real:
-            for _ in range(_ORDER_BISECTIONS):
+    def _order(self) -> tuple[RootEnclosure, ...]:
+        """Index the ``_certified_disks`` by real part, then imaginary part,
+        of their centers.  Each real disk is first bisected until it is
+        disjoint from every nonreal disk's real-part range, so that its
+        center sorts where the root does; a real part shared with a nonreal
+        root (a true tie) is left to the center after ``_ORDER_BISECTIONS``
+        steps."""
+        bits, disks = _certified_disks(self.poly)
+        spans = [_span(d, bits) for d in disks if d[1]]
+        roots = []
+        for disk in disks:
+            b = bits
+            for _ in range(_ORDER_BISECTIONS if disk[1] == 0 else 0):
                 if disk[2] == 0 or not any(_span(disk, b).intersects(s) for s in spans):
                     break
                 disk, b = _bisect(self.poly, disk, b, Fraction(disk[2], 1 << b))
@@ -524,20 +416,20 @@ def _disk_within(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     return room >= 0 and dr * dr + di * di <= room * room
 
 
-def _certified_disks(p: IntPoly, n_real: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """(b, disks): certified integer disks at scale 2**b for the nonreal
-    roots of squarefree p, those above the real axis first, then their
-    mirrors in the same order.  Attempt a rounds the ``_numeric_seeds`` at
-    _SEED_BITS << a bits to 53 << a bits; the seeds are only hints."""
-    n_complex = p.degree - n_real
-    if n_complex == 0:
+def _certified_disks(p: IntPoly) -> tuple[int, list[tuple[int, int, int]]]:
+    """(b, disks): deg(p) pairwise disjoint integer disks at scale 2**b,
+    each holding exactly one root of squarefree p: a disk for each seed on
+    or above the real axis, in ``_numeric_seeds``'s order, then the mirrors
+    of those above it in the same order.  An attempt whose seeds give
+    another number of disks, or disks that meet, certifies nothing.  Attempt
+    a rounds that generator's a-th seeds to 53 << a bits; the seeds are only
+    hints."""
+    if p.degree < 1:
         return 0, []
-    if n_complex % 2:
-        raise IsolationError("nonreal root count must be even")
     deriv = p.derivative()
-    for attempt in range(8):
-        seeds = [z for z in _numeric_seeds(p, _SEED_BITS << attempt) if z[1] > 0]
-        if len(seeds) != n_complex // 2:
+    for attempt, seeds in enumerate(_numeric_seeds(p)):
+        seeds = [z for z in seeds if z[1] >= 0]
+        if sum(2 if im else 1 for _, im, _ in seeds) != p.degree:
             continue
         # centers keep 53 << attempt bits of the seeds: short at the first
         # attempt, and closer seeds at every retry; the scale holds every
@@ -549,57 +441,93 @@ def _certified_disks(p: IntPoly, n_real: int) -> tuple[int, list[tuple[int, int,
         for x, y in centers:
             re, im = int(x * (1 << bits)), int(y * (1 << bits))
             got = _newton(p, deriv, re, im, bits)
-            if got is None or im <= got[0]:
+            if got is None:
                 break
             disks.append((re, im, got[0]))
         else:
+            # a disk above the axis is disjoint from its mirror when im > rad
+            disks += [_mirror(d) for d in disks if d[1]]
             if all(disk_disjoint(a, b) for a, b in combinations(disks, 2)):
-                return bits, disks + [(re, -im, rad) for re, im, rad in disks]
-    raise PrecisionError(f"could not certify nonreal roots of {p}")
+                return bits, disks
+    raise PrecisionError(f"could not certify the roots of the polynomial of {describe(p)}")
 
 
-# the precision of the first seeding attempt, doubled at each retry, and the
-# guard bits of the integer Newton polish
+# the precision of the first seeding attempt, doubled at each of the
+# _ATTEMPTS - 1 retries, and the guard bits of the integer Newton polish
 _SEED_BITS = 120
+_ATTEMPTS = 8
 _GUARD_BITS = 32
 
 
-def _numeric_seeds(p: IntPoly, bits: int) -> list[tuple[int, int, int]]:
-    """Approximations (re, im, b) of the roots of squarefree p, which has
-    nonreal roots: each the point (re + i im) / 2**b, within about 2**-bits
-    of a root relative to its modulus.
+def _numeric_seeds(p: IntPoly):
+    """For attempts a = 0, ..., _ATTEMPTS - 1, approximations (re, im, b) of
+    the roots of squarefree p (deg p >= 1) at bits = _SEED_BITS << a: each
+    the point (re + i im) / 2**b, within about 2**-bits of a root relative
+    to its modulus once the iteration converges.
 
     x = 2**s t, with s the least integer that bounds every |c_k / c_n| by
     2**(s (n - k)) through the bit lengths of the coefficients c_k: the
     roots in t lie in |t| < 2, and p(2**s t) / 2**(s n + bits(c_n)) has
-    coefficients below 1, so none overflows a float.  ``_aberth`` finds all
-    the roots in Python complex from n points on the unit circle, in up to
-    1000 sweeps of about 60 us each at degree 12; from the circle a sweep
-    gains about half a bit on a cluster of six small roots.  Above
-    _SEED_BITS bits, a retry after roots closer than double precision, it
-    runs again in mpmath.mpc at ``bits`` bits for up to 100 sweeps, from
-    those approximations (from the circle when two coincide or one is not
-    finite).  ``_polish`` then takes each to ``bits`` bits, where a real
-    root's imaginary part rounds to 0.  Roots far below the largest (six
-    of them 2**-400 below it, or any beyond 2**-1074, where the small
-    coefficients underflow a float) are not reached: such a p abstains."""
+    coefficients below 1.  Attempt 0 runs ``_aberth`` in Python complex from
+    n points on the unit circle, up to 1000 sweeps of about 60 us each at
+    degree 12, and misses roots whose small coefficients underflow a float.
+    Later attempts run it in mpmath.mpc at ``bits`` bits, with no exponent
+    limit, for up to min(bits / 2, 1000) sweeps: attempt 1 from the Newton
+    polygon's points (``_polygon_points``), each later one from the last
+    attempt's approximations.  A zero constant coefficient puts a start
+    point at 0, where p vanishes and the point stays.  ``_polish`` takes
+    each approximation to ``bits`` bits, where a real root's imaginary part
+    rounds to 0.
+
+    Clusters stay out of reach: m roots 2**-k apart relative to their
+    modulus are resolved only at about m k bits, after about k / 2 sweeps,
+    so two roots 2**-5000 apart certify and two 2**-6500 apart abstain."""
     n, c = p.degree, p.coeffs
-    s = max(-((c[n].bit_length() - ck.bit_length() - 1) // (n - k))
-            for k, ck in enumerate(c[:n]) if ck)
+    s = max((-((c[n].bit_length() - ck.bit_length() - 1) // (n - k))
+             for k, ck in enumerate(c[:n]) if ck), default=0)
     scaled = [(c[k], s * (k - n) - c[n].bit_length()) for k in range(n, -1, -1)]
-    start = [cmath.rect(1.0, 2 * pi * j / n + 0.4) for j in range(n)]
-    zs = _aberth([ck / (1 << -e) if e < 0 else float(ck << e) for ck, e in scaled],
-                 start, 2.0 ** -26, 1000)
-    if bits > _SEED_BITS:
-        if len(set(zs)) < n or not all(map(cmath.isfinite, zs)):
-            zs = start
+    deriv, zero = p.derivative(), c[0] == 0
+
+    def polished(zs, bits):
+        k = bits + _GUARD_BITS
+        return [_polish(p, deriv, int(mpmath.ldexp(z.real, k - e)),
+                        int(mpmath.ldexp(z.imag, k - e)), k - e - s)
+                for z in zs if mpmath.isfinite(z) for e in [mpmath.mag(abs(z)) if z else 0]]
+
+    yield polished(_aberth([ck / (1 << -e) if e < 0 else float(ck << e) for ck, e in scaled],
+                           [0j] * zero + [cmath.rect(1.0, 2 * pi * j / (n - zero) + 0.4)
+                                          for j in range(n - zero)], 2.0 ** -26, 1000),
+                   _SEED_BITS)
+    zs = None
+    for attempt in range(1, _ATTEMPTS):
+        bits = _SEED_BITS << attempt
         with mpmath.workprec(bits):
-            zs = _aberth([mpmath.ldexp(ck, e) for ck, e in scaled],
-                         [mpmath.mpc(z) for z in zs], mpmath.ldexp(1, -bits // 2), 100)
-    k, deriv = bits + _GUARD_BITS, p.derivative()
-    return [_polish(p, deriv, int(mpmath.ldexp(z.real, k - e)),
-                    int(mpmath.ldexp(z.imag, k - e)), k - e - s)
-            for z in zs if mpmath.isfinite(z) for e in [mpmath.mag(abs(z)) if z else 0]]
+            if zs is None or len(set(zs)) < n:
+                zs = _polygon_points(c, s)
+            zs = _aberth([mpmath.ldexp(ck, e) for ck, e in scaled], zs,
+                         mpmath.ldexp(1, -bits // 2), min(bits // 2, 1000))
+        yield polished(zs, bits)
+
+
+def _polygon_points(c: tuple[int, ...], s: int) -> list:
+    """Start points for ``_aberth`` on p(2**s t), p with the coefficients c
+    (low to high), in mpmath.mpc at the working precision (D. Bini, Numer.
+    Algorithms 13, 1996): on the upper convex hull of the points
+    (k, bits(c_k)), c_k != 0, an edge from k to k + m puts m points on the
+    circle of radius 2**((bits(c_k) - bits(c_(k+m))) / m - s), about the
+    modulus of m roots, and the first nonzero c_k puts k points at 0."""
+    hull: list[tuple[int, int]] = []
+    for k, a in [(k, ck.bit_length()) for k, ck in enumerate(c) if ck]:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (a - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, a))
+    zs = [mpmath.mpc(0)] * hull[0][0]
+    for (k, a), (j, b) in zip(hull, hull[1:]):
+        r = mpmath.ldexp(mpmath.power(2, mpmath.mpf(a - b) / (j - k)), -s)
+        zs += [r * mpmath.expj(2 * mpmath.pi * (q / (j - k) + k / (len(c) - 1)) + 0.7)
+               for q in range(j - k)]
+    return zs
 
 
 def _aberth(coeffs: list, zs: list, eps, sweeps: int) -> list:
@@ -607,25 +535,29 @@ def _aberth(coeffs: list, zs: list, eps, sweeps: int) -> list:
     roots of the polynomial with ``coeffs``, leading first, from the distinct
     points zs, in their arithmetic (complex, or mpmath.mpc).  A sweep moves
     each z by w = P / (P' - P S) at z, S the sum of 1 / (z - u) over the
-    other points u.  It stops after a sweep with every |w| <= eps |z|, after
+    other points u.  A point stops once its |w| <= eps |z| or P vanishes at
+    it (MPSolve's rule, which spares the converged points while a cluster
+    is still being resolved); the iteration stops when every point has, after
     ``sweeps`` sweeps, or at a division by 0: the points are only hints."""
-    zs = list(zs)
+    zs, live = list(zs), list(range(len(zs)))
     for _ in range(sweeps):
-        done = True
-        for i, z in enumerate(zs):
+        if not live:
+            break
+        for i in list(live):
+            z = zs[i]
             v, d = coeffs[0], 0
             for a in coeffs[1:]:
                 v, d = v * z + a, d * z + v
             if not v:
+                live.remove(i)
                 continue
             try:
                 w = v / (d - v * sum(1 / (z - u) for j, u in enumerate(zs) if j != i))
             except ZeroDivisionError:
                 return zs
             zs[i] = z - w
-            done = done and abs(w) <= eps * abs(z)
-        if done:
-            break
+            if abs(w) <= eps * abs(z):
+                live.remove(i)
     return zs
 
 

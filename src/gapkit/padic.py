@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, describe
 from .linalg import lagrange_reduce
 from .rounding import AbstainError
 
@@ -134,7 +134,7 @@ def hensel_root(f: IntPoly, p: int, r0: int) -> PadicAlgNum:
         raise HenselError(f"{p} is not prime")
     f = normalize_minimal_poly(f)
     if not is_irreducible(f):
-        raise HenselError(f"polynomial is not irreducible over Q: {f}")
+        raise HenselError(f"polynomial of {describe(f)} is not irreducible over Q")
     r0 = r0 % p
     if f.eval_int(r0) % p != 0:
         raise HenselError(f"f({r0}) != 0 mod {p}")

@@ -37,7 +37,7 @@ from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
 from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
-from .intpoly import IntPoly
+from .intpoly import IntPoly, describe
 from .isolation import (TABLE_WIDTH, PrecisionError, _RootSystem, disk_distance,
                         disk_sub, isolate_roots, mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
@@ -65,7 +65,7 @@ class ThueProblem:
         if f.degree < 3:
             raise ThueError("degree must be >= 3")
         if f.lead_x == 0 or not is_irreducible(f.dehomogenize()):
-            raise ThueError(f"form is not irreducible over Q: {f}")
+            raise ThueError(f"form of {describe(f)} is not irreducible over Q")
 
     @property
     def degree(self) -> int:

@@ -176,14 +176,27 @@ def test_bad_input_exit_code(capsys, argv):
 
 
 def test_abstention_exit_code(capsys, monkeypatch):
-    # no numeric seeds: the nonreal roots of x^3 - 2 cannot be certified
+    # no numeric seeds: the roots of x^3 - 2 cannot be certified
     from gapkit import isolation
 
     monkeypatch.setattr(isolation, "_SYSTEMS", {})
-    monkeypatch.setattr(isolation, "_numeric_seeds", lambda p, bits: [])
+    monkeypatch.setattr(isolation, "_numeric_seeds", lambda p: [])
     code, _, err = run_cli(capsys, "thue", "enum", "x^3 - 2*y^3", "1", "10")
     assert code == 3
     assert json.loads(err)["kind"] == "abstention"
+
+
+def test_abstention_on_a_huge_polynomial_exits_3(capsys, monkeypatch):
+    # the message names the 15,001-bit polynomial by its size: str() of a
+    # coefficient of over 4,300 digits raises ValueError, a broken hypothesis
+    from gapkit import isolation
+
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    monkeypatch.setattr(isolation, "_numeric_seeds", lambda p: [])
+    code, _, err = run_cli(capsys, "thue", "enum", "(2^15000+1)*x^3 - 3*y^3", "1", "10")
+    assert code == 3
+    assert json.loads(err)["kind"] == "abstention"
+    assert "15001-bit" in json.loads(err)["error"]
 
 
 def test_cubic_with_a_3301_bit_lead_exits_0(capsys):

@@ -19,7 +19,7 @@ from gapkit.autgroup import d12_family
 from gapkit.binforms import BinForm
 from gapkit.intpoly import IntPoly, is_squarefree
 from gapkit.isolation import (PrecisionError, RootEnclosure, _abs_bounds, _mahler_rec,
-                              _rescaled, house, isolate_roots)
+                              _rescaled, _RootSystem, house, isolate_roots, root_system)
 from gapkit.rounding import RatInterval, tidy_down, tidy_up
 
 
@@ -126,12 +126,24 @@ CLOSE_CUBIC = [2, -6 * 10 ** 7, 6 * 10 ** 14, 1 - 2 * 10 ** 21]
 @example(CLOSE_CUBIC[:-1], CLOSE_CUBIC[-1])
 @settings(max_examples=25, deadline=None)
 def test_drawn_products_match_the_interval_chains(low, lead):
-    # degree 3 to 12, with nonreal roots and with disks at more than one scale
+    # degree 3 to 12, with nonreal roots; the roots share one scale, so one
+    # root is read 2^40 times finer than its base disk to put the disks at
+    # more than one scale
     p = IntPoly(low + [lead])
     assume(is_squarefree(p))
-    encl = isolate_roots(normalize_minimal_poly(p))
-    assume(not all(e.is_real for e in encl) and len({e.bits for e in encl}) > 1)
-    _assert_products_match(p)
+    base = root_system(p).base
+    assume(not all(e.is_real for e in base))
+    k = next((e.index for e in base if e.disk[2]), None)
+    assume(k is not None)
+    finer = min(base[k].width(), 1) / 2 ** 40
+    refined = _RootSystem.refined
+
+    def root_k_finer(self, index, width):
+        return refined(self, index, min(width, finer) if index == k else width)
+
+    with mock.patch.object(_RootSystem, "refined", root_k_finer):
+        assert len({e.bits for e in isolate_roots(normalize_minimal_poly(p))}) > 1
+        _assert_products_match(p)
 
 
 def test_c9_refines_disks_that_meet():

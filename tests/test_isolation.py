@@ -14,13 +14,12 @@ from gapkit.isolation import (IsolationError, disk_disjoint, disk_distance, disk
                               disk_elementary, disk_holds_integer,
                               disk_mul, disk_sub, house,
                               isolate_roots, mahler_measure,
-                              root_separation_lower_bound, sturm_chain,
-                              count_real_roots)
+                              root_separation_lower_bound)
 from gapkit.rounding import AbstainError, root_down, root_up
 
 
 def bisection_oracle(p: IntPoly, lo: Fraction, hi: Fraction, steps=80):
-    """Plain sign-bisection, independent of the Sturm machinery."""
+    """Plain sign-bisection, independent of the root disks."""
     flo = p.eval_at(lo)
     for _ in range(steps):
         mid = (lo + hi) / 2
@@ -83,13 +82,6 @@ def test_refinement_never_loses_root():
         else:
             shift = f.bits - c.bits
             assert not disk_disjoint(f.disk, tuple(v << shift for v in c.disk))
-
-
-def test_sturm_counts():
-    p = IntPoly((-1, -3, 0, 1))
-    chain = sturm_chain(p)
-    assert count_real_roots(p, Fraction(-10), Fraction(10), chain) == 3
-    assert count_real_roots(p, Fraction(0), Fraction(10), chain) == 1
 
 
 def test_mahler_measure_examples():
@@ -172,8 +164,7 @@ def test_separation_bound_below_true_separation():
 
 
 def test_lone_real_root_ordered_by_real_part():
-    # 2x^3 + 2x^2 + 4x + 3: real root -0.812, complex pair at Re -0.094; the
-    # real root's Sturm interval is the whole Cauchy range [-3, 3]
+    # 2x^3 + 2x^2 + 4x + 3: real root -0.812, complex pair at Re -0.094
     encl = isolate_roots(IntPoly((3, 4, 2, 2)))
     assert [e.is_real for e in encl] == [True, False, False]
     assert encl[0].interval.hi < encl[1].re_interval().lo
@@ -254,26 +245,24 @@ def _mpf_fraction(x):
     return Fraction(*to_rational(x._mpf_))
 
 
-def _reference_disks(p):
-    """(bits, sorted disks) for the nonreal roots of p from mpmath's
-    Durand-Kerner roots (``polyroots``) at 120 + 120 bits: each root above
-    the real axis with its coordinates rounded to 53 significant bits, at
-    the scale that holds every center with 31 bits to spare, its radius
-    from ``_newton``, and the mirrors."""
+def _reference_disks(p, bits):
+    """Sorted disks at the scale 2**bits for the nonreal roots of p from
+    mpmath's Durand-Kerner roots (``polyroots``) at 120 + 120 bits: each
+    root above the real axis with its coordinates rounded to 53 significant
+    bits, which the scale must hold with 31 bits to spare, its radius from
+    ``_newton``, and the mirrors."""
     with mpmath.workprec(120):
         roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)],
                                  maxsteps=200, extraprec=120)
     with mpmath.workprec(53):
         centers = [(_mpf_fraction(+mpmath.mpf(z.real)), _mpf_fraction(+mpmath.mpf(z.imag)))
                    for z in roots if mpmath.im(z) > 0]
-    if not centers:
-        return 0, []
-    bits = max(q.denominator.bit_length() for c in centers for q in c) + 31
+    assert all(q.denominator.bit_length() + 31 <= bits for c in centers for q in c)
     disks = []
     for x, y in centers:
         re, im = int(x * (1 << bits)), int(y * (1 << bits))
         disks.append((re, im, isolation._newton(p, p.derivative(), re, im, bits)[0]))
-    return bits, sorted(disks + [(re, -im, rad) for re, im, rad in disks])
+    return sorted(disks + [(re, -im, rad) for re, im, rad in disks])
 
 
 # forms high to low: the D12 form, the benchmark's seeded cubics and quartics
@@ -293,10 +282,11 @@ _SEEDING_FORMS = [
 
 @pytest.mark.parametrize("form", _SEEDING_FORMS, ids=str)
 def test_seeds_give_the_reference_disks(form):
-    # the form and its reciprocal, F(x, 1) and F(1, y)
+    # the form and its reciprocal, F(x, 1) and F(1, y); the real roots'
+    # centers enter the common scale, so the reference is built at it
     for p in (IntPoly(form[::-1]), IntPoly(form)):
-        bits, disks = isolation._certified_disks(p, len(isolation.isolate_real_roots(p)))
-        assert (bits, sorted(disks)) == _reference_disks(p)
+        bits, disks = isolation._certified_disks(p)
+        assert sorted(d for d in disks if d[1]) == _reference_disks(p, bits)
 
 
 def _scaled(coeffs, k):
@@ -323,7 +313,8 @@ _seed_factor = st.tuples(st.lists(st.integers(min_value=-9, max_value=9), min_si
 def test_certified_disks_hold_one_root_each(a, b, spread):
     # degrees 3 to 12, roots of sizes up to 2^1200 and down to 2^-1200, and
     # a second factor 2^spread times smaller: every certified disk holds
-    # exactly one mpmath root of a factor, scaled exactly by its power of two
+    # exactly one mpmath root of a factor, scaled exactly by its power of two,
+    # and lies on the real axis exactly when that root is real
     factors = [(tail + [lead], k) for tail, lead, k in [a] + ([] if b is None else [b[:2] + (a[2] + spread,)])]
     p = IntPoly((1,))
     for coeffs, k in factors:
@@ -334,14 +325,29 @@ def test_certified_disks_hold_one_root_each(a, b, spread):
         for coeffs, k in factors:
             roots += [(r * mpmath.ldexp(1, -k), k) for r in
                       mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)]
-        nonreal = [(r, k) for r, k in roots if mpmath.im(r)]
-        bits, disks = isolation._certified_disks(p, len(roots) - len(nonreal))
-        assert len(disks) == len(nonreal)
+        bits, disks = isolation._certified_disks(p)
+        assert len(disks) == len(roots)
         for re, im, rad in disks:
             c = mpmath.mpc(re, im) * mpmath.ldexp(1, -bits)
-            held = [r for r, k in nonreal
+            held = [r for r, k in roots
                     if abs(r - c) <= mpmath.ldexp(rad, -bits) + mpmath.ldexp(1, -k - 200)]
             assert len(held) == 1
+            assert (im == 0) == (mpmath.im(held[0]) == 0)
+
+
+def test_seeds_that_miss_a_root_are_not_certified(monkeypatch):
+    # x^3 - 2 seeded without its real root: the two disks are disjoint and
+    # each holds a root, but two disks for three roots certify nothing, so
+    # that attempt is skipped, and with no other attempt isolation abstains
+    p = IntPoly((-2, 0, 0, 1))
+    seeds = next(isolation._numeric_seeds(p))
+    partial = [z for z in seeds if z[1]]
+    monkeypatch.setattr(isolation, "_numeric_seeds", lambda p: [partial, seeds])
+    bits, disks = isolation._certified_disks(p)
+    assert len(disks) == 3 and sum(d[1] == 0 for d in disks) == 1
+    monkeypatch.setattr(isolation, "_numeric_seeds", lambda p: [partial])
+    with pytest.raises(isolation.PrecisionError):
+        isolation._certified_disks(p)
 
 
 def test_cubic_with_a_3301_bit_lead_certifies():
@@ -358,8 +364,7 @@ def test_cubic_with_a_3301_bit_lead_certifies():
 
 
 def test_real_roots_2_to_the_minus_310_apart_separate():
-    # 2^620 x^2 - 2: roots +-sqrt(2) 2^-310, which the first split, at 0,
-    # leaves in two intervals that share it; more than 300 bisections part them
+    # 2^620 x^2 - 2: real roots +-sqrt(2) 2^-310, each in a disk of its own
     encl = isolate_roots(IntPoly((-2, 0, 2 ** 620)))
     assert [e.is_real for e in encl] == [True, True]
     assert encl[0].interval.hi < encl[1].interval.lo
@@ -369,14 +374,6 @@ def test_real_roots_2_to_the_minus_310_apart_separate():
             lo, hi = e.interval.lo, e.interval.hi
             assert mpmath.mpf(lo.numerator) / lo.denominator <= z
             assert z <= mpmath.mpf(hi.numerator) / hi.denominator
-
-
-def test_separating_past_the_mahler_budget_is_a_defect(monkeypatch):
-    # the budget holds for every squarefree integer polynomial, so running
-    # out of it is an internal error, not an abstention
-    monkeypatch.setattr(isolation, "separation_bits", lambda p: -400)
-    with pytest.raises(AssertionError):
-        isolation.isolate_real_roots(IntPoly((-2, 0, 2 ** 620)))
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=8))
@@ -392,12 +389,51 @@ def test_separation_bits_lie_below_the_root_distances(coeffs):
         assert min(abs(a - b) for i, a in enumerate(roots) for b in roots[:i]) > mpmath.ldexp(1, -s)
 
 
-def test_roots_spread_beyond_the_float_range_abstain():
-    # (x^2 + 1)(2^2400 x^2 + 1): scaled to roots of modulus 1, its constant
-    # 2^-2405 underflows a float, and from the unit circle no seeding attempt
-    # reaches the roots near 2^-1200, so isolation abstains instead of erring
-    with pytest.raises(isolation.PrecisionError):
-        isolate_roots(IntPoly((1, 0, 1)) * IntPoly((1, 0, 2 ** 2400)))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_roots_spread_beyond_the_float_range_certify(sign):
+    # (x^2 + s)(2^2400 x^2 + s): scaled to roots of modulus 1, the constant
+    # 2^-2405 underflows a float, and the float seeds miss the roots near
+    # 2^-1200; the Newton polygon starts mpmath's iteration at their modulus
+    encl = isolate_roots(IntPoly((sign, 0, 1)) * IntPoly((sign, 0, 2 ** 2400)),
+                         Fraction(1, 2 ** 1300))
+    assert [e.is_real for e in encl] == [sign < 0] * 4
+    with mpmath.workprec(1500):
+        r = mpmath.ldexp(1, -1200)
+        roots = [z * (1 if sign < 0 else 1j) for z in (-1, -r, r, 1)]
+        for e in encl:
+            c = mpmath.mpc(e.disk[0], e.disk[1]) * mpmath.ldexp(1, -e.bits)
+            assert sum(abs(z - c) <= mpmath.ldexp(e.disk[2], -e.bits) for z in roots) == 1
+
+
+def test_zero_roots_certify():
+    # x, and x (x^2 + 1)(2^600 x^2 - 3): a zero constant coefficient puts a
+    # start point at 0, whose disk has radius 0
+    assert [(e.disk, e.bits) for e in isolate_roots(IntPoly((0, 1)))] == [((0, 0, 0), 32)]
+    encl = isolate_roots(IntPoly((0, 1)) * IntPoly((1, 0, 1)) * IntPoly((-3, 0, 2 ** 600)))
+    assert [e.is_real for e in encl] == [True, False, True, False, True]
+    assert encl[2].disk == (0, 0, 0)
+
+
+def test_large_coefficient_real_root_counts_match_sympy():
+    # products of two factors with roots scaled by 2^k, |k| <= 600: as many
+    # real disks as sympy finds real roots, and p changes sign (or vanishes)
+    # across each real disk's diameter
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21)
+    done = 0
+    while done < 10:
+        p = IntPoly((1,))
+        for _ in range(2):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+            p = p * IntPoly(_scaled(coeffs + [rng.choice([1, 2, 3, -1, 7])],
+                                    rng.randint(-600, 600)))
+        if p.degree < 3 or not is_squarefree(p):
+            continue
+        real = [e.interval for e in isolate_roots(p) if e.is_real]
+        x = sympy.Symbol("x")
+        assert len(real) == len(sympy.real_roots(sympy.Poly(p.coeffs[::-1], x)))
+        assert all(p.eval_at(iv.lo) * p.eval_at(iv.hi) <= 0 for iv in real)
+        done += 1
 
 
 def _mirror(disk):
@@ -416,7 +452,7 @@ def _mirror(disk):
 def test_conjugate_disks_are_mirrors_and_hold_their_roots(coeffs, digits):
     p = IntPoly(coeffs)
     assume(p.degree >= 2 and is_squarefree(p))
-    assume(p.degree > len(isolation.isolate_real_roots(p)))
+    assume(not all(e.is_real for e in isolate_roots(p)))
     for width in (Fraction(1, 10 ** digits), Fraction(1, 10 ** (2 * digits + 20))):
         encl = isolate_roots(p, width)
         disks = {(e.disk, e.bits) for e in encl if not e.is_real}
@@ -530,6 +566,10 @@ def _div(z, w):
 # at 2^-1), which only disk_div's extra unit of radius covers
 @example((1, 0, 0), (4, 0, 0), 1)
 @example((1, 1, 0), (4, 0, 0), 1)
+# externally tangent disks share one point, so they are not disjoint: the
+# root count rests on this comparison being strict
+@example((0, 0, 3), (5, 0, 2), 1)
+@example((0, 0, 2), (3, 4, 3), 1)
 @settings(max_examples=200, deadline=None)
 def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
     # closed disks meet exactly when the point dividing the centers' segment
@@ -548,6 +588,22 @@ def test_integer_disk_operations_contain_the_exact_results(a, b, bits):
         assert b[0] ** 2 + b[1] ** 2 < (b[2] + 1) ** 2
         return
     assert all(_inside(_div(z, w), q, bits) for z, w in pairs)
+
+
+@given(_disk, st.integers(min_value=0, max_value=2 ** 40),
+       st.sampled_from([(3, 4), (-4, 3), (0, -5), (5, 0)]), st.integers(min_value=-3, max_value=3))
+@example(b=(0, 0, 10), k=1, unit=(3, 4), slack=0)      # internally tangent
+@example(b=(0, 0, 10), k=1, unit=(3, 4), slack=1)      # one unit past it
+@example(b=(7, -2, 10), k=0, unit=(5, 0), slack=1)     # larger, same center
+@settings(max_examples=200, deadline=None)
+def test_disk_within_is_exact(b, k, unit, slack):
+    # a's center lies 5k units from b's along a Pythagorean direction, so the
+    # point of a farthest from b's center lies exactly 5k + rad from it:
+    # a lies in b exactly when 5k + rad <= rad_b
+    rad = b[2] - 5 * k + slack
+    assume(rad >= 0)
+    a = (b[0] + k * unit[0], b[1] + k * unit[1], rad)
+    assert isolation._disk_within(a, b) == (5 * k + rad <= b[2])
 
 
 @given(st.lists(_disk, min_size=1, max_size=5), st.integers(min_value=1, max_value=96),
