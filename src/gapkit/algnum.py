@@ -27,8 +27,8 @@ from math import isqrt, lcm, prod
 import mpmath
 
 from . import isolation
-from .intpoly import (IntPoly, RatPoly, describe, discriminant_poly, factor_degree_sieve,
-                      is_squarefree, normalize_minimal_poly)
+from .intpoly import (IntPoly, describe, discriminant_poly, factor_degree_sieve, is_squarefree,
+                      normalize_minimal_poly, prem)
 from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _rescaled,
                         disk_elementary, disk_holds_integer, disk_sub, house,
                         isolate_roots, mahler_measure, root_enclosure, root_system)
@@ -102,7 +102,7 @@ def _root_set_test(system, sizes: set[int]) -> bool:
                 continue
             g = IntPoly(reversed([a] + [(-1) ** j * ((ej[0] + (1 << (bits - 1))) >> bits)
                                         for j, ej in enumerate(e, 1)]))
-            if RatPoly.from_intpoly(f).divmod(RatPoly.from_intpoly(g))[1].is_zero:
+            if prem(f, g).is_zero:
                 return False
             undecided.append(roots)
         if not undecided:
@@ -249,8 +249,10 @@ class PowerBasisRep:
             out = lcm(out, c.denominator)
         return out
 
-    def as_poly(self) -> RatPoly:
-        return RatPoly(self.coeffs)
+    def numerator(self) -> IntPoly:
+        """The integer polynomial D * sum b_i x**i, D = ``denominator``."""
+        den = self.denominator
+        return IntPoly(c.numerator * (den // c.denominator) for c in self.coeffs)
 
 
 def denominator_scalar(rep: PowerBasisRep) -> int:
@@ -321,19 +323,25 @@ def _verify_rep(alpha: AlgNum, beta: AlgNum, rel) -> PowerBasisRep | None:
     denom = -rel[-1]
     coeffs = tuple(Fraction(rel[i], denom) for i in range(d))
     rep = PowerBasisRep(alpha, beta, coeffs)
-    if not _verify_algebraic(alpha.minpoly, beta.minpoly, rep.as_poly()):
+    if not _verify_algebraic(alpha.minpoly, beta.minpoly, rep.numerator(), rep.denominator):
         return None
     if not _verify_embedding(alpha, beta, rep):
         return None
     return rep
 
 
-def _verify_algebraic(f: IntPoly, g: IntPoly, b: RatPoly) -> bool:
-    """g(b(x)) == 0 in Q[x]/(f), checked exactly."""
-    fq = RatPoly.from_intpoly(f)
-    acc = RatPoly(())
+def _verify_algebraic(f: IntPoly, g: IntPoly, num: IntPoly, den: int) -> bool:
+    """g(num / den) == 0 in Q[x]/(f), checked exactly over Z: Horner's rule
+    on den**n g(num / den), n = deg g, with a ``prem`` after each product.
+    A ``prem`` multiplies the running value by a power of lc(f), so every
+    later term is multiplied by ``scale``, the product of those powers: the
+    result is scale times den**n g(num / den) mod f."""
+    acc, scale, power = IntPoly.zero(), 1, 1
     for c in reversed(g.coeffs):
-        acc = (acc * b + RatPoly((c,))).mod(fq)
+        acc = acc * num
+        scale *= f.lead ** max(0, acc.degree - f.degree + 1)
+        acc = prem(acc, f) + IntPoly((scale * c * power,))
+        power *= den
     return acc.is_zero
 
 
@@ -343,7 +351,7 @@ def _verify_embedding(alpha: AlgNum, beta: AlgNum, rep: PowerBasisRep) -> bool:
     and avoid every other root enclosure.  Both selected roots are real
     (``power_rep`` has checked), so the image is a real interval."""
     width = Fraction(1, 10 ** 12)
-    num, den = rep.as_poly().clear_denominators()
+    num, den = rep.numerator(), rep.denominator
     for _ in range(6):
         img = num.eval_at(alpha.enclosure(width).interval) * Fraction(1, den)
         biv = beta.enclosure(width).interval

@@ -1,5 +1,10 @@
-"""Exact univariate integer and rational polynomial arithmetic.
+"""Exact univariate integer polynomial arithmetic.
 
+Every polynomial has integer coefficients.  By Gauss's lemma a primitive b
+divides an integer a over Q exactly when it does over Z, so division is
+decided by pseudo-remainders (``prem``) and exact integer quotients
+(``exact_quotient``), and gcds over Q by the primitive remainder sequence
+(Cohen, GTM 138, 3.1-3.3).
 Coefficients are stored low-to-high, so ``coeffs[k]`` is the coefficient of
 ``x**k``.  The zero polynomial is the empty tuple with degree -1.
 """
@@ -7,8 +12,9 @@ Coefficients are stored low-to-high, so ``coeffs[k]`` is the coefficient of
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rounding import RatInterval
 
@@ -187,119 +193,48 @@ def describe(p) -> str:
     return f"degree {p.degree} with {p.height().bit_length()}-bit coefficients"
 
 
-# -- rational-coefficient helpers (reduction mod f, gcd over Q) ----------------
+# -- exact division over Z -------------------------------------------------------
 
-class RatPoly:
-    """Polynomial over Q, used for exact reductions in Q[x]/(f)."""
+def prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The pseudo-remainder lc(b)**k * a mod b, exactly over Z, with
+    k = max(0, deg a - deg b + 1) always, even when a step meets a zero
+    leading coefficient.  b divides a in Q[x] exactly when it is zero."""
+    r, low, lb = list(a.coeffs), b.coeffs[:-1], b.lead
+    n = len(low)
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        r = [x * lb for x in r]
+        for j, bj in enumerate(low):
+            r[i - n + j] -= c * bj
+    return IntPoly(r)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable):
-        cs = _trim([Fraction(c) for c in coeffs])
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatPoly is immutable")
-
-    @staticmethod
-    def from_intpoly(p: IntPoly) -> "RatPoly":
-        return RatPoly(p.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __neg__(self):
-        return RatPoly(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly((self.coeff(i) + other.coeff(i)) for i in range(n))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        db, lb = other.degree, other.lead
-        while len(rem) - 1 >= db and rem:
-            k = len(rem) - 1 - db
-            f = rem[-1] / lb
-            q[k] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RatPoly(q), RatPoly(rem)
-
-    def mod(self, other: "RatPoly") -> "RatPoly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            return self
-        inv = 1 / self.lead
-        return RatPoly(c * inv for c in self.coeffs)
-
-    def eval_at(self, x):
-        acc = Fraction(0) if not isinstance(x, RatInterval) else RatInterval(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def clear_denominators(self) -> tuple[IntPoly, int]:
-        """Smallest positive D with D*self integral; returns (D*self, D)."""
-        D = 1
-        for c in self.coeffs:
-            D = D * c.denominator // gcd(D, c.denominator)
-        return IntPoly(int(c * D) for c in self.coeffs), D
-
-    def __repr__(self):
-        return f"RatPoly({list(self.coeffs)})"
+def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly | None:
+    """a / b in Z[x], or None when b does not divide a there: each step's
+    leading coefficient must be a multiple of lc(b), and the tail must
+    vanish.  For a primitive b this is division over Q (Gauss)."""
+    if b.is_zero:
+        return None
+    r, low, lb = list(a.coeffs), b.coeffs[:-1], b.lead
+    n = len(low)
+    q = [0] * max(0, len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        c, rest = divmod(r.pop(), lb)
+        if rest:
+            return None
+        q[i - n] = c
+        for j, bj in enumerate(low):
+            r[i - n + j] -= c * bj
+    return None if any(r) else IntPoly(q)
 
 
 def poly_gcd_q(p: IntPoly, q: IntPoly) -> IntPoly:
-    """gcd over Q, returned as a primitive integer polynomial (positive lead).
-    gcd(0, 0) = 0."""
-    a, b = RatPoly.from_intpoly(p), RatPoly.from_intpoly(q)
+    """gcd over Q, returned as a primitive integer polynomial (positive lead),
+    by the primitive remainder sequence.  gcd(0, 0) = 0."""
+    a, b = p.primitive(), q.primitive()
     while not b.is_zero:
-        a, b = b, a.mod(b)
-    if a.is_zero:
-        return IntPoly.zero()
-    g, _ = a.monic().clear_denominators()
-    g = g.primitive()
-    return g if g.lead > 0 else -g
+        a, b = b, prem(a, b).primitive()
+    return a if a.is_zero or a.lead > 0 else -a
 
 
 def normalize_minimal_poly(p: IntPoly) -> IntPoly:
@@ -319,17 +254,10 @@ def is_squarefree(p: IntPoly) -> bool:
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
-    """p / gcd(p, p') over Q, as a primitive integer polynomial."""
+    """p / gcd(p, p') as a primitive integer polynomial with positive lead."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    g = poly_gcd_q(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive() if p.lead > 0 else (-p).primitive()
-    q, r = RatPoly.from_intpoly(p).divmod(RatPoly.from_intpoly(g))
-    assert r.is_zero
-    out, _ = q.clear_denominators()
-    out = out.primitive()
-    return out if out.lead > 0 else -out
+    return normalize_minimal_poly(exact_quotient(p, poly_gcd_q(p, p.derivative())))
 
 
 # -- resultants and discriminants ----------------------------------------------
@@ -457,22 +385,31 @@ def factor_degrees_mod(f: IntPoly, p: int) -> list[int] | None:
     return degrees
 
 
+def factor_degrees_by_prime(f: IntPoly) -> Iterator[tuple[int, list[int]]]:
+    """(p, ``factor_degrees_mod(f, p)``) for the primes p, in increasing
+    order, that divide neither lc(f) nor disc(f).  f must be squarefree:
+    otherwise no prime qualifies and nothing is ever yielded."""
+    p = 1
+    while True:
+        p += 1
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            degrees = factor_degrees_mod(f, p)
+            if degrees is not None:
+                yield p, degrees
+
+
 def factor_degree_sieve(f: IntPoly, primes: int) -> set[int]:
     """The degrees 1 <= k < deg f that a factor of the squarefree f over Z
     may have: a factor over Z is a product of factors modulo each prime p
     that divides neither lc(f) nor disc(f), so its degree is a sum of some
     of their degrees.  The allowed sets of the first ``primes`` such p are
     intersected, stopping early once none is left."""
-    allowed, p, used = set(range(1, f.degree)), 1, 0
-    while allowed and used < primes:
-        p += 1
-        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            continue
-        degrees = factor_degrees_mod(f, p)
-        if degrees is not None:
-            used += 1
-            sums = {0}
-            for k in degrees:
-                sums |= {s + k for s in sums}
-            allowed &= sums
+    allowed = set(range(1, f.degree))
+    for _, degrees in islice(factor_degrees_by_prime(f), primes):
+        sums = {0}
+        for k in degrees:
+            sums |= {s + k for s in sums}
+        allowed &= sums
+        if not allowed:
+            break
     return allowed

@@ -47,7 +47,8 @@ import cmath
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_pos
 
-from .intpoly import IntPoly, describe, is_squarefree, normalize_minimal_poly, poly_gcd_q
+from .intpoly import (IntPoly, describe, exact_quotient, is_squarefree, normalize_minimal_poly,
+                      poly_gcd_q, squarefree_part)
 from .rounding import AbstainError, RatInterval, _mpf_tuple_to_fraction, monomial_up
 
 
@@ -692,8 +693,8 @@ def mahler_measure(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterva
     drops with leading zero coefficients, matching M(Q) = M(Q(x, 1))).
     For squarefree P each end is one integer product of ``_abs_bounds``
     read off the root disks, each factor at least 2**b at its scale 2**b.
-    Multiple roots are handled by the multiplicative splitting
-    M(P) = M(gcd(P, P')) * M(P / gcd(P, P')).  For a nonzero integer
+    Multiple roots: M(P) = M(G) * M(P / G) with G = gcd(P, P') primitive,
+    so that P / G is an integer polynomial (Gauss).  For a nonzero integer
     polynomial the lower endpoint is clamped at 1 (Landau).
     """
     p = _as_univariate(p)
@@ -705,33 +706,25 @@ def mahler_measure(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterva
 
 
 def _mahler_rec(p: IntPoly, width: Fraction) -> RatInterval:
-    from .intpoly import RatPoly
-
     if p.degree == 0:
         v = abs(p.coeffs[0])
         return RatInterval(v, v)
-    if is_squarefree(p):
+    g = poly_gcd_q(p, p.derivative())
+    if g.degree == 0:
         lo, hi, one = abs(p.lead), abs(p.lead), 1
         for e in isolate_roots(p, width):
             a, b = _abs_bounds(e.disk)
             lo, hi, one = lo * max(a, 1 << e.bits), hi * max(b, 1 << e.bits), one << e.bits
         return RatInterval(Fraction(lo, one), Fraction(hi, one))
-    g = poly_gcd_q(p, p.derivative())
-    quot, rem = RatPoly.from_intpoly(p).divmod(RatPoly.from_intpoly(g))
-    assert rem.is_zero
-    h, denom = quot.clear_denominators()
-    return _mahler_rec(g, width) * _mahler_rec(h, width) * Fraction(1, denom)
+    return _mahler_rec(g, width) * _mahler_rec(exact_quotient(p, g), width)
 
 
 def house(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterval:
     """Certified enclosure of the house (max root modulus) of p."""
-    from .intpoly import squarefree_part
-
     p = _as_univariate(p)
     if p.is_zero or p.degree < 1:
         raise ValueError("house needs degree >= 1")
-    sf = p if is_squarefree(p) else squarefree_part(p)
-    encl = isolate_roots(sf, Fraction(precision) / 4)
+    encl = isolate_roots(squarefree_part(p), Fraction(precision) / 4)
     lo = max(e.abs_interval().lo for e in encl)
     hi = max(e.abs_interval().hi for e in encl)
     return RatInterval(lo, hi)

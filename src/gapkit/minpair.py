@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algnum import (AlgNum, PowerBasisRep, c8, c9, denominator_scalar,
                      power_rep, _power_tables)
-from .intpoly import IntPoly, RatPoly, poly_gcd_q
+from .intpoly import IntPoly, exact_quotient, poly_gcd_q, prem
 from .linalg import integer_kernel, kernel_vectors_up_to
 from .padic import PadicAlgNum, padic_abs_poly
 from .rounding import monomial_up, pow_up, tidy_down, tidy_up
@@ -130,10 +130,9 @@ def wronskian(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def _vanishes(alpha: AlgNum, rep: PowerBasisRep, p: IntPoly, q: IntPoly) -> bool:
-    """P(alpha) + beta Q(alpha) = 0, checked exactly in Q[x]/(f)."""
-    f = RatPoly.from_intpoly(alpha.minpoly)
-    val = (RatPoly.from_intpoly(p) + rep.as_poly() * RatPoly.from_intpoly(q)).mod(f)
-    return val.is_zero
+    """P(alpha) + beta Q(alpha) = 0, checked exactly over Z: D P + N Q is
+    0 mod f, with beta = N(alpha) / D (``PowerBasisRep.numerator``)."""
+    return prem(p * rep.denominator + rep.numerator() * q, alpha.minpoly).is_zero
 
 
 def _split_vector(v, s: int) -> tuple[IntPoly, IntPoly]:
@@ -225,7 +224,7 @@ def verify_pair(alpha: AlgNum, beta: AlgNum, p: IntPoly, q: IntPoly,
         cross = p * reference.q - q * reference.p
         part3["cross_vanishes"] = cross.is_zero
         if cross.is_zero:
-            g = _exact_quotient(q, reference.q)
+            g = exact_quotient(q, reference.q)
             part3["G"] = str(g) if g is not None else None
             part3["factors"] = g is not None and (g * reference.p == p)
     checks["part3"] = part3
@@ -233,18 +232,6 @@ def verify_pair(alpha: AlgNum, beta: AlgNum, p: IntPoly, q: IntPoly,
     if part3["applicable"]:
         ok = ok and bool(part3.get("cross_vanishes"))
     return {"ok": ok, "checks": checks, "r_min": r_min}
-
-
-def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly | None:
-    if den.is_zero:
-        return None
-    quot, rem = RatPoly.from_intpoly(num).divmod(RatPoly.from_intpoly(den))
-    if not rem.is_zero:
-        return None
-    ip, d = quot.clear_denominators()
-    if d != 1:
-        return None
-    return ip
 
 
 # -- the constants C12, C13, C14 -------------------------------------------------

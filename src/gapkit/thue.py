@@ -28,6 +28,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor, gcd, isqrt
 
 from .algnum import (AlgNum, NotInFieldError, is_irreducible, liouville_c6,
@@ -37,7 +38,7 @@ from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
 from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
-from .intpoly import IntPoly, describe
+from .intpoly import IntPoly, describe, factor_degrees_by_prime
 from .isolation import (TABLE_WIDTH, PrecisionError, _RootSystem, disk_distance,
                         disk_sub, isolate_roots, mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
@@ -339,12 +340,22 @@ def _tie_pick(table, cands) -> tuple[int, str]:
 
 # -- the Theorem-1.3 style census -------------------------------------------------
 
+# the primes whose factor degrees ``galois_status`` scans for a "no"
+_FROBENIUS_PRIMES = 64
+
+
 def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
     """("yes" | "no" | "unknown", reason), given the orbit partition of the
-    roots of F(x, 1) under Aut'|F| (``root_orbit_partition``).  Certified
-    "yes" when one orbit covers all roots (then every root is an
-    integer-Moebius image of the first, so Q(alpha)/Q is Galois of degree d);
-    certified both ways for cubics via the square-discriminant criterion."""
+    roots of F(x, 1) under Aut'|F| (``root_orbit_partition``).  Every "yes"
+    and every "no" is certified.  "yes": one orbit covers all roots (each
+    is an integer-Moebius image of the first, so Q(alpha)/Q is Galois of
+    degree d), a cubic's discriminant is a square, or all roots are real and
+    each conjugate has a verified power-basis representation over the
+    first.  "no": a cubic's discriminant is not a square, or f has factors
+    of unequal degrees mod one of the first ``_FROBENIUS_PRIMES`` primes
+    dividing neither lc(f) nor disc(f): these are the cycle lengths of a
+    Frobenius element, and in a Galois field each element's cycles have one
+    length.  Anything else, a failed relation search included, is "unknown"."""
     d = f.degree
     if part.gamma == d:
         return "yes", "orbit of one root covers all roots"
@@ -355,15 +366,17 @@ def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
             return "yes", "cubic with square discriminant"
         return "no", "cubic discriminant is not a positive square"
     poly = normalize_minimal_poly(f.dehomogenize())
-    encl = isolate_roots(poly)
-    if all(e.is_real for e in encl):
+    for p, degrees in islice(factor_degrees_by_prime(poly), _FROBENIUS_PRIMES):
+        if len(set(degrees)) > 1:
+            return "no", f"factor degrees {degrees} mod {p}"
+    if all(e.is_real for e in isolate_roots(poly)):
         alpha1 = AlgNum(poly, 0)
         try:
             for idx in range(1, d):
                 power_rep(alpha1, AlgNum(poly, idx))
             return "yes", "every conjugate has a verified power-basis representation"
         except NotInFieldError:
-            return "no", "a conjugate admits no representation over the first root"
+            return "unknown", "a conjugate has no verified representation over the first root"
     return "unknown", "complex conjugates outside the orbit route"
 
 

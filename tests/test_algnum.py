@@ -101,6 +101,30 @@ def test_power_rep_rational_coeffs(cbrt2):
     assert max_abs(rep) == Fraction(1, 2)
 
 
+def test_power_rep_over_a_non_monic_minimal_polynomial():
+    # 2x^4 - 4x^2 + 1 has four real roots and generates the cyclic quartic
+    # field Q(sqrt(2 + sqrt 2)): every conjugate is a polynomial in any
+    # other, and each exact check reduces modulo a leading coefficient 2
+    f = IntPoly((1, 0, -4, 0, 2))
+    alpha = AlgNum.make(f, 3)
+    for i in range(3):
+        rep = power_rep(alpha, AlgNum(f, i))
+        num, den = rep.numerator(), rep.denominator
+        assert algnum._verify_algebraic(f, f, num, den)
+        assert not algnum._verify_algebraic(f, f, num + IntPoly((1,)), den)
+        assert not algnum._verify_algebraic(f, f, num, den * 2)
+        # the relation of one conjugate is rejected for another by the embedding
+        rel = list(num.coeffs) + [0] * (4 - len(num.coeffs)) + [-den]
+        assert algnum._verify_rep(alpha, AlgNum(f, (i + 1) % 3), rel) is None
+        assert algnum._verify_rep(alpha, AlgNum(f, i), rel) == rep
+    # alpha / 2, a root of 32x^4 - 16x^2 + 1: a denominator and a non-monic g
+    half = AlgNum.near(IntPoly((1, 0, -16, 0, 32)), Fraction(65, 100))
+    rep = power_rep(alpha, half)
+    assert rep.coeffs == (0, Fraction(1, 2), 0, 0)
+    assert (rep.numerator(), rep.denominator) == (IntPoly((0, 1)), 2)
+    assert not algnum._verify_algebraic(f, half.minpoly, IntPoly((0, 1)), 3)
+
+
 def test_c9_dominates_representation(alpha15, beta15):
     rep = power_rep(alpha15, beta15)
     bound = c9(alpha15, beta15)

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 import sympy
 
-from gapkit.intpoly import (IntPoly, RatPoly, discriminant_poly, factor_degree_sieve,
-                            factor_degrees_mod, is_squarefree, poly_gcd_q,
+from gapkit.intpoly import (IntPoly, discriminant_poly, exact_quotient, factor_degree_sieve,
+                            factor_degrees_mod, is_squarefree, poly_gcd_q, prem,
                             resultant, squarefree_part)
 
 X = sympy.Symbol("x")
@@ -151,12 +151,59 @@ def test_divided_derivative_and_eval():
     assert p.eval_pair(1, 2, 3) == 8 + 2 * 4 + 3 * 2 + 4
 
 
-def test_rat_poly_division():
-    f = RatPoly.from_intpoly(IntPoly((-2, 0, 1)))
-    g = RatPoly.from_intpoly(IntPoly((2, 1)))  # x + 2
-    q, r = f.divmod(g)
+def test_prem_and_exact_quotient():
+    f, g = IntPoly((-2, 0, 1)), IntPoly((2, 1))
     # x^2 - 2 = (x + 2)(x - 2) + 2
-    assert q == RatPoly((-2, 1)) and r == RatPoly((2,))
+    assert prem(f, g) == IntPoly((2,)) and exact_quotient(f, g) is None
+    assert exact_quotient(f * g, g) == f
+    # 3^2 (x^2 - 2) = (3x + 6)(3x - 6) + 18: the power of lc(b) is deg a - deg b + 1
+    assert prem(f, g * 3) == IntPoly((18,))
+    # x^3 + 1 by 2x^2 + 1: a zero second step still multiplies by lc(b)
+    assert prem(IntPoly((1, 0, 0, 1)), IntPoly((1, 0, 2))) == IntPoly((4, -2))
+    assert prem(g, f) == g and prem(IntPoly.zero(), f).is_zero
+    # x divides 2x over Q but not over Z, and not the other way about
+    x = IntPoly.x()
+    assert exact_quotient(x * 2, x) == IntPoly((2,)) and exact_quotient(x, x * 2) is None
+    assert exact_quotient(f, IntPoly.zero()) is None
+
+
+def _from_sympy(p) -> IntPoly:
+    return IntPoly(reversed([int(c) for c in p.all_coeffs()]))
+
+
+def _normalized(p: IntPoly) -> IntPoly:
+    p = p.primitive()
+    return p if p.is_zero or p.lead > 0 else -p
+
+
+def test_division_helpers_match_sympy_on_large_coefficients():
+    # products of non-monic factors with 1,000 to 7,000-bit coefficients,
+    # one of them squared: sympy's prem, gcd, exquo and div are the oracle
+    rng = random.Random(22)
+
+    def draw(deg, bits):
+        coeffs = [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(deg + 1)]
+        return IntPoly(coeffs[:-1] + [coeffs[-1] | 2])
+
+    for _ in range(8):
+        bits = rng.randint(1000, 7000)
+        u, v, w = (draw(rng.randint(1, 3), bits // k) for k in (1, 2, 3))
+        p = u * v * w * w
+        # u * 2 divides u * v over Q, but over Z only if v is even
+        for a, b in ((p, u), (p, w * v), (u * v, w), (p.derivative(), u * w), (u * v, u * 2)):
+            assert prem(a, b) == _from_sympy(sympy.prem(to_sympy(a), to_sympy(b)))
+            q, r = sympy.div(to_sympy(a), to_sympy(b))
+            integral = r.is_zero and all(c.is_integer for c in q.all_coeffs())
+            assert exact_quotient(a, b) == (_from_sympy(q) if integral else None)
+        assert exact_quotient(p * 2, u * 2) == v * w * w
+        for a, b in ((p, p.derivative()), (u * w * 3, v * w * 5), (p, v * w * w)):
+            got = poly_gcd_q(a, b)
+            assert got == _normalized(_from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+            assert got.content() == 1 and got.lead > 0
+        sp = to_sympy(p)
+        oracle = sympy.exquo(sp, sympy.gcd(sp, sp.diff(X)))
+        assert squarefree_part(p) == _normalized(_from_sympy(oracle))
+    assert poly_gcd_q(IntPoly.zero(), IntPoly.zero()).is_zero
 
 
 def test_factor_degrees_mod_vs_sympy():

@@ -1,9 +1,12 @@
 import json
+import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +14,7 @@ from gapkit import isolation, thue
 from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minimal_poly,
                            theta_upper_bound)
 from gapkit.autgroup import aut_prime, root_orbit_partition
-from gapkit.binforms import BinForm
+from gapkit.binforms import BinForm, IntMat2, form_action
 from gapkit.gap import (GapConstants, HypothesisError, arch_quality, c16,
                         interval_vs_power)
 from gapkit.intpoly import IntPoly
@@ -312,6 +315,80 @@ def test_galois_status(cubic_form, d12_form, cubic_aut, d12_aut):
     assert galois_status(d12_form, root_orbit_partition(d12_aut))[0] == "yes"
     f = CUBE_FORM
     assert galois_status(f, root_orbit_partition(aut_prime(f)))[0] == "no"
+
+
+def _galois(f: BinForm) -> tuple[str, str]:
+    return galois_status(f, root_orbit_partition(aut_prime(f)))
+
+
+@pytest.mark.parametrize("e", [300, 600])
+def test_scaled_cyclic_quartic_is_never_called_non_galois(e):
+    # x^4 - 4x^2 + 2 at y -> 2^e y still generates the cyclic quartic field
+    # Q(sqrt(2 + sqrt 2)); the relation search fails within its budget at
+    # these sizes, which certifies nothing
+    f = BinForm((1, 0, -4 << 2 * e, 0, 2 << 4 * e))
+    assert _galois(f)[0] != "no"
+
+
+# F(x, 1) of Galois fields of degree 4 to 6, real and complex
+GALOIS_BASES = [
+    (1, 0, -4, 0, 2),             # cyclic, Q(sqrt(2 + sqrt 2))
+    (1, 0, -10, 0, 1),            # Klein four, Q(sqrt 2, sqrt 3)
+    (1, -1, -4, 4, 1),            # cyclic, 2 cos(2 pi / 15)
+    (1, 1, 1, 1, 1),              # cyclotomic, 5th roots of unity
+    (1, 0, 0, 0, 1),              # Klein four, 8th roots of unity
+    (1, 1, -4, -3, 3, 1),         # cyclic, 2 cos(2 pi / 11)
+    (1, 1, -5, -4, 6, 3, -1),     # cyclic, 2 cos(2 pi / 13)
+    (1, 1, 1, 1, 1, 1, 1),        # cyclotomic, 7th roots of unity
+    (1, 0, 0, 1, 0, 0, 1),        # cyclotomic, 9th roots of unity
+]
+
+
+def _sympy_is_galois(coeffs) -> bool:
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    group, _ = galois_group(sympy.Poly(coeffs, sympy.Symbol("x")))
+    return group.order() == len(coeffs) - 1
+
+
+def _seeded_forms() -> list[tuple[BinForm, tuple]]:
+    """(form, base) pairs: each Galois base and nine seeded irreducible forms
+    of degree 4 to 6 (almost surely not Galois), moved by a seeded integer
+    matrix of nonzero determinant and, for some, by y -> 2^e y.  The form
+    generates the field of its base, whose group sympy computes."""
+    rng = random.Random(22)
+    bases = list(GALOIS_BASES)
+    while len(bases) < len(GALOIS_BASES) + 9:
+        c = (rng.choice((1, 2, 3)),) + tuple(rng.randint(-5, 5) for _ in range(rng.randint(4, 6)))
+        if sympy.Poly(c, sympy.Symbol("x")).is_irreducible:
+            bases.append(c)
+    out = []
+    for c in bases:
+        m = IntMat2(*rng.choice(((1, 0, 1, 1), (1, 1, 0, 1), (2, 1, 1, 1), (1, -2, 1, 1),
+                                 (3, 2, 1, 1))))
+        form = form_action(BinForm(c), m)
+        e = rng.choice((0, 0, 40, 300))
+        out.append((form_action(form, IntMat2(1, 0, 0, 1 << e)), c))
+    return out
+
+
+def test_galois_verdicts_agree_with_sympy():
+    # every "yes" and every "no" on the golden forms of degree <= 6 and on
+    # the seeded forms agrees with sympy's galois_group; "unknown" is left
+    # only to Galois fields, since a non-Galois one shows unequal factor
+    # degrees at some small prime
+    golden = json.loads((Path(__file__).parent / "golden" / "aut.json").read_text())
+    cases = [(BinForm(e["coeffs"]), tuple(e["coeffs"])) for e in golden
+             if len(e["coeffs"]) <= 7] + _seeded_forms()
+    yes = 0
+    for form, base in cases:
+        status, reason = _galois(form)
+        if _sympy_is_galois(base):
+            assert status != "no", (base, reason)
+            yes += status == "yes"
+        else:
+            assert status == "no", (base, reason)
+    assert yes >= 11
 
 
 def test_census_cubic(cubic_form):
