@@ -16,13 +16,13 @@ from math import gcd
 
 from .algnum import AlgNum, PowerBasisRep, liouville_c6, power_rep
 from .intpoly import IntPoly, poly_gcd_q, resultant, squarefree_part
-from .isolation import IsolationError, isolate_roots
+from .isolation import IsolationError, isolate_roots, mahler_measure
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
 from .rounding import (AbstainError, RatInterval, certified_floor, compact_str,
-                       exp_up, log_interval, monomial_up, pow_up, root_down,
-                       root_up, tidy_down, tidy_up)
+                       exp_up, largest, log_interval, monomial_fold, monomial_up,
+                       pow_up, root_down, root_up, tidy_down, tidy_up)
 
 
 class HypothesisError(ValueError):
@@ -338,24 +338,31 @@ def _validate_mu(d: int, mu: Fraction):
     return mu
 
 
-def height_floor_branches(d: int, mu: Fraction, c0: Fraction,
-                          wronskian_floor, closing) -> tuple[tuple[str, Fraction], ...]:
-    """The three branches of the height floor C1 (C3 in the p-adic case),
-    each one ``monomial_up``; the floor is their maximum:
+def height_floor_branches(d: int, mu: Fraction, c0: Fraction, wronskian_floor, closing,
+                          tails) -> list[tuple[tuple[str, Fraction], ...]]:
+    """The three branches of the height floor C1 (C3 in the p-adic case) of
+    each of some numbers, each one ``monomial_up``; the floor is their max:
 
         C0^(1/mu), W^(1/mu) and
         (2^(d^2 mu/4) ((d+2)/2)^((3d^2+4d) mu/8) L)^(1/(2mu - d)).
 
-    ``wronskian_floor`` and ``closing`` are the metric's factor lists
-    [(base, exponent), ...] of the Wronskian-floor base W and of the rest L
-    of the Liouville closing: upper bounds on the bases (the reciprocal of a
-    lower bound where a constant divides), with exponents before the
-    division by mu or by 2mu - d."""
+    W and L (the rest of the Liouville closing) are products of factors
+    [(base, exponent), ...]: first ``wronskian_floor`` and ``closing``, which
+    the numbers share, then each number's own (W, L) factors in ``tails``.
+    The bases are upper bounds (the reciprocal of a lower bound where a
+    constant divides), the exponents come before the division by mu or by
+    2mu - d.  ``monomial_up`` rounds after each factor, left to right, so a
+    shared prefix folded once (``monomial_fold``) and continued gives the
+    bits of folding each whole list."""
     closing = [(2, Fraction(d * d, 4) * mu),
                (Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu), *closing]
-    return (("C0^(1/mu)", monomial_up([(c0, 1 / mu)])),
-            ("wronskian-floor", monomial_up([(b, x / mu) for b, x in wronskian_floor])),
-            ("liouville-closing", monomial_up([(b, x / (2 * mu - d)) for b, x in closing])))
+    w_head = monomial_fold([(b, x / mu) for b, x in wronskian_floor], 1, 0)
+    l_head = monomial_fold([(b, x / (2 * mu - d)) for b, x in closing], 1, 0)
+    c0_branch = ("C0^(1/mu)", monomial_up([(c0, 1 / mu)]))
+    return [(c0_branch,
+             ("wronskian-floor", monomial_up([(b, x / mu) for b, x in w], w_head)),
+             ("liouville-closing", monomial_up([(b, x / (2 * mu - d)) for b, x in l], l_head)))
+            for w, l in tails]
 
 
 def archimedean_floor_branches(d: int, mu: Fraction, c0: Fraction, c12v: Fraction,
@@ -365,14 +372,13 @@ def archimedean_floor_branches(d: int, mu: Fraction, c0: Fraction, c12v: Fractio
     and on the Liouville constant, and an upper bound on max(1, |alpha|).
     The factors are W = 2^((d+6)/2) ((d+2)/2) C0 C12^2 max(1, |alpha|)^d / C13
     and L = C0 C12^((d^2+3d) mu/2 + 2) max(1, |alpha|)^d / (C6 C13), with the
-    upper bound C12 that the numbers share."""
-    return [height_floor_branches(
-        d, mu, c0,
-        [(2, Fraction(d + 6, 2)), (Fraction(d + 2, 2), 1), (c0, 1), (c12v, 2),
-         (1 / c13v, 1), (max1_up, d)],
-        [(c0, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu + 2), (max1_up, d),
-         (1 / c6v, 1), (1 / c13v, 1)])
-        for c13v, c6v, max1_up in roots]
+    upper bound C12 that the numbers share: 2, (d+2)/2, C0 and C12 open both
+    lists, and are folded once for all the numbers."""
+    return height_floor_branches(
+        d, mu, c0, [(2, Fraction(d + 6, 2)), (Fraction(d + 2, 2), 1), (c0, 1), (c12v, 2)],
+        [(c0, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu + 2)],
+        [([(1 / c13v, 1), (max1_up, d)], [(max1_up, d), (1 / c6v, 1), (1 / c13v, 1)])
+         for c13v, c6v, max1_up in roots])
 
 
 def archimedean_c2(d: int, c0: Fraction, c12v: Fraction, max1_up: Fraction,
@@ -431,10 +437,10 @@ def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
 
     c4 = tidy_up(monomial_up([(d + 2, 1), (c0, 1), (c12v, 1), (c_alpha, Fraction(d, 2)),
                               (c_beta, 1)]))
-    branches = height_floor_branches(
+    (branches,) = height_floor_branches(
         d, mu, c0, [(2 * c0 / c14v, 1), (c_alpha, Fraction(3 * d - 4, 2))],
         [(c_alpha, d - 1), (c0 / c7v, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu),
-         (1 / c14v, 1)])
+         (1 / c14v, 1)], [([], [])])
     c3 = max(b for _, b in branches)
     prov = tuple((name, compact_str(val)) for name, val in branches)
     return GapConstants("p-adic", tidy_up(c3), c4, mu, c0, d,
@@ -447,30 +453,24 @@ def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
 def c11(alphas, mu, c0) -> Fraction:
     """Height threshold above which at most one of the given numbers can be
     approximated to quality C0/H**mu: max over pairs of
-    (2 C0 / |alpha_i - alpha_j|)**(1/mu), rounded up."""
+    (2 C0 / |alpha_i - alpha_j|)**(1/mu), rounded up: the one ``pow_up`` at
+    the least distance, as each of its steps ceils to a grid that only
+    coarsens as the value grows, so it is nondecreasing in its base."""
     mu, c0 = Fraction(mu), Fraction(c0)
     if len(alphas) < 2:
         raise ValueError("need at least two numbers")
+    pairs = [(i, j) for i in range(len(alphas)) for j in range(i + 1, len(alphas))]
     if isinstance(alphas[0], PadicAlgNum):
-        best = Fraction(0)
-        for i in range(len(alphas)):
-            for j in range(i + 1, len(alphas)):
-                dist = _padic_distance(alphas[i], alphas[j])
-                best = max(best, pow_up(2 * c0 / dist, 1 / mu))
-        return tidy_up(best)
+        least = min(_padic_distance(alphas[i], alphas[j]) for i, j in pairs)
+        return tidy_up(pow_up(2 * c0 / least, 1 / mu))
     width = Fraction(1, 10 ** 15)
     for _ in range(6):
         try:
-            best = Fraction(0)
-            for i in range(len(alphas)):
-                ei = alphas[i].enclosure(width) if isinstance(alphas[i], AlgNum) else alphas[i]
-                for j in range(i + 1, len(alphas)):
-                    ej = alphas[j].enclosure(width) if isinstance(alphas[j], AlgNum) else alphas[j]
-                    dist = ei.distance_interval(ej)
-                    if dist.lo <= 0:
-                        raise ZeroDivisionError
-                    best = max(best, pow_up(2 * c0 / dist.lo, 1 / mu))
-            return tidy_up(best)
+            encl = [a.enclosure(width) if isinstance(a, AlgNum) else a for a in alphas]
+            least = min(encl[i].distance_interval(encl[j]).lo for i, j in pairs)
+            if least <= 0:
+                raise ZeroDivisionError
+            return tidy_up(pow_up(2 * c0 / least, 1 / mu))
         except ZeroDivisionError:
             width /= 10 ** 8
     raise AbstainError("conjugates not separated at budget")
@@ -599,12 +599,10 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
     provenance."""
     mu, c0 = Fraction(mu), Fraction(c0)
     d = alphas[0].degree
-    branches: dict[str, Fraction] = {}
-    branches["uniqueness-C11"] = c11(alphas, mu, c0)
-    branches["pairwise-gap-floor"] = Fraction(c_small)
+    branches = {"uniqueness-C11": c11(alphas, mu, c0), "pairwise-gap-floor": Fraction(c_small)}
     if mahler_max_log_up is None:
         m_up = max(a.mahler_interval().hi if isinstance(a, AlgNum)
-                   else _padic_mahler_up(a) for a in alphas)
+                   else mahler_measure(a.minpoly).hi for a in alphas)
         mahler_max_log_up = log_interval(m_up).hi
     a_big = 500 ** 2 * (Fraction(mahler_max_log_up) + Fraction(d, 2))
     # C0 > (4 e^A)^(-1), checked as A > log(1/(4 C0)): no e^A is built
@@ -616,22 +614,14 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
     if denom.lo <= 0:
         raise HypothesisError("mu <= 1.42 sqrt(d): third adjustment inapplicable")
     log4ea = log_interval(Fraction(4)) + RatInterval(a_big)
-    exponent = (RatInterval(1) / denom) * log_interval(c0) \
-        + (lam_bound / denom) * log4ea
+    exponent = (RatInterval(1) / denom) * log_interval(c0) + (lam_bound / denom) * log4ea
     branches["large-height"] = tidy_up(exp_up(exponent.hi))
-    e_gap = mu - Fraction(d, 2)
-    branches["iteration-floor"] = pow_up(c_big, 2 / (e_gap - 1))
-    argmax = max(branches, key=branches.__getitem__)
+    branches["iteration-floor"] = pow_up(c_big, 2 / (mu - Fraction(d, 2) - 1))
+    argmax = list(branches)[largest(list(branches.values()))]
     value = tidy_up(branches[argmax])
     prov = {"branches": {k: compact_str(v) for k, v in branches.items()},
             "argmax": argmax, "A": compact_str(a_big)}
     return value, prov
-
-
-def _padic_mahler_up(xi: PadicAlgNum) -> Fraction:
-    from .isolation import mahler_measure
-
-    return mahler_measure(xi.minpoly).hi
 
 
 # -- the dichotomy ------------------------------------------------------------------

@@ -11,6 +11,8 @@ lower bounds round down.  This module supplies the primitives:
   :func:`root_up` are its one-factor cases, and a lower bound is the
   reciprocal of ``monomial_up`` on the reciprocal bases, as in
   :func:`root_down`,
+* :func:`largest`, the maximum of positive rationals, sized up by bit
+  lengths before any megabit product,
 * :class:`RatInterval`, a closed interval with rational endpoints, and
 * certified ``log``/``exp`` enclosures backed by ``mpmath.iv`` interval
   arithmetic with exact dyadic endpoint extraction, and :func:`exp_up`,
@@ -95,15 +97,15 @@ def _dyadic_root_up(m: int, e: int, k: int) -> tuple[int, int]:
     return r + (r ** k != big), (e - s) // k
 
 
-def monomial_up(terms) -> Rat:
-    """Upper bound on the product of b**x over the (b, x) in ``terms``, for
-    positive rational b and nonnegative rational x.  Each b**(p/q) is the
-    integer power b**p followed by a q-th root, on dyadics m * 2**e whose
-    mantissa is rounded up to _MONOMIAL_BITS bits at every step, so each
-    factor is within about (p/q + 1) 2^(2 - _MONOMIAL_BITS) of its value,
-    relatively, however many bits b has.  Exact when every intermediate
-    mantissa fits."""
-    m, e = 1, 0
+def monomial_fold(terms, m: int, e: int) -> tuple[int, int]:
+    """Upper bound (m, e) on m 2^e times the product of b**x over the (b, x)
+    in ``terms``, positive rational b and nonnegative rational x, folded left
+    to right.  Each b**(p/q) is the integer power b**p followed by a q-th
+    root, with mantissas rounded up to _MONOMIAL_BITS bits at every step, so
+    each factor is within about (p/q + 1) 2^(2 - _MONOMIAL_BITS) of its
+    value, relatively, however many bits b has; exact when every mantissa
+    fits.  The product is rounded after each factor, so a prefix folded once
+    and continued gives the bits of the whole list."""
     for base, exp in terms:
         base, exp = Fraction(base), Fraction(exp)
         if base <= 0 or exp < 0:
@@ -112,7 +114,30 @@ def monomial_up(terms) -> Rat:
         if exp.denominator > 1:
             tm, te = _dyadic_root_up(tm, te, exp.denominator)
         m, e = _dyadic_up(m * tm, e + te)
+    return m, e
+
+
+def monomial_up(terms, start=(1, 0)) -> Rat:
+    """Upper bound on the dyadic ``start`` times the product of the powers
+    in ``terms`` (``monomial_fold``)."""
+    m, e = monomial_fold(terms, *start)
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def largest(values) -> int:
+    """Index of the first largest of the positive rationals ``values``.  A
+    positive n/q lies in (2^(k-1), 2^(k+1)) for k = n.bit_length() -
+    q.bit_length(), so sizes two or more apart decide without a product of
+    megabit parts; closer ones are compared exactly, two integers by their
+    numerators.  The current best itself (the same object) is skipped."""
+    best = 0
+    for i, a in enumerate(values):
+        b = values[best]
+        ka, kb = (v.numerator.bit_length() - v.denominator.bit_length() for v in (a, b))
+        if a is not b and (ka - kb > 1 or (ka - kb > -2 and (
+                a.numerator > b.numerator if a.denominator == 1 == b.denominator else a > b))):
+            best = i
+    return best
 
 
 def pow_up(base: Rat, exp: Rat) -> Rat:

@@ -42,7 +42,8 @@ from .intpoly import IntPoly, describe, factor_degrees_by_prime
 from .isolation import (TABLE_WIDTH, PrecisionError, _RootSystem, disk_distance,
                         disk_sub, isolate_roots, mahler_measure, root_system)
 from .minpair import c12_closed_form, c13_formula
-from .rounding import compact_str, log_interval, monomial_up, pow_up, root_up, tidy_up
+from .rounding import (compact_str, largest, log_interval, monomial_up, pow_up, root_up,
+                       tidy_up)
 
 
 class ThueError(ValueError):
@@ -395,13 +396,11 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
         first += Fraction(1, 10 ** 6)
     poly = normalize_minimal_poly(f.dehomogenize())
     recip = normalize_minimal_poly(poly.reciprocal())
-    thresholds: dict[tuple, tuple[Fraction, dict]] = {}
-    for p in (poly, recip):
-        if p.coeffs not in thresholds:
-            thresholds[p.coeffs] = _conjugate_c16(p, mu)
-    c16_a, prov_a = thresholds[poly.coeffs]
-    c16_b, prov_b = thresholds[recip.coeffs]
-    value = tidy_up(max(first, c16_a, c16_b))
+    c16_a, prov_a = _conjugate_c16(poly, mu)
+    c16_b, prov_b = ((c16_a, prov_a) if recip.coeffs == poly.coeffs
+                     else _conjugate_c16(recip, mu))
+    candidates = (first, c16_a, c16_b)
+    value = tidy_up(candidates[largest(candidates)])
     prov = {"lewis-mahler": compact_str(first),
             "C16(alpha)": compact_str(c16_a), "C16(alpha_inv)": compact_str(c16_b),
             "branches(alpha)": prov_a, "branches(alpha_inv)": prov_b}
@@ -410,10 +409,19 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
 
 def _conjugate_c16(p: IntPoly, mu: Fraction) -> tuple[Fraction, dict]:
     """C16 with C0 = 1 for the roots of ``p``, from the closed-form
-    Archimedean gap constants of every ordered pair of distinct roots: the
+    Archimedean gap constants of the ordered pairs of distinct roots: the
     index bound stands in for the exact denominator scalar, so no pair is
     computed (all roundings upward).  C12 and the Mahler measure are shared
-    by the roots and computed once."""
+    by the roots and computed once.
+
+    C_big, the largest ``archimedean_c2`` over the pairs (i, j), is that of
+    (top, second) or (second, top), the roots of largest and second largest
+    |alpha|, since ``archimedean_c2`` is nondecreasing in
+    max(1, |alpha_i|) and in |alpha_j|: ``monomial_up`` ceils every step to
+    a grid that only coarsens as the value grows, and ``tidy_up`` ceils to
+    a decimal grid set by floor(log2 x) on the dyadics that ``monomial_up``
+    returns (on other fractions the parts' bit lengths misplace the binade,
+    and ``tidy_up`` puts 35/3 above some fractions just over it)."""
     d = p.degree
     c0 = Fraction(1)
     alphas = [AlgNum(p, i) for i in range(d)]
@@ -426,8 +434,9 @@ def _conjugate_c16(p: IntPoly, mu: Fraction) -> tuple[Fraction, dict]:
              for i, a in enumerate(alphas)]
     c_small = max(tidy_up(max(b for _, b in branches))
                   for branches in archimedean_floor_branches(d, mu, c0, c12v, roots))
+    second, top = sorted(range(d), key=abs_up.__getitem__)[-2:]
     c_big = max(archimedean_c2(d, c0, c12v, max1_up[i], abs_up[j])
-                for i in range(d) for j in range(d) if i != j)
+                for i, j in ((top, second), (second, top)))
     return c16(alphas, mu, c0, c_small, c_big, log_interval(m_up).hi)
 
 

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from gapkit.algnum import AlgNum
-from gapkit.gap import (ApproxPair, HypothesisError, MobiusRelation,
+from gapkit.gap import (ApproxPair, HypothesisError, MobiusRelation, _padic_distance,
                         archimedean_constants, arch_quality, c11, c15, c16,
                         check_gap_dichotomy, classic_gap_check,
                         compare_to_power, count_bound, derived_approx,
@@ -17,7 +17,7 @@ from gapkit.gap import (ApproxPair, HypothesisError, MobiusRelation,
 from gapkit.intpoly import IntPoly, poly_gcd_q
 from gapkit.minpair import find_pair
 from gapkit.padic import hensel_root
-from gapkit.rounding import RatInterval, log_interval
+from gapkit.rounding import RatInterval, log_interval, pow_up, tidy_up
 from tests.conftest import CUBIC
 
 
@@ -218,6 +218,17 @@ def test_nonarchimedean_constants_d3(alpha_cubic, beta_cubic):
     assert any(name == "C0^(1/mu)" and Fraction(val) == big_c0.c_small
                for name, val in big_c0.provenance if name == "C0^(1/mu)") or \
         big_c0.c_small >= Fraction(10 ** 12) ** Fraction(4, 11) * Fraction(99, 100)
+
+
+def test_padic_c11_is_the_largest_power_over_the_pairs():
+    # 17-adic roots at distances 1, 1/17 and 1: the all-pairs maximum of
+    # the rounded powers, taken from the least distance alone
+    xs = [hensel_root(CUBIC, 17, 3), hensel_root(CUBIC, 17, 4),
+          hensel_root(IntPoly((16, -3, 0, 1)), 17, 3)]
+    mu = Fraction(11, 4)
+    dists = [_padic_distance(xs[i], xs[j]) for i in range(3) for j in range(i + 1, 3)]
+    assert sorted(dists) == [Fraction(1, 17), 1, 1]
+    assert c11(xs, mu, 1) == tidy_up(max(pow_up(2 / dist, 1 / mu) for dist in dists))
 
 
 def test_c11_examples(alpha_cubic):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gapkit.isolation import _dyadic
 from gapkit.rounding import (_MONOMIAL_BITS, RatInterval, _mpf_tuple_to_fraction,
-                             certified_floor, compact_str, monomial_up, pow_up,
+                             certified_floor, compact_str, largest, monomial_up, pow_up,
                              root_down, root_up, simplest_rational_in, tidy_down,
                              tidy_up, exp_interval, exp_up, log_interval)
 from gapkit.rounding import _TIDY_DIGITS, _dec_exponent
@@ -304,3 +304,41 @@ def test_exp_interval_of_a_huge_argument():
             shift = num.bit_length() - 64
             log2 = shift - (den.bit_length() - 1) + mpmath.log(num >> shift, 2)
             assert abs(log2 - expected) < mpmath.mpf(2) ** -30
+
+
+positives = st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 9), max_value=Fraction(10 ** 9),
+                 max_denominator=10 ** 9),
+    st.integers(min_value=1, max_value=2 ** 80).map(Fraction),
+    # nearby values whose parts differ in bit length
+    st.tuples(st.integers(min_value=1, max_value=2 ** 12),
+              st.integers(min_value=1, max_value=2 ** 12)).map(lambda t: Fraction(*t)))
+SEVEN_THIRDS = Fraction(7, 3)
+
+
+@given(st.lists(positives, min_size=1, max_size=6))
+@example([Fraction(17, 9), Fraction(31, 16)])     # sizes 1 and 0, 17/9 the smaller
+@example([Fraction(31, 16), Fraction(17, 9)])
+@example([Fraction(3), 3])                        # equal, a Fraction and an int
+@example([Fraction(3, 2), Fraction(6, 4)])        # equal, two objects
+@example([Fraction(5), Fraction(6)])              # integers of one bit length
+@example([Fraction(6), Fraction(5)])
+@example([SEVEN_THIRDS, SEVEN_THIRDS])            # one object twice
+@example([Fraction(2 ** 64 + 1, 2 ** 64), Fraction(2 ** 63 - 1, 2 ** 62)])
+@settings(max_examples=300, deadline=None)
+def test_largest_is_the_first_maximum_in_fraction_order(values):
+    assert largest(values) == values.index(max(values))
+
+
+def test_largest_never_multiplies_out_sizes_two_bits_apart():
+    # 2^40000 / 3 against 5 / 2^40000: bit lengths decide, with no product
+    class Parts:
+        def __init__(self, n, q):
+            self.numerator, self.denominator = n, q
+
+        def __gt__(self, other):
+            raise AssertionError("exact comparison of values sizes apart")
+
+    small, big = Parts(5, 2 ** 40000), Parts(2 ** 40000, 3)
+    assert largest([small, big]) == 1
+    assert largest([big, small, small]) == 0

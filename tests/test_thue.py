@@ -10,20 +10,21 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapkit import isolation, thue
+from gapkit import gap, isolation, rounding, thue
 from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minimal_poly,
                            theta_upper_bound)
 from gapkit.autgroup import aut_prime, root_orbit_partition
 from gapkit.binforms import BinForm, IntMat2, form_action
-from gapkit.gap import (GapConstants, HypothesisError, arch_quality, c16,
-                        interval_vs_power)
+from gapkit.gap import (GapConstants, HypothesisError, arch_quality, archimedean_c2, c11,
+                        c16, interval_vs_power)
 from gapkit.intpoly import IntPoly
 from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          census, convergents, enumerate_primitive,
                          galois_status, legendre_height, lewis_mahler_c10,
                          window_search)
 from gapkit.minpair import c12_closed_form, c13_formula
-from gapkit.rounding import RatInterval, compact_str, root_up, tidy_up
+from gapkit.rounding import (RatInterval, compact_str, monomial_up, pow_up, root_up,
+                             tidy_up)
 from tests.lewis_mahler import inverse_distance, lewis_mahler_check
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
@@ -619,6 +620,98 @@ def test_c5_palindromic_reuse_matches_inverse_roots():
         c16_max = max(explicit["alpha"][0], explicit["alpha_inv"][0])
         assert _exact_pow_up(c10, 1 / (f.degree - mu)) < c16_max
         assert value == tidy_up(c16_max)
+
+
+def _spy(monkeypatch, module, name, log):
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        log.append((args, out))
+        return out
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_d12_c5_makes_o_d_rounded_powers(d12_form, monkeypatch):
+    # all pairs took 132 archimedean_c2 calls, 66 powers in c11 and 912
+    # rounded powers in all; the monotone maxima and the folded C1 prefix
+    # leave two, one and at most 100
+    c10 = lewis_mahler_c10(d12_form)
+    logs = {"c2": [], "c16": [], "c11_pow": [], "dyadic_pow": []}
+    _spy(monkeypatch, thue, "archimedean_c2", logs["c2"])
+    _spy(monkeypatch, thue, "_conjugate_c16", logs["c16"])
+    _spy(monkeypatch, rounding, "_dyadic_pow_up", logs["dyadic_pow"])
+    c11_calls = []
+
+    def c11_spy(*args):
+        before = len(logs["c11_pow"])
+        out = c11(*args)
+        c11_calls.append(len(logs["c11_pow"]) - before)
+        return out
+    monkeypatch.setattr(gap, "c11", c11_spy)
+    _spy(monkeypatch, gap, "pow_up", logs["c11_pow"])
+    c5(d12_form, 3, Fraction(38, 4), c10)
+    assert len(logs["c16"]) == 1                      # D12 is palindromic
+    assert len(logs["c2"]) <= 2 * len(logs["c16"])
+    assert c11_calls == [1]
+    assert len(logs["dyadic_pow"]) <= 100
+
+
+GOLDEN_AUT = json.loads((Path(__file__).parent / "golden" / "aut.json").read_text())
+
+
+def _all_pairs_c11(alphas, mu, c0):
+    """c11 as the maximum of one rounded power per pair."""
+    width = Fraction(1, 10 ** 15)
+    for _ in range(6):
+        encl = [a.enclosure(width) for a in alphas]
+        dists = [encl[i].distance_interval(encl[j]).lo
+                 for i in range(len(alphas)) for j in range(i + 1, len(alphas))]
+        if min(dists) > 0:
+            return tidy_up(max(pow_up(2 * c0 / dist, 1 / mu) for dist in dists))
+        width /= 10 ** 8
+    raise AssertionError("conjugates not separated")
+
+
+def _unfolded_floor_branches(d, mu, c0, wronskian_floor, closing):
+    """C1's three branches of one number, each factor list folded whole."""
+    closing = [(2, Fraction(d * d, 4) * mu),
+               (Fraction(d + 2, 2), Fraction(3 * d * d + 4 * d, 8) * mu), *closing]
+    return (("C0^(1/mu)", monomial_up([(c0, 1 / mu)])),
+            ("wronskian-floor", monomial_up([(b, x / mu) for b, x in wronskian_floor])),
+            ("liouville-closing", monomial_up([(b, x / (2 * mu - d)) for b, x in closing])))
+
+
+@pytest.mark.parametrize("coeffs", [e["coeffs"] for e in GOLDEN_AUT],
+                         ids=[",".join(map(str, e["coeffs"])) for e in GOLDEN_AUT])
+def test_conjugate_c16_reductions_equal_the_all_pairs_loops(coeffs, monkeypatch):
+    # C_big from at most two pairs, c11 from the least distance and C1 from
+    # the folded prefix are each exactly the all-pairs value
+    f = BinForm(coeffs)
+    d = f.degree
+    mu = Fraction(3 * d + 2, 4)
+    poly = normalize_minimal_poly(f.dehomogenize())
+    for p in (poly, normalize_minimal_poly(poly.reciprocal())):
+        floors, c16s = [], []
+        _spy(monkeypatch, thue, "archimedean_floor_branches", floors)
+        _spy(monkeypatch, thue, "c16", c16s)
+        thue._conjugate_c16(p, mu)
+        monkeypatch.undo()
+        [((_, _, c0, c12v, roots), branches)] = floors
+        [((alphas, _, _, c_small, c_big, _), _)] = c16s
+        unfolded = [_unfolded_floor_branches(
+            d, mu, c0,
+            [(2, Fraction(d + 6, 2)), (Fraction(d + 2, 2), 1), (c0, 1), (c12v, 2),
+             (1 / c13v, 1), (max1_up, d)],
+            [(c0, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu + 2), (max1_up, d),
+             (1 / c6v, 1), (1 / c13v, 1)])
+            for c13v, c6v, max1_up in roots]
+        assert branches == unfolded
+        assert c_small == max(tidy_up(max(b for _, b in br)) for br in unfolded)
+        abs_up = [a.abs_interval().hi for a in alphas]
+        assert c_big == max(archimedean_c2(d, c0, c12v, max(Fraction(1), abs_up[i]), abs_up[j])
+                            for i in range(d) for j in range(d) if i != j)
+        assert c11(alphas, mu, c0) == _all_pairs_c11(alphas, mu, c0)
 
 
 def test_convergents_cbrt2(cbrt2):
