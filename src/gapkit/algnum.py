@@ -21,18 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt, lcm, prod
 
 import mpmath
 
 from . import isolation
-from .intpoly import (IntPoly, describe, discriminant_poly, factor_degree_sieve, is_squarefree,
+from .intpoly import (IntPoly, describe, discriminant_poly, factor_degree_sieve,
+                      factor_degrees_by_prime, factor_degrees_mod, is_squarefree,
                       normalize_minimal_poly, prem)
-from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _rescaled,
-                        disk_elementary, disk_holds_integer, disk_sub, house,
-                        isolate_roots, mahler_measure, root_enclosure, root_system)
-from .rounding import RatInterval, tidy_down, tidy_up
+from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _disk_abs, _span,
+                        disk_distance, disk_elementary, disk_holds_integer, disk_sub,
+                        first_rung, house, root_system)
+from .rounding import AbstainError, RatInterval, tidy_down, tidy_up
 
 
 class NotInFieldError(ValueError):
@@ -43,6 +44,8 @@ class NotInFieldError(ValueError):
 # conjugation-closed root sets it tests before it abstains
 _SIEVE_PRIMES = 10
 _SUBSET_BUDGET = 4096
+# the primes that ``power_rep`` and ``thue.galois_status`` scan for a certificate
+_FROBENIUS_PRIMES = 64
 
 
 def is_irreducible(p: IntPoly) -> bool:
@@ -61,11 +64,12 @@ def is_irreducible(p: IntPoly) -> bool:
     excludes gives a candidate factor, a prod (x - r) over S with each
     coefficient the integer nearest its disk, and exact division decides
     it: if it divides f, f is reducible.  Otherwise the set is tried again
-    on disks refined 10**20 times narrower.  The certificate is the
-    excluding disk of every set, or the exact quotient; no verdict comes
-    from floating point.  The test abstains with ``PrecisionError`` (exit
-    3) when a set is still undecided after five widths, or when more than
-    ``_SUBSET_BUDGET`` sets would have to be tried.  The root system keeps
+    on the next rung of the root system's refinement ladder.  The
+    certificate is the excluding disk of every set, or the exact quotient;
+    no verdict comes from floating point.  The test abstains with
+    ``PrecisionError`` (exit 3) when a set is still undecided past the
+    ladder's last rung, or when more than ``_SUBSET_BUDGET`` sets would
+    have to be tried.  The root system keeps
     the root-set verdict, so testing a polynomial again only reads it,
     before the squarefree test and the sieve.
     """
@@ -89,10 +93,8 @@ def is_irreducible(p: IntPoly) -> bool:
 def _root_set_test(system, sizes: set[int]) -> bool:
     """``is_irreducible``'s verdict on the root sets of the open sizes."""
     f, a = system.poly, system.poly.lead
-    width = TABLE_WIDTH
-    todo = _closed_root_sets(system.scaled(width).mirror, sizes)
-    for _ in range(5):
-        table = system.scaled(width)
+    todo = _closed_root_sets(system.scaled(TABLE_WIDTH).mirror, sizes)
+    for table in system.ladder():
         disks, bits = table.alpha, table.bits
         undecided = []
         for roots in todo:
@@ -107,8 +109,7 @@ def _root_set_test(system, sizes: set[int]) -> bool:
             undecided.append(roots)
         if not undecided:
             return True
-        todo, width = undecided, width / 10 ** 20
-    raise PrecisionError(f"irreducibility of the polynomial of {describe(f)} undecided at budget")
+        todo = undecided
 
 
 def _closed_root_sets(mirror: list[int | None], sizes: set[int]) -> list[list[int]]:
@@ -156,10 +157,9 @@ class AlgNum:
         p = normalize_minimal_poly(p)
         if not is_irreducible(p):
             raise ValueError(f"polynomial of {describe(p)} is not irreducible over Q")
-        approx = Fraction(approx)
-        encl = isolate_roots(p, Fraction(1, 10 ** 9))
-        best = min(encl, key=lambda e: e.distance_interval(approx).hi)
-        return AlgNum(p, best.index)
+        q, table = Fraction(approx), first_rung(p)
+        return AlgNum(p, min(range(p.degree), key=lambda i: disk_distance(
+            table.alpha[i], q.numerator, q.denominator, 1 << table.bits)[1]))
 
     # -- basic data -----------------------------------------------------------
     @property
@@ -174,21 +174,19 @@ class AlgNum:
     def height(self) -> int:
         return self.minpoly.height()
 
-    def enclosure(self, width: Fraction = Fraction(1, 10 ** 12)) -> RootEnclosure:
-        return root_enclosure(self.minpoly, self.index, width)
+    def enclosure(self, width: Fraction = TABLE_WIDTH) -> RootEnclosure:
+        return root_system(self.minpoly).refined(self.index, width)
 
     @property
     def is_real(self) -> bool:
-        return self.enclosure().is_real
-
-    def conjugates(self, width: Fraction = Fraction(1, 10 ** 12)) -> list[RootEnclosure]:
-        return isolate_roots(self.minpoly, width)
+        return root_system(self.minpoly).base[self.index].is_real
 
     def abs_interval(self) -> RatInterval:
-        return self.enclosure().abs_interval()
+        table = first_rung(self.minpoly)
+        return _disk_abs(table.alpha[self.index], table.bits)
 
     def mahler_interval(self) -> RatInterval:
-        return mahler_measure(self.minpoly, Fraction(1, 10 ** 20))
+        return first_rung(self.minpoly).mahler(self.lead)
 
     def __str__(self):
         return f"root #{self.index} of {self.minpoly}"
@@ -268,9 +266,13 @@ def power_rep(alpha: AlgNum, beta: AlgNum) -> PowerBasisRep:
     embeddings and then verified exactly: the beta minimal polynomial must
     vanish on the representation modulo the alpha minimal polynomial, and the
     certified image of the representation must land in beta's enclosure.
-    Raises NotInFieldError when no representation exists (certain when the
-    degree divisibility test fails; otherwise reported after the search
-    budget is exhausted).
+    NotInFieldError (exit 2) is certain: beta's degree does not divide
+    alpha's, a selected embedding is not real (the search's hypothesis), or,
+    once the search budget is spent, f = alpha's minimal polynomial has a
+    root mod p and g = beta's has none for one of the first
+    ``_FROBENIUS_PRIMES`` primes p dividing neither lc nor disc of either:
+    a degree-1 prime of Q(alpha) above p would restrict to one of Q(beta).
+    Otherwise a spent budget abstains (AbstainError, exit 3).
     """
     d = alpha.degree
     if d % beta.degree != 0:
@@ -295,15 +297,23 @@ def power_rep(alpha: AlgNum, beta: AlgNum) -> PowerBasisRep:
             if rep is not None:
                 return rep
         bits *= 2
-    raise NotInFieldError(
-        f"no verified representation of {beta} over {alpha} "
-        "within 2400 bits")
+    f, g = alpha.minpoly, beta.minpoly
+    for p, degrees in islice(factor_degrees_by_prime(f), _FROBENIUS_PRIMES):
+        other = factor_degrees_mod(g, p)   # None when p divides lc(g) or disc(g)
+        if 1 in degrees and other is not None and 1 not in other:
+            raise NotInFieldError(f"alpha's minimal polynomial, of {describe(f)}, has a root "
+                                  f"mod {p} and beta's, of {describe(g)}, has none")
+    raise AbstainError(f"no verified representation of root #{beta.index} of the polynomial "
+                       f"of {describe(g)} over root #{alpha.index} of that of {describe(f)} "
+                       "within 2400 bits")
 
 
 def _pslq_candidate(alpha: AlgNum, beta: AlgNum, bits: int):
+    # refined here rather than through the root cache: the width follows the
+    # search's precision, not the roots
     width = Fraction(1, 2 ** bits)
-    a_enc = alpha.enclosure(width)
-    b_enc = beta.enclosure(width)
+    a_enc = alpha.enclosure().refine(width)
+    b_enc = beta.enclosure().refine(width)
     old = mpmath.mp.prec
     try:
         mpmath.mp.prec = bits + 64
@@ -347,27 +357,20 @@ def _verify_algebraic(f: IntPoly, g: IntPoly, num: IntPoly, den: int) -> bool:
 
 def _verify_embedding(alpha: AlgNum, beta: AlgNum, rep: PowerBasisRep) -> bool:
     """Certify that the representation evaluates to beta's selected root,
-    not another conjugate: the certified image must meet beta's enclosure
-    and avoid every other root enclosure.  Both selected roots are real
-    (``power_rep`` has checked), so the image is a real interval."""
-    width = Fraction(1, 10 ** 12)
+    not another conjugate: the certified image must meet beta's disk and
+    avoid every other real root disk (a real value is no nonreal root), on
+    the rungs of both root systems' refinement ladders.  Both selected
+    roots are real (``power_rep`` has checked), so the image is a real
+    interval."""
     num, den = rep.numerator(), rep.denominator
-    for _ in range(6):
-        img = num.eval_at(alpha.enclosure(width).interval) * Fraction(1, den)
-        biv = beta.enclosure(width).interval
-        if img.certainly_lt(biv) or img.certainly_gt(biv):
+    for ta, tb in zip(root_system(alpha.minpoly).ladder(), root_system(beta.minpoly).ladder()):
+        img = num.eval_at(_span(ta.alpha[alpha.index], ta.bits)) * Fraction(1, den)
+        spans = [_span(z, tb.bits) for z in tb.alpha]
+        if img.certainly_lt(spans[beta.index]) or img.certainly_gt(spans[beta.index]):
             return False
-        others = [e for e in beta.conjugates(width) if e.index != beta.index]
-        if all(_interval_avoids(img, o) for o in others):
+        if all(img.certainly_lt(s) or img.certainly_gt(s) for i, s in enumerate(spans)
+               if i != beta.index and tb.alpha[i][1] == 0):
             return True
-        width /= 10 ** 6
-    raise PrecisionError("embedding verification undecided at budget")
-
-
-def _interval_avoids(img: RatInterval, other: RootEnclosure) -> bool:
-    if other.is_real:
-        return img.certainly_lt(other.interval) or img.certainly_gt(other.interval)
-    return True  # a real value never equals a certified nonreal root
 
 
 def c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
@@ -376,29 +379,23 @@ def c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
 
         d * house(beta) * max_j prod_{i != j} (1 + |alpha_i|) / |alpha_i - alpha_j|
 
-    each product one integer quotient read off the root disks (``_abs_bounds``
-    at the finer scale of disks i and j); a distance bound of 0 refines them."""
+    the house read off the first rung of beta's root system (``house``),
+    each product one integer quotient of ``_abs_bounds`` on a rung of
+    alpha's refinement ladder, at its one scale; a distance bound of 0
+    takes the next rung."""
     d = alpha.degree
-    width = Fraction(1, 10 ** 12)
-    for _ in range(8):
-        encl = alpha.conjugates(width)
-        up = [_abs_bounds(e.disk)[1] + (1 << e.bits) for e in encl]
+    house_up = house(beta.minpoly, TABLE_WIDTH).hi
+    for table in root_system(alpha.minpoly).ladder():
+        up = [_abs_bounds(z)[1] + (1 << table.bits) for z in table.alpha]
         best = Fraction(0)
-        for j, ej in enumerate(encl):
-            num = den = 1
-            for i, ei in enumerate(encl):
-                if i != j:
-                    bits = max(ei.bits, ej.bits)
-                    num *= up[i] << (bits - ei.bits)
-                    den *= _abs_bounds(disk_sub(_rescaled(ei.disk, ei.bits, bits),
-                                                _rescaled(ej.disk, ej.bits, bits)))[0]
+        for j, zj in enumerate(table.alpha):
+            den = prod(_abs_bounds(disk_sub(zi, zj))[0] for i, zi in enumerate(table.alpha)
+                       if i != j)
             if not den:
                 break
-            best = max(best, Fraction(num, den))
+            best = max(best, Fraction(prod(up[:j] + up[j + 1:]), den))
         else:
-            return tidy_up(d * house(beta.minpoly, width).hi * best)
-        width /= 10 ** 6
-    raise PrecisionError("conjugate separation undecided at budget")
+            return tidy_up(d * house_up * best)
 
 
 def theta_upper_bound(alpha: AlgNum) -> int:
@@ -418,8 +415,10 @@ def liouville_c6(alpha: AlgNum) -> Fraction:
 
         C6 = (c_alpha * prod_{i != selected} (1 + |alpha_i|))**(-1), rounded down,
 
-    one integer product of ``_abs_bounds`` read off the root disks.
+    one integer product of ``_abs_bounds`` read off the first rung's disks.
     """
-    others = [e for e in alpha.conjugates(Fraction(1, 10 ** 12)) if e.index != alpha.index]
-    den = alpha.lead * prod(_abs_bounds(e.disk)[1] + (1 << e.bits) for e in others)
-    return tidy_down(Fraction(1 << sum(e.bits for e in others), den))
+    table = first_rung(alpha.minpoly)
+    one = 1 << table.bits
+    den = alpha.lead * prod(_abs_bounds(z)[1] + one for i, z in enumerate(table.alpha)
+                            if i != alpha.index)
+    return tidy_down(Fraction(one ** (alpha.degree - 1), den))

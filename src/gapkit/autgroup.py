@@ -27,8 +27,8 @@ from math import gcd, isqrt, lcm
 from .algnum import is_irreducible
 from .binforms import BinForm, IntMat2, form_action
 from .intpoly import describe
-from .isolation import (TABLE_WIDTH, PrecisionError, ScaledRoots, disk_disjoint,
-                        disk_div, disk_mul, disk_sub, root_system, separation_bits)
+from .isolation import (ScaledRoots, disk_disjoint, disk_div, disk_mul, disk_sub,
+                        root_system)
 from .rounding import simplest_rational_in
 
 
@@ -122,10 +122,11 @@ def aut_prime(f: BinForm) -> EnhancedAut:
     Each surviving triple's map is reconstructed and its entry ratios are
     rationalized.  A survivor whose ratios never rationalize is dropped
     without being certified absent, so the returned group is certified to
-    lie in Aut'|F| but not to be all of it.  The enclosures are refined,
-    from the ``TABLE_WIDTH`` table on, until every element's permutation is
-    certified on the table that found the group (abstaining far below the
-    roots' separation, ``separation_bits``).
+    lie in Aut'|F| but not to be all of it.  The tables are the rungs of
+    the root system's refinement ladder (``isolation._RootSystem``), walked
+    until every element's permutation is certified on the table that found
+    the group; past the last rung, far below the roots' separation, it
+    abstains.
     """
     if f.degree < 3:
         raise AutError("degree must be >= 3")
@@ -133,11 +134,8 @@ def aut_prime(f: BinForm) -> EnhancedAut:
         raise AutError(f"form of {describe(f)} is not irreducible over Q")
     system = root_system(f.dehomogenize())
     sides = [(e.disk[1] > 0) - (e.disk[1] < 0) for e in system.base]
-    width = TABLE_WIDTH
     found: dict[tuple, tuple[int, int]] = {}
-    # a step of 10**-10 is over 2**-32: the last width is far below 2**-separation_bits
-    for _ in range(5 + separation_bits(system.poly) // 32):
-        table = system.scaled(width)
+    for table in system.ladder():
         for m in _candidate_matrices(table, sides):
             if m.entries() not in found and (-m).entries() not in found:
                 ok = membership_scale(f, m)
@@ -151,9 +149,6 @@ def aut_prime(f: BinForm) -> EnhancedAut:
                 _image_index(IntMat2(*k), z, table.alpha, table.bits) for z in table.alpha)
         if all(None not in p for p in perms.values()):
             break
-        width /= 10 ** 10
-    else:
-        raise PrecisionError("root permutations not certified within budget")
     elements = tuple(sorted(
         (AutElement(IntMat2(*k), sc, sg, perms[k]) for k, (sc, sg) in found.items()),
         key=lambda e: (abs(e.det), e.matrix.entries())))

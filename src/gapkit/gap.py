@@ -16,7 +16,7 @@ from math import gcd
 
 from .algnum import AlgNum, PowerBasisRep, liouville_c6, power_rep
 from .intpoly import IntPoly, poly_gcd_q, resultant, squarefree_part
-from .isolation import IsolationError, isolate_roots, mahler_measure
+from .isolation import IsolationError, RootEnclosure, first_rung, mahler_measure, root_system
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
@@ -86,8 +86,7 @@ class ApproxPair:
         return ApproxPair(x, y)
 
 
-def arch_quality(alpha: AlgNum, pair: ApproxPair,
-                 width: Fraction = Fraction(1, 10 ** 30)) -> RatInterval:
+def arch_quality(alpha: AlgNum, pair: ApproxPair, width: Fraction) -> RatInterval:
     """Certified |alpha - x/y| (Archimedean; y != 0 required)."""
     if pair.y == 0:
         raise ValueError("y = 0 has no Archimedean quality")
@@ -219,10 +218,11 @@ def _root_iv(n: int, r: int) -> RatInterval:
     return RatInterval(root_down(f, r), root_up(f, r))
 
 
-def _sf_roots(p: IntPoly):
-    if p.degree < 1:
-        return []
-    return isolate_roots(squarefree_part(p), Fraction(1, 10 ** 12))
+def _sf_roots(p: IntPoly) -> list[RootEnclosure]:
+    """The roots of p's squarefree part (degree >= 1), read off its first rung."""
+    q = squarefree_part(p)
+    table = first_rung(q)
+    return [RootEnclosure(q, i, z, table.bits) for i, z in enumerate(table.alpha)]
 
 
 def vanishing_gap(p: IntPoly, q: IntPoly, x1: int, y1: int
@@ -455,7 +455,10 @@ def c11(alphas, mu, c0) -> Fraction:
     approximated to quality C0/H**mu: max over pairs of
     (2 C0 / |alpha_i - alpha_j|)**(1/mu), rounded up: the one ``pow_up`` at
     the least distance, as each of its steps ceils to a grid that only
-    coarsens as the value grows, so it is nondecreasing in its base."""
+    coarsens as the value grows, so it is nondecreasing in its base.  The
+    Archimedean distances are read off the rungs of the numbers' root
+    systems' refinement ladders, walked together until every pair's lower
+    bound is positive."""
     mu, c0 = Fraction(mu), Fraction(c0)
     if len(alphas) < 2:
         raise ValueError("need at least two numbers")
@@ -463,17 +466,14 @@ def c11(alphas, mu, c0) -> Fraction:
     if isinstance(alphas[0], PadicAlgNum):
         least = min(_padic_distance(alphas[i], alphas[j]) for i, j in pairs)
         return tidy_up(pow_up(2 * c0 / least, 1 / mu))
-    width = Fraction(1, 10 ** 15)
-    for _ in range(6):
-        try:
-            encl = [a.enclosure(width) if isinstance(a, AlgNum) else a for a in alphas]
-            least = min(encl[i].distance_interval(encl[j]).lo for i, j in pairs)
-            if least <= 0:
-                raise ZeroDivisionError
+    systems = {a.minpoly: root_system(a.minpoly) for a in alphas}
+    for tables in zip(*(s.ladder() for s in systems.values())):
+        rung = dict(zip(systems, tables))
+        encl = [RootEnclosure(a.minpoly, a.index, rung[a.minpoly].alpha[a.index],
+                              rung[a.minpoly].bits) for a in alphas]
+        least = min(encl[i].distance_interval(encl[j]).lo for i, j in pairs)
+        if least > 0:
             return tidy_up(pow_up(2 * c0 / least, 1 / mu))
-        except ZeroDivisionError:
-            width /= 10 ** 8
-    raise AbstainError("conjugates not separated at budget")
 
 
 def _padic_distance(a: PadicAlgNum, b: PadicAlgNum) -> Fraction:

@@ -34,6 +34,16 @@ Refinement produces new, smaller enclosures; the old value is never mutated.
 An enclosure depends only on (polynomial, root index, requested width), never
 on what the process asked for before, and the two disks of a conjugate pair
 are exact mirrors at every width.
+
+Each root system has one refinement ladder (``_RootSystem.ladder``): its
+``ScaledRoots`` tables at ``TABLE_WIDTH`` = 10**-20, then 10**-10 finer at
+each rung, for 9 + s // 32 rungs with s = ``separation_bits``, then a
+``PrecisionError``.  Every test that refines root enclosures until it
+decides walks it; every one-shot read of root data for a constant reads its
+first rung (``first_rung``), at one integer scale.  Nine rungs reach
+10**-100 whatever s is, and as 10**-10 < 2**-33, the last rung,
+10**-(100 + 10 (s // 32)), lies below 2**-(s + 300): far below the distance
+of any two roots, where distinct roots' disks are disjoint with room to spare.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, pi
+from math import isqrt, pi, prod
 
 import cmath
 import mpmath
@@ -86,16 +96,13 @@ class RootEnclosure:
         """A real root's isolating interval, the disk's diameter."""
         if self.disk[1]:
             raise ValueError("a nonreal root has no isolating interval")
-        return self.re_interval()
+        return _span(self.disk, self.bits)
 
     def width(self) -> Fraction:
         return Fraction(2 * self.disk[2], 1 << self.bits)
 
     def abs_interval(self) -> RatInterval:
         return _disk_abs(self.disk, self.bits)
-
-    def re_interval(self) -> RatInterval:
-        return _span(self.disk, self.bits)
 
     def distance_interval(self, other: "RootEnclosure | Fraction") -> RatInterval:
         """Certified |self - other|: ``disk_sub`` at the finer scale of two
@@ -111,8 +118,13 @@ class RootEnclosure:
         return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
     def refine(self, width: Fraction) -> "RootEnclosure":
-        """Enclosure of the same root with width <= ``width``."""
-        return _refine_enclosure(self, Fraction(width))
+        """Enclosure of the same root with width <= ``width``: the real disk
+        bisected, the nonreal one refined by ``_refine_disk``."""
+        if self.width() <= width:
+            return self
+        refine = _bisect if self.is_real else _refine_disk
+        return RootEnclosure(self.poly, self.index,
+                             *refine(self.poly, self.disk, self.bits, Fraction(width)))
 
     def approx(self) -> complex:
         one = 1 << self.bits
@@ -131,8 +143,10 @@ def separation_bits(p: IntPoly) -> int:
 
 
 def _sign(p: IntPoly, x: int, bits: int) -> int:
-    """The sign of p(x / 2**bits), from ``_horner``'s exact integer."""
-    v = _horner(p, x, 0, bits)[0]
+    """The sign of p(x / 2**bits), from ``_horner``'s integer on the real axis."""
+    v = 0
+    for k, c in enumerate(reversed(p.coeffs)):
+        v = v * x + (c << bits * k)
     return (v > 0) - (v < 0)
 
 
@@ -155,10 +169,7 @@ def _bisect(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
 
 # -- full isolation (real + nonreal), with certification ----------------------
 
-_DEFAULT_WIDTH = Fraction(1, 10 ** 12)
-
-# the width of the one ``ScaledRoots`` table that irreducibility, Aut' with its
-# root permutations, the window search and root assignment all read first
+# the first rung of every root system's refinement ladder
 TABLE_WIDTH = Fraction(1, 10 ** 20)
 
 
@@ -168,8 +179,11 @@ _ORDER_BISECTIONS = 256
 
 
 class _RootSystem:
-    """All-root isolation of one squarefree polynomial, and its refinements
-    by requested width."""
+    """All-root isolation of one squarefree polynomial, its refinements by
+    requested width, and its refinement ladder (``ladder``): the
+    ``ScaledRoots`` tables at ``TABLE_WIDTH``, 10**-10 finer at each rung,
+    for 9 + s // 32 rungs, s = ``separation_bits``; as 10**-10 < 2**-33, the
+    last lies below 2**-(s + 300), far below any two roots' distance."""
 
     def __init__(self, p: IntPoly):
         if not is_squarefree(p):
@@ -185,6 +199,7 @@ class _RootSystem:
         self.tables: dict[Fraction, ScaledRoots] = {}
         # the root-set verdict of ``algnum.is_irreducible``, once it is taken
         self.irreducible: bool | None = None
+        self.rungs = 9 + separation_bits(p) // 32
 
     def _order(self) -> tuple[RootEnclosure, ...]:
         """Index the ``_certified_disks`` by real part, then imaginary part,
@@ -220,31 +235,46 @@ class _RootSystem:
                 out = RootEnclosure(self.poly, index, _mirror(up.disk), up.bits)
             else:
                 coarser = [w for w in memo if w > width and self.base[index].is_real]
-                out = _refine_enclosure(memo[min(coarser)] if coarser else self.base[index],
-                                        width)
+                out = (memo[min(coarser)] if coarser else self.base[index]).refine(width)
             memo[width] = out
         return out
 
     def scaled(self, width: Fraction) -> "ScaledRoots":
-        """Every root refined to ``width``, as a ``ScaledRoots`` table;
-        built the first time this width is asked for."""
+        """The ``ScaledRoots`` table for ``width``, built once: at the scale
+        2**b, b = bits(1/width) + 48 or, if finer, the base disks' scale + 2
+        (tiny roots), each root refined to two units, so its radius is at
+        most two: 2**-113 on the first rung, below the 2**-100 or so of one
+        Newton step from a 53-bit seed.  A nonreal disk, inside its base
+        disk, is 4 units off the real axis before rounding moves it 2.5."""
         table = self.tables.get(width)
         if table is None:
+            bits = max((width.denominator // width.numerator).bit_length() + 48,
+                       min(e.bits for e in self.base) + 2)
             table = self.tables[width] = ScaledRoots(
-                [self.refined(i, width) for i in range(len(self.base))], width, self.conj)
+                [self.refined(i, Fraction(2, 1 << bits)) for i in range(len(self.base))],
+                bits, self.conj)
         return table
+
+    def ladder(self):
+        """The ladder's tables, coarsest first; then ``PrecisionError``."""
+        width = TABLE_WIDTH
+        for _ in range(self.rungs):
+            yield self.scaled(width)
+            width /= 10 ** 10
+        raise PrecisionError(f"roots of the polynomial of {describe(self.poly)} undecided")
 
 
 class ScaledRoots:
-    """Integer disks of every root alpha and of 1/alpha at the scale 2**bits
-    with bits = bits(1/width) + 32, taken by ``_rescaled`` from enclosures
-    of width <= ``width``.
+    """Integer disks of every root alpha and of 1/alpha at the scale
+    2**``bits``, taken by ``_rescaled`` from the enclosures ``encl``.
 
     ``alpha[i]`` is root i's disk; ``inverse[i]`` is ``disk_div`` of the
     point 1 by it, or None when that disk may contain 0; ``mirror[i]`` is
     the index of the root whose disk is the mirror image of root i's (None
     for a real root), read off ``conj``, the upper conjugate of each disk
-    below the real axis (``_RootSystem.conj``).  ``_rescaled`` shifts a
+    below the real axis (``_RootSystem.conj``).  ``recip[i]`` and ``neg[i]``
+    are the indices of the roots 1/alpha_i and -alpha_i, or None
+    (``_partners``).  ``_rescaled`` shifts a
     disk exactly from a coarser scale, and from a finer one rounds its
     center to the nearest unit, which moves it by at most sqrt(2)/2 < 1
     unit, and its radius up plus one unit, which covers that move.  The
@@ -252,12 +282,12 @@ class ScaledRoots:
     conjugate's, so mirror disks stay exact mirrors although rounding to a
     unit is not symmetric."""
 
-    __slots__ = ("bits", "alpha", "inverse", "mirror")
+    __slots__ = ("bits", "alpha", "inverse", "mirror", "recip", "neg")
 
-    def __init__(self, encl: list[RootEnclosure], width: Fraction,
+    def __init__(self, encl: list[RootEnclosure], bits: int,
                  conj: dict[int, int] | None = None):
-        self.bits = (width.denominator // width.numerator).bit_length() + 32
-        one = 1 << self.bits
+        self.bits = bits
+        one = 1 << bits
         self.mirror = [None] * len(encl)
         for i, j in (conj or {}).items():
             self.mirror[i], self.mirror[j] = j, i
@@ -274,6 +304,28 @@ class ScaledRoots:
             if j is not None:
                 self.alpha[j] = _mirror(a)
                 self.inverse[j] = self.inverse[i] and _mirror(self.inverse[i])
+        p = encl[0].poly if encl else IntPoly((1,))
+        self.recip = _partners(self.alpha, self.inverse, p.reciprocal(), p)
+        self.neg = _partners(self.alpha, [(-re, -im, rad) for re, im, rad in self.alpha],
+                             IntPoly(-c if k % 2 else c for k, c in enumerate(p.coeffs)), p)
+
+    def mahler(self, lead: int) -> RatInterval:
+        """|lead| prod max(1, |alpha_i|) over the disks, each end one integer
+        product of ``_abs_bounds``, each factor at least 2**bits."""
+        one, bounds = 1 << self.bits, [_abs_bounds(z) for z in self.alpha]
+        den = one ** len(bounds)
+        return RatInterval(Fraction(abs(lead) * prod(max(a, one) for a, _ in bounds), den),
+                           Fraction(abs(lead) * prod(max(b, one) for _, b in bounds), den))
+
+
+def _partners(disks, images, q: IntPoly, p: IntPoly) -> list[int | None]:
+    """For each image disk, the index of the one disk of ``disks`` it meets,
+    or None; all None unless q, whose roots are the images' points, is p up
+    to sign and content, so that each image point is a root of p."""
+    if normalize_minimal_poly(q) != p:
+        return [None] * len(images)
+    hits = [[k for k, z in enumerate(disks) if w and not disk_disjoint(w, z)] for w in images]
+    return [h[0] if len(h) == 1 else None for h in hits]
 
 
 def _mirror(disk: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -631,27 +683,16 @@ def root_system(p: IntPoly) -> _RootSystem:
     return sys
 
 
-def isolate_roots(p: IntPoly, precision: Fraction = _DEFAULT_WIDTH) -> list[RootEnclosure]:
+def first_rung(p: IntPoly) -> ScaledRoots:
+    """The first rung of p's root system, which one-shot reads read."""
+    return root_system(p).scaled(TABLE_WIDTH)
+
+
+def isolate_roots(p: IntPoly, precision: Fraction = Fraction(1, 10 ** 12)) -> list[RootEnclosure]:
     """Exactly deg(p) pairwise-disjoint certified enclosures of the roots of
     squarefree p, each refined to width <= precision."""
     sys = root_system(p)
     return [sys.refined(i, Fraction(precision)) for i in range(len(sys.base))]
-
-
-def root_enclosure(p: IntPoly, index: int, precision: Fraction = _DEFAULT_WIDTH) -> RootEnclosure:
-    """Certified enclosure of the index-th root (ordered by real part, then
-    imaginary part) of squarefree p."""
-    sys = root_system(p)
-    if index not in range(len(sys.base)):
-        raise IndexError(f"root index {index} out of range for degree {p.degree}")
-    return sys.refined(index, Fraction(precision))
-
-
-def _refine_enclosure(e: RootEnclosure, width: Fraction) -> RootEnclosure:
-    if e.width() <= width:
-        return e
-    refine = _bisect if e.is_real else _refine_disk
-    return RootEnclosure(e.poly, e.index, *refine(e.poly, e.disk, e.bits, width))
 
 
 def _refine_disk(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
@@ -661,7 +702,7 @@ def _refine_disk(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fract
     exactly one root.  A step is accepted when its certified disk lies inside
     that starting disk, so it holds the same root."""
     deriv = p.derivative()
-    b = max(bits, _bits_of(width) + 64)
+    b = max(bits, (width.denominator // width.numerator).bit_length() + 72)
     start = _rescaled(disk, bits, b)
     re, im, rad = start
     got = _newton(p, deriv, re, im, b)
@@ -678,12 +719,6 @@ def _refine_disk(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fract
     raise PrecisionError("disk refinement stalled; raise seed precision")
 
 
-def _bits_of(width: Fraction) -> int:
-    if width >= 1:
-        return 8
-    return int(Fraction(width.denominator, width.numerator)).bit_length() + 8
-
-
 # -- derived quantities ---------------------------------------------------------
 
 def mahler_measure(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterval:
@@ -691,9 +726,8 @@ def mahler_measure(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterva
 
     Accepts an IntPoly or a BinForm (measured through F(x, 1); the degree
     drops with leading zero coefficients, matching M(Q) = M(Q(x, 1))).
-    For squarefree P each end is one integer product of ``_abs_bounds``
-    read off the root disks, each factor at least 2**b at its scale 2**b.
-    Multiple roots: M(P) = M(G) * M(P / G) with G = gcd(P, P') primitive,
+    For squarefree P it is ``ScaledRoots.mahler`` on the root table for
+    the width.  Multiple roots: M(P) = M(G) * M(P / G) with G = gcd(P, P') primitive,
     so that P / G is an integer polynomial (Gauss).  For a nonzero integer
     polynomial the lower endpoint is clamped at 1 (Landau).
     """
@@ -711,23 +745,19 @@ def _mahler_rec(p: IntPoly, width: Fraction) -> RatInterval:
         return RatInterval(v, v)
     g = poly_gcd_q(p, p.derivative())
     if g.degree == 0:
-        lo, hi, one = abs(p.lead), abs(p.lead), 1
-        for e in isolate_roots(p, width):
-            a, b = _abs_bounds(e.disk)
-            lo, hi, one = lo * max(a, 1 << e.bits), hi * max(b, 1 << e.bits), one << e.bits
-        return RatInterval(Fraction(lo, one), Fraction(hi, one))
+        return root_system(p).scaled(width).mahler(p.lead)
     return _mahler_rec(g, width) * _mahler_rec(exact_quotient(p, g), width)
 
 
 def house(p, precision: Fraction = Fraction(1, 10 ** 25)) -> RatInterval:
-    """Certified enclosure of the house (max root modulus) of p."""
+    """Certified enclosure of the house (max root modulus) of p, read off
+    the root table of its squarefree part for ``precision``."""
     p = _as_univariate(p)
     if p.is_zero or p.degree < 1:
         raise ValueError("house needs degree >= 1")
-    encl = isolate_roots(squarefree_part(p), Fraction(precision) / 4)
-    lo = max(e.abs_interval().lo for e in encl)
-    hi = max(e.abs_interval().hi for e in encl)
-    return RatInterval(lo, hi)
+    table = root_system(squarefree_part(p)).scaled(Fraction(precision))
+    moduli = [_disk_abs(z, table.bits) for z in table.alpha]
+    return RatInterval(max(a.lo for a in moduli), max(a.hi for a in moduli))
 
 
 def _as_univariate(p) -> IntPoly:

@@ -1,32 +1,12 @@
-"""Exact linear algebra over Q and Z: rank/nullspace, integer kernel lattices
-via unimodular row reduction, bounded lattice-point enumeration, and
-2-dimensional lattice (Lagrange) reduction."""
+"""Exact linear algebra over Q and Z: integer kernel lattices via unimodular
+row reduction, bounded lattice-point enumeration, and 2-dimensional lattice
+(Lagrange) reduction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank, ncols = 0, len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [c * inv for c in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -78,27 +58,40 @@ def kernel_vectors_up_to(basis: list[list[int]], bound: int) -> list[tuple[int, 
     """All nonzero lattice vectors c_1 b_1 + ... + c_k b_k with max-norm <=
     bound, one per +/- pair (first nonzero coefficient positive).
 
-    Coefficient ranges come from Cramer inversion of an independent row
-    subset, so the enumeration is exhaustive.
+    Coefficient ranges come from the inverse of the k x k matrix of the
+    first k independent coordinate rows, |c_i| <= bound sum_j |inv_ij|, so
+    the enumeration is exhaustive.  One Gauss-Jordan pass over the rows, in
+    order, finds both: each row carries, after its k coordinates, its
+    combination of the rows kept so far; a row that does not reduce to 0 is
+    kept, and once k are kept, the row with pivot i carries row i of the
+    inverse.
     """
     k = len(basis)
-    n = len(basis[0])
     if k == 0:
         return []
-    # pick k linearly independent coordinate rows
-    chosen: list[int] = []
-    mat: list[list[Fraction]] = []
+    n = len(basis[0])
+    kept: dict[int, list[Fraction]] = {}   # reduced rows by pivot column
     for r in range(n):
-        cand = mat + [[Fraction(basis[j][r]) for j in range(k)]]
-        if rational_rank(cand) == len(cand):
-            mat = cand
-            chosen.append(r)
-            if len(chosen) == k:
-                break
-    inv = _invert(mat)
+        row = [Fraction(b[r]) for b in basis] + [Fraction(t == len(kept)) for t in range(k)]
+        for c, p in kept.items():
+            f = row[c]
+            if f:
+                row = [a - f * b for a, b in zip(row, p)]
+        piv = next((c for c in range(k) if row[c]), None)
+        if piv is None:
+            continue
+        inv = 1 / row[piv]
+        row = [a * inv for a in row]
+        for c, p in kept.items():
+            g = p[piv]
+            if g:
+                kept[c] = [a - g * b for a, b in zip(p, row)]
+        kept[piv] = row
+        if len(kept) == k:
+            break
     ranges = []
     for i in range(k):
-        radius = sum(abs(inv[i][j]) for j in range(k)) * bound
+        radius = sum(abs(v) for v in kept[i][k:]) * bound
         ranges.append(range(-int(radius), int(radius) + 1))
     out = []
     for cs in product(*ranges):
@@ -111,22 +104,6 @@ def kernel_vectors_up_to(basis: list[list[int]], bound: int) -> list[tuple[int, 
         if any(v) and max(abs(c) for c in v) <= bound:
             out.append(v)
     return out
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(k)] + [Fraction(1 if i == j else 0) for j in range(k)]
-           for i in range(k)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug]
 
 
 def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:

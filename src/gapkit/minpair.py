@@ -15,6 +15,7 @@ from fractions import Fraction
 from .algnum import (AlgNum, PowerBasisRep, c8, c9, denominator_scalar,
                      power_rep, _power_tables)
 from .intpoly import IntPoly, exact_quotient, poly_gcd_q, prem
+from .isolation import PrecisionError, _span, root_system
 from .linalg import integer_kernel, kernel_vectors_up_to
 from .padic import PadicAlgNum, padic_abs_poly
 from .rounding import monomial_up, pow_up, tidy_down, tidy_up
@@ -259,20 +260,22 @@ def c12_closed_form(alpha: AlgNum, beta: AlgNum, denom_scalar: int) -> Fraction:
 
 def c13(alpha: AlgNum, pair: MinimalPair) -> Fraction:
     """Positive lower bound on |W(alpha)|: for a real alpha the larger of
-    the certified enclosure floor and the norm-form closed bound, for a
-    nonreal alpha the closed bound."""
+    the certified enclosure floor, on the first rung of alpha's refinement
+    ladder whose disk keeps W from 0, and the norm-form closed bound; for a
+    nonreal alpha, or past the ladder's last rung, the closed bound."""
     w = pair.wronskian()
     if w.is_zero:
         raise PairError("Wronskian vanishes identically")
     encl_branch = Fraction(0)
     if alpha.is_real:
-        width = Fraction(1, 10 ** 15)
-        for _ in range(6):
-            img = w.eval_at(alpha.enclosure(width).interval).abs()
-            if img.lo > 0:
-                encl_branch = tidy_down(img.lo)
-                break
-            width /= 10 ** 8
+        try:
+            for table in root_system(alpha.minpoly).ladder():
+                img = w.eval_at(_span(table.alpha[alpha.index], table.bits)).abs()
+                if img.lo > 0:
+                    encl_branch = tidy_down(img.lo)
+                    break
+        except PrecisionError:
+            pass
     return max(encl_branch, c13_formula(alpha, Fraction(pair.height_bound),
                                         alpha.mahler_interval().hi))
 

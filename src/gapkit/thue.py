@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd, isqrt
 
-from .algnum import (AlgNum, NotInFieldError, is_irreducible, liouville_c6,
+from .algnum import (_FROBENIUS_PRIMES, AlgNum, NotInFieldError, is_irreducible, liouville_c6,
                      normalize_minimal_poly, power_rep, theta_upper_bound)
 from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
                        root_orbit_partition)
@@ -39,11 +39,11 @@ from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
 from .intpoly import IntPoly, describe, factor_degrees_by_prime
-from .isolation import (TABLE_WIDTH, PrecisionError, _RootSystem, disk_distance,
-                        disk_sub, isolate_roots, mahler_measure, root_system)
+from .isolation import (PrecisionError, _abs_bounds, _disk_abs, _RootSystem, disk_distance,
+                        disk_sub, first_rung, root_system)
 from .minpair import c12_closed_form, c13_formula
-from .rounding import (compact_str, largest, log_interval, monomial_up, pow_up, root_up,
-                       tidy_up)
+from .rounding import (AbstainError, compact_str, largest, log_interval, monomial_up, pow_up,
+                       root_up, tidy_up)
 
 
 class ThueError(ValueError):
@@ -158,7 +158,7 @@ def _root_windows(f: BinForm, m: int, height: int):
     """(y, windows) for y = 1, ..., height: windows[i] is an integer range
     (lo, hi) holding every x with |x - alpha_i y| <= min(delta0, r_i(y))
     (``window_search``), or None when no real x is that close, alpha_i
-    being root i of the root system's ``TABLE_WIDTH`` table.
+    being root i of the first rung of the root system's ladder.
 
     The constants are integers at the table's scale 2**b, taken once:
     l_ij <= L_ij 2**b and I_i 2**b rounded down, D >= delta0 2**b and
@@ -168,18 +168,15 @@ def _root_windows(f: BinForm, m: int, height: int):
     is thus rounded outward, and each window end costs one multiply and
     one shift."""
     d = f.degree
-    table = root_system(f.dehomogenize()).scaled(TABLE_WIDTH)
+    table = first_rung(f.dehomogenize())
     b = table.bits
     lead = abs(f.lead_x)
     delta = ceil(root_up(Fraction(m, lead), d) * (1 << b))
     num = -(-(m << b) // lead) << (b * (d - 1))
     roots = []
     for i, (re, im, rad) in enumerate(table.alpha):
-        gaps = []
-        for j, other in enumerate(table.alpha):
-            if j != i:
-                dr, di, s = disk_sub((re, im, rad), other)
-                gaps.append(isqrt(dr * dr + di * di) - s)
+        gaps = [_abs_bounds(disk_sub(table.alpha[i], z))[0]
+                for j, z in enumerate(table.alpha) if j != i]
         roots.append((re - rad, re + rad, abs(im) - rad if im else 0, gaps))
     for y in range(1, height + 1):
         windows = []
@@ -223,18 +220,19 @@ def legendre_height(f: BinForm, m: int, c10: Fraction) -> int:
     * The y/x side is the same argument with x and y swapped.
 
     Every rounding goes up: C10 is an upper bound, iota is read off each
-    isolating disk D(c, r) as (|Im c| - r) / max(1, |c| + r)**2 (a lower
-    bound for both the root and its inverse), and the roots are taken with
-    ``root_up``.  An H0 that is too large costs window-search time;
+    disk D(c, r) of the first rung as (|Im c| - r) / max(1, |c| + r)**2 (a
+    lower bound for both the root and its inverse), and the roots are taken
+    with ``root_up``.  An H0 that is too large costs window-search time;
     it never loses a solution."""
     d = f.degree
     height = root_up(2 * c10 * m, d - 2)
-    nonreal = [e for e in isolate_roots(f.dehomogenize()) if not e.is_real]
+    table = first_rung(f.dehomogenize())
+    nonreal = [z for z in table.alpha if z[1]]
     if nonreal:
         # |Im alpha| >= |Im c| - r on the disk D(c, r), and
         # |Im alpha^{-1}| = |Im alpha| / |alpha|**2
-        iota = min(Fraction(abs(e.disk[1]) - e.disk[2], 1 << e.bits)
-                   / max(1, e.abs_interval().hi) ** 2 for e in nonreal)
+        iota = min(Fraction(abs(z[1]) - z[2], 1 << table.bits)
+                   / max(1, _disk_abs(z, table.bits).hi) ** 2 for z in nonreal)
         height = max(height, root_up(c10 * m / iota, d))
     return max(1, floor(height))
 
@@ -247,7 +245,7 @@ def convergent_search(f: BinForm, m: int, h0: int, bound: int) -> list[Solution]
     d = f.degree
     poly = normalize_minimal_poly(f.dehomogenize())
     out: dict[tuple[int, int], Solution] = {}
-    for e in isolate_roots(poly):
+    for e in root_system(poly).base:
         if not e.is_real:
             continue
         for inverse in (False, True):
@@ -271,7 +269,7 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
     disc = discriminant(f)
     if disc == 0:
         raise ThueError("zero discriminant")
-    m_up = mahler_measure(f, Fraction(1, 10 ** 20)).hi
+    m_up = first_rung(f.dehomogenize()).mahler(f.lead_x).hi
     return tidy_up(monomial_up([(2, d - 1), (d, Fraction(d - 1, 2)), (m_up, d - 2),
                                 (Fraction(1, abs(disc)), Fraction(1, 2))]))
 
@@ -279,71 +277,68 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
 def assign_root(system: _RootSystem, sol: Solution) -> tuple[int, str, bool]:
     """(root index, side, tie) minimizing
     min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|) over the roots of F(x, 1),
-    ``system``; the side is "alpha" or "alpha_inv".  Conjugate candidates
-    tie exactly against rational targets; such ties resolve to the smaller
-    root index with tie=True.  Other ties refine, and a tie that survives
-    every level is reported.
+    ``system``; the side is "alpha" or "alpha_inv".  Two candidates at one
+    rational target that are one number, or that a root-permuting isometry
+    fixing the target maps to each other, tie exactly: mirror conjugates on
+    one side; at the target 0, a root (or inverse root) and its negative
+    (``ScaledRoots.neg``) or the negative's conjugate; and, when x = +-y
+    makes x/y = y/x, a root and the inverse of its reciprocal partner
+    (``ScaledRoots.recip``) or of that partner's conjugate.  Such ties
+    resolve, with tie=True, to a real root (one without a mirror) first,
+    then the smaller root index, then the alpha side.  Other ties refine,
+    and a tie that survives every rung is reported the same way.
 
-    Each level of width w (``TABLE_WIDTH``, then divided by 10**8 down to
-    10**-44: 4 levels) reads the root system's ``ScaledRoots`` table for w,
-    built once and shared by every solution: integer disks at scale 2**b
-    that contain each root and its inverse.  For a target p/q (x/y, or y/x
-    on the inverse side), ``disk_distance`` bounds 2**b |q z - p| = 2**b
-    |q| |z - p/q| by integers over each disk, so every candidate's distance
-    is enclosed over the denominator |y| 2**b or |x| 2**b, and two
+    Each rung of the root system's refinement ladder is a ``ScaledRoots``
+    table, built once and shared by every solution: integer disks at scale
+    2**b that contain each root and its inverse.  For a target p/q (x/y,
+    or y/x on the inverse side), ``disk_distance`` bounds 2**b |q z - p| =
+    2**b |q| |z - p/q| by integers over each disk, so every candidate's
+    distance is enclosed over the denominator |y| 2**b or |x| 2**b, and two
     candidates compare by cross-multiplying with the other's |y| or |x|.
     The best candidate has the least upper end; it is decided when no
     rival's lower end lies below that upper end, which then holds for the
-    exact distances too.  The table widens an enclosure by about w 2**-32
-    at most, so a level that decides on the exact enclosures nearly always
-    decides on the table, and otherwise the next level does."""
+    exact distances too, and otherwise the next rung decides."""
     x, y = sol.x, sol.y
-    width = TABLE_WIDTH
-    for _ in range(4):
-        table = system.scaled(width)
-        one = 1 << table.bits
-        # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
-        cands: list[tuple[int, int, int, int, str]] = []
-        for i, (enc, inv) in enumerate(zip(table.alpha, table.inverse)):
-            if y != 0:
-                cands.append((*disk_distance(enc, x, y, one), abs(y), i, "alpha"))
-            if x != 0 and inv is not None:
-                cands.append((*disk_distance(inv, y, x, one), abs(x), i, "alpha_inv"))
-        best = cands[0]
-        for c in cands[1:]:
-            if c[1] * best[2] < best[1] * c[2]:
-                best = c
-        rivals = [c for c in cands
-                  if c is not best and c[0] * best[2] < best[1] * c[2]]
-        # mirror conjugate disks on the same side are at equal distances
-        # from a real rational: an exact tie
-        exact_ties = [c for c in rivals
-                      if c[4] == best[4] and table.mirror[c[3]] == best[3]]
-        undecided = [c for c in rivals if c not in exact_ties]
-        if not undecided:
-            if exact_ties:
-                idx, side = _tie_pick(table, [best] + exact_ties)
-                return idx, side, True
-            return best[3], best[4], False
-        width /= 10 ** 8
-    # unresolved within budget: genuine tie reported, deterministic pick
-    idx, side = _tie_pick(table, [best] + rivals)
-    return idx, side, True
+    tied = None
+    try:
+        for table in system.ladder():
+            one = 1 << table.bits
+            # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
+            cands: list[tuple[int, int, int, int, str]] = []
+            for i, (enc, inv) in enumerate(zip(table.alpha, table.inverse)):
+                if y != 0:
+                    cands.append((*disk_distance(enc, x, y, one), abs(y), i, "alpha"))
+                if x != 0 and inv is not None:
+                    cands.append((*disk_distance(inv, y, x, one), abs(x), i, "alpha_inv"))
+            best = cands[0]
+            for c in cands[1:]:
+                if c[1] * best[2] < best[1] * c[2]:
+                    best = c
+            rivals = [c for c in cands
+                      if c is not best and c[0] * best[2] < best[1] * c[2]]
+            tied = table, [best] + rivals
+            if all(_exact_tie(table, c, best, x, y) for c in rivals):
+                break
+    except PrecisionError:
+        if tied is None:
+            raise
+    table, cands = tied
+    if len(cands) == 1:
+        return cands[0][3], cands[0][4], False
+    pick = min(cands, key=lambda c: (table.mirror[c[3]] is not None, c[3], c[4] != "alpha"))
+    return pick[3], pick[4], True
 
 
-def _tie_pick(table, cands) -> tuple[int, str]:
-    """Deterministic representative among tied candidates: prefer real
-    roots (those without a mirror), then the smaller root index, then the
-    alpha side."""
-    chosen = min(cands, key=lambda c: (table.mirror[c[3]] is not None, c[3], c[4] != "alpha"))
-    return chosen[3], chosen[4]
+def _exact_tie(table, a, b, x: int, y: int) -> bool:
+    """Whether candidates a and b are at equal distances (``assign_root``)."""
+    if a[4] == b[4]:   # at the target 0, also a negative and its conjugate
+        k = table.neg[a[3]] if (x if a[4] == "alpha" else y) == 0 else None
+        return b[3] in {table.mirror[a[3]]} | ({k, table.mirror[k]} if k is not None else set())
+    ka, kb = (c[3] if c[4] == "alpha" else table.recip[c[3]] for c in (a, b))
+    return x * x == y * y and None not in (ka, kb) and (ka == kb or table.mirror[ka] == kb)
 
 
 # -- the Theorem-1.3 style census -------------------------------------------------
-
-# the primes whose factor degrees ``galois_status`` scans for a "no"
-_FROBENIUS_PRIMES = 64
-
 
 def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
     """("yes" | "no" | "unknown", reason), given the orbit partition of the
@@ -370,13 +365,13 @@ def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
     for p, degrees in islice(factor_degrees_by_prime(poly), _FROBENIUS_PRIMES):
         if len(set(degrees)) > 1:
             return "no", f"factor degrees {degrees} mod {p}"
-    if all(e.is_real for e in isolate_roots(poly)):
+    if all(e.is_real for e in root_system(poly).base):
         alpha1 = AlgNum(poly, 0)
         try:
             for idx in range(1, d):
                 power_rep(alpha1, AlgNum(poly, idx))
             return "yes", "every conjugate has a verified power-basis representation"
-        except NotInFieldError:
+        except (NotInFieldError, AbstainError):
             return "unknown", "a conjugate has no verified representation over the first root"
     return "unknown", "complex conjugates outside the orbit route"
 

@@ -71,11 +71,47 @@ def cubic_aut(cubic_form):
     return aut_prime(cubic_form)
 
 
+def record_widths(mp: pytest.MonkeyPatch, widths: list) -> None:
+    """List in ``widths`` the width of every request made to a root system:
+    each table asked for (``_RootSystem.scaled``), and each enclosure asked
+    for other than by a table's own refinement (``_RootSystem.refined``)."""
+    scaled, refined = isolation._RootSystem.scaled, isolation._RootSystem.refined
+    inside = []
+
+    def scaled_listed(self, width):
+        if not inside:
+            widths.append(width)
+        inside.append(width)
+        try:
+            return scaled(self, width)
+        finally:
+            inside.pop()
+
+    def refined_listed(self, index, width):
+        if not inside:
+            widths.append(width)
+        return refined(self, index, width)
+
+    mp.setattr(isolation._RootSystem, "scaled", scaled_listed)
+    mp.setattr(isolation._RootSystem, "refined", refined_listed)
+
+
+@pytest.fixture
+def root_widths(monkeypatch):
+    """The widths asked of root systems (``record_widths``) while the test
+    runs, on fresh root systems."""
+    widths = []
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    record_widths(monkeypatch, widths)
+    return widths
+
+
 @pytest.fixture(scope="session")
 def d12_census_counted(d12_form):
     """One D12 census on fresh root systems, with the calls of the per-form
     steps, of the Mahler measure and of ``is_irreducible``'s root-set test
-    counted, and the width of each ``ScaledRoots`` table built listed."""
+    counted, and the width of every request to a root system listed
+    (``record_widths``)."""
     calls, widths = Counter(), []
 
     def counted(fn):
@@ -84,22 +120,12 @@ def d12_census_counted(d12_form):
             return fn(*args, **kwargs)
         return wrapped
 
-    init = isolation.ScaledRoots.__init__
-
-    def listed(self, encl, width, conj):
-        widths.append(width)
-        init(self, encl, width, conj)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(isolation, "_SYSTEMS", {})
-        mp.setattr(isolation.ScaledRoots, "__init__", listed)
+        record_widths(mp, widths)
         for name in ("root_orbit_partition", "c16"):
             mp.setattr(thue, name, counted(getattr(thue, name)))
         mp.setattr(algnum, "_root_set_test", counted(algnum._root_set_test))
-        # every module that calls mahler_measure through its own name for it
-        # (gap imports it from isolation at the call)
-        mahler = counted(isolation.mahler_measure)
-        for module in (isolation, algnum, thue):
-            mp.setattr(module, "mahler_measure", mahler)
+        mp.setattr(isolation.ScaledRoots, "mahler", counted(isolation.ScaledRoots.mahler))
         result = census(ThueProblem(d12_form, 3, 40), Fraction(38, 4))
     return result, calls, widths

@@ -297,3 +297,21 @@ def test_import_loads_no_sympy():
     proc = subprocess.run([sys.executable, "-c",
                            "import gapkit.cli, sys; sys.exit('sympy' in sys.modules)"], env=env)
     assert proc.returncode == 0
+
+
+def test_cube_roots_of_2_and_3_are_certified_apart_exit_2(capsys):
+    # no relation is found within the search budget, and mod 31 x^3 - 2 has
+    # a root while x^3 - 3 has none: no conjugate of 3^(1/3) is in Q(2^(1/3))
+    code, _, err = run_cli(capsys, "minpair", "x^3 - 2@root~=1.26", "x^3 - 3@root~=1.44")
+    assert code == 2
+    assert json.loads(err)["kind"] == "hypothesis" and "mod 31" in json.loads(err)["error"]
+
+
+def test_field_membership_budget_abstains_exit_3(capsys):
+    # beta is in Q(alpha) (the cyclic quartic field at y -> 2^300 y), but the
+    # relation search fails within its budget and no prime certifies the
+    # opposite: an abstention, its message naming the polynomials by size
+    p = "x^4 - 4*2^600*x^2 + 2*2^1200"
+    code, _, err = run_cli(capsys, "minpair", f"{p}@index3", f"{p}@index2")
+    assert code == 3
+    assert json.loads(err)["kind"] == "abstention" and "1202-bit" in json.loads(err)["error"]

@@ -4,8 +4,11 @@ exactly (``Fraction`` is canonical, so equal values are equal objects).
 
 The references below keep the chain bodies and their own |z| and |z - w|
 intervals (``isqrt`` of the squared center, rounded down and up, less and
-plus the radius), so they share no helper with the code under test."""
+plus the radius), so they share no helper with the code under test.  They
+read the disks where the constants do: the rungs of the root systems'
+refinement ladders, TABLE_WIDTH and 10**-10 finer at each step."""
 
+import copy
 from fractions import Fraction
 from math import isqrt
 from unittest import mock
@@ -18,8 +21,8 @@ from gapkit.algnum import AlgNum, c9, liouville_c6, normalize_minimal_poly
 from gapkit.autgroup import d12_family
 from gapkit.binforms import BinForm
 from gapkit.intpoly import IntPoly, is_squarefree
-from gapkit.isolation import (PrecisionError, RootEnclosure, _abs_bounds, _mahler_rec,
-                              _rescaled, _RootSystem, house, isolate_roots, root_system)
+from gapkit.isolation import (TABLE_WIDTH, PrecisionError, _abs_bounds, _rescaled, _RootSystem,
+                              isolate_roots, root_system)
 from gapkit.rounding import RatInterval, tidy_down, tidy_up
 
 
@@ -31,17 +34,18 @@ def _abs_interval(disk, bits) -> RatInterval:
                        Fraction(s + (s * s != n) + rad, 1 << bits))
 
 
-def _distance_interval(a: RootEnclosure, b: RootEnclosure) -> RatInterval:
-    bits = max(a.bits, b.bits)
-    (ar, ai, ra), (br, bi, rb) = _rescaled(a.disk, a.bits, bits), _rescaled(b.disk, b.bits, bits)
+def _distance_interval(a, b, bits: int) -> RatInterval:
+    (ar, ai, ra), (br, bi, rb) = a, b
     return _abs_interval((ar - br, ai - bi, ra + rb), bits)
 
 
 def reference_c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
     d = alpha.degree
-    width = Fraction(1, 10 ** 12)
-    for _ in range(8):
-        encl = alpha.conjugates(width)
+    first = root_system(beta.minpoly).scaled(TABLE_WIDTH)
+    house = max(_abs_interval(z, first.bits).hi for z in first.alpha)
+    width = TABLE_WIDTH
+    for _ in range(9):
+        table = root_system(alpha.minpoly).scaled(width)
         try:
             best = RatInterval(0)
             for j in range(d):
@@ -49,47 +53,46 @@ def reference_c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
                 for i in range(d):
                     if i == j:
                         continue
-                    num = _abs_interval(encl[i].disk, encl[i].bits) + 1
-                    den = _distance_interval(encl[i], encl[j])
+                    num = _abs_interval(table.alpha[i], table.bits) + 1
+                    den = _distance_interval(table.alpha[i], table.alpha[j], table.bits)
                     prod = prod * (num / den)
                 if prod.hi > best.hi:
                     best = prod
-            hb = house(beta.minpoly, width)
-            return tidy_up(d * hb.hi * best.hi)
+            return tidy_up(d * house * best.hi)
         except ZeroDivisionError:
-            width /= 10 ** 6
+            width /= 10 ** 10
     raise PrecisionError("conjugate separation undecided at budget")
 
 
 def reference_c6(alpha: AlgNum) -> Fraction:
-    encl = alpha.conjugates(Fraction(1, 10 ** 12))
+    table = root_system(alpha.minpoly).scaled(TABLE_WIDTH)
     denom = RatInterval(Fraction(alpha.lead))
-    for e in encl:
-        if e.index == alpha.index:
+    for i, z in enumerate(table.alpha):
+        if i == alpha.index:
             continue
-        denom = denom * (_abs_interval(e.disk, e.bits) + 1)
+        denom = denom * (_abs_interval(z, table.bits) + 1)
     return tidy_down(Fraction(1) / denom.hi)
 
 
-def reference_mahler(p: IntPoly, width: Fraction) -> RatInterval:
-    """The squarefree branch of ``_mahler_rec``."""
+def reference_mahler(p: IntPoly) -> RatInterval:
+    """lead * prod max(1, |alpha_i|) over the first rung's disks."""
+    table = root_system(p).scaled(TABLE_WIDTH)
     out = RatInterval(Fraction(abs(p.lead)))
-    for e in isolate_roots(p, width):
-        a = _abs_interval(e.disk, e.bits)
+    for z in table.alpha:
+        a = _abs_interval(z, table.bits)
         out = out * RatInterval(max(a.lo, 1), max(a.hi, 1))
     return out
 
 
 def _assert_products_match(p: IntPoly) -> None:
-    """C6 at every root, C9 and M(p) at the widths the census asks for."""
+    """C6 at every root, C9 and M(p) on the rungs the census reads."""
     p = normalize_minimal_poly(p)
     for i in range(p.degree):
         alpha = AlgNum(p, i)
         assert liouville_c6(alpha) == reference_c6(alpha)
     alpha = AlgNum(p, 0)
     assert c9(alpha, alpha) == reference_c9(alpha, alpha)
-    width = Fraction(1, 10 ** 20) / (2 * (p.degree + 1))
-    got, want = _mahler_rec(p, width), reference_mahler(p, width)
+    got, want = alpha.mahler_interval(), reference_mahler(p)
     assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
@@ -126,9 +129,9 @@ CLOSE_CUBIC = [2, -6 * 10 ** 7, 6 * 10 ** 14, 1 - 2 * 10 ** 21]
 @example(CLOSE_CUBIC[:-1], CLOSE_CUBIC[-1])
 @settings(max_examples=25, deadline=None)
 def test_drawn_products_match_the_interval_chains(low, lead):
-    # degree 3 to 12, with nonreal roots; the roots share one scale, so one
-    # root is read 2^40 times finer than its base disk to put the disks at
-    # more than one scale
+    # degree 3 to 12, with nonreal roots; one root is read 2^40 times finer
+    # than its base disk, so that its table disk is rounded from an
+    # enclosure at another scale than the rest
     p = IntPoly(low + [lead])
     assume(is_squarefree(p))
     base = root_system(p).base
@@ -147,24 +150,26 @@ def test_drawn_products_match_the_interval_chains(low, lead):
 
 
 def test_c9_refines_disks_that_meet():
-    # CLOSE_CUBIC's roots, read first from disks coarsened outward to units
-    # of 2**-40 > 10**-12, where they meet: both C9s refine by 10**-6 and
-    # read the disks isolation gives at 10**-18
+    # CLOSE_CUBIC's roots, read on the first rung from disks coarsened
+    # outward to units of 2**-40 > 10**-14, where they meet: both C9s take
+    # the second rung, 10**-30, and agree there
     alpha = AlgNum(normalize_minimal_poly(IntPoly(CLOSE_CUBIC)), 0)
-    conjugates = AlgNum.conjugates
+    scaled = _RootSystem.scaled
     widths = []
 
     def coarse_first(self, width):
         widths.append(width)
-        encl = conjugates(self, width)
-        if width < Fraction(1, 10 ** 12):
-            return encl
-        return [RootEnclosure(e.poly, e.index, _rescaled(e.disk, e.bits, 40), 40)
-                for e in encl]
+        table = scaled(self, width)
+        if width < TABLE_WIDTH:
+            return table
+        coarse = copy.copy(table)
+        coarse.alpha = [_rescaled(_rescaled(z, table.bits, 40), 40, table.bits)
+                        for z in table.alpha]
+        return coarse
 
-    with mock.patch.object(AlgNum, "conjugates", coarse_first):
+    with mock.patch.object(_RootSystem, "scaled", coarse_first):
         got = c9(alpha, alpha)
-        assert widths == [Fraction(1, 10 ** 12), Fraction(1, 10 ** 18)]
+        assert sorted(set(widths), reverse=True) == [TABLE_WIDTH, TABLE_WIDTH / 10 ** 10]
         assert got == reference_c9(alpha, alpha)
 
 

@@ -249,7 +249,7 @@ def test_c11_examples(alpha_cubic):
             continue
         close = 0
         for alg in roots:
-            q = arch_quality(alg, pr)
+            q = arch_quality(alg, pr, Fraction(1, 10 ** 30))
             if interval_vs_power(q, Fraction(pr.height), Fraction(-11, 4)) == -1:
                 close += 1
         assert close <= 1

@@ -167,7 +167,7 @@ def test_lone_real_root_ordered_by_real_part():
     # 2x^3 + 2x^2 + 4x + 3: real root -0.812, complex pair at Re -0.094
     encl = isolate_roots(IntPoly((3, 4, 2, 2)))
     assert [e.is_real for e in encl] == [True, False, False]
-    assert encl[0].interval.hi < encl[1].re_interval().lo
+    assert encl[0].interval.hi < isolation._span(encl[1].disk, encl[1].bits).lo
     assert encl[1].disk[1] < 0 < encl[2].disk[1]
 
 
@@ -686,3 +686,51 @@ def test_disk_holds_integer_where_the_chord_ends_just_past_one(im, rad):
                 assert _inside((Fraction(k), Fraction(0)), (re, im, rad), bits)
                 assert disk_holds_integer((re, im, rad), bits)
                 assert disk_holds_integer((re, -im, rad), bits)
+
+
+@pytest.mark.parametrize("coeffs", [[-2, 0, 0, 1],                        # x^3 - 2
+                                    [-3, -2, 2 ** 620, 2 ** 620],          # roots 2^-310 apart
+                                    [-3, 0, 0, 2 ** 3300 + 1]])            # roots near 2^-1100
+def test_the_ladder_walks_its_rungs_then_abstains(coeffs, monkeypatch):
+    # TABLE_WIDTH, then 10**-10 finer at each rung, for 9 + s // 32 rungs
+    # (s = separation_bits): the last is below 2**-(s + 300); every table's
+    # disks have radius at most two units and hold their roots; past the
+    # last rung, PrecisionError
+    p = IntPoly(coeffs)
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    system = isolation.root_system(p)
+    s = isolation.separation_bits(system.poly)
+    asked, tables = [], []
+    scaled = isolation._RootSystem.scaled
+    monkeypatch.setattr(isolation._RootSystem, "scaled",
+                        lambda self, width: asked.append(width) or scaled(self, width))
+    with pytest.raises(isolation.PrecisionError):
+        for table in system.ladder():
+            tables.append(table)
+    assert asked == [isolation.TABLE_WIDTH / 10 ** (10 * k) for k in range(9 + s // 32)]
+    assert asked[-1] < Fraction(1, 2 ** (s + 300))
+    # the scale is bits(1/width) + 48, or the base disks' plus 2 where that
+    # is finer, which tiny roots keep until the rungs pass it
+    base = min(e.bits for e in system.base) + 2
+    assert [t.bits for t in tables] == [max((1 / w).numerator.bit_length() + 48, base)
+                                        for w in asked]
+    with mpmath.workprec(tables[-1].bits + 64):
+        if coeffs[1:3] == [0, 0]:   # a x^3 + c: the cube roots of -c/a
+            roots = [mpmath.cbrt(mpmath.mpf(-coeffs[0]) / coeffs[3]) * mpmath.expjpi(mpmath.mpf(2 * k) / 3)
+                     for k in range(3)]
+        else:
+            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=400, extraprec=4000)
+        for t in (tables[0], tables[-1]):
+            one = mpmath.mpf(2) ** t.bits
+            for re, im, rad in t.alpha:
+                assert rad <= 2 and (im == 0 or abs(im) > rad)
+                assert sum(abs(r * one - mpmath.mpc(re, im)) <= rad for r in roots) == 1
+
+
+def test_recip_pairs_a_root_with_its_inverse_only_when_the_polynomial_is_self_reciprocal():
+    # on disks of 2**-4, 1/2 and 1000/2001 meet: (x - 2)(2x - 1) pairs the
+    # roots 1/2 and 2, but (x - 2)(2001x - 1000) has no root that is
+    # another's inverse
+    for p, want in ((IntPoly((2, -5, 2)), [1, 0]), (IntPoly((2000, -5002, 2001)), [None, None])):
+        table = isolation.ScaledRoots(list(isolation.root_system(p).base), 4, {})
+        assert table.recip == want

@@ -1,12 +1,15 @@
+import copy
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
+from gapkit import isolation, linalg
 from gapkit.algnum import AlgNum, PowerBasisRep, power_rep
 from gapkit.intpoly import IntPoly
-from gapkit.linalg import kernel_vectors_up_to, rational_rank
+from gapkit.linalg import kernel_vectors_up_to
 from gapkit.minpair import (MinimalPair, PairError, build_system, c12,
                             c12_closed_form, c13, c13_formula, c14, find_pair,
                             verify_pair, wronskian)
@@ -15,7 +18,7 @@ from tests.conftest import CUBIC, QUARTIC
 
 
 def rank(system) -> int:
-    return rational_rank([list(r) for r in system.rows])
+    return sympy.Matrix([list(r) for r in system.rows]).rank()
 
 
 P1, Q1 = IntPoly((2, 0, -1)), IntPoly((1,))            # -x^2 + 2, 1
@@ -168,6 +171,53 @@ def test_c13_enclosure_beats_formula(alpha15, beta15):
 
     assert c13_formula(alpha15, Fraction(pair1.height_bound),
                        alpha15.mahler_interval().hi) < v  # enclosure branch won
+
+
+def test_c13_takes_the_next_rung_when_the_first_keeps_w_at_0(alpha15, beta15, monkeypatch):
+    # the first rung's disks coarsened to whole units: alpha ~ 1.827 is read
+    # as [0, 4], where W = 2x may vanish; the enclosure branch is read on
+    # the second rung, and still beats the closed bound
+    rep = power_rep(alpha15, beta15)
+    pair1 = MinimalPair(alpha15, beta15, rep, P1, Q1, 2, "exact")
+    scaled, asked = isolation._RootSystem.scaled, []
+
+    def coarse_first(self, width):
+        asked.append(width)
+        table = scaled(self, width)
+        if width < isolation.TABLE_WIDTH:
+            return table
+        coarse = copy.copy(table)
+        coarse.alpha = [isolation._rescaled(isolation._rescaled(z, table.bits, 0), 0, table.bits)
+                        for z in table.alpha]
+        return coarse
+
+    monkeypatch.setattr(isolation._RootSystem, "scaled", coarse_first)
+    v = c13(alpha15, pair1)
+    assert isolation.TABLE_WIDTH / 10 ** 10 in asked
+    assert Fraction(36, 10) < v < Fraction(366, 100)
+    assert c13_formula(alpha15, Fraction(pair1.height_bound), alpha15.mahler_interval().hi) < v
+
+
+def test_kernel_enumeration_ranges_come_from_the_first_independent_rows(monkeypatch):
+    # |c_i| <= bound sum_j |inv_ij|, inv the inverse (sympy) of the k x k
+    # matrix of the first k independent coordinate rows, truncated
+    rng = random.Random(3)
+    for _ in range(40):
+        cols = rng.randint(3, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(1, cols - 2))]
+        basis = linalg.integer_kernel(rows, cols)
+        k, chosen = len(basis), []
+        for r in range(cols):
+            if len(chosen) < k and sympy.Matrix([[b[s] for b in basis]
+                                                 for s in chosen + [r]]).rank() > len(chosen):
+                chosen.append(r)
+        inv = sympy.Matrix([[b[s] for b in basis] for s in chosen]).inv()
+        bound = rng.randint(1, 3)
+        radii = [int(sum(abs(inv[i, j]) for j in range(k)) * bound) for i in range(k)]
+        seen = []
+        monkeypatch.setattr(linalg, "product", lambda *ranges: seen.append(list(ranges)) or [])
+        linalg.kernel_vectors_up_to(basis, bound)
+        assert seen == [[range(-n, n + 1) for n in radii]]
 
 
 @pytest.mark.parametrize("index", [0, 1])

@@ -10,10 +10,10 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapkit import gap, isolation, rounding, thue
+from gapkit import cli, gap, isolation, rounding, thue
 from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minimal_poly,
                            theta_upper_bound)
-from gapkit.autgroup import aut_prime, root_orbit_partition
+from gapkit.autgroup import aut_prime, d12_family, root_orbit_partition
 from gapkit.binforms import BinForm, IntMat2, form_action
 from gapkit.gap import (GapConstants, HypothesisError, arch_quality, archimedean_c2, c11,
                         c16, interval_vs_power)
@@ -240,6 +240,48 @@ def test_assign_root_conjugate_tie_and_zero_coordinates():
     assert got == (2, "alpha_inv", True)
 
 
+@pytest.mark.parametrize("f, xy, want", [
+    (d12_family(3, 1), (1, 1), (8, "alpha", True)),
+    (BinForm((3, 2, -8, 2, 3)), (1, 1), (2, "alpha", True)),
+    (BinForm((1, 0, -4, 0, 2)), (1, 0), (0, "alpha_inv", True)),
+    (BinForm((1, 0, -4, 0, 2)), (0, 1), (1, "alpha", True))])
+def test_assign_root_recognises_exact_ties_at_the_first_rung(f, xy, want, monkeypatch):
+    # F palindromic, at (1, 1), where x/y = y/x = 1: a root is exactly as far
+    # from 1 as the inverse of its reciprocal partner; F even, at (1, 0) or
+    # (0, 1), where the target is 0: a root (or inverse root) is exactly as
+    # far from 0 as its negative.  Each tie is taken on the first rung, with
+    # the pick that walking the rungs gave
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    system = isolation.root_system(f.dehomogenize())
+    asked = []
+    scaled = isolation._RootSystem.scaled
+    monkeypatch.setattr(isolation._RootSystem, "scaled",
+                        lambda self, width: asked.append(width) or scaled(self, width))
+    assert assign_root(system, Solution.normalized(*xy, f.value(*xy), f.degree)) == want
+    assert asked == [isolation.TABLE_WIDTH]
+
+
+@pytest.mark.parametrize("f, partner", [(d12_family(3, 1), "recip"),
+                                        (BinForm((1, 0, -4, 0, 2)), "neg")])
+def test_root_partners_are_the_inverses_and_the_negatives(f, partner):
+    table = isolation.root_system(f.dehomogenize()).scaled(isolation.TABLE_WIDTH)
+    pairing = getattr(table, partner)
+    assert sorted(pairing) == list(range(f.degree))
+    roots = _mp_roots(f)
+    with mpmath.workdps(40):
+        for i, k in enumerate(pairing):
+            image = 1 / roots[i] if partner == "recip" else -roots[i]
+            assert abs(image - roots[k]) < mpmath.mpf(10) ** -30
+    # a root and its partner's inverse (or negative) tie only at one target,
+    # x/y = y/x (or 0 on their side)
+    if partner == "recip":
+        a, b = (0, 1, 1, 0, "alpha"), (0, 1, 1, pairing.index(0), "alpha_inv")
+        assert thue._exact_tie(table, a, b, 1, 1) and not thue._exact_tie(table, a, b, 1, 2)
+    else:
+        a, b = (0, 1, 1, 0, "alpha"), (0, 1, 1, pairing[0], "alpha")
+        assert thue._exact_tie(table, a, b, 0, 1) and not thue._exact_tie(table, a, b, 1, 2)
+
+
 def _exact_assign_root(f: BinForm, sol: Solution, budget: int = 5):
     """Reference: the same selection rules on the exact Fraction enclosures
     of every level, re-read from the root system for each solution."""
@@ -306,8 +348,7 @@ def test_scaled_roots_contain_the_roots(f, m, box):
                             assert lo <= abs(q * z - p) * one <= hi
     # a real disk that meets 0, here [-1, 3]: no inverse enclosure at all
     straddle = isolation.ScaledRoots(
-        [isolation.RootEnclosure(poly, 0, (1, 0, 2), 0)],
-        Fraction(1, 10 ** 12))
+        [isolation.RootEnclosure(poly, 0, (1, 0, 2), 0)], 72)
     assert straddle.inverse == [None] and straddle.mirror == [None]
 
 
@@ -491,15 +532,29 @@ def test_census_d12_builds_each_per_form_step_once(d12_census_counted):
     # the D12 form is palindromic: the inverse roots are the roots, so one
     # C16 serves both sides of C5; the Mahler measure is taken once for C10
     # and once for C5; irreducibility's root-set test runs for the problem,
-    # and aut_prime reads its verdict.  Every stage reads the TABLE_WIDTH
-    # table first; the three finer tables are root assignment's refinement
-    # of the genuine tie at (1, 1): the swap (x, y) -> (y, x) is in the
-    # group, so x/y = y/x = 1 is as close to a root as to an inverse root
+    # and aut_prime reads its verdict.  Every stage reads the first rung of
+    # the root system's ladder alone: the swap (x, y) -> (y, x) is in the
+    # group, so at (1, 1), where x/y = y/x, a root and the inverse of its
+    # reciprocal partner tie exactly, and that tie is recognised there
     _, calls, widths = d12_census_counted
-    assert calls == {"root_orbit_partition": 1, "c16": 1, "mahler_measure": 2,
-                     "_root_set_test": 1}
-    assert not {Fraction(1, 10 ** 12), Fraction(1, 10 ** 15)} & set(widths)
-    assert widths == [Fraction(1, 10 ** k) for k in (20, 28, 36, 44)]
+    assert calls == {"root_orbit_partition": 1, "c16": 1, "mahler": 2, "_root_set_test": 1}
+    assert set(widths) == {isolation.TABLE_WIDTH}
+
+
+def _is_rung(width: Fraction) -> bool:
+    return any(width == isolation.TABLE_WIDTH / 10 ** (10 * k) for k in range(100))
+
+
+def test_census_and_constants_ask_only_for_ladder_rungs(d12_census_counted, root_widths):
+    # every width that the D12 census and the README's ``constants arch``
+    # command ask of a root system is a rung of its ladder; the census asks
+    # for at most two
+    widths = d12_census_counted[2]
+    assert all(_is_rung(w) for w in widths) and len(set(widths)) <= 2
+    quartic = "x^4 - x^3 - 4*x^2 + 4*x + 1"
+    assert cli.main(["constants", "arch", f"{quartic}@root~=1.827", f"{quartic}@root~=1.338",
+                     "--mu", "7/2", "--c0", "1"]) == 0
+    assert root_widths and all(_is_rung(w) for w in root_widths), root_widths
 
 
 def test_census_d12_report_emits_in_full(d12_census_counted):
@@ -661,15 +716,17 @@ GOLDEN_AUT = json.loads((Path(__file__).parent / "golden" / "aut.json").read_tex
 
 
 def _all_pairs_c11(alphas, mu, c0):
-    """c11 as the maximum of one rounded power per pair."""
-    width = Fraction(1, 10 ** 15)
-    for _ in range(6):
-        encl = [a.enclosure(width) for a in alphas]
+    """c11 as the maximum of one rounded power per pair, on the rungs of the
+    root systems' ladders."""
+    width = isolation.TABLE_WIDTH
+    for _ in range(9):
+        encl = [isolation.RootEnclosure(a.minpoly, a.index, t.alpha[a.index], t.bits)
+                for a in alphas for t in [isolation.root_system(a.minpoly).scaled(width)]]
         dists = [encl[i].distance_interval(encl[j]).lo
                  for i in range(len(alphas)) for j in range(i + 1, len(alphas))]
         if min(dists) > 0:
             return tidy_up(max(pow_up(2 * c0 / dist, 1 / mu) for dist in dists))
-        width /= 10 ** 8
+        width /= 10 ** 10
     raise AssertionError("conjugates not separated")
 
 
@@ -718,7 +775,7 @@ def test_convergents_cbrt2(cbrt2):
     cv = convergents(cbrt2, 8)
     assert [(p.x, p.y) for p in cv[:4]] == [(1, 1), (4, 3), (5, 4), (29, 23)]
     for p in cv:
-        q = arch_quality(cbrt2, p)
+        q = arch_quality(cbrt2, p, Fraction(1, 10 ** 30))
         assert interval_vs_power(q, Fraction(p.y), Fraction(-2)) == -1
 
 
