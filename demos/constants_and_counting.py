@@ -26,13 +26,13 @@ print("C7 (Liouville, 17-adic)     =", liouville_c7(xi))
 pair = find_pair(alpha, beta)
 arch = archimedean_constants(alpha, beta, mu, c0, pair=pair, rep=pair.rep)
 print("\nArchimedean gap constants (mu = 11/4, C0 = 1):")
-print("  C1 =", compact_str(arch.c_small), "  C2 =", compact_str(arch.c_big))
+print("  C1 =", compact_str(arch.c_small, True), "  C2 =", compact_str(arch.c_big, True))
 for name, val in arch.provenance:
     print(f"    {name}: {val}")
 
 padic = nonarchimedean_constants(xi, pair, mu, c0)
 print("\n17-adic gap constants:")
-print("  C3 =", compact_str(padic.c_small), "  C4 =", compact_str(padic.c_big))
+print("  C3 =", compact_str(padic.c_small, True), "  C4 =", compact_str(padic.c_big, True))
 
 ps = thue_siegel_params(3, mahler_max_log=Fraction(106, 100))
 print("\nThue-Siegel parameters at d = 3 (a = 1/500):")
@@ -40,7 +40,7 @@ print("  t^2   =", ps.t2, "  t ~", float(ps.t2) ** 0.5)
 print("  tau^2 =", ps.tau2, "  tau ~", float(ps.tau2) ** 0.5)
 print("  lambda ~", float(ps.lam2) ** 0.5, " < 1.42 sqrt(3) ~ 2.4595")
 print("  delta^{-1} =", float(ps.delta_inverse), " < 41667 * 9 =", 41667 * 9)
-print("  A =", compact_str(ps.A))
+print("  A =", compact_str(ps.A, True))
 
 print("\ncounting bounds (mu = (3d+2)/4):")
 print("  floor f(3)      =", f_floor(3), " -> 24 *", f_floor(3), "=", 24 * f_floor(3))

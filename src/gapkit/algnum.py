@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import isqrt, lcm, prod
-
-import mpmath
+from operator import mul
 
 from . import isolation
 from .intpoly import (IntPoly, describe, discriminant_poly, factor_degree_sieve,
@@ -33,6 +32,7 @@ from .intpoly import (IntPoly, describe, discriminant_poly, factor_degree_sieve,
 from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _disk_abs, _span,
                         disk_distance, disk_elementary, disk_holds_integer, disk_sub,
                         first_rung, house, root_system)
+from .linalg import lll_reduce
 from .rounding import AbstainError, RatInterval, tidy_down, tidy_up
 
 
@@ -262,10 +262,11 @@ def denominator_scalar(rep: PowerBasisRep) -> int:
 def power_rep(alpha: AlgNum, beta: AlgNum) -> PowerBasisRep:
     """Exact power-basis representation of beta over alpha.
 
-    The candidate is found by integer-relation search (PSLQ) on the selected
-    embeddings and then verified exactly: the beta minimal polynomial must
-    vanish on the representation modulo the alpha minimal polynomial, and the
-    certified image of the representation must land in beta's enclosure.
+    The candidate is found by integer-relation search (LLL, at 240, 480,
+    960 and 1920 bits) on the selected embeddings and then verified exactly:
+    the beta minimal polynomial must vanish on the representation modulo the
+    alpha minimal polynomial, and the certified image of the representation
+    must land in beta's enclosure.
     NotInFieldError (exit 2) is certain: beta's degree does not divide
     alpha's, a selected embedding is not real (the search's hypothesis), or,
     once the search budget is spent, f = alpha's minimal polynomial has a
@@ -289,9 +290,9 @@ def power_rep(alpha: AlgNum, beta: AlgNum) -> PowerBasisRep:
         coeffs[1] = Fraction(1)
         return PowerBasisRep(alpha, beta, tuple(coeffs))
 
-    bits = 240
+    bits, rows = 240, [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
     while bits <= 2400:
-        rel = _pslq_candidate(alpha, beta, bits)
+        rel, rows = _relation_candidate(alpha, beta, bits, rows)
         if rel is not None:
             rep = _verify_rep(alpha, beta, rel)
             if rep is not None:
@@ -308,24 +309,26 @@ def power_rep(alpha: AlgNum, beta: AlgNum) -> PowerBasisRep:
                        "within 2400 bits")
 
 
-def _pslq_candidate(alpha: AlgNum, beta: AlgNum, bits: int):
+def _relation_candidate(alpha: AlgNum, beta: AlgNum, bits: int,
+                        start: list[list[int]]) -> tuple[list[int] | None, list[list[int]]]:
+    """(rel, rows): rel is the first row (c_0, ..., c_d) of the LLL-reduced
+    lattice [I | round(2**bits (1, alpha, ..., alpha**(d-1), beta))], at the
+    midpoints of enclosures of width 2**-bits, with c_d != 0 and each |c_i|
+    <= 10**(bits // 8), or None; a relation c_0 + ... + c_d beta = 0 is a
+    row about as short as itself.  The reduction starts from the previous
+    rung's reduced rows ``start`` (a unimodular change of basis) and returns
+    this rung's as ``rows``."""
     # refined here rather than through the root cache: the width follows the
     # search's precision, not the roots
     width = Fraction(1, 2 ** bits)
-    a_enc = alpha.enclosure().refine(width)
-    b_enc = beta.enclosure().refine(width)
-    old = mpmath.mp.prec
-    try:
-        mpmath.mp.prec = bits + 64
-        a = mpmath.mpf(a_enc.interval.mid().numerator) / a_enc.interval.mid().denominator
-        b = mpmath.mpf(b_enc.interval.mid().numerator) / b_enc.interval.mid().denominator
-        vec = [a ** i for i in range(alpha.degree)] + [b]
-        rel = mpmath.pslq(vec, maxcoeff=10 ** (bits // 8), maxsteps=4000)
-    finally:
-        mpmath.mp.prec = old
-    if rel is None or rel[-1] == 0:
-        return None
-    return rel
+    a = alpha.enclosure().refine(width).interval.mid()
+    b = beta.enclosure().refine(width).interval.mid()
+    d = alpha.degree
+    column = [round(a ** i * 2 ** bits) for i in range(d)] + [round(b * 2 ** bits)]
+    reduced = lll_reduce([row + [sum(map(mul, row, column))] for row in start])
+    rows = [row[:-1] for row in reduced]
+    bound = 10 ** (bits // 8)
+    return next((row for row in rows if row[d] and max(map(abs, row)) <= bound), None), rows
 
 
 def _verify_rep(alpha: AlgNum, beta: AlgNum, rel) -> PowerBasisRep | None:

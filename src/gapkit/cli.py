@@ -152,8 +152,8 @@ def cmd_constants(args) -> int:
         gc = nonarchimedean_constants(xi, pair, mu, c0)
     _emit({
         "metric": gc.metric,
-        "C_small": {"value": compact_str(gc.c_small), "rounding": "up"},
-        "C_big": {"value": compact_str(gc.c_big), "rounding": "up"},
+        "C_small": {"value": compact_str(gc.c_small, True), "rounding": "up"},
+        "C_big": {"value": compact_str(gc.c_big, True), "rounding": "up"},
         "mu": str(mu), "C0": str(c0),
         "provenance": dict(gc.provenance),
     }, args.format)
@@ -232,7 +232,7 @@ def cmd_gap_check(args) -> int:
         entry["gapBound"] = {"value": entry["gapBound"], "rounding": "down"}
         out.append(entry)
     _emit({"hypotheses": {"mu": str(args.mu), "C0": str(args.c0),
-                          "C_small": {"value": compact_str(constants.c_small),
+                          "C_small": {"value": compact_str(constants.c_small, True),
                                       "rounding": "up"}},
            "checks": out}, args.format)
     if any(c["verdict"] == "Violation" for c in out):

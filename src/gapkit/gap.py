@@ -411,10 +411,11 @@ def archimedean_constants(alpha: AlgNum, beta: AlgNum, mu, c0,
     c2 = archimedean_c2(d, c0, c12v, max1_up, beta_abs_up)
     (branches,) = archimedean_floor_branches(d, mu, c0, c12v, [(c13v, c6v, max1_up)])
     c1 = max(b for _, b in branches)
-    prov = tuple((name, compact_str(val)) for name, val in branches)
+    prov = tuple((name, compact_str(val, True)) for name, val in branches)
     return GapConstants("archimedean", tidy_up(c1), c2, mu, c0, d,
-                        provenance=prov + (("C12", compact_str(c12v)), ("C13", compact_str(c13v)),
-                                           ("C6", compact_str(c6v))))
+                        provenance=prov + (("C12", compact_str(c12v, True)),
+                                           ("C13", compact_str(c13v, False)),
+                                           ("C6", compact_str(c6v, False))))
 
 
 def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
@@ -442,10 +443,11 @@ def nonarchimedean_constants(xi: PadicAlgNum, pair: MinimalPair, mu, c0
         [(c_alpha, d - 1), (c0 / c7v, 1), (c12v, Fraction(d * d + 3 * d, 2) * mu),
          (1 / c14v, 1)], [([], [])])
     c3 = max(b for _, b in branches)
-    prov = tuple((name, compact_str(val)) for name, val in branches)
+    prov = tuple((name, compact_str(val, True)) for name, val in branches)
     return GapConstants("p-adic", tidy_up(c3), c4, mu, c0, d,
-                        provenance=prov + (("C12", compact_str(c12v)), ("C14", compact_str(c14v)),
-                                           ("C7", compact_str(c7v))))
+                        provenance=prov + (("C12", compact_str(c12v, True)),
+                                           ("C14", compact_str(c14v, False)),
+                                           ("C7", compact_str(c7v, False))))
 
 
 # -- approximation uniqueness -----------------------------------------------------
@@ -619,8 +621,8 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
     branches["iteration-floor"] = pow_up(c_big, 2 / (mu - Fraction(d, 2) - 1))
     argmax = list(branches)[largest(list(branches.values()))]
     value = tidy_up(branches[argmax])
-    prov = {"branches": {k: compact_str(v) for k, v in branches.items()},
-            "argmax": argmax, "A": compact_str(a_big)}
+    prov = {"branches": {k: compact_str(v, True) for k, v in branches.items()},
+            "argmax": argmax, "A": compact_str(a_big, True)}
     return value, prov
 
 
@@ -677,7 +679,7 @@ def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,
         verdict = "Violation"
     details = {
         "H1": pair1.height, "H2": pair2.height,
-        "gapBound": compact_str(_gap_bound_repr(constants, h1)),
+        "gapBound": compact_str(_gap_bound_repr(constants, h1), False),
         "metric": constants.metric,
     }
     return Verdict(verdict, gap_holds, mobius_case, relation, details)

@@ -51,15 +51,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, pi, prod
+from math import frexp, isqrt, ldexp, pi, prod
 
 import cmath
-import mpmath
-from mpmath.libmp import from_man_exp, mpf_pos
 
 from .intpoly import (IntPoly, describe, exact_quotient, is_squarefree, normalize_minimal_poly,
                       poly_gcd_q, squarefree_part)
-from .rounding import AbstainError, RatInterval, _mpf_tuple_to_fraction, monomial_up
+from .rounding import AbstainError, RatInterval, monomial_up
 
 
 class IsolationError(ValueError):
@@ -524,8 +522,9 @@ def _numeric_seeds(p: IntPoly):
     coefficients below 1.  Attempt 0 runs ``_aberth`` in Python complex from
     n points on the unit circle, up to 1000 sweeps of about 60 us each at
     degree 12, and misses roots whose small coefficients underflow a float.
-    Later attempts run it in mpmath.mpc at ``bits`` bits, with no exponent
-    limit, for up to min(bits / 2, 1000) sweeps: attempt 1 from the Newton
+    Later attempts, the package's one use of mpmath, run it in mpmath.mpc
+    at ``bits`` bits, with no exponent limit, for up to min(bits / 2, 1000)
+    sweeps: attempt 1 from the Newton
     polygon's points (``_polygon_points``), each later one from the last
     attempt's approximations.  A zero constant coefficient puts a start
     point at 0, where p vanishes and the point stays.  ``_polish`` takes
@@ -541,16 +540,19 @@ def _numeric_seeds(p: IntPoly):
     scaled = [(c[k], s * (k - n) - c[n].bit_length()) for k in range(n, -1, -1)]
     deriv, zero = p.derivative(), c[0] == 0
 
-    def polished(zs, bits):
+    def polished(zs, bits, isfinite, ldexp, mag):
+        # mag(z) = e with 2**(e-1) <= |z| < 2**e; each part is truncated at
+        # the scale 2**(k - e), exactly (a float's ldexp is exact down to 1)
         k = bits + _GUARD_BITS
-        return [_polish(p, deriv, int(mpmath.ldexp(z.real, k - e)),
-                        int(mpmath.ldexp(z.imag, k - e)), k - e - s)
-                for z in zs if mpmath.isfinite(z) for e in [mpmath.mag(abs(z)) if z else 0]]
+        return [_polish(p, deriv, int(ldexp(z.real, k - e)), int(ldexp(z.imag, k - e)), k - e - s)
+                for z in zs if isfinite(z) for e in [mag(z) if z else 0]]
 
     yield polished(_aberth([ck / (1 << -e) if e < 0 else float(ck << e) for ck, e in scaled],
                            [0j] * zero + [cmath.rect(1.0, 2 * pi * j / (n - zero) + 0.4)
                                           for j in range(n - zero)], 2.0 ** -26, 1000),
-                   _SEED_BITS)
+                   _SEED_BITS, cmath.isfinite, ldexp, lambda z: frexp(abs(z))[1])
+    import mpmath   # only the retries need more than a float's precision and range
+
     zs = None
     for attempt in range(1, _ATTEMPTS):
         bits = _SEED_BITS << attempt
@@ -559,7 +561,7 @@ def _numeric_seeds(p: IntPoly):
                 zs = _polygon_points(c, s)
             zs = _aberth([mpmath.ldexp(ck, e) for ck, e in scaled], zs,
                          mpmath.ldexp(1, -bits // 2), min(bits // 2, 1000))
-        yield polished(zs, bits)
+        yield polished(zs, bits, mpmath.isfinite, mpmath.ldexp, lambda z: mpmath.mag(abs(z)))
 
 
 def _polygon_points(c: tuple[int, ...], s: int) -> list:
@@ -569,6 +571,8 @@ def _polygon_points(c: tuple[int, ...], s: int) -> list:
     (k, bits(c_k)), c_k != 0, an edge from k to k + m puts m points on the
     circle of radius 2**((bits(c_k) - bits(c_(k+m))) / m - s), about the
     modulus of m roots, and the first nonzero c_k puts k points at 0."""
+    import mpmath
+
     hull: list[tuple[int, int]] = []
     for k, a in [(k, ck.bit_length()) for k, ck in enumerate(c) if ck]:
         while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (a - hull[-2][1])
@@ -633,8 +637,12 @@ def _polish(p: IntPoly, deriv: IntPoly, re: int, im: int, b: int) -> tuple[int, 
 
 def _dyadic(m: int, b: int, bits: int) -> Fraction:
     """m / 2**b with m rounded to nearest at ``bits`` significant bits, ties
-    to even (mpmath's rounding of an mpf), as an exact Fraction."""
-    return _mpf_tuple_to_fraction(mpf_pos(from_man_exp(m, -b), bits, "n"))
+    to even, as an exact Fraction."""
+    k = max(0, abs(m).bit_length() - bits)
+    if k:
+        q, r = divmod(m, 1 << k)
+        m, b = q + (2 * r > 1 << k or (2 * r == 1 << k and q & 1)), b - k
+    return Fraction(m, 1 << b) if b >= 0 else Fraction(m << -b)
 
 
 def _horner(p: IntPoly, re: int, im: int, bits: int) -> tuple[int, int]:

@@ -1,12 +1,13 @@
 """Exact linear algebra over Q and Z: integer kernel lattices via unimodular
-row reduction, bounded lattice-point enumeration, and 2-dimensional lattice
-(Lagrange) reduction."""
+row reduction, bounded lattice-point enumeration, 2-dimensional lattice
+(Lagrange) reduction and its n-dimensional form, integral LLL."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -124,3 +125,53 @@ def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[tuple[int
         if norm2(b2) >= n1:
             return b1, b2
         b1, b2 = b2, b1
+
+
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice of the independent
+    integer rows ``basis``, by H. Cohen's integral algorithm (GTM 138, Alg.
+    2.6.7): d[i] is the Gram determinant of the first i rows, lam[k][j] =
+    d[j+1] mu_kj, every division is exact, and row k's Gram-Schmidt data
+    are first computed when k is first reached.  The first row is at most
+    2**((n-1)/2) times the shortest (Lenstra, Lenstra and Lovasz, 1982)."""
+    b, n = [list(v) for v in basis], len(basis)
+    d, lam = [1, sum(x * x for x in basis[0])] + [0] * (n - 1), [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(map(mul, b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+            if not u:
+                raise ValueError("linearly dependent rows")
+            d[k + 1] = u
+        red(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+            new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+            d[k] = new
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return b

@@ -14,10 +14,10 @@ lower bounds round down.  This module supplies the primitives:
 * :func:`largest`, the maximum of positive rationals, sized up by bit
   lengths before any megabit product,
 * :class:`RatInterval`, a closed interval with rational endpoints, and
-* certified ``log``/``exp`` enclosures backed by ``mpmath.iv`` interval
-  arithmetic with exact dyadic endpoint extraction, and :func:`exp_up`,
-  the upper endpoint of the exp enclosure alone, for the huge exponentials
-  whose lower endpoint nobody reads.
+* certified ``log``/``exp`` enclosures summed on integers, each endpoint a
+  dyadic rounded outward, and :func:`exp_up`, the upper endpoint of the
+  exp enclosure alone, for the huge exponentials whose lower endpoint
+  nobody reads.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 from math import isqrt, log2
-
-from mpmath import iv
 
 Rat = Fraction
 
@@ -258,49 +256,98 @@ def _as_interval(x) -> RatInterval:
 
 # -- certified transcendental enclosures -------------------------------------
 #
-# mpmath's interval context rounds outward, and its endpoints are exact
-# dyadic numbers, so converting them to Fractions preserves the certificate.
+# Integer fixed point (Brent & Zimmermann, Modern Computer Arithmetic, 4.2-4.4):
+# reduce by a power of 2 (log) or a multiple of ln 2 (exp), sum a series at
+# w = prec + 24 bits with an explicit error bound, round outward to ``prec`` bits.
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _ = t
-    man, exp = (-int(man) if sign else int(man)), int(exp)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+def _ln2(w: int) -> int:
+    """L with L <= 2**w ln 2 < L + 2: ln 2 = 2 atanh(1/3), summed with floors
+    at g more bits, each of its n < w terms short by under 2.2 units, so
+    the sum lies less than 2**g units below 2**(w+g) ln 2."""
+    g = w.bit_length() + 2
+    t, n, s = (1 << w + g) // 3, 0, 0
+    while t:
+        s += t // (2 * n + 1)
+        t, n = t // 9, n + 1
+    return (2 * s) >> g
 
 
-def _endpoint(fn, x: Fraction, side: int, prec: int) -> Fraction:
-    """Endpoint ``side`` (0 = lower, 1 = upper) of mpmath's interval
-    ``fn`` (``iv.log`` or ``iv.exp``) at the rational x, at ``prec`` bits,
-    read from the raw endpoint tuple: no re-rounding at the ambient working
-    precision."""
-    old = iv.prec
-    try:
-        iv.prec = prec
-        # iv.mpf(int) rounds outward, so the quotient encloses x
-        y = fn(iv.mpf(x.numerator) / iv.mpf(x.denominator))
-        return _mpf_tuple_to_fraction(y._mpi_[side])
-    finally:
-        iv.prec = old
+def _outward(n: int, e: int, prec: int, up: bool) -> Fraction:
+    """n * 2**e rounded to ``prec`` significant bits, up or down."""
+    s = max(0, abs(n).bit_length() - prec)
+    n, e = (-(-n >> s) if up else n >> s), e + s
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+
+
+def _log_bound(x: Fraction, prec: int, up: bool) -> Fraction:
+    """Bound on log x, x > 0: with y = x / 2**k in [1/sqrt 2, sqrt 2],
+    log x = k ln 2 + 2 atanh(u), u = (y - 1) / (y + 1), |u| <= 0.172.  The
+    odd atanh series sums powers of a fixed-point |u| with floors: each
+    power is off by at most 1.5 units, each term by 2.5, the terms left once
+    one is 0 sum to under 1, and k ln 2 is off by under 3.  At k = 0, log x
+    is about 2u, and w grows by the bits lost to u's smallness, so the bound
+    stays relative."""
+    if x == 1:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    k = p.bit_length() - q.bit_length()
+    a, b = (p, q << k) if k >= 0 else (p << -k, q)
+    if a * a > 2 * b * b:
+        k, b = k + 1, 2 * b
+    elif 2 * a * a < b * b:
+        k, a = k - 1, 2 * a
+    w = prec + 24 + (0 if k else max(0, (a + b).bit_length() - abs(a - b).bit_length()))
+    u = (abs(a - b) << w) // (a + b)
+    u2, s, n = u * u >> w, 0, 0
+    while u:
+        s += u // (2 * n + 1)
+        u, n = u * u2 >> w, n + 1
+    kb = abs(k).bit_length()
+    v, err = (2 * s if a > b else -2 * s) + (k * _ln2(w + kb) >> kb), 5 * n + 7
+    return _outward(v + err if up else v - err, -w, prec, up)
+
+
+def _exp_bound(x: Fraction, prec: int, up: bool) -> Fraction:
+    """Bound on exp x: x = k ln 2 + r, k the integer nearest x / ln 2 and
+    |r| <= 0.35, with r's fixed-point t within 2 units (ln 2 carries k's
+    bits more).  The Taylor series of exp(t / 2**w) sums terms each within
+    1.6 units, the terms left once one is 0 sum to under 2, and from t to
+    r exp moves by at most 2.4 units more."""
+    if not x:
+        return Fraction(1)
+    p, q = x.numerator, x.denominator
+    w = prec + 24
+    big = w + max(0, p.bit_length() - q.bit_length()) + 3
+    ln2, xs = _ln2(big), (p << big) // q
+    k = (2 * xs + ln2) // (2 * ln2)
+    t = (xs - k * ln2) >> (big - w)
+    term, s, n = 1 << w, 0, 0
+    while term:
+        s, n = s + term, n + 1
+        term = term * t // (n << w)
+    return _outward(s + 2 * n + 4 if up else s - 2 * n - 4, k - w, prec, up)
 
 
 def log_interval(x, prec: int = 160) -> RatInterval:
-    """Certified enclosure of log(x) for x a positive Fraction or RatInterval."""
+    """Certified enclosure of log(x) for x a positive Fraction or RatInterval,
+    each endpoint rounded outward to ``prec`` bits."""
     x = _as_interval(x)
     if x.lo <= 0:
         raise ValueError("log of nonpositive value")
-    return RatInterval(_endpoint(iv.log, x.lo, 0, prec), _endpoint(iv.log, x.hi, 1, prec))
+    return RatInterval(_log_bound(x.lo, prec, False), _log_bound(x.hi, prec, True))
 
 
 def exp_interval(x) -> RatInterval:
     """Certified enclosure of exp(x) for x a Fraction or RatInterval, at 160
     bits."""
     x = _as_interval(x)
-    return RatInterval(_endpoint(iv.exp, x.lo, 0, 160), _endpoint(iv.exp, x.hi, 1, 160))
+    return RatInterval(_exp_bound(x.lo, 160, False), _exp_bound(x.hi, 160, True))
 
 
 def exp_up(x: Rat) -> Rat:
     """Upper bound on exp(x): the upper endpoint of ``exp_interval(x)``,
-    without converting the lower one (a megabit integer for large x)."""
-    return _endpoint(iv.exp, Fraction(x), 1, 160)
+    without computing the lower one (a megabit integer for large x)."""
+    return _exp_bound(Fraction(x), 160, True)
 
 
 def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
@@ -361,21 +408,36 @@ def _tidy(x: Rat, up: bool) -> Rat:
     return Fraction(q, scale) if q else x
 
 
-def compact_str(x) -> str:
-    """Exact p/q for small fractions, mantissa*10^e approximation for the
-    astronomically large constants (no big-integer arithmetic at all)."""
+# floor(2**128 log10 2)
+_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+
+
+def compact_str(x, up: bool) -> str:
+    """x as p/q when both parts are below 10^40, else as a 6-digit mantissa
+    times 10^e, rounded up or down, with no power of 10 built.  log10 x, at
+    2**-128 units, is (s_n - s_d) log10 2, one unit short per bit of the
+    shifts that keep each part's top 64 bits, plus the float log10 of their
+    quotient, within 2**-47; so the mantissa t is within a factor 1 +- 2**-46
+    of its value, and the bound is the directed rounding of t (1 +- 2**-44):
+    that of x unless x is that close to a 6-digit value, then the next one
+    out.  A mantissa that rounds up to 10 carries into the exponent."""
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     if abs(num) < 10 ** 40 and den < 10 ** 40:
         return str(x)
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    # log10|x| from the top bits; exactness is irrelevant for display
+    if num < 0:
+        return "-" + compact_str(-x, not up)
     sn, sd = max(0, num.bit_length() - 64), max(0, den.bit_length() - 64)
-    l10 = (sn - sd) * math.log10(2) + math.log10((num >> sn) / (den >> sd))
-    e = math.floor(l10)
-    mant = 10 ** (l10 - e)
-    return f"{sign}{mant:.6g}*10^{e}"
+    l10 = (sn - sd) * _LOG10_2 + int(math.log10((num >> sn) / (den >> sd)) * 2.0 ** 128)
+    e = l10 >> 128
+    t, eta = 10 ** (5 + (l10 - (e << 128)) / 2 ** 128), 2.0 ** -44
+    m = math.ceil(t * (1 + eta)) if up else math.floor(t * (1 - eta))
+    if m >= 10 ** 6:
+        m, e = -(-m // 10) if up else m // 10, e + 1
+    elif m < 10 ** 5:
+        m, e = math.floor(10 * t * (1 - eta)), e - 1
+    digits = str(m)
+    return f"{(digits[0] + '.' + digits[1:]).rstrip('0').rstrip('.')}*10^{e}"
 
 
 def certified_floor(x: RatInterval) -> int:

@@ -150,7 +150,7 @@ def dichotomy_sweep(min_pairs: int = 200) -> dict:
             "honest_C_small": next(
                 (v for k, v in inst.constants.provenance
                  if k.startswith("desk-mode")), None),
-            "C_big": compact_str(inst.constants.c_big),
+            "C_big": compact_str(inst.constants.c_big, True),
             **counts,
         })
     denom = totals["checked"] + totals["abstentions"]

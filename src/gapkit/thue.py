@@ -396,8 +396,8 @@ def c5(f: BinForm, m: int, mu: Fraction, c10: Fraction) -> tuple[Fraction, dict]
                      else _conjugate_c16(recip, mu))
     candidates = (first, c16_a, c16_b)
     value = tidy_up(candidates[largest(candidates)])
-    prov = {"lewis-mahler": compact_str(first),
-            "C16(alpha)": compact_str(c16_a), "C16(alpha_inv)": compact_str(c16_b),
+    prov = {"lewis-mahler": compact_str(first, True),
+            "C16(alpha)": compact_str(c16_a, True), "C16(alpha_inv)": compact_str(c16_b, True),
             "branches(alpha)": prov_a, "branches(alpha_inv)": prov_b}
     return value, prov
 
@@ -455,12 +455,12 @@ class Census:
             "form": str(self.problem.form),
             "m": self.problem.m,
             "box": self.problem.bound,
-            "mu": compact_str(self.mu),
+            "mu": str(self.mu),
             "solutions": [(s.x, s.y, s.value) for s in self.solutions],
             "orbits": [list(o) for o in self.orbits],
             "gamma": self.gamma,
             "autOrder": self.aut_order,
-            "C5": {"value": compact_str(self.c5_value), "rounding": "up"},
+            "C5": {"value": compact_str(self.c5_value, True), "rounding": "up"},
             "theoremBound": self.theorem_bound,
             "largeSolutions": self.large_count,
             "boundRespected": self.large_count <= self.theorem_bound,
@@ -554,6 +554,12 @@ def convergents(alpha: AlgNum, count: int | None = None, *,
     # a convergent p/q is within 1/q**2 of alpha, so an enclosure of width
     # 2**-32 / max_den**2 usually decides every term needed; else refine
     width = Fraction(1, 10 ** 40) if max_den is None else Fraction(1, max_den * max_den << 32)
+    if inverse:
+        # 1/alpha moves |alpha|**2 times as far as alpha, and |alpha| >= 2**e:
+        # each |c_k| 2**(e k) <= |c_0| / d for k >= 1, so |c_0| outweighs the rest
+        c, db = alpha.minpoly.coeffs, alpha.degree.bit_length()
+        width /= 4 ** -min([0] + [(c[0].bit_length() - 1 - db - ck.bit_length()) // k
+                                  for k, ck in enumerate(c) if k and ck])
     for _ in range(12):
         iv = enc.refine(width).interval
         if inverse:

@@ -1,6 +1,6 @@
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -15,6 +15,7 @@ from gapkit.algnum import (AlgNum, NotInFieldError, c8, c9, denominator_scalar,
 from gapkit.autgroup import aut_prime, d12_family
 from gapkit.intpoly import IntPoly
 from gapkit.isolation import PrecisionError
+from gapkit.linalg import lll_reduce
 from gapkit.thue import ThueProblem, census
 from tests.conftest import CBRT2, CUBIC, QUARTIC
 
@@ -123,6 +124,111 @@ def test_power_rep_over_a_non_monic_minimal_polynomial():
     assert rep.coeffs == (0, Fraction(1, 2), 0, 0)
     assert (rep.numerator(), rep.denominator) == (IntPoly((0, 1)), 2)
     assert not algnum._verify_algebraic(f, half.minpoly, IntPoly((0, 1)), 3)
+
+
+# the representations the parent's PSLQ search found, pinned: the README's
+# quartic and cubic pairs, the cube root of 2 with a denominator, and the
+# sweep's quintic and sextic fields
+PINNED_REPS = [
+    ((1, 4, -4, -1, 1), 3, (1, 4, -4, -1, 1), 2, (-2, 0, 1, 0)),
+    ((1, 4, -4, -1, 1), 0, (1, 4, -4, -1, 1), 1, (2, 3, -1, -1)),
+    ((1, 4, -4, -1, 1), 3, (29, -85, 85, -35, 5), 2, ("4/5", "2/5", "2/5", "-1/5")),
+    ((-1, -3, 0, 1), 2, (1, -3, 0, 1), 2, (-2, 0, 1)),
+    ((-2, 0, 0, 1), 2, (-3, 6, -12, 8), 2, ("1/2", "1/2", 0)),
+    ((1, -40, 145, -71, -13, 1), 0, (1, -40, 145, -71, -13, 1), 3,
+     ("10/9", -30, "79/3", "37/9", "-1/3")),
+    ((1, -6, -11, 6, 15, 7, 1), 0, (1, -6, -11, 6, 15, 7, 1), 2, (0, -5, -5, 5, 5, 1)),
+]
+
+
+@pytest.mark.parametrize("f, i, g, j, coeffs", PINNED_REPS)
+def test_power_rep_finds_the_pinned_representation(f, i, g, j, coeffs):
+    rep = power_rep(AlgNum(IntPoly(f), i), AlgNum(IntPoly(g), j))
+    assert rep.coeffs == tuple(Fraction(c) for c in coeffs)
+
+
+def test_power_rep_reaches_the_480_bit_rung(monkeypatch):
+    # the cyclic cubic x^3 - 3x - 1 at x -> x / 2^50: the relation
+    # 2^50 beta = -2^101 - 2^50 alpha + alpha^2 has a coefficient above
+    # 10^30, the 240-bit rung's bound, and is found at 480 bits
+    n = 2 ** 50
+    p = IntPoly((-n ** 3, -3 * n ** 2, 0, 1))
+    rungs = []
+    search = algnum._relation_candidate
+
+    def spy(alpha, beta, bits, start):
+        rungs.append(bits)
+        return search(alpha, beta, bits, start)
+
+    monkeypatch.setattr(algnum, "_relation_candidate", spy)
+    rep = power_rep(AlgNum(p, 2), AlgNum(p, 1))
+    assert rep.coeffs == (-2 * n, -1, Fraction(1, n))
+    assert rungs == [240, 480]
+
+
+def _gram_schmidt(rows):
+    """Squared norms of the Gram-Schmidt vectors and the coefficients mu, exactly."""
+    star, norms, mu = [], [], []
+    for i, b in enumerate(rows):
+        v = [Fraction(x) for x in b]
+        mu.append([])
+        for j in range(i):
+            m = sum(Fraction(x) * y for x, y in zip(b, star[j])) / norms[j]
+            mu[i].append(m)
+            v = [x - m * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    return norms, mu
+
+
+def _det(m):
+    """Determinant of a square integer matrix, by exact elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@given(st.integers(min_value=2, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(min_value=-2 ** 80, max_value=2 ** 80), min_size=n, max_size=n))))
+@settings(max_examples=60, deadline=None)
+def test_lll_reduce_gives_a_reduced_basis_of_the_same_lattice(case):
+    # rows [I | v]: the reduced rows begin with the unimodular transform, and
+    # the basis is size reduced (|mu| <= 1/2) with Lovasz's condition at 3/4
+    n, v = case
+    rows = [[int(i == j) for j in range(n)] + [c] for i, c in enumerate(v)]
+    out = lll_reduce(rows)
+    transform = [row[:n] for row in out]
+    assert abs(_det(transform)) == 1
+    assert all(row[n] == sum(t * c for t, c in zip(row[:n], v)) for row in out)
+    norms, mu = _gram_schmidt(out)
+    assert all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, n))
+
+
+def test_lll_reduce_finds_a_small_relation():
+    # 1, sqrt 2, sqrt 3 and sqrt 6, scaled by 2^100, have no small integer
+    # relation; sqrt(5 + 2 sqrt 6) = sqrt 2 + sqrt 3 adds one
+    scale = 2 ** 100
+    vals = [scale, isqrt(2 * scale ** 2), isqrt(3 * scale ** 2), isqrt(6 * scale ** 2),
+            isqrt((5 * scale ** 2) + 2 * isqrt(6 * scale ** 4))]
+    assert lll_reduce([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 2], [2, 4]])
+    rows = [[int(i == j) for j in range(5)] + [c] for i, c in enumerate(vals)]
+    first = lll_reduce(rows)[0][:5]
+    assert first in ([0, 1, 1, 0, -1], [0, -1, -1, 0, 1])
 
 
 def test_c9_dominates_representation(alpha15, beta15):

@@ -299,6 +299,33 @@ def test_import_loads_no_sympy():
     assert proc.returncode == 0
 
 
+def test_census_and_cli_paths_load_no_mpmath():
+    # mpmath seeds only the Aberth retries, which no census and no README
+    # command reaches: a fresh interpreter imports the CLI, runs the D12
+    # census, the README minpair command and the sweep, all without it
+    script = """
+import contextlib, io, sys
+from fractions import Fraction
+import gapkit.cli
+from gapkit.autgroup import d12_family
+from gapkit.thue import ThueProblem, census
+loaded = ['mpmath' in sys.modules]
+census(ThueProblem(d12_family(3, 1), 3, 40), Fraction(38, 4))
+loaded.append('mpmath' in sys.modules)
+quartic = 'x^4 - x^3 - 4*x^2 + 4*x + 1'
+for argv in (['minpair', quartic + '@root~=1.827', quartic + '@root~=1.338'], ['sweep']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gapkit.cli.main(argv) == 0
+    loaded.append('mpmath' in sys.modules)
+print(loaded)
+"""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False, False]"
+
+
 def test_cube_roots_of_2_and_3_are_certified_apart_exit_2(capsys):
     # no relation is found within the search budget, and mod 31 x^3 - 2 has
     # a root while x^3 - 3 has none: no conjugate of 3^(1/3) is in Q(2^(1/3))

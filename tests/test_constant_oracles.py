@@ -13,7 +13,7 @@ bounds with up to millions of digits.  Their closed forms are evaluated in
 log2 from the same inputs gapkit used (C12, C13, C6, max(1, |alpha|), ...),
 and the reported value must lie above, within 1e-9 relatively in log2.
 Reports print these values through ``compact_str``; the tests swap it for
-``Fraction`` to read them exactly.
+``_exact`` to read them exactly.
 
 The constants built as products of rational powers (C10, C12's closed form,
 C14's closed form, C2, C4, C15, the closed branch of the two-forms constant
@@ -179,13 +179,18 @@ def _arch_floor_log2(d, mu, c0, c12v, c13v, c6v, max1_up):
     return wronskian, closing
 
 
+def _exact(x, up):
+    """``compact_str``'s stand-in: the value itself, whichever way it rounds."""
+    return Fraction(x)
+
+
 @pytest.fixture(scope="module")
 def c5_runs():
     """c5 of each census form, with every call to archimedean_floor_branches
     and to c16 recorded, and C16's branches exact."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gap, "compact_str", Fraction)
+        mp.setattr(gap, "compact_str", _exact)
         for name, (f, m, mu) in CENSUS_FORMS.items():
             calls = {"floor": [], "c16": []}
 
@@ -219,7 +224,7 @@ def test_d12_height_floor_branches_against_mpmath(c5_runs):
 
 
 def test_alpha15_height_floor_branches_against_mpmath(monkeypatch, alpha15, beta15):
-    monkeypatch.setattr(gap, "compact_str", Fraction)
+    monkeypatch.setattr(gap, "compact_str", _exact)
     mu, c0 = Fraction(7, 2), Fraction(1)
     constants = archimedean_constants(alpha15, beta15, mu, c0)
     prov = dict(constants.provenance)
@@ -235,7 +240,7 @@ def test_alpha15_height_floor_branches_against_mpmath(monkeypatch, alpha15, beta
 
 def test_padic_height_floor_branches_against_mpmath(monkeypatch):
     # the README's `constants padic` pair: 17-adic root ~ 3 of x^3 - 3x - 1
-    monkeypatch.setattr(gap, "compact_str", Fraction)
+    monkeypatch.setattr(gap, "compact_str", _exact)
     mu, c0 = Fraction(11, 4), Fraction(1)
     alpha = AlgNum.near(CUBIC, Fraction(1879, 1000))
     beta = AlgNum.near(CUBIC_IMAGE, Fraction(1532, 1000))
@@ -418,7 +423,7 @@ def test_c14_formula_against_mpmath(poly, prime, r0, height):
 def test_c2_against_mpmath(monkeypatch, alpha15, beta15, alpha_cubic, beta_cubic):
     # C0 2^((d+2)/2) (2 + |beta|) C12 max(1, |alpha|)^(d/2), from gapkit's
     # C12 and its upper bounds on |alpha| and |beta|
-    monkeypatch.setattr(gap, "compact_str", Fraction)
+    monkeypatch.setattr(gap, "compact_str", _exact)
     for alpha, beta, mu, c0 in ((alpha15, beta15, Fraction(7, 2), Fraction(1)),
                                 (alpha_cubic, beta_cubic, Fraction(11, 4), Fraction(3, 7))):
         constants = archimedean_constants(alpha, beta, mu, c0)
@@ -434,7 +439,7 @@ def test_c2_against_mpmath(monkeypatch, alpha15, beta15, alpha_cubic, beta_cubic
 
 def test_c4_against_mpmath(monkeypatch):
     # (d+2) C0 C12 c_alpha^(d/2) c_beta for the README's 17-adic pair
-    monkeypatch.setattr(gap, "compact_str", Fraction)
+    monkeypatch.setattr(gap, "compact_str", _exact)
     alpha = AlgNum.near(CUBIC, Fraction(1879, 1000))
     beta = AlgNum.near(CUBIC_IMAGE, Fraction(1532, 1000))
     xi = hensel_root(CUBIC, 17, 3)

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gapkit import rounding
+from gapkit.binforms import BinForm
 from gapkit.isolation import _dyadic
-from gapkit.rounding import (_MONOMIAL_BITS, RatInterval, _mpf_tuple_to_fraction,
+from gapkit.rounding import (_MONOMIAL_BITS, RatInterval,
                              certified_floor, compact_str, largest, monomial_up, pow_up,
                              root_down, root_up, simplest_rational_in, tidy_down,
                              tidy_up, exp_interval, exp_up, log_interval)
 from gapkit.rounding import _TIDY_DIGITS, _dec_exponent
+from gapkit.thue import ThueProblem, census
 
 rationals = st.fractions(min_value=Fraction(1, 10 ** 6),
                          max_value=Fraction(10 ** 6),
@@ -243,24 +246,161 @@ def test_exp_up_is_the_upper_endpoint():
             assert mpmath.mpf(up.numerator) / up.denominator - exact < exact * mpmath.mpf(2) ** -150
 
 
+# -- log and exp against mpmath, an independent library ---------------------
+
+ORACLE_BITS = 400     # mpmath's working precision: 2^-400 relative is far below the bounds
+
+
+def _mpf(q: Fraction):
+    """An exact dyadic Fraction as an mpf, exact while its odd part fits."""
+    n, d = q.numerator, q.denominator
+    assert d & (d - 1) == 0
+    z = (n & -n).bit_length() - 1 if n else 0
+    return mpmath.mpf((n >> z, z - (d.bit_length() - 1)))
+
+
+def _mpq(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _assert_encloses(lo: Fraction, hi: Fraction, exact, prec: int):
+    # each endpoint on its side, within 2^-150 (2^-(prec - 10)) relative
+    lo, hi = _mpf(lo), _mpf(hi)
+    assert lo <= exact <= hi
+    slack = abs(exact) * mpmath.mpf(2) ** -min(150, prec - 10)
+    assert exact - lo <= slack and hi - exact <= slack
+
+
+_log_args = st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 30), max_value=Fraction(10 ** 30),
+                 max_denominator=10 ** 30),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(min_value=1, max_value=2 ** 600),
+              st.integers(min_value=1, max_value=2 ** 600)),
+    # log near 1: relative, not absolute, precision
+    st.builds(lambda k, s: 1 + Fraction(s, 2 ** k), st.integers(min_value=1, max_value=400),
+              st.sampled_from([1, -1])))
+
+
+@given(_log_args, st.sampled_from([160, 320, 2560]))
+@example(Fraction(2 ** 300 + 1, 2 ** 300), 160)     # log near 1, above
+@example(Fraction(2 ** 300 - 1, 2 ** 300), 160)     # log near 1, below
+@example(Fraction(2 ** 100), 160)                   # a power of 2: k ln 2, no series
+@example(Fraction(1, 2 ** 1000), 320)
+@example(Fraction(1), 160)                          # exactly 0
+@example(Fraction(10 ** 300, 7), 2560)
+@settings(max_examples=150, deadline=None)
+def test_log_interval_against_mpmath(x, prec):
+    enc = log_interval(x, prec)
+    with mpmath.workprec(ORACLE_BITS + prec):
+        _assert_encloses(enc.lo, enc.hi, mpmath.log(_mpq(x)), prec)
+
+
+_exp_args = st.one_of(
+    st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 30),
+    st.builds(lambda n, k: Fraction(n, 2 ** k),
+              st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+              st.integers(min_value=180, max_value=400)))
+
+
+@given(_exp_args)
+@example(Fraction(0))                               # exactly 1
+@example(Fraction(-3))
+@example(Fraction(1, 10 ** 40))
+@example(Fraction(-10 ** 4 + 1, 3))
+@settings(max_examples=150, deadline=None)
+def test_exp_interval_against_mpmath(x):
+    enc = exp_interval(x)
+    assert exp_up(x) == enc.hi
+    with mpmath.workprec(ORACLE_BITS):
+        _assert_encloses(enc.lo, enc.hi, mpmath.exp(_mpq(x)), 160)
+
+
+@pytest.mark.parametrize("x", [Fraction(5 * 10 ** 6), Fraction(-5 * 10 ** 6),
+                               Fraction(6749000 * 2 ** 60 + 1, 2 ** 60)])
+def test_exp_interval_of_a_huge_argument_against_mpmath(x):
+    # exp(+-5 * 10^6) has about 7.2 million bits, and k ln 2 carries k's 23
+    # bits: each endpoint still lies within 2^-150 of the value, relatively
+    enc = exp_interval(x)
+    with mpmath.workprec(ORACLE_BITS):
+        _assert_encloses(enc.lo, enc.hi, mpmath.exp(_mpq(x)), 160)
+
+
+def test_ln2_lies_below_within_two_units():
+    # L <= 2^w ln 2 < L + 2, the rounding of ln 2 that every log and exp
+    # endpoint builds on: it lies below, by one unit or more at w = 200
+    with mpmath.workprec(12000):
+        for w in (1, 64, 200, 217, 600, 1300, 2700, 5500):
+            scaled = mpmath.ln2 * mpmath.mpf(2) ** w
+            ln2 = rounding._ln2(w)
+            assert ln2 <= scaled < ln2 + 2
+
+
+def _parse_compact(s: str) -> Fraction:
+    """The value a scientific ``compact_str`` string names, built exactly."""
+    mant, e = s.split("*10^")
+    return Fraction(mant) * Fraction(10) ** int(e)
+
+
 def test_compact_str():
-    assert compact_str(Fraction(3, 7)) == "3/7"
-    s = compact_str(Fraction(2) ** 100000)
-    assert "*10^" in s and s.endswith("30102")
+    assert compact_str(Fraction(3, 7), True) == "3/7" == compact_str(Fraction(3, 7), False)
+    for up in (True, False):
+        s = compact_str(Fraction(2) ** 100000, up)
+        assert "*10^" in s and s.endswith("30102")
+    # 2^100000 = 9.99002*10^30102 and a bit: the two directions differ by one digit
+    assert compact_str(Fraction(2) ** 100000, False) == "9.99002*10^30102"
+    assert compact_str(Fraction(2) ** 100000, True) == "9.99003*10^30102"
+
+
+def test_compact_str_carries_a_mantissa_of_10_into_the_exponent():
+    # 10^-10 below 10^50, far more than the estimate's error: up is 10^50
+    below = Fraction(10 ** 50 - 10 ** 40)
+    assert compact_str(below, True) == "1*10^50"
+    assert compact_str(below, False) == "9.99999*10^49"
+    assert compact_str(Fraction(10 ** 50 + 10 ** 40), False) == "1*10^50"
+    assert compact_str(-below, False) == "-1*10^50"
+    # 10^-50 below 10^50, within the estimate's error: the next value out
+    assert compact_str(Fraction(10 ** 50 - 1), True) == "1.00001*10^50"
+
+
+_compact_inputs = st.one_of(
+    st.integers(min_value=10 ** 40, max_value=10 ** 400).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=1, max_value=10 ** 300),
+              st.integers(min_value=10 ** 40, max_value=10 ** 400)),
+    st.builds(lambda k, n: Fraction(10 ** k + n), st.integers(min_value=41, max_value=300),
+              st.integers(min_value=-10 ** 6, max_value=10 ** 6)))
+
+
+@given(_compact_inputs, st.booleans())
+@example(Fraction(10 ** 45 * 123456), True)      # exactly 6 digits: no estimate decides it
+@example(Fraction(10 ** 45 * 123456), False)
+@example(Fraction(-(10 ** 60) + 1), True)
+@settings(max_examples=200, deadline=None)
+def test_compact_str_rounds_in_its_direction(x, up):
+    # the printed value lies on its side of x, at most one 6-digit step away
+    s = compact_str(x, up)
+    if "*10^" not in s:
+        assert Fraction(s) == x
+        return
+    assert s.lstrip("-")[0] in "123456789"
+    v = _parse_compact(s)
+    assert (v >= x) if up else (v <= x)
+    e = int(s.split("*10^")[1])
+    assert abs(v - x) <= Fraction(10) ** (e - 5) * 2
+
+
+def test_compact_str_of_a_census_c5_is_above_it():
+    # the C5 of this census printed 4.22695*10^2563408, below the exact value
+    res = census(ThueProblem(BinForm((1, -3, -2, -1)), 1, 100), Fraction(11, 4))
+    s = res.report()["C5"]["value"]
+    assert s == "4.22696*10^2563408"
+    assert _parse_compact(s) >= res.c5_value
+    assert _parse_compact(compact_str(res.c5_value, False)) <= res.c5_value
 
 
 # exact dyadic endpoints: man * 2**exp, on the oracle side as an integer
 # product or a quotient, never through the conversions under test
 def _is_dyadic_value(q: Fraction, man: int, exp: int) -> bool:
     return q == man * (1 << exp) if exp >= 0 else q * (1 << -exp) == man
-
-
-@given(st.booleans(), st.integers(min_value=0, max_value=2 ** 200),
-       st.integers(min_value=-10 ** 7, max_value=10 ** 7))
-@settings(max_examples=60, deadline=None)
-def test_mpf_tuple_to_fraction_is_exact(negative, man, exp):
-    q = _mpf_tuple_to_fraction((int(negative), man, exp, man.bit_length()))
-    assert _is_dyadic_value(q, -man if negative else man, exp)
 
 
 @given(st.booleans(), st.integers(min_value=1, max_value=2 ** 200),

@@ -54,6 +54,15 @@ def naive_enumeration(f: BinForm, m: int, bound: int):
     return {(x, y) for x, y, _ in naive_solutions(f, m, bound)}
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_convergents_of_a_root_far_below_1(m):
+    # the real root of (2^3300+1)x^3 - 3 is about 2^-1100, so its inverse
+    # needs an enclosure about 2^-2200 finer than the root's own convergents
+    f = BinForm((2 ** 3300 + 1, 0, 0, -3))
+    sols = enumerate_primitive(ThueProblem(f, m, 10), 1)
+    assert {(s.x, s.y) for s in sols} == naive_enumeration(f, m, 10)
+
+
 def test_enumerate_examples():
     sols = enumerate_primitive(ThueProblem(CUBE_FORM, 1, 100))
     assert [(s.x, s.y) for s in sols] == [(1, 0), (1, 1)]
@@ -669,7 +678,7 @@ def test_c5_palindromic_reuse_matches_inverse_roots():
             explicit[side] = c16(conj, mu, 1, max(g.c_small for g in pairwise),
                                  max(g.c_big for g in pairwise))
         for side, (c16v, branches) in explicit.items():
-            assert prov[f"C16({side})"] == compact_str(c16v)
+            assert prov[f"C16({side})"] == compact_str(c16v, True)
             assert prov[f"branches({side})"] == branches
         # the Lewis-Mahler branch, about (C10 m)^(1/(d - mu)), is far below C16
         c16_max = max(explicit["alpha"][0], explicit["alpha_inv"][0])
