@@ -19,7 +19,6 @@ scalar that replaces the ring index, and the explicit Liouville constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import isqrt, lcm, prod
@@ -33,6 +32,7 @@ from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds,
                         disk_distance, disk_elementary, disk_holds_integer, disk_sub,
                         first_rung, house, root_system)
 from .linalg import lll_reduce
+from .record import Record
 from .rounding import AbstainError, RatInterval, tidy_down, tidy_up
 
 
@@ -130,19 +130,17 @@ def _closed_root_sets(mirror: list[int | None], sizes: set[int]) -> list[list[in
     return out
 
 
-@dataclass(frozen=True)
-class AlgNum:
+class AlgNum(Record):
     """Algebraic number: irreducible minimal polynomial + root selector."""
 
-    minpoly: IntPoly
-    index: int
+    __slots__ = ("minpoly", "index")
 
-    def __post_init__(self):
-        f = self.minpoly
-        if f.lead < 0 or f.content() > 1:
+    def __init__(self, minpoly: IntPoly, index: int):
+        if minpoly.lead < 0 or minpoly.content() > 1:
             raise ValueError("minimal polynomial must be primitive with positive lead")
-        if not (0 <= self.index <= f.degree - 1):
+        if not (0 <= index <= minpoly.degree - 1):
             raise ValueError("root index out of range")
+        self._init(minpoly, index)
 
     @staticmethod
     def make(p: IntPoly, index: int = 0, check_irreducible: bool = True) -> "AlgNum":
@@ -232,13 +230,13 @@ def c8(alpha: AlgNum) -> Fraction:
 
 # -- power-basis representations ---------------------------------------------
 
-@dataclass(frozen=True)
-class PowerBasisRep:
+class PowerBasisRep(Record):
     """beta = sum b_i alpha**i with exact rational coefficients."""
 
-    alpha: AlgNum
-    beta: AlgNum
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("alpha", "beta", "coeffs")
+
+    def __init__(self, alpha: AlgNum, beta: AlgNum, coeffs: tuple[Fraction, ...]):
+        self._init(alpha, beta, coeffs)
 
     @property
     def denominator(self) -> int:
@@ -318,11 +316,9 @@ def _relation_candidate(alpha: AlgNum, beta: AlgNum, bits: int,
     row about as short as itself.  The reduction starts from the previous
     rung's reduced rows ``start`` (a unimodular change of basis) and returns
     this rung's as ``rows``."""
-    # refined here rather than through the root cache: the width follows the
-    # search's precision, not the roots
     width = Fraction(1, 2 ** bits)
-    a = alpha.enclosure().refine(width).interval.mid()
-    b = beta.enclosure().refine(width).interval.mid()
+    a = alpha.enclosure(width).interval.mid()
+    b = beta.enclosure(width).interval.mid()
     d = alpha.degree
     column = [round(a ** i * 2 ** bits) for i in range(d)] + [round(b * 2 ** bits)]
     reduced = lll_reduce([row + [sum(map(mul, row, column))] for row in start])

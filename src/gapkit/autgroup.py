@@ -19,7 +19,6 @@ of the roots, and the root orbits are read off those permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -29,6 +28,7 @@ from .binforms import BinForm, IntMat2, form_action
 from .intpoly import describe
 from .isolation import (ScaledRoots, disk_disjoint, disk_div, disk_mul, disk_sub,
                         root_system)
+from .record import Record
 from .rounding import simplest_rational_in
 
 
@@ -36,28 +36,30 @@ class AutError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AutElement:
-    """One element of Aut'|F|: primitive matrix, |det|**(d/2) scale, sign."""
+class AutElement(Record):
+    """One element of Aut'|F|: primitive matrix, |det|**(d/2) scale, sign:
+    scale is an integer with scale**2 == |det|**d, F(M0 x) = sign * scale * F,
+    and root i of F(x, 1) goes to root perm[i]."""
 
-    matrix: IntMat2
-    scale: int   # integer with scale**2 == |det|**d
-    sign: int    # F(M0 x) = sign * scale * F
-    perm: tuple[int, ...]   # root i of F(x, 1) goes to root perm[i]
+    __slots__ = ("matrix", "scale", "sign", "perm")
+
+    def __init__(self, matrix: IntMat2, scale: int, sign: int, perm: tuple[int, ...]):
+        self._init(matrix, scale, sign, perm)
 
     @property
     def det(self) -> int:
         return self.matrix.det
 
 
-@dataclass(frozen=True)
-class EnhancedAut:
+class EnhancedAut(Record):
     """Aut'|F| with structure metadata."""
 
-    form: BinForm
-    elements: tuple[AutElement, ...]
-    structure: str       # "C_n" or "D_n"
-    table1_class: str    # class of the rational-scale subgroup
+    __slots__ = ("form", "elements", "structure", "table1_class")
+
+    def __init__(self, form: BinForm, elements: tuple[AutElement, ...],
+                 structure: str,       # "C_n" or "D_n"
+                 table1_class: str):   # class of the rational-scale subgroup
+        self._init(form, elements, structure, table1_class)
 
     @property
     def order(self) -> int:
@@ -336,12 +338,13 @@ def _table1_tag(elements) -> str:
 
 # -- orbits of roots ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Record):
     """Partition of root indices under the integer-Moebius orbit relation."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    gamma_per_root: tuple[int, ...]
+    __slots__ = ("blocks", "gamma_per_root")
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...], gamma_per_root: tuple[int, ...]):
+        self._init(blocks, gamma_per_root)
 
     @property
     def gamma(self) -> int:

@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import comb, gcd
-from typing import Iterable
 
 from .intpoly import IntPoly, discriminant_poly
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntMat2:
+class IntMat2(Record):
     """Integer 2x2 matrix (s u; t v) acting on forms by
     F_M(x, y) = F(s*x + u*y, t*x + v*y)."""
 
-    s: int
-    u: int
-    t: int
-    v: int
+    __slots__ = ("s", "u", "t", "v")
+
+    def __init__(self, s: int, u: int, t: int, v: int):
+        set_ = object.__setattr__
+        set_(self, "s", s)
+        set_(self, "u", u)
+        set_(self, "t", t)
+        set_(self, "v", v)
 
     @property
     def det(self) -> int:

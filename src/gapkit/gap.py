@@ -10,7 +10,6 @@ enclosures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +19,7 @@ from .isolation import IsolationError, RootEnclosure, first_rung, mahler_measure
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
+from .record import Record
 from .rounding import (AbstainError, RatInterval, certified_floor, compact_str,
                        exp_up, largest, log_interval, monomial_fold, monomial_up,
                        pow_up, root_down, root_up, tidy_down, tidy_up)
@@ -56,18 +56,17 @@ def interval_vs_power(x: RatInterval, base: Fraction, exp: Fraction) -> int | No
 
 # -- approximation pairs ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproxPair:
+class ApproxPair(Record):
     """Primitive rational approximation x/y with height max(|x|, |y|)."""
 
-    x: int
-    y: int
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.x == 0 and self.y == 0:
+    def __init__(self, x: int, y: int):
+        if x == 0 and y == 0:
             raise ValueError("zero pair")
-        if gcd(abs(self.x), abs(self.y)) > 1:
+        if gcd(abs(x), abs(y)) > 1:
             raise ValueError("pair is not primitive")
+        self._init(x, y)
 
     @property
     def height(self) -> int:
@@ -254,15 +253,14 @@ def vanishing_gap(p: IntPoly, q: IntPoly, x1: int, y1: int
 
 # -- Moebius relations and derived approximations ----------------------------------
 
-@dataclass(frozen=True)
-class MobiusRelation:
+class MobiusRelation(Record):
     """beta = (s alpha + t) / (u alpha + v) with sv - tu != 0; acts on
     approximations by (x, y) -> (s x + t y, u x + v y)."""
 
-    s: int
-    t: int
-    u: int
-    v: int
+    __slots__ = ("s", "t", "u", "v")
+
+    def __init__(self, s: int, t: int, u: int, v: int):
+        self._init(s, t, u, v)
 
     @property
     def det(self) -> int:
@@ -305,21 +303,18 @@ def mobius_relation(alpha: AlgNum, beta: AlgNum,
 
 # -- gap constants -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapConstants:
+class GapConstants(Record):
     """The pair (C_small, C_big) controlling one generalized gap principle."""
 
-    metric: str           # "archimedean" | "p-adic"
-    c_small: Fraction     # height floor (C1 or C3)
-    c_big: Fraction       # gap denominator (C2 or C4)
-    mu: Fraction
-    c0: Fraction
-    degree: int
-    provenance: tuple = ()
+    __slots__ = ("metric", "c_small", "c_big", "mu", "c0", "degree", "provenance")
 
-    def __post_init__(self):
-        if self.c_small <= 0 or self.c_big <= 0:
+    def __init__(self, metric: str,         # "archimedean" | "p-adic"
+                 c_small: Fraction,         # height floor (C1 or C3)
+                 c_big: Fraction,           # gap denominator (C2 or C4)
+                 mu: Fraction, c0: Fraction, degree: int, provenance: tuple = ()):
+        if c_small <= 0 or c_big <= 0:
             raise ValueError("constants must be positive")
+        self._init(metric, c_small, c_big, mu, c0, degree, provenance)
 
     def desk_mode(self) -> "GapConstants":
         """Copy with the height floor lowered to 1, so the dichotomy
@@ -491,19 +486,16 @@ def _padic_distance(a: PadicAlgNum, b: PadicAlgNum) -> Fraction:
 
 # -- Thue-Siegel parameters -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThueSiegelParams:
+class ThueSiegelParams(Record):
     """Exact parameter bundle for the two-approximation principle at
     a = 1/500: the squares t2, tau2 and lam2 of t, tau and lambda, and
     delta, all rational."""
 
-    d: int
-    a: Fraction
-    t2: Fraction
-    tau2: Fraction
-    lam2: Fraction
-    delta: Fraction
-    A: Fraction | None = None
+    __slots__ = ("d", "a", "t2", "tau2", "lam2", "delta", "A")
+
+    def __init__(self, d: int, a: Fraction, t2: Fraction, tau2: Fraction, lam2: Fraction,
+                 delta: Fraction, A: Fraction | None):
+        self._init(d, a, t2, tau2, lam2, delta, A)
 
     @property
     def delta_inverse(self) -> Fraction:
@@ -628,13 +620,13 @@ def c16(alphas, mu, c0, c_small: Fraction, c_big: Fraction,
 
 # -- the dichotomy ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    verdict: str  # GapHolds | MobiusCase | Both | Violation
-    gap_holds: bool
-    mobius_case: bool
-    relation: MobiusRelation | None
-    details: dict = field(default_factory=dict)
+class Verdict(Record):
+    __slots__ = ("verdict", "gap_holds", "mobius_case", "relation", "details")
+
+    def __init__(self, verdict: str,  # GapHolds | MobiusCase | Both | Violation
+                 gap_holds: bool, mobius_case: bool, relation: MobiusRelation | None,
+                 details: dict):
+        self._init(verdict, gap_holds, mobius_case, relation, details)
 
 
 def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,

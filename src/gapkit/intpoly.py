@@ -11,10 +11,10 @@ Coefficients are stored low-to-high, so ``coeffs[k]`` is the coefficient of
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Sequence
 
 from .rounding import RatInterval
 

@@ -48,7 +48,6 @@ of any two roots, where distinct roots' disks are disjoint with room to spare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import frexp, isqrt, ldexp, pi, prod
@@ -57,6 +56,7 @@ import cmath
 
 from .intpoly import (IntPoly, describe, exact_quotient, is_squarefree, normalize_minimal_poly,
                       poly_gcd_q, squarefree_part)
+from .record import Record
 from .rounding import AbstainError, RatInterval, monomial_up
 
 
@@ -72,18 +72,17 @@ class PrecisionError(IsolationError, AbstainError):
 
 # -- root enclosures -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootEnclosure:
+class RootEnclosure(Record):
     """Certified enclosure of exactly one root of ``poly``: the integer disk
     ``disk`` = (re, im, rad) at scale 2**``bits``.  A real root's disk is
     centered on the real axis; a nonreal root's avoids it (|im| > rad).
     ``index`` is the position in the root ordering (by real part, then
     imaginary part, centers breaking the rare unresolved tie)."""
 
-    poly: IntPoly
-    index: int
-    disk: tuple[int, int, int]
-    bits: int
+    __slots__ = ("poly", "index", "disk", "bits")
+
+    def __init__(self, poly: IntPoly, index: int, disk: tuple[int, int, int], bits: int):
+        self._init(poly, index, disk, bits)
 
     @property
     def is_real(self) -> bool:

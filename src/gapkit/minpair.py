@@ -9,7 +9,6 @@ enumeration of small kernel-lattice vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algnum import (AlgNum, PowerBasisRep, c8, c9, denominator_scalar,
@@ -18,6 +17,7 @@ from .intpoly import IntPoly, exact_quotient, poly_gcd_q, prem
 from .isolation import PrecisionError, _span, root_system
 from .linalg import integer_kernel, kernel_vectors_up_to
 from .padic import PadicAlgNum, padic_abs_poly
+from .record import Record
 from .rounding import monomial_up, pow_up, tidy_down, tidy_up
 
 
@@ -25,18 +25,17 @@ class PairError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Linear conditions on the stacked coefficient vector
     (a_0..a_s | a_{s+1}..a_{2s+1}) of (P_hat, Q_hat) equivalent to
     P_hat(alpha) + beta * Q_hat(alpha) = 0."""
 
-    alpha: AlgNum
-    rep: PowerBasisRep
-    s: int
-    rows: tuple            # d x (2s+2) over Q
-    scaled_rows: tuple     # same, scaled integral by D * c_alpha^s
-    scale: int
+    __slots__ = ("alpha", "rep", "s", "rows", "scaled_rows", "scale")
+
+    def __init__(self, alpha: AlgNum, rep: PowerBasisRep, s: int,
+                 rows: tuple,                      # d x (2s+2) over Q
+                 scaled_rows: tuple, scale: int):  # rows times D * c_alpha^s, integral
+        self._init(alpha, rep, s, rows, scaled_rows, scale)
 
     @property
     def ncols(self) -> int:
@@ -96,17 +95,14 @@ def build_system(alpha: AlgNum, rep: PowerBasisRep, s: int) -> LinearSystem:
     return LinearSystem(alpha, rep, s, rows, tuple(scaled), scale)
 
 
-@dataclass(frozen=True)
-class MinimalPair:
+class MinimalPair(Record):
     """Verified pair for (alpha, beta) with its minimality certificate."""
 
-    alpha: AlgNum
-    beta: AlgNum
-    rep: PowerBasisRep
-    p: IntPoly
-    q: IntPoly
-    r: int
-    minimality: str  # "exact" | "siegel-bounded"
+    __slots__ = ("alpha", "beta", "rep", "p", "q", "r", "minimality")
+
+    def __init__(self, alpha: AlgNum, beta: AlgNum, rep: PowerBasisRep, p: IntPoly,
+                 q: IntPoly, r: int, minimality: str):  # "exact" | "siegel-bounded"
+        self._init(alpha, beta, rep, p, q, r, minimality)
 
     @property
     def height_bound(self) -> int:

@@ -9,12 +9,12 @@ valuation the result honestly reports "valuation >= k" instead of a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .intpoly import IntPoly, describe
 from .linalg import lagrange_reduce
+from .record import Record
 from .rounding import AbstainError
 
 
@@ -22,15 +22,15 @@ class HenselError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PadicAbs:
+class PadicAbs(Record):
     """Exact p-adic absolute value p**(-valuation), or a certified upper
     bound |.|_p <= p**(-min_valuation) when the value vanishes to the
     working precision (exact = False)."""
 
-    prime: int
-    valuation: int
-    exact: bool = True
+    __slots__ = ("prime", "valuation", "exact")
+
+    def __init__(self, prime: int, valuation: int, exact: bool = True):
+        self._init(prime, valuation, exact)
 
     @property
     def value(self) -> Fraction:
@@ -42,14 +42,13 @@ class PadicAbs:
         return f"|.|_{self.prime} <= {self.prime}^(-{self.valuation}) (valuation >= {self.valuation})"
 
 
-@dataclass(frozen=True)
-class PadicAlgNum:
+class PadicAlgNum(Record):
     """p-adic algebraic number selected by a Hensel witness residue."""
 
-    minpoly: IntPoly
-    prime: int
-    residue: int
-    _lifts: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("minpoly", "prime", "residue", "_lifts")
+
+    def __init__(self, minpoly: IntPoly, prime: int, residue: int):
+        self._init(minpoly, prime, residue, {})
 
     @property
     def degree(self) -> int:

@@ -353,7 +353,8 @@ def exp_up(x: Rat) -> Rat:
 def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
     """The rational with smallest denominator in [lo, hi] (Stern-Brocot).
     When the interval is tight around a rational p/q (width < 1/q**2), that
-    rational is the unique denominator-<=q element, hence the result."""
+    rational is the unique denominator-<=q element, hence the result.  The
+    loop walks the partial quotients that lo = an/ad and hi = bn/bd share."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
@@ -361,16 +362,16 @@ def simplest_rational_in(lo: Rat, hi: Rat) -> Rat:
         return Fraction(0)
     if hi < 0:
         return -simplest_rational_in(-hi, -lo)
-
-    def rec(a: Fraction, b: Fraction) -> Fraction:
-        fa = math.floor(a)
-        if Fraction(fa) == a:
-            return a
-        if fa + 1 <= b:
-            return Fraction(fa + 1)
-        return fa + 1 / rec(1 / (b - fa), 1 / (a - fa))
-
-    return rec(lo, hi)
+    (an, ad), (bn, bd), terms = lo.as_integer_ratio(), hi.as_integer_ratio(), []
+    t, r = divmod(an, ad)
+    while r and (t + 1) * bd > bn:   # ceil(lo) > hi
+        terms.append(t)
+        (an, ad), (bn, bd) = (bd, bn - t * bd), (ad, r)   # 1 / (hi - t), 1 / (lo - t)
+        t, r = divmod(an, ad)
+    p, q = t + (r != 0), 1   # ceil(lo)
+    for t in reversed(terms):
+        p, q = t * p + q, p
+    return Fraction(p, q)
 
 
 # significant digits kept by tidy_up and tidy_down

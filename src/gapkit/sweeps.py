@@ -11,7 +11,6 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algnum import AlgNum
@@ -22,22 +21,20 @@ from .gap import (AbstainError, ApproxPair, GapConstants, HypothesisError,
 from .minpair import find_pair
 from .padic import good_padic_approximations, hensel_root
 from .parse import parse_poly
+from .record import Record
 from .rounding import compact_str
 from .thue import convergents
 
 
-@dataclass(frozen=True)
-class SweepInstance:
-    name: str
-    metric: str
-    alpha: object            # AlgNum | PadicAlgNum
-    beta: object
-    mu: Fraction
-    c0: Fraction
-    constants: GapConstants
-    relation: MobiusRelation | None
-    pairs_alpha: list[ApproxPair]
-    pairs_beta: list[ApproxPair]
+class SweepInstance(Record):
+    __slots__ = ("name", "metric", "alpha", "beta", "mu", "c0", "constants", "relation",
+                 "pairs_alpha", "pairs_beta")
+
+    def __init__(self, name: str, metric: str, alpha: object, beta: object,  # AlgNum | PadicAlgNum
+                 mu: Fraction, c0: Fraction, constants: GapConstants,
+                 relation: MobiusRelation | None, pairs_alpha: list[ApproxPair],
+                 pairs_beta: list[ApproxPair]):
+        self._init(name, metric, alpha, beta, mu, c0, constants, relation, pairs_alpha, pairs_beta)
 
 
 # the standing desk instances: the quartic pair of the minimal-pair example

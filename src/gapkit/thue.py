@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd, isqrt
@@ -42,6 +41,7 @@ from .intpoly import IntPoly, describe, factor_degrees_by_prime
 from .isolation import (PrecisionError, _abs_bounds, _disk_abs, _RootSystem, disk_distance,
                         disk_sub, first_rung, root_system)
 from .minpair import c12_closed_form, c13_formula
+from .record import Record
 from .rounding import (AbstainError, compact_str, largest, log_interval, monomial_up, pow_up,
                        root_up, tidy_up)
 
@@ -50,39 +50,40 @@ class ThueError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ThueProblem:
+class ThueProblem(Record):
     """0 < |F(x, y)| <= m over primitive (x, y) with height <= bound."""
 
-    form: BinForm
-    m: int
-    bound: int
+    __slots__ = ("form", "m", "bound")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, form: BinForm, m: int, bound: int):
+        if m < 1:
             raise ThueError("m must be >= 1 (the inequality is strict at 0)")
-        if self.bound < 1:
+        if bound < 1:
             raise ThueError("height bound must be >= 1")
-        f = self.form
-        if f.degree < 3:
+        if form.degree < 3:
             raise ThueError("degree must be >= 3")
-        if f.lead_x == 0 or not is_irreducible(f.dehomogenize()):
-            raise ThueError(f"form of {describe(f)} is not irreducible over Q")
+        if form.lead_x == 0 or not is_irreducible(form.dehomogenize()):
+            raise ThueError(f"form of {describe(form)} is not irreducible over Q")
+        self._init(form, m, bound)
 
     @property
     def degree(self) -> int:
         return self.form.degree
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """Primitive solution, sign-normalized: first nonzero coordinate > 0.
     ``route`` names the search that found it: "window" or "convergent"."""
 
-    x: int
-    y: int
-    value: int  # F(x, y)
-    route: str = field(default="window", compare=False)
+    __slots__ = ("x", "y", "value", "route")
+    _uncompared = ("route",)
+
+    def __init__(self, x: int, y: int, value: int, route: str = "window"):  # value = F(x, y)
+        set_ = object.__setattr__
+        set_(self, "x", x)
+        set_(self, "y", y)
+        set_(self, "value", value)
+        set_(self, "route", route)
 
     @property
     def height(self) -> int:
@@ -435,20 +436,18 @@ def _conjugate_c16(p: IntPoly, mu: Fraction) -> tuple[Fraction, dict]:
     return c16(alphas, mu, c0, c_small, c_big, log_interval(m_up).hi)
 
 
-@dataclass(frozen=True)
-class Census:
-    problem: ThueProblem
-    solutions: tuple[Solution, ...]
-    assignments: tuple[tuple[int, str, bool], ...]
-    orbits: tuple[tuple[int, ...], ...]   # indices into solutions
-    gamma: int
-    aut_order: int
-    c5_value: Fraction
-    mu: Fraction
-    theorem_bound: int
-    large_count: int
-    galois: tuple[str, str]
-    provenance: dict
+class Census(Record):
+    __slots__ = ("problem", "solutions", "assignments", "orbits", "gamma", "aut_order",
+                 "c5_value", "mu", "theorem_bound", "large_count", "galois", "provenance")
+
+    def __init__(self, problem: ThueProblem, solutions: tuple[Solution, ...],
+                 assignments: tuple[tuple[int, str, bool], ...],
+                 orbits: tuple[tuple[int, ...], ...],   # indices into solutions
+                 gamma: int, aut_order: int, c5_value: Fraction, mu: Fraction,
+                 theorem_bound: int, large_count: int, galois: tuple[str, str],
+                 provenance: dict):
+        self._init(problem, solutions, assignments, orbits, gamma, aut_order, c5_value, mu,
+                   theorem_bound, large_count, galois, provenance)
 
     def report(self) -> dict:
         return {

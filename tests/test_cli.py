@@ -299,6 +299,30 @@ def test_import_loads_no_sympy():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("entry", ["import gapkit.cli", "from gapkit import thue"])
+def test_import_and_d12_census_load_no_dataclasses_inspect_or_typing(entry):
+    # gapkit's records are plain slotted classes, so neither the import nor
+    # the D12 census loads these modules; only the modules that gapkit adds
+    # count, since a site .pth file may load typing before it
+    script = f"""
+import sys
+before = set(sys.modules)
+{entry}
+from fractions import Fraction
+from gapkit.autgroup import d12_family
+from gapkit.thue import ThueProblem, census
+added = [set(sys.modules) - before]
+census(ThueProblem(d12_family(3, 1), 3, 40), Fraction(38, 4))
+added.append(set(sys.modules) - before)
+print([sorted(a & {{'dataclasses', 'inspect', 'typing'}}) for a in added])
+"""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[], []]"
+
+
 def test_census_and_cli_paths_load_no_mpmath():
     # mpmath seeds only the Aberth retries, which no census and no README
     # command reaches: a fresh interpreter imports the CLI, runs the D12

@@ -9,6 +9,8 @@
   projections of the reports are reused here).
 """
 
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from gapkit import cli, sweeps
 from gapkit.autgroup import aut_prime, root_orbit_partition
 from gapkit.binforms import BinForm
 from gapkit.thue import ThueProblem
@@ -62,3 +65,58 @@ def test_census_golden(entry, request):
             entry["form"], entry["m"], entry["box"], entry["mu"]))
     assert json.loads(json.dumps(got)) == {
         k: v for k, v in entry.items() if k not in ENTRY_KEYS}
+
+
+def _printed(s: str) -> Fraction:
+    """The value a printed constant names, p/q or m*10^e, built exactly."""
+    mant, _, e = s.partition("*10^")
+    return Fraction(mant) * Fraction(10) ** int(e or 0)
+
+
+def _spy(fn, seen: list, pick=lambda args, out: out):
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        seen.append(pick(args, out))
+        return out
+    return wrapped
+
+
+def test_printed_constants_lie_on_their_stated_side(d12_census_counted, monkeypatch):
+    # each C5, C_small and C_big that the golden commands and the D12 census
+    # print, read back exactly, lies on its stated side of the value the
+    # code computed: the census's c5_value, the GapConstants' c_small, c_big
+    seen = []
+    for name in ("archimedean_constants", "nonarchimedean_constants", "census"):
+        monkeypatch.setattr(cli, name, _spy(getattr(cli, name), seen))
+    # the constants a gap check prints are those it checks with
+    monkeypatch.setattr(cli, "check_gap_dichotomy",
+                        _spy(cli.check_gap_dichotomy, seen, lambda args, out: args[6]))
+    monkeypatch.setattr(sweeps, "default_instances", _spy(sweeps.default_instances, seen))
+    shown = []   # (printed value, stated rounding, computed value)
+    for argv in write_census.COMMANDS:
+        seen.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(argv)) == 0
+        rpt = json.loads(out.getvalue())
+        if argv[0] == "constants":
+            shown += [(rpt[k], seen[0].c_small if k == "C_small" else seen[0].c_big)
+                      for k in ("C_small", "C_big")]
+        elif argv[0] == "gap":
+            shown.append((rpt["hypotheses"]["C_small"], seen[-1].c_small))
+        elif argv[:2] == ["thue", "census"]:
+            shown.append((rpt["C5"], seen[0].c5_value))
+        elif argv[0] == "sweep":
+            (instances,) = seen
+            assert [i["instance"] for i in rpt["dichotomy"]["instances"]] == [
+                i.name for i in instances]
+            shown += [({"value": i["C_big"], "rounding": "up"}, inst.constants.c_big)
+                      for i, inst in zip(rpt["dichotomy"]["instances"], instances)]
+    result = d12_census_counted[0]
+    shown.append((result.report()["C5"], result.c5_value))
+    # C_small and C_big of two constants commands, two gap checks' C_small,
+    # two census C5s and the sweep's C_big of each of its instances
+    assert len(shown) == 8 + len(rpt["dichotomy"]["instances"])
+    for entry, value in shown:
+        assert entry["rounding"] == "up"
+        assert _printed(entry["value"]) >= value, (entry, value)

@@ -155,6 +155,49 @@ def test_simplest_rational():
     assert simplest_rational_in(x - eps, x + eps) == x
 
 
+def _least_denominator(lo, hi):
+    # brute force: the least q with an integer p in [lo q, hi q], and the p
+    # of least |p| there (two p share a least q only when q = 1)
+    q = 1
+    while not range(math.ceil(lo * q), math.floor(hi * q) + 1):
+        q += 1
+    return Fraction(min(range(math.ceil(lo * q), math.floor(hi * q) + 1), key=abs), q)
+
+
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=60),
+       st.fractions(min_value=0, max_value=1, max_denominator=60))
+@settings(max_examples=300, deadline=None)
+def test_simplest_rational_has_the_least_denominator(lo, width):
+    assert simplest_rational_in(lo, lo + width) == _least_denominator(lo, lo + width)
+
+
+def _stern_brocot(lo, hi):
+    # the mediant descent of the Stern-Brocot tree to the first node in
+    # [lo, hi], for 0 < lo <= hi
+    (a, b), (c, d) = (0, 1), (1, 0)
+    while True:
+        p, q = a + c, b + d
+        if p * lo.denominator < lo.numerator * q:
+            a, b = p, q
+        elif p * hi.denominator > hi.numerator * q:
+            c, d = p, q
+        else:
+            return Fraction(p, q)
+
+
+@pytest.mark.parametrize("k", [2600, 8000])
+def test_simplest_rational_on_thousands_of_partial_quotients(k):
+    # an interval of width 2**-k around sqrt(2), whose continued fraction
+    # [1; 2, 2, ...] runs to about 0.4 k terms: more than Python's default
+    # recursion depth of 1000 allows a walk that recurses once per term
+    s = math.isqrt(2 << 2 * k)
+    lo, hi = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
+    x = simplest_rational_in(lo, hi)
+    assert lo <= x <= hi
+    assert x == _stern_brocot(lo, hi)
+    assert simplest_rational_in(-hi, -lo) == -x
+
+
 def test_interval_arithmetic():
     a = RatInterval(1, 2)
     b = RatInterval(Fraction(-1, 2), Fraction(1, 3))

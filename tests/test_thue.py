@@ -555,15 +555,17 @@ def _is_rung(width: Fraction) -> bool:
 
 
 def test_census_and_constants_ask_only_for_ladder_rungs(d12_census_counted, root_widths):
-    # every width that the D12 census and the README's ``constants arch``
-    # command ask of a root system is a rung of its ladder; the census asks
-    # for at most two
+    # every width that the D12 census asks of a root system is a rung of its
+    # ladder, and it asks for at most two; the README's ``constants arch``
+    # command asks for rungs and, in power_rep's relation search, for
+    # 2**-bits at the search's precisions 240 * 2**k bits
     widths = d12_census_counted[2]
     assert all(_is_rung(w) for w in widths) and len(set(widths)) <= 2
     quartic = "x^4 - x^3 - 4*x^2 + 4*x + 1"
     assert cli.main(["constants", "arch", f"{quartic}@root~=1.827", f"{quartic}@root~=1.338",
                      "--mu", "7/2", "--c0", "1"]) == 0
-    assert root_widths and all(_is_rung(w) for w in root_widths), root_widths
+    search = {Fraction(1, 2 ** (240 << k)) for k in range(4)}
+    assert root_widths and all(_is_rung(w) or w in search for w in root_widths), root_widths
 
 
 def test_census_d12_report_emits_in_full(d12_census_counted):
