@@ -24,8 +24,6 @@ found.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd, isqrt
@@ -38,8 +36,8 @@ from .binforms import BinForm, discriminant
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
 from .intpoly import IntPoly, describe, factor_degrees_by_prime
-from .isolation import (PrecisionError, _abs_bounds, _disk_abs, _RootSystem, disk_distance,
-                        disk_sub, first_rung, root_system)
+from .isolation import (PrecisionError, _abs_bounds, _disk_abs, _RootSystem, disk_sub,
+                        first_rung, root_system)
 from .minpair import c12_closed_form, c13_formula
 from .record import Record
 from .rounding import (AbstainError, compact_str, largest, log_interval, monomial_up, pow_up,
@@ -275,8 +273,9 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
                                 (Fraction(1, abs(disc)), Fraction(1, 2))]))
 
 
-def assign_root(system: _RootSystem, sol: Solution) -> tuple[int, str, bool]:
-    """(root index, side, tie) minimizing
+def assign_root(system: _RootSystem, sols: list[Solution]
+                ) -> tuple[tuple[int, str, bool], ...]:
+    """For each solution, (root index, side, tie) minimizing
     min(|alpha_i - x/y|, |alpha_i^{-1} - y/x|) over the roots of F(x, 1),
     ``system``; the side is "alpha" or "alpha_inv".  Two candidates at one
     rational target that are one number, or that a root-permuting isometry
@@ -289,45 +288,62 @@ def assign_root(system: _RootSystem, sol: Solution) -> tuple[int, str, bool]:
     then the smaller root index, then the alpha side.  Other ties refine,
     and a tie that survives every rung is reported the same way.
 
-    Each rung of the root system's refinement ladder is a ``ScaledRoots``
-    table, built once and shared by every solution: integer disks at scale
-    2**b that contain each root and its inverse.  For a target p/q (x/y,
-    or y/x on the inverse side), ``disk_distance`` bounds 2**b |q z - p| =
-    2**b |q| |z - p/q| by integers over each disk, so every candidate's
-    distance is enclosed over the denominator |y| 2**b or |x| 2**b, and two
-    candidates compare by cross-multiplying with the other's |y| or |x|.
-    The best candidate has the least upper end; it is decided when no
-    rival's lower end lies below that upper end, which then holds for the
-    exact distances too, and otherwise the next rung decides."""
-    x, y = sol.x, sol.y
-    tied = None
+    The batch walks the root system's refinement ladder once: each rung, a
+    ``ScaledRoots`` table of integer disks at scale 2**b that contain each
+    root and its inverse, decides what it can and passes the rest on.  For
+    a target p/q (x/y, or y/x on the inverse side), the disk q z - p has
+    center (a, b') up to sign, a = |q re - p 2**b| and b' = |q im|, and
+    radius R = |q| rad, so 2**b |q| |z - p/q| lies in [lo, hi] from
+    ``_abs_bounds``; candidates compare by cross-multiplying their |q|.  The
+    best has the least hi/|q|; it is decided when no rival's lo/|q| lies
+    below that, which then holds for the exact distances too.  Before any
+    ``isqrt``, max(a, b') <= sqrt(a**2 + b'**2) <= a + b' gives
+    L = max(a, b') - R <= lo and U = a + b' + R >= hi: with m the candidate
+    of least U/|q|, one with L/|q| > U_m/|q_m| is neither the best nor a
+    rival and is dropped, so each solution gets the answer it would alone."""
+    out = [None] * len(sols)
+    todo = list(range(len(sols)))
     try:
         for table in system.ladder():
             one = 1 << table.bits
-            # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
-            cands: list[tuple[int, int, int, int, str]] = []
-            for i, (enc, inv) in enumerate(zip(table.alpha, table.inverse)):
-                if y != 0:
-                    cands.append((*disk_distance(enc, x, y, one), abs(y), i, "alpha"))
-                if x != 0 and inv is not None:
-                    cands.append((*disk_distance(inv, y, x, one), abs(x), i, "alpha_inv"))
-            best = cands[0]
-            for c in cands[1:]:
-                if c[1] * best[2] < best[1] * c[2]:
-                    best = c
-            rivals = [c for c in cands
-                      if c is not best and c[0] * best[2] < best[1] * c[2]]
-            tied = table, [best] + rivals
-            if all(_exact_tie(table, c, best, x, y) for c in rivals):
+            disks = list(enumerate(zip(table.alpha, table.inverse)))
+            left = []
+            for k in todo:
+                x, y = sols[k].x, sols[k].y
+                # (a, b', R, q, index, side), the distance's disk (above)
+                raw = []
+                for i, (enc, inv) in disks:
+                    if y != 0:
+                        raw.append((abs(enc[0] * y - x * one), abs(enc[1] * y),
+                                    enc[2] * abs(y), abs(y), i, "alpha"))
+                    if x != 0 and inv is not None:
+                        raw.append((abs(inv[0] * x - y * one), abs(inv[1] * x),
+                                    inv[2] * abs(x), abs(x), i, "alpha_inv"))
+                um, qm = raw[0][0] + raw[0][1] + raw[0][2], raw[0][3]
+                for a, b, r, q, _, _ in raw:
+                    if (a + b + r) * qm < um * q:
+                        um, qm = a + b + r, q
+                # (lo, hi, q, index, side): the distance lies in [lo, hi] / (q 2**b)
+                cands = [(*_abs_bounds(c[:3]), *c[3:]) for c in raw
+                         if (max(c[0], c[1]) - c[2]) * qm <= um * c[3]]
+                best = cands[0]
+                for c in cands[1:]:
+                    if c[1] * best[2] < best[1] * c[2]:
+                        best = c
+                rivals = [c for c in cands
+                          if c is not best and c[0] * best[2] < best[1] * c[2]]
+                pick = min([best] + rivals, key=lambda c: (
+                    table.mirror[c[3]] is not None, c[3], c[4] != "alpha"))
+                out[k] = pick[3], pick[4], bool(rivals)
+                if not all(_exact_tie(table, c, best, x, y) for c in rivals):
+                    left.append(k)
+            todo = left
+            if not todo:
                 break
     except PrecisionError:
-        if tied is None:
+        if None in out:
             raise
-    table, cands = tied
-    if len(cands) == 1:
-        return cands[0][3], cands[0][4], False
-    pick = min(cands, key=lambda c: (table.mirror[c[3]] is not None, c[3], c[4] != "alpha"))
-    return pick[3], pick[4], True
+    return tuple(out)
 
 
 def _exact_tie(table, a, b, x: int, y: int) -> bool:
@@ -469,6 +485,9 @@ class Census(Record):
         }
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["x", "y", "F", "H", "rootIndex", "side", "orbitId"])
@@ -507,7 +526,7 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
         raise AssertionError("counting bound violated: defect or non-Galois input")
     orbits = _solution_orbits(f, aut, sols)
     system = root_system(f.dehomogenize())
-    assignments = tuple(assign_root(system, s) for s in sols)
+    assignments = assign_root(system, sols)
     prov.update({"countBoundInner": inner, "H0": h0,
                  "routes": [s.route for s in sols]})
     return Census(problem, tuple(sols), assignments, orbits, gamma, aut.order,
@@ -517,17 +536,18 @@ def census(problem: ThueProblem, mu: Fraction) -> Census:
 def _solution_orbits(f: BinForm, aut: EnhancedAut,
                      sols: list[Solution]) -> tuple[tuple[int, ...], ...]:
     index_of = {(s.x, s.y): i for i, s in enumerate(sols)}
-    maps = [el.matrix for el in aut.unimodular()]
+    # skip +-I (u = t = 0, s = v): self-edges, and |F(-x, -y)| = |F(x, y)|
+    maps = [a for a in (el.matrix for el in aut.unimodular()) if a.u or a.t or a.s != a.v]
     edges = set()
     for i, s in enumerate(sols):
         for mat in maps:
             xp, yp = mat.apply(s.x, s.y)
-            if abs(f.value(xp, yp)) != abs(s.value):
-                raise AssertionError("unimodular image changed |F|: identity broken")
             # sign-normalize the image as Solution.normalized does
             if (xp or yp) < 0:
                 xp, yp = -xp, -yp
             j = index_of.get((xp, yp))
+            if abs(f.value(xp, yp) if j is None else sols[j].value) != abs(s.value):
+                raise AssertionError("unimodular image changed |F|: identity broken")
             if j is not None:
                 edges.add((i, j))
     return _components(len(sols), edges).blocks

@@ -300,10 +300,11 @@ def test_import_loads_no_sympy():
 
 
 @pytest.mark.parametrize("entry", ["import gapkit.cli", "from gapkit import thue"])
-def test_import_and_d12_census_load_no_dataclasses_inspect_or_typing(entry):
-    # gapkit's records are plain slotted classes, so neither the import nor
-    # the D12 census loads these modules; only the modules that gapkit adds
-    # count, since a site .pth file may load typing before it
+def test_import_and_d12_census_add_no_csv_dataclasses_inspect_typing(entry):
+    # gapkit's records are plain slotted classes and csv is imported by
+    # ``Census.to_csv`` alone, so neither the import nor the D12 census
+    # loads these modules; only the modules that gapkit adds count, since a
+    # site .pth file may load typing before it
     script = f"""
 import sys
 before = set(sys.modules)
@@ -314,7 +315,7 @@ from gapkit.thue import ThueProblem, census
 added = [set(sys.modules) - before]
 census(ThueProblem(d12_family(3, 1), 3, 40), Fraction(38, 4))
 added.append(set(sys.modules) - before)
-print([sorted(a & {{'dataclasses', 'inspect', 'typing'}}) for a in added])
+print([sorted(a & {{'csv', 'dataclasses', 'inspect', 'typing'}}) for a in added])
 """
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from gapkit import cli, gap, isolation, rounding, thue
 from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minimal_poly,
                            theta_upper_bound)
-from gapkit.autgroup import aut_prime, d12_family, root_orbit_partition
+from gapkit.autgroup import (AutElement, EnhancedAut, aut_prime, d12_family,
+                             root_orbit_partition)
 from gapkit.binforms import BinForm, IntMat2, form_action
 from gapkit.gap import (GapConstants, HypothesisError, arch_quality, archimedean_c2, c11,
                         c16, interval_vs_power)
@@ -164,10 +166,10 @@ def test_assign_root_examples():
     by_pair = {(s.x, s.y): s for s in sols}
     system = isolation.root_system(CUBE_FORM.dehomogenize())
     # (1, 1): |alpha^{-1} - 1| = 0.2063 < |alpha - 1| = 0.2599: inverse side
-    idx, side, tie = assign_root(system, by_pair[(1, 1)])
+    idx, side, tie = assign_root(system, [by_pair[(1, 1)]])[0]
     assert (idx, side, tie) == (2, "alpha_inv", False)
     # (1, 0): all inverse roots tie at modulus 2^(-1/3); real root reported
-    idx, side, tie = assign_root(system, by_pair[(1, 0)])
+    idx, side, tie = assign_root(system, [by_pair[(1, 0)]])[0]
     assert side == "alpha_inv" and tie and idx == 2
 
 
@@ -204,10 +206,12 @@ def _check_assignment(f: BinForm, roots: list, sol: Solution, got) -> None:
 
 
 # (form, m, box): a Shanks cubic with 1001 solutions, a cubic with one real
-# root, the palindromic quartic
+# root, the palindromic quartic, and a plain cubic with 600 solutions, 222
+# of them at exact conjugate ties
 ASSIGN_CASES = ((BinForm((1, 1, -2, -1)), 8219, 300),
                 (BinForm((2, 2, 4, 3)), 6066, 100),
-                (BinForm((3, 2, -8, 2, 3)), 26874, 40))
+                (BinForm((3, 2, -8, 2, 3)), 26874, 40),
+                (BinForm((1, 0, -1, 3)), 12579, 300))
 
 
 @pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
@@ -215,9 +219,10 @@ def test_assign_root_against_mpmath(f, m, box):
     sols = enumerate_primitive(ThueProblem(f, m, box))
     roots = _mp_roots(f)
     system = isolation.root_system(f.dehomogenize())
+    assigned = assign_root(system, sols)
+    assert len(assigned) == len(sols)
     ties = []
-    for s in sols:
-        got = assign_root(system, s)
+    for s, got in zip(sols, assigned):
         _check_assignment(f, roots, s, got)
         ties.append(got[2])
     assert len(sols) >= 150
@@ -234,17 +239,17 @@ def test_assign_root_conjugate_tie_and_zero_coordinates():
     roots = _mp_roots(CUBE_FORM)
     system = isolation.root_system(CUBE_FORM.dehomogenize())
     tie = Solution.normalized(1, -2, CUBE_FORM.value(1, -2), 3)
-    assert assign_root(system, tie) == (0, "alpha", True)
+    assert assign_root(system, [tie])[0] == (0, "alpha", True)
     _check_assignment(CUBE_FORM, roots, tie, (0, "alpha", True))
     # (0, 1): only the alpha side, x/y = 0, and every root has modulus
     # 2**(1/3): a three-way tie the real root (index 2) wins
     zero_x = Solution.normalized(0, 1, CUBE_FORM.value(0, 1), 3)
-    got = assign_root(system, zero_x)
+    got = assign_root(system, [zero_x])[0]
     _check_assignment(CUBE_FORM, roots, zero_x, got)
     assert got == (2, "alpha", True)
     # (1, 0): only the alpha_inv side, y/x = 0: the same three-way tie
     zero_y = Solution.normalized(1, 0, CUBE_FORM.value(1, 0), 3)
-    got = assign_root(system, zero_y)
+    got = assign_root(system, [zero_y])[0]
     _check_assignment(CUBE_FORM, roots, zero_y, got)
     assert got == (2, "alpha_inv", True)
 
@@ -266,8 +271,56 @@ def test_assign_root_recognises_exact_ties_at_the_first_rung(f, xy, want, monkey
     scaled = isolation._RootSystem.scaled
     monkeypatch.setattr(isolation._RootSystem, "scaled",
                         lambda self, width: asked.append(width) or scaled(self, width))
-    assert assign_root(system, Solution.normalized(*xy, f.value(*xy), f.degree)) == want
+    assert assign_root(system, [Solution.normalized(*xy, f.value(*xy), f.degree)])[0] == want
     assert asked == [isolation.TABLE_WIDTH]
+
+
+def test_assign_root_batch_walks_the_ladder_once(monkeypatch):
+    # x^3 - 2y^3 at (0, 1): the real root and the complex pair are all
+    # 2**(1/3) from the target 0, a tie no exact rule names, so it walks
+    # every rung and is reported on PrecisionError; the first rung decides
+    # each of the others.  In one batch each width is asked for once, and
+    # every solution gets the answer of its own call
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    system = isolation.root_system(CUBE_FORM.dehomogenize())
+    asked = []
+    scaled = isolation._RootSystem.scaled
+    monkeypatch.setattr(isolation._RootSystem, "scaled",
+                        lambda self, width: asked.append(width) or scaled(self, width))
+    batch = [Solution.normalized(x, y, CUBE_FORM.value(x, y), 3)
+             for x, y in ((1, 1), (1, -2), (0, 1), (5, 4), (4, -3))]
+    alone = []
+    for s in batch:
+        asked.clear()
+        alone.append(assign_root(system, [s])[0])
+        assert len(asked) == (system.rungs if (s.x, s.y) == (0, 1) else 1)
+    asked.clear()
+    got = assign_root(system, batch)
+    assert len(asked) == len(set(asked)) == system.rungs
+    assert got == tuple(alone) and got[2] == (2, "alpha", True)
+    roots = _mp_roots(CUBE_FORM)
+    for s, g in zip(batch, got):
+        _check_assignment(CUBE_FORM, roots, s, g)
+
+
+class _TwoRungs:
+    """A hand-made ladder at scale 1 with the target 0 (the solution
+    (0, 1)): on both rungs root 0 is the point 6 + 8i, at distance 10, so
+    its U = a + b' + R is 14.  On the coarse rung root 1 is the disk of
+    radius 7 around 16: its center lies past 14, but the disk reaches 9,
+    so L = 16 - 7 = 9 keeps it.  The fine rung puts root 1 at 9, nearer
+    than root 0.  An L without the radius (16 > 14), or a U of
+    max(a, b') + R (8 < 9), would drop root 1 and decide root 0."""
+
+    def ladder(self):
+        for disk in ((16, 0, 7), (9, 0, 0)):
+            yield SimpleNamespace(bits=0, alpha=[(6, 8, 0), disk], inverse=[None] * 2,
+                                  mirror=[None] * 2, recip=[None] * 2, neg=[None] * 2)
+        raise isolation.PrecisionError("two rungs only")
+
+
+def test_assign_root_keeps_a_candidate_that_reaches_inside_by_its_radius():
+    assert assign_root(_TwoRungs(), [Solution(0, 1, 1)]) == ((1, "alpha", False),)
 
 
 @pytest.mark.parametrize("f, partner", [(d12_family(3, 1), "recip"),
@@ -328,7 +381,7 @@ def _exact_assign_root(f: BinForm, sol: Solution, budget: int = 5):
 def test_assign_root_matches_exact_enclosures(f, m, box):
     system = isolation.root_system(f.dehomogenize())
     for s in enumerate_primitive(ThueProblem(f, m, box // 2)):
-        assert assign_root(system, s) == _exact_assign_root(f, s), (f, s)
+        assert assign_root(system, [s])[0] == _exact_assign_root(f, s), (f, s)
 
 
 @pytest.mark.parametrize("f, m, box", ASSIGN_CASES)
@@ -512,6 +565,29 @@ def test_census_orbit_closure(cubic_form, cubic_aut):
             img = Solution.normalized(xp, yp, cubic_form.value(xp, yp), d)
             assert abs(img.value) == abs(s.value)
     # det-3-style scaling check is covered by verify_729 on the D12 family
+
+
+def test_solution_orbits_reject_a_map_that_changes_F(monkeypatch):
+    # the swap is no automorphism of x^3 - 2y^3: it takes (1, 0), where
+    # F = 1, to (0, 1), where F = -2.  An image in the list is checked by
+    # its listed value, any other image by evaluating F; +-I are skipped
+    identity = IntMat2.identity()
+    group = [AutElement(mat, 1, 1, (0, 1, 2)) for mat in (identity, -identity)]
+    broken = EnhancedAut(CUBE_FORM, (*group, AutElement(IntMat2(0, 1, 1, 0), 1, -1, (0, 1, 2))),
+                         "C_2", "C_2")
+    evaluated = []
+    value = BinForm.value
+    monkeypatch.setattr(BinForm, "value",
+                        lambda self, x, y: evaluated.append((x, y)) or value(self, x, y))
+    one, two = Solution(1, 0, 1), Solution(0, 1, -2)
+    assert thue._solution_orbits(CUBE_FORM, EnhancedAut(CUBE_FORM, tuple(group), "C_2", "C_2"),
+                                 [one, two]) == ((0,), (1,))
+    with pytest.raises(AssertionError, match="identity broken"):
+        thue._solution_orbits(CUBE_FORM, broken, [one, two])
+    assert evaluated == []
+    with pytest.raises(AssertionError, match="identity broken"):
+        thue._solution_orbits(CUBE_FORM, broken, [one])
+    assert evaluated == [(0, 1)]
 
 
 @pytest.mark.parametrize("mu", [Fraction(7), Fraction(12), Fraction(5)])
