@@ -211,11 +211,13 @@ def cmd_gap_check(args) -> int:
         constants = nonarchimedean_constants(xi_alpha, mp, args.mu, args.c0)
         check_alpha, check_beta = xi_alpha, xi_beta
     else:
-        constants = archimedean_constants(alpha, beta, args.mu, args.c0)
+        mp = find_pair(alpha, beta)
+        constants = archimedean_constants(alpha, beta, args.mu, args.c0,
+                                          pair=mp, rep=mp.rep)
         check_alpha, check_beta = alpha, beta
     if args.desk_floor:
         constants = constants.desk_mode()
-    rel = mobius_relation(alpha, beta)
+    rel = mobius_relation(alpha, beta, rep=mp.rep)
     first, rest = pairs[0], pairs[1:]
     out = []
     for p2 in rest:

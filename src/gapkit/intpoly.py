@@ -3,8 +3,8 @@
 Every polynomial has integer coefficients.  By Gauss's lemma a primitive b
 divides an integer a over Q exactly when it does over Z, so division is
 decided by pseudo-remainders (``prem``) and exact integer quotients
-(``exact_quotient``), and gcds over Q by the primitive remainder sequence
-(Cohen, GTM 138, 3.1-3.3).
+(``exact_quotient``), gcds over Q by the primitive remainder sequence and
+resultants by the subresultant one (Cohen, GTM 138, 3.1-3.3).
 Coefficients are stored low-to-high, so ``coeffs[k]`` is the coefficient of
 ``x**k``.  The zero polynomial is the empty tuple with degree -1.
 """
@@ -260,57 +260,31 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return normalize_minimal_poly(exact_quotient(p, poly_gcd_q(p, p.derivative())))
 
 
-# -- resultants and discriminants ----------------------------------------------
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
+# -- resultants and discriminants: subresultant pseudo-remainders ---------------
 
 def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Resultant as the determinant of the Sylvester block matrix with the
-    Q-rows on top, so resultant(P, Q) = lc(Q)**deg(P) * prod P(nu) over the
-    roots nu of Q.  This differs from the P-rows-first layout by the factor
-    (-1)**(deg P * deg Q); every use in this package takes absolute values
-    or even powers, and the sign convention is pinned by the test suite."""
+    """resultant(P, Q) = lc(Q)**deg(P) * prod P(nu) over the roots nu of Q,
+    the standard Res(Q, P) = (-1)**(deg P * deg Q) * Res(P, Q); every use in
+    this package takes absolute values or even powers, and the tests pin the
+    sign.  By the subresultant algorithm (Cohen, GTM 138, Algorithm 3.3.7)
+    on ``prem``: from (a, b) = (Q, P), each step takes (a, b) to
+    (b, prem(a, b) / (g * h**delta)) with delta = deg a - deg b, g the last
+    lc(a) and h the last subresultant scalar.  Every division is exact."""
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of zero polynomial")
-    r, s = p.degree, q.degree
-    if r == 0 and s == 0:
-        return 1
-    if r == 0:
-        return p.coeffs[0] ** s
-    if s == 0:
-        return q.coeffs[0] ** r
-    n = r + s
-    rows = []
-    qc = list(reversed(q.coeffs))  # high-to-low
-    pc = list(reversed(p.coeffs))
-    for i in range(r):
-        rows.append([0] * i + qc + [0] * (n - s - 1 - i))
-    for i in range(s):
-        rows.append([0] * i + pc + [0] * (n - r - 1 - i))
-    return _bareiss_det(rows)
+    a, b, sign = q, p, 1
+    if a.degree < b.degree:
+        a, b, sign = b, a, (-1) ** (a.degree * b.degree)
+    g = h = 1
+    while b.degree > 0:
+        delta = a.degree - b.degree
+        if a.degree & b.degree & 1:
+            sign = -sign
+        div = g * h ** delta
+        a, b = b, IntPoly(c // div for c in prem(a, b).coeffs)
+        g = a.lead
+        h = h * g ** delta // h ** delta  # g**delta / h**(delta - 1), and h at delta = 0
+    return 0 if b.is_zero else sign * h * b.lead ** a.degree // h ** a.degree
 
 
 def discriminant_poly(p: IntPoly) -> int:

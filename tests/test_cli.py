@@ -121,6 +121,29 @@ def test_gap_check_padic(capsys):
     assert rpt["checks"][0]["gapBound"]["rounding"] == "down"
 
 
+@pytest.mark.parametrize("flags", [
+    ("--desk-floor", "9/5", "14/9"),
+    ("--prime", "17", "--residue", "3", "--desk-floor", "4/7", "5/-77"),
+], ids=["archimedean", "p-adic"])
+def test_gap_check_computes_one_power_basis_representation(capsys, monkeypatch, flags):
+    # find_pair's representation serves the constants and the Moebius
+    # relation alike, so each mode of the README gap check computes it once
+    from gapkit import algnum, gap, minpair
+
+    calls = []
+
+    def counted(alpha, beta):
+        calls.append((alpha, beta))
+        return algnum.power_rep(alpha, beta)
+
+    for module in (gap, minpair):
+        monkeypatch.setattr(module, "power_rep", counted)
+    code, _, _ = run_cli(capsys, "gap", "check", "x^3 - 3*x - 1@root~=1.879",
+                         "x^3 - 3*x + 1@root~=1.532", "--mu", "11/4", "--c0", "10000", *flags)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_hypothesis_exit_code(capsys):
     code, _, err = run_cli(capsys, "constants", "arch",
                            "x^4 - x^3 - 4*x^2 + 4*x + 1@root~=1.827",

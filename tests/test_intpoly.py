@@ -76,16 +76,29 @@ def classical_sylvester_det(p: IntPoly, q: IntPoly):
 
 
 def test_resultant_vs_sylvester_oracle():
+    # small pairs, degree-0 operands among them; degrees up to 10 with
+    # 64-bit coefficients; polynomials in x^2, whose remainder sequences
+    # drop two degrees a step; and pairs that share a factor, whose
+    # resultant is 0
     rng = random.Random(7)
-    for _ in range(200):
-        p, q = rand_poly(rng), rand_poly(rng)
-        if p.degree < 1 or q.degree < 1:
-            continue
+    big = 1 << 64
+    pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(200)]
+    pairs += [(rand_poly(rng, 10, big), rand_poly(rng, 10, big)) for _ in range(30)]
+    for _ in range(20):
+        p, q = rand_poly(rng, 5, big), rand_poly(rng, 5, big)
+        pairs.append((IntPoly(c for a in p.coeffs for c in (a, 0)),
+                      IntPoly(c for a in q.coeffs for c in (a, 0))))
+    for _ in range(20):
+        common = IntPoly((rng.randint(-big, big), rng.randint(1, big)))
+        pairs.append((rand_poly(rng, 6, big) * common, rand_poly(rng, 6, big) * common))
+    assert any(p.degree == 0 for pair in pairs for p in pair)
+    for p, q in pairs:
         ours = resultant(p, q)
         ref = classical_sylvester_det(p, q)
         assert ours == (-1) ** (p.degree * q.degree) * ref, (p, q)
         assert abs(ours) == abs(sympy.resultant(
             to_sympy(p).as_expr(), to_sympy(q).as_expr(), X))
+        assert (ours == 0) == (poly_gcd_q(p, q).degree > 0)
 
 
 def test_resultant_zero_iff_common_factor():
@@ -107,7 +120,7 @@ def test_discriminant_examples():
 def test_discriminant_vs_sympy():
     rng = random.Random(13)
     for _ in range(100):
-        p = rand_poly(rng, max_deg=5)
+        p = rand_poly(rng, max_deg=8)
         if p.degree < 2:
             continue
         assert discriminant_poly(p) == sympy.discriminant(to_sympy(p).as_expr(), X)
