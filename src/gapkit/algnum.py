@@ -399,13 +399,14 @@ def c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
 
 def theta_upper_bound(alpha: AlgNum) -> int:
     """Integer upper bound on the index of Z[c_alpha * alpha] in the maximal
-    order: floor of sqrt |disc(minpoly of c_alpha * alpha)|."""
-    f = alpha.minpoly
-    if f.degree == 1:
+    order: floor of sqrt |disc h|, where h = c**(d-1) * f(x/c), with f the
+    minimal polynomial of alpha and c = lc(f), is the monic minimal
+    polynomial of c * alpha and disc h = c**((d-1)(d-2)) * disc f.  It
+    bounds the index because disc h = index**2 * disc K and |disc K| >= 1."""
+    f, d = alpha.minpoly, alpha.degree
+    if d == 1:
         return 1
-    g = f.scale_root(f.lead)  # monic minimal polynomial of c_alpha * alpha
-    disc = discriminant_poly(g)
-    return max(1, isqrt(abs(disc)))
+    return max(1, isqrt(abs(f.lead ** ((d - 1) * (d - 2)) * discriminant_poly(f))))
 
 
 def liouville_c6(alpha: AlgNum) -> Fraction:

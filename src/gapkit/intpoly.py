@@ -150,12 +150,6 @@ class IntPoly:
             return self
         return IntPoly(tuple(reversed(self.coeffs)))
 
-    def scale_root(self, c: int) -> "IntPoly":
-        """Monic-making transform: c**(d-1) * P(x/c); roots scale by c."""
-        d = self.degree
-        return IntPoly(coef * c ** (d - 1 - k) if k < d else coef
-                       for k, coef in enumerate(self.coeffs))
-
     def __repr__(self):
         return f"IntPoly({format_poly(self)!r})"
 

@@ -1,3 +1,4 @@
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt
@@ -258,6 +259,28 @@ def test_theta_upper_bound(cbrt2):
     assert theta_upper_bound(AlgNum.make(f, 0)) >= 1
     golden_like = AlgNum.make(IntPoly((-1, -3, 0, 1)), 0)
     assert theta_upper_bound(golden_like) >= 1
+
+
+def test_theta_upper_bound_is_the_root_of_the_monic_discriminant():
+    # theta = isqrt |disc h| for h = c^(d-1) f(x/c), the monic minimal
+    # polynomial of c * alpha with c = lc(f), built here by sympy.  For
+    # f = 3x^3 + 3x^2 - 5x + 1, h = x^3 + 3x^2 - 15x + 9 has disc 5076 =
+    # 3^2 * 564 (disc K = 564, so Z[3 alpha] has index 3), where the
+    # non-monic 3(x - 1)^2 (x + 3) once stood in for h and gave theta = 1
+    pinned = AlgNum.make(IntPoly((1, -5, 3, 3)), 0)
+    assert theta_upper_bound(pinned) == 71
+    rng = random.Random(28)
+    alphas = [pinned]
+    while len(alphas) < 40:
+        f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(3, 6))] + [rng.randint(2, 9)])
+        if f.coeffs[0] and is_irreducible(f) and f.content() == 1:
+            alphas.append(AlgNum.make(f, 0))
+    for alpha in alphas:
+        f, c, d = alpha.minpoly, alpha.lead, alpha.degree
+        fx = sympy.Poly(list(reversed(f.coeffs)), X).as_expr()
+        h = sympy.Poly(sympy.expand(c ** (d - 1) * fx.subs(X, X / c)), X)
+        assert h.LC() == 1 and all(k.is_integer for k in h.all_coeffs())
+        assert theta_upper_bound(alpha) == isqrt(abs(int(sympy.discriminant(h)))), f
 
 
 def test_liouville_c6_examples(cbrt2):
