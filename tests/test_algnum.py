@@ -265,15 +265,15 @@ def test_theta_upper_bound_is_the_root_of_the_monic_discriminant():
     # theta = isqrt |disc h| for h = c^(d-1) f(x/c), the monic minimal
     # polynomial of c * alpha with c = lc(f), built here by sympy.  For
     # f = 3x^3 + 3x^2 - 5x + 1, h = x^3 + 3x^2 - 15x + 9 has disc 5076 =
-    # 3^2 * 564 (disc K = 564, so Z[3 alpha] has index 3), where the
-    # non-monic 3(x - 1)^2 (x + 3) once stood in for h and gave theta = 1
+    # 3^2 * 564 (disc K = 564, so Z[3 alpha] has index 3); the non-monic
+    # 3(x - 1)^2 (x + 3) in place of h has disc 0 and would give theta = 1
     pinned = AlgNum.make(IntPoly((1, -5, 3, 3)), 0)
     assert theta_upper_bound(pinned) == 71
     rng = random.Random(28)
     alphas = [pinned]
     while len(alphas) < 40:
         f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(3, 6))] + [rng.randint(2, 9)])
-        if f.coeffs[0] and is_irreducible(f) and f.content() == 1:
+        if is_irreducible(f) and f.content() == 1:
             alphas.append(AlgNum.make(f, 0))
     for alpha in alphas:
         f, c, d = alpha.minpoly, alpha.lead, alpha.degree
