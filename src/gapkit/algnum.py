@@ -25,12 +25,11 @@ from math import isqrt, lcm, prod
 from operator import mul
 
 from . import isolation
-from .intpoly import (IntPoly, describe, discriminant_poly, factor_degree_sieve,
-                      factor_degrees_by_prime, factor_degrees_mod, is_squarefree,
-                      normalize_minimal_poly, prem)
+from .intpoly import (IntPoly, describe, factor_degree_sieve, factor_degrees_by_prime,
+                      factor_degrees_mod, is_squarefree, normalize_minimal_poly, prem)
 from .isolation import (TABLE_WIDTH, PrecisionError, RootEnclosure, _abs_bounds, _disk_abs, _span,
-                        disk_distance, disk_elementary, disk_holds_integer, disk_sub,
-                        first_rung, house, root_system)
+                        discriminant, disk_distance, disk_elementary, disk_holds_integer,
+                        disk_sub, first_rung, house, root_system)
 from .linalg import lll_reduce
 from .record import Record
 from .rounding import AbstainError, RatInterval, tidy_down, tidy_up
@@ -406,7 +405,7 @@ def theta_upper_bound(alpha: AlgNum) -> int:
     f, d = alpha.minpoly, alpha.degree
     if d == 1:
         return 1
-    return max(1, isqrt(abs(f.lead ** ((d - 1) * (d - 2)) * discriminant_poly(f))))
+    return max(1, isqrt(abs(f.lead ** ((d - 1) * (d - 2)) * discriminant(f))))
 
 
 def liouville_c6(alpha: AlgNum) -> Fraction:

@@ -11,11 +11,12 @@ enclosures.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from .algnum import AlgNum, PowerBasisRep, liouville_c6, power_rep
 from .intpoly import IntPoly, poly_gcd_q, resultant, squarefree_part
-from .isolation import IsolationError, RootEnclosure, first_rung, mahler_measure, root_system
+from .isolation import (IsolationError, RootEnclosure, disk_distance, first_rung, mahler_measure,
+                        root_system)
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
 from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
                     padic_valuation)
@@ -85,11 +86,22 @@ class ApproxPair(Record):
         return ApproxPair(x, y)
 
 
-def arch_quality(alpha: AlgNum, pair: ApproxPair, width: Fraction) -> RatInterval:
-    """Certified |alpha - x/y| (Archimedean; y != 0 required)."""
+def _arch_sign(alpha: AlgNum, pair: ApproxPair, c0: Fraction, h: Fraction, mu: Fraction) -> int:
+    """Certified sign of |alpha - x/y| / c0 - h**-mu (y != 0 required):
+    |alpha - x/y| read off each rung of alpha's refinement ladder by
+    ``disk_distance``, until one decides, to 300 bits past the threshold
+    c0 / h**mu > 2**-(mu bits(h) + bits(den c0) - bits(num c0) + 1); past
+    the last, ``PrecisionError``."""
     if pair.y == 0:
         raise ValueError("y = 0 has no Archimedean quality")
-    return alpha.enclosure(width).distance_interval(pair.value())
+    depth = (ceil(mu * h.numerator.bit_length()) + c0.denominator.bit_length()
+             - c0.numerator.bit_length() + 301)
+    for table in root_system(alpha.minpoly).ladder(depth):
+        lo, hi = disk_distance(table.alpha[alpha.index], pair.x, pair.y, 1 << table.bits)
+        den = (abs(pair.y) << table.bits) * c0
+        s = interval_vs_power(RatInterval(lo / den, hi / den), h, -mu)
+        if s is not None:
+            return s
 
 
 def padic_quality(xi: PadicAlgNum, pair: ApproxPair, k: int = 40) -> PadicAbs:
@@ -100,7 +112,7 @@ def padic_quality(xi: PadicAlgNum, pair: ApproxPair, k: int = 40) -> PadicAbs:
 def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction) -> bool:
     """Certified check of the approximation hypothesis:
 
-    Archimedean: |alpha - x/y| < C0 / H**mu.
+    Archimedean: |alpha - x/y| < C0 / H**mu, on alpha's ladder (``_arch_sign``).
     p-adic:      |y alpha - x|_p < C0 / H**mu.
 
     Returns True/False when decided; raises AbstainError at budget.
@@ -118,14 +130,7 @@ def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction) -
                 return True
             k *= 2
         raise AbstainError("p-adic valuation did not resolve within budget")
-    width = Fraction(1, 10 ** 30)
-    for _ in range(6):
-        iv = arch_quality(alpha, pair, width)
-        s = interval_vs_power(iv * (1 / c0), h, -mu)
-        if s is not None:
-            return s < 0
-        width /= 10 ** 20
-    raise AbstainError("quality enclosure straddles the threshold at budget")
+    return _arch_sign(alpha, pair, c0, h, mu) < 0
 
 
 # -- the vanishing-case gap machinery -----------------------------------------------
@@ -686,17 +691,8 @@ def classic_gap_check(pairs: list[ApproxPair], mu, alpha) -> dict:
     """The classical gap principle 2 y_{k+1} > y_k**(mu-1) on consecutive
     certified solutions of |alpha - x/y| < 1/y**mu (denominator metric)."""
     mu = Fraction(mu)
-    sols = []
-    for pr in pairs:
-        if pr.y <= 0:
-            continue
-        width = Fraction(1, 10 ** 30)
-        iv = arch_quality(alpha, pr, width)
-        s = interval_vs_power(iv, Fraction(pr.y), -mu)
-        if s is None:
-            raise AbstainError(f"quality undecided for {pr}")
-        if s < 0:
-            sols.append(pr)
+    sols = [pr for pr in pairs
+            if pr.y > 0 and _arch_sign(alpha, pr, Fraction(1), Fraction(pr.y), mu) < 0]
     sols.sort(key=lambda pr: pr.y)
     for a, b in zip(sols, sols[1:]):
         if a.y == b.y:

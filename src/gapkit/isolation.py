@@ -35,15 +35,14 @@ An enclosure depends only on (polynomial, root index, requested width), never
 on what the process asked for before, and the two disks of a conjugate pair
 are exact mirrors at every width.
 
-Each root system has one refinement ladder (``_RootSystem.ladder``): its
-``ScaledRoots`` tables at ``TABLE_WIDTH`` = 10**-20, then 10**-10 finer at
-each rung, for 9 + s // 32 rungs with s = ``separation_bits``, then a
-``PrecisionError``.  Every test that refines root enclosures until it
+Each root system has one refinement ladder (``_RootSystem.ladder``) of
+``ScaledRoots`` tables, from ``TABLE_WIDTH`` = 10**-20 at the scale 2**-115
+on rungs whose scales double, as MPSolve doubles its precision, to 2**-(s +
+300), s = ``separation_bits``, or a caller's deeper budget; then a
+``PrecisionError``.  Every loop that refines root enclosures until it
 decides walks it; every one-shot read of root data for a constant reads its
-first rung (``first_rung``), at one integer scale.  Nine rungs reach
-10**-100 whatever s is, and as 10**-10 < 2**-33, the last rung,
-10**-(100 + 10 (s // 32)), lies below 2**-(s + 300): far below the distance
-of any two roots, where distinct roots' disks are disjoint with room to spare.
+first rung (``first_rung``), at one integer scale.  The default last rung
+lies far below the distance of any two roots.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from math import frexp, isqrt, ldexp, pi, prod
 
 import cmath
 
-from .intpoly import (IntPoly, describe, exact_quotient, is_squarefree, normalize_minimal_poly,
-                      poly_gcd_q, squarefree_part)
+from .intpoly import (IntPoly, describe, discriminant_poly, exact_quotient, is_squarefree,
+                      normalize_minimal_poly, poly_gcd_q, squarefree_part)
 from .record import Record
 from .rounding import AbstainError, RatInterval, monomial_up
 
@@ -177,10 +176,10 @@ _ORDER_BISECTIONS = 256
 
 class _RootSystem:
     """All-root isolation of one squarefree polynomial, its refinements by
-    requested width, and its refinement ladder (``ladder``): the
-    ``ScaledRoots`` tables at ``TABLE_WIDTH``, 10**-10 finer at each rung,
-    for 9 + s // 32 rungs, s = ``separation_bits``; as 10**-10 < 2**-33, the
-    last lies below 2**-(s + 300), far below any two roots' distance."""
+    requested width, its refinement ladder (``ladder``): ``ScaledRoots``
+    tables whose scales double, from ``TABLE_WIDTH`` to 2**-(s + 300) or a
+    caller's depth, s = ``separation_bits``; and what is computed once per
+    polynomial: the irreducibility verdict and the discriminant."""
 
     def __init__(self, p: IntPoly):
         if not is_squarefree(p):
@@ -194,9 +193,9 @@ class _RootSystem:
         # each root's enclosure, and the integer tables, by the width asked for
         self.memo = tuple({} for _ in self.base)
         self.tables: dict[Fraction, ScaledRoots] = {}
-        # the root-set verdict of ``algnum.is_irreducible``, once it is taken
+        # the root-set verdict of ``algnum.is_irreducible`` and disc, once taken
         self.irreducible: bool | None = None
-        self.rungs = 9 + separation_bits(p) // 32
+        self.disc: int | None = None
 
     def _order(self) -> tuple[RootEnclosure, ...]:
         """Index the ``_certified_disks`` by real part, then imaginary part,
@@ -252,12 +251,18 @@ class _RootSystem:
                 bits, self.conj)
         return table
 
-    def ladder(self):
-        """The ladder's tables, coarsest first; then ``PrecisionError``."""
-        width = TABLE_WIDTH
-        for _ in range(self.rungs):
-            yield self.scaled(width)
-            width /= 10 ** 10
+    def ladder(self, bits: int = 0):
+        """The ladder's tables, coarsest first; then ``PrecisionError``: rung
+        0 at ``TABLE_WIDTH``, then the width 2**-(2b - 48) for the scale b of
+        the rung before, which doubles the scale to 2b + 1, up to the last
+        rung, the width 2**-max(``bits``, ``separation_bits`` + 300) itself."""
+        depth = max(bits, separation_bits(self.poly) + 300)
+        table = self.scaled(TABLE_WIDTH)
+        while 2 * table.bits - 48 < depth:
+            yield table
+            table = self.scaled(Fraction(1, 1 << 2 * table.bits - 48))
+        yield table
+        yield self.scaled(Fraction(1, 1 << depth))
         raise PrecisionError(f"roots of the polynomial of {describe(self.poly)} undecided")
 
 
@@ -693,6 +698,15 @@ def root_system(p: IntPoly) -> _RootSystem:
 def first_rung(p: IntPoly) -> ScaledRoots:
     """The first rung of p's root system, which one-shot reads read."""
     return root_system(p).scaled(TABLE_WIDTH)
+
+
+def discriminant(p: IntPoly) -> int:
+    """disc p (squarefree, degree d >= 2), kept by p's root system: c**(2d - 2)
+    times that of the system's polynomial, p / c up to sign, c = content."""
+    system = root_system(p)
+    if system.disc is None:
+        system.disc = discriminant_poly(system.poly)
+    return p.content() ** (2 * p.degree - 2) * system.disc
 
 
 def isolate_roots(p: IntPoly, precision: Fraction = Fraction(1, 10 ** 12)) -> list[RootEnclosure]:

@@ -32,12 +32,12 @@ from .algnum import (_FROBENIUS_PRIMES, AlgNum, NotInFieldError, is_irreducible,
                      normalize_minimal_poly, power_rep, theta_upper_bound)
 from .autgroup import (EnhancedAut, OrbitPartition, _components, aut_prime,
                        root_orbit_partition)
-from .binforms import BinForm, discriminant
+from .binforms import BinForm
 from .gap import (ApproxPair, _validate_mu, archimedean_c2,
                   archimedean_floor_branches, c16, compare_to_power, count_bound)
 from .intpoly import IntPoly, describe, factor_degrees_by_prime
-from .isolation import (PrecisionError, _abs_bounds, _disk_abs, _RootSystem, disk_sub,
-                        first_rung, root_system)
+from .isolation import (PrecisionError, _abs_bounds, _disk_abs, _RootSystem, _span, discriminant,
+                        disk_sub, first_rung, root_system)
 from .minpair import c12_closed_form, c13_formula
 from .record import Record
 from .rounding import (AbstainError, compact_str, largest, log_interval, monomial_up, pow_up,
@@ -265,9 +265,7 @@ def lewis_mahler_c10(f: BinForm) -> Fraction:
     d = f.degree
     if f.lead_x == 0 or f.lead_y == 0:
         raise ThueError("Lewis-Mahler needs c_0 * c_d != 0")
-    disc = discriminant(f)
-    if disc == 0:
-        raise ThueError("zero discriminant")
+    disc = discriminant(f.dehomogenize())
     m_up = first_rung(f.dehomogenize()).mahler(f.lead_x).hi
     return tidy_up(monomial_up([(2, d - 1), (d, Fraction(d - 1, 2)), (m_up, d - 2),
                                 (Fraction(1, abs(disc)), Fraction(1, 2))]))
@@ -373,7 +371,7 @@ def galois_status(f: BinForm, part: OrbitPartition) -> tuple[str, str]:
     if part.gamma == d:
         return "yes", "orbit of one root covers all roots"
     if d == 3:
-        disc = discriminant(f)
+        disc = discriminant(f.dehomogenize())
         root = isqrt(abs(disc))
         if disc > 0 and root * root == disc:
             return "yes", "cubic with square discriminant"
@@ -563,39 +561,31 @@ def convergents(alpha: AlgNum, count: int | None = None, *,
     denominator <= ``max_den``.  Computed from certified enclosures: a term
     is taken only when the floors of both endpoints agree, and the
     ``max_den`` walk stops once every value the next term can take gives a
-    denominator past ``max_den``.  The enclosure is refined here rather
-    than through the root cache, because its widths depend on the box."""
+    denominator past ``max_den``.  The enclosures are alpha's disks, or
+    1/alpha's (skipping a rung where that may hold 0), on its root system's
+    ladder, to the width 2**-32 / max_den**2, which usually decides every
+    term needed (a convergent p/q is within 1/q**2), times |alpha|**2 >=
+    2**(-2 lost) on the inverse side, read off the first rung.  ``count``
+    stands in max_den = 2**(4 count): twice the bits of a typical count-th
+    denominator, about 2**(1.71 count) by Levy's theorem."""
     if (count is None) == (max_den is None):
         raise ValueError("give exactly one of count and max_den")
-    enc = alpha.enclosure()
-    if not enc.is_real:
+    if not alpha.is_real:
         raise ValueError("convergents need a real number")
-    # a convergent p/q is within 1/q**2 of alpha, so an enclosure of width
-    # 2**-32 / max_den**2 usually decides every term needed; else refine
-    width = Fraction(1, 10 ** 40) if max_den is None else Fraction(1, max_den * max_den << 32)
-    if inverse:
-        # 1/alpha moves |alpha|**2 times as far as alpha, and |alpha| >= 2**e:
-        # each |c_k| 2**(e k) <= |c_0| / d for k >= 1, so |c_0| outweighs the rest
-        c, db = alpha.minpoly.coeffs, alpha.degree.bit_length()
-        width /= 4 ** -min([0] + [(c[0].bit_length() - 1 - db - ck.bit_length()) // k
-                                  for k, ck in enumerate(c) if k and ck])
-    for _ in range(12):
-        iv = enc.refine(width).interval
-        if inverse:
-            iv = iv.inverse() if iv.lo * iv.hi > 0 else None
-        terms = None if iv is None else _cf_terms(iv.lo, iv.hi, count, max_den)
-        if terms is not None:
-            break
-        width /= 10 ** 40
-    else:
-        raise PrecisionError("continued fraction did not stabilize")
-    out = []
-    h0, h1 = 1, terms[0]
-    k0, k1 = 0, 1
-    out.append(ApproxPair.reduced(h1, k1))
-    for a in terms[1:]:
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
+    first = first_rung(alpha.minpoly)
+    lo = _abs_bounds(first.alpha[alpha.index])[0]
+    lost = max(0, first.bits + 1 - lo.bit_length()) if inverse else 0
+    depth = 2 * (4 * count if max_den is None else max_den.bit_length()) + 32 + 2 * lost
+    for table in root_system(alpha.minpoly).ladder(depth):
+        disk = (table.inverse if inverse else table.alpha)[alpha.index]
+        if disk is not None:
+            iv = _span(disk, table.bits)
+            terms = _cf_terms(iv.lo, iv.hi, count, max_den)
+            if terms is not None:
+                break
+    out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+    for a in terms:
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
         out.append(ApproxPair.reduced(h1, k1))
     return out
 

@@ -1,3 +1,4 @@
+import copy
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -94,6 +95,46 @@ def record_widths(mp: pytest.MonkeyPatch, widths: list) -> None:
 
     mp.setattr(isolation._RootSystem, "scaled", scaled_listed)
     mp.setattr(isolation._RootSystem, "refined", refined_listed)
+
+
+@pytest.fixture(scope="session")
+def ladder_widths():
+    """A function of (p, bits=0): the widths that the refinement ladder of
+    p's root system asks for (``_RootSystem.ladder(bits)``), rung by rung
+    to its last, walked on a fresh root system."""
+    def widths(p: IntPoly, bits: int = 0) -> list[Fraction]:
+        system = isolation._RootSystem(algnum.normalize_minimal_poly(p))
+        out, scaled = [], system.scaled
+        system.scaled = lambda width: out.append(width) or scaled(width)
+        with pytest.raises(isolation.PrecisionError):
+            for _ in system.ladder(bits):
+                pass
+        return out
+    return widths
+
+
+@pytest.fixture
+def coarsen_first_rung(monkeypatch):
+    """A function that, once called, coarsens the disks of every first-rung
+    table (``TABLE_WIDTH``) outward to whole units for the rest of the test,
+    and returns the list of the widths asked of ``_RootSystem.scaled`` from
+    then on."""
+    def coarsen() -> list[Fraction]:
+        asked, scaled = [], isolation._RootSystem.scaled
+
+        def coarse_first(self, width):
+            asked.append(width)
+            table = scaled(self, width)
+            if width < isolation.TABLE_WIDTH:
+                return table
+            coarse = copy.copy(table)
+            coarse.alpha = [isolation._rescaled(isolation._rescaled(z, table.bits, 0), 0,
+                                                table.bits) for z in table.alpha]
+            return coarse
+
+        monkeypatch.setattr(isolation._RootSystem, "scaled", coarse_first)
+        return asked
+    return coarsen
 
 
 @pytest.fixture

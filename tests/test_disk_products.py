@@ -6,7 +6,7 @@ The references below keep the chain bodies and their own |z| and |z - w|
 intervals (``isqrt`` of the squared center, rounded down and up, less and
 plus the radius), so they share no helper with the code under test.  They
 read the disks where the constants do: the rungs of the root systems'
-refinement ladders, TABLE_WIDTH and 10**-10 finer at each step."""
+refinement ladders, from TABLE_WIDTH on rungs whose scales double."""
 
 import copy
 from fractions import Fraction
@@ -21,7 +21,7 @@ from gapkit.algnum import AlgNum, c9, liouville_c6, normalize_minimal_poly
 from gapkit.autgroup import d12_family
 from gapkit.binforms import BinForm
 from gapkit.intpoly import IntPoly, is_squarefree
-from gapkit.isolation import (TABLE_WIDTH, PrecisionError, _abs_bounds, _rescaled, _RootSystem,
+from gapkit.isolation import (TABLE_WIDTH, _abs_bounds, _rescaled, _RootSystem,
                               isolate_roots, root_system)
 from gapkit.rounding import RatInterval, tidy_down, tidy_up
 
@@ -43,9 +43,7 @@ def reference_c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
     d = alpha.degree
     first = root_system(beta.minpoly).scaled(TABLE_WIDTH)
     house = max(_abs_interval(z, first.bits).hi for z in first.alpha)
-    width = TABLE_WIDTH
-    for _ in range(9):
-        table = root_system(alpha.minpoly).scaled(width)
+    for table in root_system(alpha.minpoly).ladder():
         try:
             best = RatInterval(0)
             for j in range(d):
@@ -60,8 +58,7 @@ def reference_c9(alpha: AlgNum, beta: AlgNum) -> Fraction:
                     best = prod
             return tidy_up(d * house * best.hi)
         except ZeroDivisionError:
-            width /= 10 ** 10
-    raise PrecisionError("conjugate separation undecided at budget")
+            pass
 
 
 def reference_c6(alpha: AlgNum) -> Fraction:
@@ -149,11 +146,12 @@ def test_drawn_products_match_the_interval_chains(low, lead):
         _assert_products_match(p)
 
 
-def test_c9_refines_disks_that_meet():
+def test_c9_refines_disks_that_meet(ladder_widths):
     # CLOSE_CUBIC's roots, read on the first rung from disks coarsened
     # outward to units of 2**-40 > 10**-14, where they meet: both C9s take
-    # the second rung, 10**-30, and agree there
+    # the ladder's second rung and agree there
     alpha = AlgNum(normalize_minimal_poly(IntPoly(CLOSE_CUBIC)), 0)
+    rungs = ladder_widths(alpha.minpoly)
     scaled = _RootSystem.scaled
     widths = []
 
@@ -169,7 +167,7 @@ def test_c9_refines_disks_that_meet():
 
     with mock.patch.object(_RootSystem, "scaled", coarse_first):
         got = c9(alpha, alpha)
-        assert sorted(set(widths), reverse=True) == [TABLE_WIDTH, TABLE_WIDTH / 10 ** 10]
+        assert sorted(set(widths), reverse=True) == rungs[:2]
         assert got == reference_c9(alpha, alpha)
 
 

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 
 from gapkit.algnum import AlgNum
 from gapkit.gap import (ApproxPair, HypothesisError, MobiusRelation, _padic_distance,
-                        archimedean_constants, arch_quality, c11, c15, c16,
+                        archimedean_constants, c11, c15, c16, certify_quality_below,
                         check_gap_dichotomy, classic_gap_check,
                         compare_to_power, count_bound, derived_approx,
                         f_floor, interval_vs_power,
@@ -249,7 +250,7 @@ def test_c11_examples(alpha_cubic):
             continue
         close = 0
         for alg in roots:
-            q = arch_quality(alg, pr, Fraction(1, 10 ** 30))
+            q = alg.enclosure(Fraction(1, 10 ** 30)).distance_interval(pr.value())
             if interval_vs_power(q, Fraction(pr.height), Fraction(-11, 4)) == -1:
                 close += 1
         assert close <= 1
@@ -381,6 +382,50 @@ def test_classic_gap_check(cbrt2):
     rpt25 = classic_gap_check(pairs, Fraction(5, 2), cbrt2)
     assert rpt25["all_hold"]
     assert len(rpt25["solutions"]) < 10  # mu = 2.5 filters convergents
+
+
+def test_quality_checks_walk_past_their_threshold(cbrt2):
+    # convergents of cbrt(2) up to height 10**100: |alpha - x/y| near
+    # 2**-660, past the ladder's default 2**-308, is read to 300 bits past
+    # each threshold C0 / H**mu, and the verdicts agree with mpmath
+    from gapkit.thue import convergents
+
+    pairs = convergents(cbrt2, max_den=10 ** 100)
+    with mpmath.workprec(2000):
+        want = [abs(mpmath.cbrt(2) - mpmath.mpf(pr.x) / pr.y) * pr.height ** 2 < 1
+                for pr in pairs]
+    assert [certify_quality_below(cbrt2, pr, Fraction(2), Fraction(1)) for pr in pairs] == want
+    rpt = classic_gap_check(pairs, Fraction(2), cbrt2)
+    assert rpt["all_hold"] and len(rpt["solutions"]) == len(pairs)
+
+
+def test_quality_checks_take_the_next_rung_when_the_first_cannot_decide(cbrt2, ladder_widths,
+                                                                        coarsen_first_rung):
+    # the first rung's disks coarsened to whole units: |alpha - x/y| is read
+    # as [0, 2] or so at each convergent, where no quality below 1 decides.
+    # Both checks take the second rung, no further, and return what they
+    # return on the true first rung, which mpmath confirms
+    from gapkit.thue import convergents
+
+    pairs = convergents(cbrt2, 10)
+    cases = [(pr, mu, c0) for pr in pairs
+             for mu, c0 in ((Fraction(2), Fraction(1)), (Fraction(5, 2), Fraction(1, 3)))]
+    want = [certify_quality_below(cbrt2, pr, mu, c0) for pr, mu, c0 in cases]
+    with mpmath.workdps(60):
+        def ratio(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        assert want == [abs(mpmath.cbrt(2) - ratio(pr.value())) * pr.height ** ratio(mu)
+                        < ratio(c0) for pr, mu, c0 in cases]
+    assert True in want and False in want
+    classic = classic_gap_check(pairs, Fraction(5, 2), cbrt2)
+    rungs = ladder_widths(cbrt2.minpoly)
+    asked = coarsen_first_rung()
+    assert [certify_quality_below(cbrt2, pr, mu, c0) for pr, mu, c0 in cases] == want
+    assert sorted(set(asked), reverse=True) == rungs[:2]
+    asked.clear()
+    assert classic_gap_check(pairs, Fraction(5, 2), cbrt2) == classic
+    assert sorted(set(asked), reverse=True) == rungs[:2]
 
 
 def test_compare_to_power_exactness():

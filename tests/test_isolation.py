@@ -692,28 +692,38 @@ def test_disk_holds_integer_where_the_chord_ends_just_past_one(im, rad):
                                     [-3, -2, 2 ** 620, 2 ** 620],          # roots 2^-310 apart
                                     [-3, 0, 0, 2 ** 3300 + 1]])            # roots near 2^-1100
 def test_the_ladder_walks_its_rungs_then_abstains(coeffs, monkeypatch):
-    # TABLE_WIDTH, then 10**-10 finer at each rung, for 9 + s // 32 rungs
-    # (s = separation_bits): the last is below 2**-(s + 300); every table's
-    # disks have radius at most two units and hold their roots; past the
-    # last rung, PrecisionError
+    # TABLE_WIDTH, then the width 2**-(2b - 48) at each rung, b the scale of
+    # the rung before, until the width 2**-D itself, D = max(bits, s + 300)
+    # (s = separation_bits): by default and at a depth past the default.
+    # The scale is bits(1/width) + 48, or the base disks' plus 2 where that
+    # is finer, which tiny roots keep until the rungs pass it, so it doubles
+    # to 2b + 1 at each rung before the last.  Every table's disks have
+    # radius at most two units and hold their roots, so the last rung's are
+    # narrower than 2**-D; past it, PrecisionError
     p = IntPoly(coeffs)
     monkeypatch.setattr(isolation, "_SYSTEMS", {})
     system = isolation.root_system(p)
     s = isolation.separation_bits(system.poly)
-    asked, tables = [], []
-    scaled = isolation._RootSystem.scaled
-    monkeypatch.setattr(isolation._RootSystem, "scaled",
-                        lambda self, width: asked.append(width) or scaled(self, width))
-    with pytest.raises(isolation.PrecisionError):
-        for table in system.ladder():
-            tables.append(table)
-    assert asked == [isolation.TABLE_WIDTH / 10 ** (10 * k) for k in range(9 + s // 32)]
-    assert asked[-1] < Fraction(1, 2 ** (s + 300))
-    # the scale is bits(1/width) + 48, or the base disks' plus 2 where that
-    # is finer, which tiny roots keep until the rungs pass it
     base = min(e.bits for e in system.base) + 2
-    assert [t.bits for t in tables] == [max((1 / w).numerator.bit_length() + 48, base)
-                                        for w in asked]
+    scaled = isolation._RootSystem.scaled
+    for bits in (0, s + 1000):
+        depth = max(bits, s + 300)
+        asked, tables = [], []
+        monkeypatch.setattr(isolation._RootSystem, "scaled",
+                            lambda self, width: asked.append(width) or scaled(self, width))
+        with pytest.raises(isolation.PrecisionError):
+            for table in system.ladder(bits):
+                tables.append(table)
+        want, width = [], isolation.TABLE_WIDTH
+        while not want or want[-1] != Fraction(1, 2 ** depth):
+            want.append(width)
+            b = max((1 / width).numerator.bit_length() + 48, base)
+            width = Fraction(1, 2 ** min(2 * b - 48, depth))
+        assert asked == want
+        assert [t.bits for t in tables] == [max((1 / w).numerator.bit_length() + 48, base)
+                                            for w in asked]
+        assert all(t.bits == max(2 * u.bits + 1, base) for u, t in zip(tables, tables[1:-1]))
+        assert tables[-1].bits == depth + 49
     with mpmath.workprec(tables[-1].bits + 64):
         if coeffs[1:3] == [0, 0]:   # a x^3 + c: the cube roots of -c/a
             roots = [mpmath.cbrt(mpmath.mpf(-coeffs[0]) / coeffs[3]) * mpmath.expjpi(mpmath.mpf(2 * k) / 3)

@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import mpmath
 import pytest
 import sympy
 
-from gapkit import isolation, linalg
+from gapkit import linalg
 from gapkit.algnum import AlgNum, PowerBasisRep, power_rep
 from gapkit.intpoly import IntPoly
 from gapkit.linalg import kernel_vectors_up_to
@@ -173,27 +172,17 @@ def test_c13_enclosure_beats_formula(alpha15, beta15):
                        alpha15.mahler_interval().hi) < v  # enclosure branch won
 
 
-def test_c13_takes_the_next_rung_when_the_first_keeps_w_at_0(alpha15, beta15, monkeypatch):
+def test_c13_takes_the_next_rung_when_the_first_keeps_w_at_0(alpha15, beta15, ladder_widths,
+                                                            coarsen_first_rung):
     # the first rung's disks coarsened to whole units: alpha ~ 1.827 is read
     # as [0, 4], where W = 2x may vanish; the enclosure branch is read on
     # the second rung, and still beats the closed bound
+    second = ladder_widths(alpha15.minpoly)[1]
     rep = power_rep(alpha15, beta15)
     pair1 = MinimalPair(alpha15, beta15, rep, P1, Q1, 2, "exact")
-    scaled, asked = isolation._RootSystem.scaled, []
-
-    def coarse_first(self, width):
-        asked.append(width)
-        table = scaled(self, width)
-        if width < isolation.TABLE_WIDTH:
-            return table
-        coarse = copy.copy(table)
-        coarse.alpha = [isolation._rescaled(isolation._rescaled(z, table.bits, 0), 0, table.bits)
-                        for z in table.alpha]
-        return coarse
-
-    monkeypatch.setattr(isolation._RootSystem, "scaled", coarse_first)
+    asked = coarsen_first_rung()
     v = c13(alpha15, pair1)
-    assert isolation.TABLE_WIDTH / 10 ** 10 in asked
+    assert second in asked
     assert Fraction(36, 10) < v < Fraction(366, 100)
     assert c13_formula(alpha15, Fraction(pair1.height_bound), alpha15.mahler_interval().hi) < v
 

@@ -11,13 +11,13 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapkit import cli, gap, isolation, rounding, thue
+from gapkit import cli, gap, intpoly, isolation, rounding, thue
 from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minimal_poly,
                            theta_upper_bound)
 from gapkit.autgroup import (AutElement, EnhancedAut, aut_prime, d12_family,
                              root_orbit_partition)
 from gapkit.binforms import BinForm, IntMat2, form_action
-from gapkit.gap import (GapConstants, HypothesisError, arch_quality, archimedean_c2, c11,
+from gapkit.gap import (GapConstants, HypothesisError, archimedean_c2, c11,
                         c16, interval_vs_power)
 from gapkit.intpoly import IntPoly
 from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
@@ -275,12 +275,15 @@ def test_assign_root_recognises_exact_ties_at_the_first_rung(f, xy, want, monkey
     assert asked == [isolation.TABLE_WIDTH]
 
 
-def test_assign_root_batch_walks_the_ladder_once(monkeypatch):
+def test_assign_root_batch_walks_the_ladder_once(monkeypatch, ladder_widths):
     # x^3 - 2y^3 at (0, 1): the real root and the complex pair are all
     # 2**(1/3) from the target 0, a tie no exact rule names, so it walks
-    # every rung and is reported on PrecisionError; the first rung decides
-    # each of the others.  In one batch each width is asked for once, and
-    # every solution gets the answer of its own call
+    # every rung and is reported on PrecisionError: three rungs, as s = 8
+    # puts the last at 2**-308, past the second's 2**-182; the first rung
+    # decides each of the others.  In one batch each width is asked for
+    # once, and every solution gets the answer of its own call
+    rungs = ladder_widths(CUBE_FORM.dehomogenize())
+    assert rungs == [isolation.TABLE_WIDTH, Fraction(1, 2 ** 182), Fraction(1, 2 ** 308)]
     monkeypatch.setattr(isolation, "_SYSTEMS", {})
     system = isolation.root_system(CUBE_FORM.dehomogenize())
     asked = []
@@ -293,10 +296,10 @@ def test_assign_root_batch_walks_the_ladder_once(monkeypatch):
     for s in batch:
         asked.clear()
         alone.append(assign_root(system, [s])[0])
-        assert len(asked) == (system.rungs if (s.x, s.y) == (0, 1) else 1)
+        assert asked == (rungs if (s.x, s.y) == (0, 1) else rungs[:1])
     asked.clear()
     got = assign_root(system, batch)
-    assert len(asked) == len(set(asked)) == system.rungs
+    assert asked == rungs
     assert got == tuple(alone) and got[2] == (2, "alpha", True)
     roots = _mp_roots(CUBE_FORM)
     for s, g in zip(batch, got):
@@ -626,22 +629,42 @@ def test_census_d12_builds_each_per_form_step_once(d12_census_counted):
     assert set(widths) == {isolation.TABLE_WIDTH}
 
 
-def _is_rung(width: Fraction) -> bool:
-    return any(width == isolation.TABLE_WIDTH / 10 ** (10 * k) for k in range(100))
-
-
-def test_census_and_constants_ask_only_for_ladder_rungs(d12_census_counted, root_widths):
+def test_census_and_constants_ask_only_for_ladder_rungs(d12_census_counted, root_widths,
+                                                      d12_form, ladder_widths):
     # every width that the D12 census asks of a root system is a rung of its
     # ladder, and it asks for at most two; the README's ``constants arch``
-    # command asks for rungs and, in power_rep's relation search, for
-    # 2**-bits at the search's precisions 240 * 2**k bits
-    widths = d12_census_counted[2]
-    assert all(_is_rung(w) for w in widths) and len(set(widths)) <= 2
+    # command asks for rungs of its quartic's ladder and, in power_rep's
+    # relation search, for 2**-bits at the search's precisions 240 * 2**k bits
     quartic = "x^4 - x^3 - 4*x^2 + 4*x + 1"
     assert cli.main(["constants", "arch", f"{quartic}@root~=1.827", f"{quartic}@root~=1.338",
                      "--mu", "7/2", "--c0", "1"]) == 0
+    asked = list(root_widths)     # before the walks below add to it
+    widths = d12_census_counted[2]
+    rungs = ladder_widths(d12_form.dehomogenize())
+    assert all(w in rungs for w in widths) and len(set(widths)) <= 2
+    rungs = ladder_widths(IntPoly((1, 4, -4, -1, 1)))
     search = {Fraction(1, 2 ** (240 << k)) for k in range(4)}
-    assert root_widths and all(_is_rung(w) or w in search for w in root_widths), root_widths
+    assert asked and all(w in rungs or w in search for w in asked), asked
+
+
+@pytest.mark.parametrize("form, m, box, mu, want", [
+    (d12_family(3, 1), 3, 40, Fraction(38, 4), 1),
+    (BinForm((1, 0, -3, -1)), 1, 100, Fraction(11, 4), 2)])
+def test_census_computes_each_discriminant_once(form, m, box, mu, want, monkeypatch):
+    # the root system keeps disc f, which C10, the index bound theta behind
+    # C12 and a cubic's Galois test all read: one resultant for D12, which
+    # is palindromic, and two for x^3 - 3xy^2 - y^3, one for its roots and
+    # one for its inverse roots
+    calls, resultant = [], intpoly.resultant
+    monkeypatch.setattr(intpoly, "resultant", lambda p, q: calls.append(p) or resultant(p, q))
+    monkeypatch.setattr(isolation, "_SYSTEMS", {})
+    census(ThueProblem(form, m, box), mu)
+    assert len(calls) == want
+    # and disc of the system's polynomial scales by content and sign as disc
+    p = form.dehomogenize()
+    for c in (1, -1, 6, -10):
+        scaled = IntPoly(c * a for a in p.coeffs)
+        assert isolation.discriminant(scaled) == intpoly.discriminant_poly(scaled)
 
 
 def test_census_d12_report_emits_in_full(d12_census_counted):
@@ -804,17 +827,14 @@ GOLDEN_AUT = json.loads((Path(__file__).parent / "golden" / "aut.json").read_tex
 
 def _all_pairs_c11(alphas, mu, c0):
     """c11 as the maximum of one rounded power per pair, on the rungs of the
-    root systems' ladders."""
-    width = isolation.TABLE_WIDTH
-    for _ in range(9):
-        encl = [isolation.RootEnclosure(a.minpoly, a.index, t.alpha[a.index], t.bits)
-                for a in alphas for t in [isolation.root_system(a.minpoly).scaled(width)]]
+    ladder of the conjugates' one root system."""
+    (poly,) = {a.minpoly for a in alphas}
+    for t in isolation.root_system(poly).ladder():
+        encl = [isolation.RootEnclosure(poly, a.index, t.alpha[a.index], t.bits) for a in alphas]
         dists = [encl[i].distance_interval(encl[j]).lo
                  for i in range(len(alphas)) for j in range(i + 1, len(alphas))]
         if min(dists) > 0:
             return tidy_up(max(pow_up(2 * c0 / dist, 1 / mu) for dist in dists))
-        width /= 10 ** 10
-    raise AssertionError("conjugates not separated")
 
 
 def _unfolded_floor_branches(d, mu, c0, wronskian_floor, closing):
@@ -862,8 +882,60 @@ def test_convergents_cbrt2(cbrt2):
     cv = convergents(cbrt2, 8)
     assert [(p.x, p.y) for p in cv[:4]] == [(1, 1), (4, 3), (5, 4), (29, 23)]
     for p in cv:
-        q = arch_quality(cbrt2, p, Fraction(1, 10 ** 30))
+        q = cbrt2.enclosure(Fraction(1, 10 ** 30)).distance_interval(p.value())
         assert interval_vs_power(q, Fraction(p.y), Fraction(-2)) == -1
+
+
+def _mp_convergents(x, count=None, max_den=None) -> list[tuple[int, int]]:
+    """The convergents p/q of the mpmath real x, at the working precision,
+    by the textbook recurrence: the first ``count``, or every one with
+    q <= ``max_den``."""
+    out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+    while count is None or len(out) < count:
+        a = int(mpmath.floor(x))
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if max_den is not None and k1 > max_den:
+            break
+        out.append((h1, k1))
+        x = 1 / (x - a)
+    return out
+
+
+@pytest.mark.parametrize("coeffs", [(-2, 0, 0, 1), (-1, -3, 0, 1), (-3, 0, 0, 2 ** 3300 + 1)],
+                         ids=["x^3 - 2", "x^3 - 3x - 1", "(2^3300+1)x^3 - 3"])
+def test_convergents_match_mpmath_continued_fractions(coeffs):
+    # each real root and its inverse: the first 25 convergents, and every
+    # one up to the denominators 10**20, 10**50 and 10**80, against the
+    # recurrence on mpmath's root at 8000 bits, which 8500 bits confirm.
+    # The root of (2^3300+1)x^3 - 3, near 2^-1100, takes its second term
+    # from about 1/alpha, so 25 terms need a disk near 2^-2300 wide
+    p = normalize_minimal_poly(IntPoly(coeffs))
+    reals = [e.index for e in isolation.root_system(p).base if e.is_real]
+    oracle = []
+    for prec in (8000, 8500):
+        with mpmath.workprec(prec):
+            if coeffs[1:3] == (0, 0):   # a x^3 + c: the real cube root of -c/a
+                roots = [mpmath.cbrt(mpmath.mpf(-coeffs[0]) / coeffs[3])]
+            else:
+                roots = sorted(mpmath.re(r) for r in mpmath.polyroots(
+                    list(reversed(coeffs)), maxsteps=400, extraprec=prec))
+            oracle.append([[_mp_convergents(x, count=25)]
+                           + [_mp_convergents(x, max_den=10 ** k) for k in (20, 50, 80)]
+                           for r in roots for x in (r, 1 / r)])
+    assert oracle[0] == oracle[1] and len(roots) == len(reals)
+    got = [[[(c.x, c.y) for c in convergents(AlgNum(p, i), 25, inverse=inverse)]]
+           + [[(c.x, c.y) for c in convergents(AlgNum(p, i), max_den=10 ** k, inverse=inverse)]
+              for k in (20, 50, 80)]
+           for i in reals for inverse in (False, True)]
+    assert got == oracle[0]
+
+
+def test_convergents_by_count_walk_past_the_default_depth(cbrt2):
+    # 600 terms of cbrt(2) need a disk near 2**-2050 wide, past the ladder's
+    # default 2**-308; the count walk goes to 2**-(8 * 600 + 32)
+    with mpmath.workprec(8000):
+        want = _mp_convergents(mpmath.cbrt(2), count=600)
+    assert [(c.x, c.y) for c in convergents(cbrt2, 600)] == want
 
 
 def test_convergents_need_real():
