@@ -33,26 +33,15 @@ class HypothesisError(ValueError):
 # -- elementary exact comparisons ---------------------------------------------
 
 def compare_to_power(a: Fraction, base: Fraction, exp: Fraction) -> int:
-    """Sign of a - base**exp for positive rationals a, base; exact."""
+    """Sign of a - base**exp for positive rationals a, base; exact: a**q
+    against base**p, exp = p/q, cross-multiplied in integers."""
     a, base, exp = Fraction(a), Fraction(base), Fraction(exp)
     if a <= 0 or base <= 0:
         raise ValueError("positive values required")
     p, q = exp.numerator, exp.denominator
-    lhs, rhs = a ** q, base ** p
+    bn, bd = (base.numerator, base.denominator) if p >= 0 else (base.denominator, base.numerator)
+    lhs, rhs = a.numerator ** q * bd ** abs(p), bn ** abs(p) * a.denominator ** q
     return (lhs > rhs) - (lhs < rhs)
-
-
-def interval_vs_power(x: RatInterval, base: Fraction, exp: Fraction) -> int | None:
-    """Certified sign of x - base**exp: -1, +1, or None if undecided."""
-    p, q = Fraction(exp).numerator, Fraction(exp).denominator
-    rhs = Fraction(base) ** p
-    if x.hi > 0 and x.hi ** q < rhs and x.lo >= 0:
-        return -1
-    if x.lo > 0 and x.lo ** q > rhs:
-        return 1
-    if x.hi <= 0:
-        return -1 if rhs > 0 else None
-    return None
 
 
 # -- approximation pairs ----------------------------------------------------------
@@ -86,22 +75,25 @@ class ApproxPair(Record):
         return ApproxPair(x, y)
 
 
-def _arch_sign(alpha: AlgNum, pair: ApproxPair, c0: Fraction, h: Fraction, mu: Fraction) -> int:
+def _arch_sign(alpha: AlgNum, pair: ApproxPair, c0: Fraction, h: int, mu: Fraction) -> int:
     """Certified sign of |alpha - x/y| / c0 - h**-mu (y != 0 required):
-    |alpha - x/y| read off each rung of alpha's refinement ladder by
-    ``disk_distance``, until one decides, to 300 bits past the threshold
+    |alpha - x/y| = [lo, hi] / (|y| 2**b) read off each rung of alpha's
+    ladder by ``disk_distance``, until (lo den c0)**q h**p or (hi den c0)**q
+    h**p, mu = p/q, decides against (|y| 2**b num c0)**q; to 300 bits past
     c0 / h**mu > 2**-(mu bits(h) + bits(den c0) - bits(num c0) + 1); past
     the last, ``PrecisionError``."""
     if pair.y == 0:
         raise ValueError("y = 0 has no Archimedean quality")
-    depth = (ceil(mu * h.numerator.bit_length()) + c0.denominator.bit_length()
+    depth = (ceil(mu * h.bit_length()) + c0.denominator.bit_length()
              - c0.numerator.bit_length() + 301)
+    q, hp = mu.denominator, h ** mu.numerator
     for table in root_system(alpha.minpoly).ladder(depth):
         lo, hi = disk_distance(table.alpha[alpha.index], pair.x, pair.y, 1 << table.bits)
-        den = (abs(pair.y) << table.bits) * c0
-        s = interval_vs_power(RatInterval(lo / den, hi / den), h, -mu)
-        if s is not None:
-            return s
+        rhs = ((abs(pair.y) << table.bits) * c0.numerator) ** q
+        if (hi * c0.denominator) ** q * hp < rhs:
+            return -1
+        if (lo * c0.denominator) ** q * hp > rhs:
+            return 1
 
 
 def padic_quality(xi: PadicAlgNum, pair: ApproxPair, k: int = 40) -> PadicAbs:
@@ -118,7 +110,7 @@ def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction) -
     Returns True/False when decided; raises AbstainError at budget.
     """
     mu, c0 = Fraction(mu), Fraction(c0)
-    h = Fraction(pair.height)
+    h = pair.height
     if isinstance(alpha, PadicAlgNum):
         k = 40
         for _ in range(6):
@@ -512,43 +504,34 @@ def thue_siegel_params(d: int, mahler_max_log: Fraction | None = None
     """The exact squares of t = sqrt(2/(d + a^2)), tau = 2 a t and
     lambda = 2/((1-2a) t), and delta = 6 a^2/((d + a^2)(d - 1)), at
     a = 1/500, with the certified assertions lambda < 1.42 sqrt(d),
-    delta^{-1} < 41667 d^2, and interval membership for (t, tau).  ``mahler_max_log`` (an upper rounding of
+    delta^{-1} < 41667 d^2, and interval membership for (t, tau)
+    (``_thue_siegel_checks``).  ``mahler_max_log`` (an upper rounding of
     log max M(alpha_i)) turns into A = 500^2 (log max M + d/2)."""
     if d < 3:
         raise HypothesisError("degree must be >= 3")
-    a = Fraction(1, 500)
-    da2 = d + a * a
-    t2 = Fraction(2) / da2
-    tau2 = 4 * a * a * t2
-    lam2 = 4 / ((1 - 2 * a) ** 2 * t2)
-    delta = 6 * a * a / (da2 * (d - 1))
-
-    # certified assertions (all exact rational comparisons)
-    if not lam2 < Fraction(71, 50) ** 2 * d:
-        raise AssertionError("lambda bound 1.42 sqrt(d) fails")
-    if not 1 / delta < 41667 * d * d:
-        raise AssertionError("delta inverse bound fails")
-    _assert_interval_membership(d, a, t2)
+    checks = _thue_siegel_checks(d)
+    if not all(checks):
+        raise AssertionError(f"assertion {checks.index(False)} of _thue_siegel_checks fails")
+    n = 250000 * d + 1
     A = None
     if mahler_max_log is not None:
         A = 500 ** 2 * (Fraction(mahler_max_log) + Fraction(d, 2))
-    return ThueSiegelParams(d, a, t2, tau2, lam2, delta, A)
+    return ThueSiegelParams(d, Fraction(1, 500), Fraction(500000, n), Fraction(8, n),
+                            Fraction(n, 124002), Fraction(6, n * (d - 1)), A)
 
 
-def _assert_interval_membership(d: int, a: Fraction, t2: Fraction):
-    # upper t bound: t^2 = 2/(d+a^2) < 2/d
-    if not t2 < Fraction(2, d):
-        raise AssertionError("t upper interval bound fails")
-    # lower t bound: (2 + sqrt(E))/(d(d+1)) < t with E = 2d^3 + 2d^2 - 4d
+def _thue_siegel_checks(d: int) -> tuple[bool, ...]:
+    """The assertions of ``thue_siegel_params`` in integers, by n = 250000 d + 1
+    = 250000 (d + a^2), t^2 = 500000/n, lambda^2 = n/124002, delta = 6/(n (d-1)):
+    lambda^2 < (71/50)^2 d; 1/delta < 41667 d^2; t^2 < 2/d; (2 + sqrt(E))/(d (d+1))
+    < t, E = 2d^3 + 2d^2 - 4d, as g = (d (d+1))^2 t^2 - 4 - E > 0 and 16 E < g^2
+    (n g below); and tau = 2 a t < t - 2/d, as d^2 (1-2a)^2 t^2 > 4.  tau > a t =
+    sqrt(2 - d t^2), the lower bound, holds as a t > 0."""
+    n = 250000 * d + 1
     e = 2 * d ** 3 + 2 * d ** 2 - 4 * d
-    f2 = Fraction(d * (d + 1)) ** 2
-    g = f2 * t2 - (4 + e)
-    if not (g > 0 and 16 * e < g * g):
-        raise AssertionError("t lower interval bound fails")
-    # tau lower: sqrt(2 - d t^2) = a t < 2 a t = tau holds strictly since a t > 0
-    # tau upper: 2 a t < t - 2/d  <=>  d^2 (1-2a)^2 t^2 > 4
-    if not Fraction(d * d) * (1 - 2 * a) ** 2 * t2 > 4:
-        raise AssertionError("tau upper interval bound fails")
+    g = 500000 * (d * (d + 1)) ** 2 - (4 + e) * n
+    return (2500 * n < 5041 * 124002 * d, n * (d - 1) < 250002 * d * d, 500000 * d < 2 * n,
+            g > 0 and 16 * e * n * n < g * g, 124002 * d * d > n)
 
 
 def thue_siegel_conclusion(params: ThueSiegelParams, a1: Fraction, a2: Fraction,
@@ -637,7 +620,8 @@ class Verdict(Record):
 def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,
                         pair2: ApproxPair, constants: GapConstants,
                         relation: MobiusRelation | None) -> Verdict:
-    """Certified dichotomy check for one approximation pair.
+    """Certified dichotomy check for one approximation pair: its hypotheses
+    certified (``certify_hypotheses``), then ``dichotomy_verdict``.
 
     alpha, beta: AlgNum (Archimedean) or PadicAlgNum.  relation: the Moebius
     relation of the algebraic numbers (``mobius_relation``), or None when
@@ -645,18 +629,58 @@ def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,
     Preconditions (certified, else HypothesisError): H2 >= H1 >= C_small and
     both approximation qualities strictly below C0/H**mu.
     """
-    mu, c0 = Fraction(mu), Fraction(c0)
-    h1, h2 = Fraction(pair1.height), Fraction(pair2.height)
+    certify_hypotheses(alpha, beta, mu, c0, pair1, pair2, constants, {})
+    return dichotomy_verdict(pair1, pair2, constants, gap_threshold(constants, pair1.height),
+                             relation)
+
+
+def certify_hypotheses(alpha, beta, mu, c0, pair1: ApproxPair, pair2: ApproxPair,
+                       constants: GapConstants, memo: dict) -> None:
+    """Raise HypothesisError unless H2 >= H1 >= C_small, then the qualities
+    of pair1 at alpha and pair2 at beta are below C0/H**mu
+    (``certify_quality_below``), checked in that order.  Each certificate,
+    True, False or the AbstainError raised again, is kept in ``memo``, one
+    per (alpha, beta, mu, C0), keyed (0, pair1) for alpha, (1, pair2) for beta."""
+    h1, h2 = pair1.height, pair2.height
     if not (h2 >= h1 >= constants.c_small):
         raise HypothesisError(f"height precondition fails: {h2} >= {h1} >= {constants.c_small}")
-    if not certify_quality_below(alpha, pair1, mu, c0):
-        raise HypothesisError("pair1 quality hypothesis fails")
-    if not certify_quality_below(beta, pair2, mu, c0):
-        raise HypothesisError("pair2 quality hypothesis fails")
+    for key, number in (((0, pair1), alpha), ((1, pair2), beta)):
+        if key not in memo:
+            try:
+                memo[key] = certify_quality_below(number, key[1], mu, c0)
+            except AbstainError as err:
+                memo[key] = err
+        if isinstance(memo[key], AbstainError):
+            raise memo[key]
+        if not memo[key]:
+            raise HypothesisError(f"pair{key[0] + 1} quality hypothesis fails")
 
-    # gap case: H2 > C_big^{-1} H1^{mu - d/2}, exact via cross-powers
-    gap_holds = compare_to_power(h2 * constants.c_big, h1,
-                                 mu - Fraction(constants.degree, 2)) > 0
+
+def gap_threshold(constants: GapConstants, h1: int) -> tuple[int, int, int, str]:
+    """What the gap case H2 > C_big^-1 H1^e, e = mu - d/2 = p/q, needs of
+    pair1's height H1: q, H1^p (den C_big)^q, (num C_big)^q and gapBound,
+    the printed ``_gap_bound``."""
+    e = constants.mu - Fraction(constants.degree, 2)
+    q, big = e.denominator, constants.c_big
+    return (q, h1 ** e.numerator * big.denominator ** q, big.numerator ** q,
+            compact_str(_gap_bound(constants, h1), False))
+
+
+def _gap_bound(constants: GapConstants, h1: int) -> Fraction:
+    """H1^e / C_big rounded down, e = mu - d/2, from 1 / ``pow_up``(1/H1, e)."""
+    exp = constants.mu - Fraction(constants.degree, 2)
+    return tidy_down(1 / (pow_up(Fraction(1, h1), exp) * constants.c_big))
+
+
+def dichotomy_verdict(pair1: ApproxPair, pair2: ApproxPair, constants: GapConstants,
+                      threshold: tuple[int, int, int, str],
+                      relation: MobiusRelation | None) -> Verdict:
+    """The dichotomy's verdict on two pairs whose hypotheses hold, given
+    pair1's ``gap_threshold``: the gap case H2 > C_big^-1 H1^e, exactly in
+    integers as (H2 num C_big)^q > H1^p (den C_big)^q, and the Moebius case,
+    pair2 = +-relation(pair1)."""
+    q, rhs, big_q, bound = threshold
+    gap_holds = pair2.height ** q * big_q > rhs
 
     mobius_case = False
     if relation is not None:
@@ -666,25 +690,10 @@ def check_gap_dichotomy(alpha, beta, mu, c0, pair1: ApproxPair,
             mobius_case = (image.x, image.y) == (pair2.x, pair2.y) or \
                           (image.x, image.y) == (-pair2.x, -pair2.y)
 
-    if gap_holds and mobius_case:
-        verdict = "Both"
-    elif gap_holds:
-        verdict = "GapHolds"
-    elif mobius_case:
-        verdict = "MobiusCase"
-    else:
-        verdict = "Violation"
-    details = {
-        "H1": pair1.height, "H2": pair2.height,
-        "gapBound": compact_str(_gap_bound_repr(constants, h1), False),
-        "metric": constants.metric,
-    }
+    verdict = ("Violation", "MobiusCase", "GapHolds", "Both")[2 * gap_holds + mobius_case]
+    details = {"H1": pair1.height, "H2": pair2.height, "gapBound": bound,
+               "metric": constants.metric}
     return Verdict(verdict, gap_holds, mobius_case, relation, details)
-
-
-def _gap_bound_repr(constants: GapConstants, h1: Fraction) -> Fraction:
-    exp = constants.mu - Fraction(constants.degree, 2)
-    return tidy_down(pow_up(h1, exp) / constants.c_big)
 
 
 def classic_gap_check(pairs: list[ApproxPair], mu, alpha) -> dict:
@@ -692,7 +701,7 @@ def classic_gap_check(pairs: list[ApproxPair], mu, alpha) -> dict:
     certified solutions of |alpha - x/y| < 1/y**mu (denominator metric)."""
     mu = Fraction(mu)
     sols = [pr for pr in pairs
-            if pr.y > 0 and _arch_sign(alpha, pr, Fraction(1), Fraction(pr.y), mu) < 0]
+            if pr.y > 0 and _arch_sign(alpha, pr, Fraction(1), pr.y, mu) < 0]
     sols.sort(key=lambda pr: pr.y)
     for a, b in zip(sols, sols[1:]):
         if a.y == b.y:

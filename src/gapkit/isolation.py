@@ -100,18 +100,12 @@ class RootEnclosure(Record):
     def abs_interval(self) -> RatInterval:
         return _disk_abs(self.disk, self.bits)
 
-    def distance_interval(self, other: "RootEnclosure | Fraction") -> RatInterval:
-        """Certified |self - other|: ``disk_sub`` at the finer scale of two
-        enclosures, or ``disk_distance`` to a rational, which is exact for a
-        real root's disk."""
-        if isinstance(other, RootEnclosure):
-            bits = max(self.bits, other.bits)
-            return _disk_abs(disk_sub(_rescaled(self.disk, self.bits, bits),
-                                      _rescaled(other.disk, other.bits, bits)), bits)
-        q = Fraction(other)
-        lo, hi = disk_distance(self.disk, q.numerator, q.denominator, 1 << self.bits)
-        den = q.denominator << self.bits
-        return RatInterval(Fraction(lo, den), Fraction(hi, den))
+    def distance_interval(self, other: "RootEnclosure") -> RatInterval:
+        """Certified |self - other|: ``disk_sub`` at the finer scale of the
+        two enclosures."""
+        bits = max(self.bits, other.bits)
+        return _disk_abs(disk_sub(_rescaled(self.disk, self.bits, bits),
+                                  _rescaled(other.disk, other.bits, bits)), bits)
 
     def refine(self, width: Fraction) -> "RootEnclosure":
         """Enclosure of the same root with width <= ``width``: the real disk
@@ -254,11 +248,13 @@ class _RootSystem:
     def ladder(self, bits: int = 0):
         """The ladder's tables, coarsest first; then ``PrecisionError``: rung
         0 at ``TABLE_WIDTH``, then the width 2**-(2b - 48) for the scale b of
-        the rung before, which doubles the scale to 2b + 1, up to the last
-        rung, the width 2**-max(``bits``, ``separation_bits`` + 300) itself."""
+        the rung before, which doubles the scale to 2b + 1, until that width
+        would lie nearer the depth D = max(``bits``, ``separation_bits`` +
+        300) than the scale b; then the last rung, the width 2**-D itself,
+        so that no two rungs lie a few bits apart."""
         depth = max(bits, separation_bits(self.poly) + 300)
         table = self.scaled(TABLE_WIDTH)
-        while 2 * table.bits - 48 < depth:
+        while depth - (2 * table.bits - 48) >= table.bits - 48:
             yield table
             table = self.scaled(Fraction(1, 1 << 2 * table.bits - 48))
         yield table

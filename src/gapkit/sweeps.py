@@ -3,10 +3,12 @@
 The dichotomy sweep builds certified approximation pairs from convergents
 (and their p-adic lattice analogues), runs every combination through the
 gap dichotomy with desk-mode constants (height floor lowered to 1, honest
-values recorded in provenance), and tallies verdicts.  The theorems predict
+values recorded in provenance), and tallies verdicts.  Each (number, pair)
+quality hypothesis is certified once per instance, and each pair1's gap
+threshold built once, however many pairs2 it meets.  The theorems predict
 zero Violations; abstentions come only from undecidable enclosures and stay
-far below the tolerated rate because every verdict comparison here is exact
-rational arithmetic.
+far below the tolerated rate because every verdict comparison here is
+exact, between integer cross powers.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from fractions import Fraction
 
 from .algnum import AlgNum
 from .gap import (AbstainError, ApproxPair, GapConstants, HypothesisError,
-                  MobiusRelation, archimedean_constants, check_gap_dichotomy,
-                  mobius_relation, nonarchimedean_constants,
-                  thue_siegel_params)
+                  MobiusRelation, archimedean_constants, certify_hypotheses,
+                  dichotomy_verdict, gap_threshold, mobius_relation,
+                  nonarchimedean_constants, thue_siegel_params)
 from .minpair import find_pair
 from .padic import good_padic_approximations, hensel_root
 from .parse import parse_poly
@@ -111,7 +113,8 @@ def default_instances() -> list[SweepInstance]:
 
 def dichotomy_sweep(min_pairs: int = 200) -> dict:
     """Run the gap dichotomy on every qualifying approximation pair of every
-    default instance; the theorems say Violation never appears."""
+    default instance, as ``check_gap_dichotomy`` does pair by pair; the
+    theorems say Violation never appears."""
     totals = {"checked": 0, "violations": 0, "abstentions": 0,
               "skipped_hypothesis": 0}
     verdicts: dict[str, int] = {}
@@ -119,20 +122,22 @@ def dichotomy_sweep(min_pairs: int = 200) -> dict:
     for inst in default_instances():
         counts = {"checked": 0, "violations": 0, "abstentions": 0,
                   "skipped_hypothesis": 0, "verdicts": {}}
+        memo = {}   # the instance's quality certificates (``certify_hypotheses``)
         for p1 in inst.pairs_alpha:
+            threshold = gap_threshold(inst.constants, p1.height)
             for p2 in inst.pairs_beta:
                 if p2.height < p1.height:
                     continue
                 try:
-                    v = check_gap_dichotomy(
-                        inst.alpha, inst.beta, inst.mu, inst.c0, p1, p2,
-                        inst.constants, inst.relation)
+                    certify_hypotheses(inst.alpha, inst.beta, inst.mu, inst.c0, p1, p2,
+                                       inst.constants, memo)
                 except HypothesisError:
                     counts["skipped_hypothesis"] += 1
                     continue
                 except AbstainError:
                     counts["abstentions"] += 1
                     continue
+                v = dichotomy_verdict(p1, p2, inst.constants, threshold, inst.relation)
                 counts["checked"] += 1
                 counts["verdicts"][v.verdict] = counts["verdicts"].get(v.verdict, 0) + 1
                 if v.verdict == "Violation":

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from gapkit.algnum import normalize_minimal_poly
 from gapkit.binforms import BinForm
-from gapkit.isolation import RootEnclosure, isolate_roots
+from gapkit.isolation import RootEnclosure, disk_distance, isolate_roots
 from gapkit.rounding import RatInterval, root_down, root_up
 from gapkit.thue import Solution
 
@@ -20,7 +20,7 @@ def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction) -> bool:
         best_hi = None
         for e in isolate_roots(poly, width):
             if sol.y != 0:
-                di = e.distance_interval(Fraction(sol.x, sol.y))
+                di = distance_to(e, Fraction(sol.x, sol.y))
                 best_hi = di.hi if best_hi is None else min(best_hi, di.hi)
             di = inverse_distance(e, Fraction(sol.y, sol.x)) if sol.x != 0 else None
             if di is not None:
@@ -29,6 +29,14 @@ def lewis_mahler_check(f: BinForm, sol: Solution, c10: Fraction) -> bool:
             return True
         width /= 10 ** 8
     return False
+
+
+def distance_to(e: RootEnclosure, q: Fraction) -> RatInterval:
+    """Certified |alpha - q| for the root alpha in the enclosure e, from
+    ``disk_distance``; exact for a real root's disk."""
+    lo, hi = disk_distance(e.disk, q.numerator, q.denominator, 1 << e.bits)
+    den = q.denominator << e.bits
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def inverse_distance(e: RootEnclosure, q: Fraction) -> RatInterval | None:

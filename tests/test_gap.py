@@ -5,12 +5,13 @@ from math import gcd
 import mpmath
 import pytest
 
+from gapkit import gap
 from gapkit.algnum import AlgNum
-from gapkit.gap import (ApproxPair, HypothesisError, MobiusRelation, _padic_distance,
+from gapkit.gap import (ApproxPair, GapConstants, HypothesisError, MobiusRelation, _padic_distance,
                         archimedean_constants, c11, c15, c16, certify_quality_below,
                         check_gap_dichotomy, classic_gap_check,
                         compare_to_power, count_bound, derived_approx,
-                        f_floor, interval_vs_power,
+                        f_floor,
                         mobius_relation, nonarchimedean_constants,
                         resultant_gcd_bound, thue_siegel_conclusion,
                         thue_siegel_params, two_forms_constant,
@@ -20,6 +21,7 @@ from gapkit.minpair import find_pair
 from gapkit.padic import hensel_root
 from gapkit.rounding import RatInterval, log_interval, pow_up, tidy_up
 from tests.conftest import CUBIC
+from tests.lewis_mahler import distance_to
 
 
 def rand_coprime_pair(rng, max_deg=3, max_h=6):
@@ -250,8 +252,8 @@ def test_c11_examples(alpha_cubic):
             continue
         close = 0
         for alg in roots:
-            q = alg.enclosure(Fraction(1, 10 ** 30)).distance_interval(pr.value())
-            if interval_vs_power(q, Fraction(pr.height), Fraction(-11, 4)) == -1:
+            hi = distance_to(alg.enclosure(Fraction(1, 10 ** 30)), pr.value()).hi
+            if hi.numerator ** 4 * pr.height ** 11 < hi.denominator ** 4:   # below H**(-11/4)
                 close += 1
         assert close <= 1
 
@@ -266,6 +268,29 @@ def test_thue_siegel_params_assertions():
     assert ps14.A == 500 ** 2 * (3 + 7)
     with pytest.raises(HypothesisError):
         thue_siegel_params(2)
+
+
+def test_thue_siegel_params_match_their_fraction_definitions():
+    # the record's t^2, tau^2, lambda^2 and delta against their definitions
+    # at a = 1/500, and each of the five assertions, as integer inequalities
+    # in n = 250000 d + 1, against its Fraction form; at d = 2 the upper
+    # bound on tau fails in both
+    a = Fraction(1, 500)
+    for d in range(2, 1001):
+        t2 = 2 / (d + a * a)
+        lam2 = 4 / ((1 - 2 * a) ** 2 * t2)
+        delta = 6 * a * a / ((d + a * a) * (d - 1))
+        e = 2 * d ** 3 + 2 * d ** 2 - 4 * d
+        g = Fraction(d * (d + 1)) ** 2 * t2 - (4 + e)
+        checks = (lam2 < Fraction(71, 50) ** 2 * d, 1 / delta < 41667 * d * d,
+                  t2 < Fraction(2, d), g > 0 and 16 * e < g * g,
+                  d * d * (1 - 2 * a) ** 2 * t2 > 4)
+        assert gap._thue_siegel_checks(d) == checks, d
+        assert all(checks) == (d >= 3)
+        if d >= 3:
+            ps = thue_siegel_params(d)
+            assert (ps.a, ps.t2, ps.tau2, ps.lam2, ps.delta) == (
+                a, t2, 4 * a * a * t2, lam2, delta)
 
 
 def test_thue_siegel_conclusion_monotone():
@@ -371,6 +396,37 @@ def test_check_gap_dichotomy_cases(alpha_cubic, beta_cubic):
         check_gap_dichotomy(alpha_cubic, beta_cubic, Fraction(11, 4),
                             Fraction(10 ** 4), ApproxPair(20, 13), p1,
                             constants, relation=rel)
+
+
+@pytest.mark.parametrize("c_big, pairs", [
+    (Fraction(1), [((32, 21), "Violation"), ((33, 20), "GapHolds")]),
+    (Fraction(2), [((16, 11), "Violation"), ((17, 11), "GapHolds")])])
+def test_the_gap_case_is_strict(alpha_cubic, beta_cubic, c_big, pairs):
+    # H1 = 16 and e = mu - d/2 = 5/4: H1**e = 32 = C_big H2 is not a gap,
+    # since the gap case H2 > C_big**-1 H1**e is strict; one more unit of
+    # H2 is.  C0 = 10**4 certifies every pair here
+    mu, c0 = Fraction(11, 4), Fraction(10 ** 4)
+    constants = GapConstants("archimedean", Fraction(1), c_big, mu, c0, 3)
+    for (x, y), want in pairs:
+        v = check_gap_dichotomy(alpha_cubic, beta_cubic, mu, c0, ApproxPair(16, 9),
+                                ApproxPair(x, y), constants, None)
+        assert v.verdict == want
+
+
+@pytest.mark.parametrize("c_big", [Fraction(1), Fraction(3),
+                                   Fraction(2573951360557360741, 5000000000000)])
+def test_the_gap_bound_lies_at_or_below_its_power(c_big):
+    # gapBound, printed with rounding "down", and the value it prints lie at
+    # or below H1**e / C_big (e = mu - d/2 = 5/4), checked by cross powers,
+    # and within 10**-15 of it; H1 = 2**200 + 1 is no perfect fourth power
+    h1 = 2 ** 200 + 1
+    constants = GapConstants("archimedean", Fraction(1), c_big, Fraction(11, 4), Fraction(1), 3)
+    value = gap._gap_bound(constants, h1)
+    mant, _, exp = gap.gap_threshold(constants, h1)[-1].partition("*10^")
+    printed = Fraction(mant) * Fraction(10) ** int(exp or 0)
+    for v in (value, printed):
+        assert (v * c_big) ** 4 <= h1 ** 5
+    assert (value * c_big * (1 + Fraction(1, 10 ** 15))) ** 4 > h1 ** 5
 
 
 def test_classic_gap_check(cbrt2):

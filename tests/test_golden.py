@@ -7,6 +7,9 @@
   tests/golden/census.json gives the same exit code and structural fields
   as when the file was written (by tests/golden/write_census.py, whose
   projections of the reports are reused here).
+* The sweep: ``full_sweep()`` gives the report in tests/golden/sweep.json,
+  which is what ``gapkit sweep`` printed when the file was written
+  (``PYTHONPATH=src python -m gapkit.cli sweep > tests/golden/sweep.json``).
 """
 
 import contextlib
@@ -30,6 +33,7 @@ import write_census  # noqa: E402
 
 GOLDEN = json.loads((GOLDEN_DIR / "aut.json").read_text())
 CENSUS = json.loads((GOLDEN_DIR / "census.json").read_text())
+SWEEP = json.loads((GOLDEN_DIR / "sweep.json").read_text())
 # the keys that say which command or census an entry of census.json is
 ENTRY_KEYS = ("cli", "census", "form", "m", "box", "mu")
 
@@ -65,6 +69,10 @@ def test_census_golden(entry, request):
             entry["form"], entry["m"], entry["box"], entry["mu"]))
     assert json.loads(json.dumps(got)) == {
         k: v for k, v in entry.items() if k not in ENTRY_KEYS}
+
+
+def test_sweep_golden():
+    assert json.loads(json.dumps(sweeps.full_sweep())) == SWEEP
 
 
 def _printed(s: str) -> Fraction:

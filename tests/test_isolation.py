@@ -693,8 +693,9 @@ def test_disk_holds_integer_where_the_chord_ends_just_past_one(im, rad):
                                     [-3, 0, 0, 2 ** 3300 + 1]])            # roots near 2^-1100
 def test_the_ladder_walks_its_rungs_then_abstains(coeffs, monkeypatch):
     # TABLE_WIDTH, then the width 2**-(2b - 48) at each rung, b the scale of
-    # the rung before, until the width 2**-D itself, D = max(bits, s + 300)
-    # (s = separation_bits): by default and at a depth past the default.
+    # the rung before, until that width would lie nearer the width 2**-D,
+    # D = max(bits, s + 300) (s = separation_bits), than the scale b; then
+    # 2**-D itself: by default and at a depth past the default.
     # The scale is bits(1/width) + 48, or the base disks' plus 2 where that
     # is finer, which tiny roots keep until the rungs pass it, so it doubles
     # to 2b + 1 at each rung before the last.  Every table's disks have
@@ -718,7 +719,8 @@ def test_the_ladder_walks_its_rungs_then_abstains(coeffs, monkeypatch):
         while not want or want[-1] != Fraction(1, 2 ** depth):
             want.append(width)
             b = max((1 / width).numerator.bit_length() + 48, base)
-            width = Fraction(1, 2 ** min(2 * b - 48, depth))
+            doubled = 2 * b - 48
+            width = Fraction(1, 2 ** (doubled if depth - doubled >= doubled - b else depth))
         assert asked == want
         assert [t.bits for t in tables] == [max((1 / w).numerator.bit_length() + 48, base)
                                             for w in asked]
@@ -735,6 +737,22 @@ def test_the_ladder_walks_its_rungs_then_abstains(coeffs, monkeypatch):
             for re, im, rad in t.alpha:
                 assert rad <= 2 and (im == 0 or abs(im) > rad)
                 assert sum(abs(r * one - mpmath.mpc(re, im)) <= rad for r in roots) == 1
+
+
+def test_the_ladder_goes_straight_to_a_depth_near_its_doubled_width():
+    # x^3 - 3*2^600 x - 2^900, s = 1806: at the scale 1855 the doubled width
+    # 2**-3662 lies 20 bits short of 2**-3682, so ladder(3682) goes straight
+    # there (scale 3731), with no rung at the scale 3711 in between; by
+    # default, 2**-2106 lies 300 bits past the doubled width 2**-1806 of the
+    # scale 927, nearer than 927 lies to it, so the walk goes straight there
+    system = isolation.root_system(IntPoly([-2 ** 900, -3 * 2 ** 600, 0, 1]))
+    for bits, want in ((3682, [115, 231, 463, 927, 1855, 3731]),
+                       (0, [115, 231, 463, 927, 2155])):
+        scales = []
+        with pytest.raises(isolation.PrecisionError):
+            for table in system.ladder(bits):
+                scales.append(table.bits)
+        assert scales == want
 
 
 def test_recip_pairs_a_root_with_its_inverse_only_when_the_polynomial_is_self_reciprocal():

@@ -17,8 +17,7 @@ from gapkit.algnum import (AlgNum, is_irreducible, liouville_c6, normalize_minim
 from gapkit.autgroup import (AutElement, EnhancedAut, aut_prime, d12_family,
                              root_orbit_partition)
 from gapkit.binforms import BinForm, IntMat2, form_action
-from gapkit.gap import (GapConstants, HypothesisError, archimedean_c2, c11,
-                        c16, interval_vs_power)
+from gapkit.gap import GapConstants, HypothesisError, archimedean_c2, c11, c16
 from gapkit.intpoly import IntPoly
 from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
                          census, convergents, enumerate_primitive,
@@ -27,7 +26,7 @@ from gapkit.thue import (Solution, ThueError, ThueProblem, assign_root, c5,
 from gapkit.minpair import c12_closed_form, c13_formula
 from gapkit.rounding import (RatInterval, compact_str, monomial_up, pow_up, root_up,
                              tidy_up)
-from tests.lewis_mahler import inverse_distance, lewis_mahler_check
+from tests.lewis_mahler import distance_to, inverse_distance, lewis_mahler_check
 
 CUBE_FORM = BinForm((1, 0, 0, -2))   # x^3 - 2y^3
 # forms with a solution above their Legendre height H0 at m, so that the
@@ -357,7 +356,7 @@ def _exact_assign_root(f: BinForm, sol: Solution, budget: int = 5):
         cands = []
         for e in encl:
             if sol.y != 0:
-                cands.append((e.distance_interval(Fraction(sol.x, sol.y)), e, "alpha"))
+                cands.append((distance_to(e, Fraction(sol.x, sol.y)), e, "alpha"))
             if sol.x != 0:
                 target = Fraction(sol.y, sol.x)
                 if e.is_real and e.interval.lo * e.interval.hi > 0:
@@ -882,8 +881,8 @@ def test_convergents_cbrt2(cbrt2):
     cv = convergents(cbrt2, 8)
     assert [(p.x, p.y) for p in cv[:4]] == [(1, 1), (4, 3), (5, 4), (29, 23)]
     for p in cv:
-        q = cbrt2.enclosure(Fraction(1, 10 ** 30)).distance_interval(p.value())
-        assert interval_vs_power(q, Fraction(p.y), Fraction(-2)) == -1
+        hi = distance_to(cbrt2.enclosure(Fraction(1, 10 ** 30)), p.value()).hi
+        assert hi.numerator * p.y ** 2 < hi.denominator      # |cbrt 2 - x/y| < y**-2
 
 
 def _mp_convergents(x, count=None, max_den=None) -> list[tuple[int, int]]:
