@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from .algnum import AlgNum
@@ -261,93 +260,82 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gapkit", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    tabular = argparse.ArgumentParser(add_help=False)
-    tabular.add_argument("--format", choices=("json", "csv", "text"),
-                         default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
+_FORMAT = ("--format", dict(choices=("json", "text"), default="json"))
+_TABULAR = ("--format", dict(choices=("json", "csv", "text"), default="json"))
+_NUMBERS = (("alpha", {}), ("beta", {}), ("--mu", dict(type=_fraction, required=True)),
+            ("--c0", dict(type=_fraction, required=True)))
 
-    p = sub.add_parser("minpair", help="minimal pair for (alpha, beta)",
-                       parents=[common])
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    p.add_argument("--mode", choices=("exact", "siegel"), default="exact")
-    p.set_defaults(func=cmd_minpair)
+# name -> (help or None, a table of subcommands or (command, *arguments)), an
+# argument being the name and keywords of ``add_argument``; --format comes
+# first, where argparse's ``parents=`` would put it
+COMMANDS = {
+    "minpair": ("minimal pair for (alpha, beta)", (
+        cmd_minpair, _FORMAT, ("alpha", {}), ("beta", {}),
+        ("--mode", dict(choices=("exact", "siegel"), default="exact")))),
+    "constants": ("gap-principle constants", (
+        cmd_constants, _FORMAT, ("metric", dict(choices=("arch", "padic"))), *_NUMBERS,
+        ("--prime", dict(type=int)), ("--residue", dict(type=int)))),
+    "aut": ("enhanced automorphism group of a form", (cmd_aut, _FORMAT, ("form", {}))),
+    "thue": ("Thue inequality tooling", {
+        "enum": ("enumerate primitive solutions", (
+            cmd_thue_enum, _TABULAR, ("form", {}), ("m", dict(type=int)),
+            ("bound", dict(type=_count)))),
+        "census": ("large-solution census", (
+            cmd_thue_census, _TABULAR, ("form", {}), ("m", dict(type=int)),
+            ("--mu", dict(type=_fraction, required=True)),
+            ("--box", dict(type=_count, default=100))))}),
+    "gap": ("gap dichotomy checks", {"check": (None, (
+        cmd_gap_check, _FORMAT, *_NUMBERS,
+        ("--prime", dict(type=int, help="run the p-adic dichotomy at this prime")),
+        ("--residue", dict(type=int, help="Hensel witness residue for alpha (p-adic mode)")),
+        ("--desk-floor", dict(action="store_true",
+                              help="lower the height floor to 1 (desk mode)")),
+        ("pairs", dict(nargs="+", metavar="X/Y"))))}),
+    "padic": ("p-adic tooling", {"root": (None, (
+        cmd_padic_root, _FORMAT, ("poly", {}), ("prime", dict(type=int)),
+        ("residue", dict(type=int)),
+        ("--precision-bits", dict(type=_at_least(1, "a positive integer"), default=256,
+                                  help="lift to about this many bits of p-adic precision"))))}),
+    "sweep": ("run the acceptance experiment suite", (
+        cmd_sweep, _FORMAT, ("--min-pairs", dict(type=_count, default=200)),
+        ("--dmax", dict(type=_at_least(3, "a degree of at least 3"), default=1000)))),
+}
 
-    p = sub.add_parser("constants", help="gap-principle constants",
-                       parents=[common])
-    p.add_argument("metric", choices=("arch", "padic"))
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    p.add_argument("--mu", type=_fraction, required=True)
-    p.add_argument("--c0", type=_fraction, required=True)
-    p.add_argument("--prime", type=int)
-    p.add_argument("--residue", type=int)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("aut", help="enhanced automorphism group of a form",
-                       parents=[common])
-    p.add_argument("form")
-    p.set_defaults(func=cmd_aut)
-
-    p = sub.add_parser("thue", help="Thue inequality tooling")
-    tsub = p.add_subparsers(dest="thue_command", required=True)
-    pe = tsub.add_parser("enum", help="enumerate primitive solutions",
-                          parents=[tabular])
-    pe.add_argument("form")
-    pe.add_argument("m", type=int)
-    pe.add_argument("bound", type=_count)
-    pe.set_defaults(func=cmd_thue_enum)
-    pc = tsub.add_parser("census", help="large-solution census",
-                          parents=[tabular])
-    pc.add_argument("form")
-    pc.add_argument("m", type=int)
-    pc.add_argument("--mu", type=_fraction, required=True)
-    pc.add_argument("--box", type=_count, default=100)
-    pc.set_defaults(func=cmd_thue_census)
-
-    p = sub.add_parser("gap", help="gap dichotomy checks")
-    gsub = p.add_subparsers(dest="gap_command", required=True)
-    gc = gsub.add_parser("check", parents=[common])
-    gc.add_argument("alpha")
-    gc.add_argument("beta")
-    gc.add_argument("--mu", type=_fraction, required=True)
-    gc.add_argument("--c0", type=_fraction, required=True)
-    gc.add_argument("--prime", type=int,
-                    help="run the p-adic dichotomy at this prime")
-    gc.add_argument("--residue", type=int,
-                    help="Hensel witness residue for alpha (p-adic mode)")
-    gc.add_argument("--desk-floor", action="store_true",
-                    help="lower the height floor to 1 (desk mode)")
-    gc.add_argument("pairs", nargs="+", metavar="X/Y")
-    gc.set_defaults(func=cmd_gap_check)
-
-    p = sub.add_parser("padic", help="p-adic tooling")
-    psub = p.add_subparsers(dest="padic_command", required=True)
-    pr = psub.add_parser("root", parents=[common])
-    pr.add_argument("poly")
-    pr.add_argument("prime", type=int)
-    pr.add_argument("residue", type=int)
-    pr.add_argument("--precision-bits", type=_at_least(1, "a positive integer"),
-                    default=256, help="lift to about this many bits of p-adic precision")
-    pr.set_defaults(func=cmd_padic_root)
-
-    p = sub.add_parser("sweep", help="run the acceptance experiment suite",
-                       parents=[common])
-    p.add_argument("--min-pairs", type=_count, default=200)
-    p.add_argument("--dmax", type=_at_least(3, "a degree of at least 3"), default=1000)
-    p.set_defaults(func=cmd_sweep)
-    return ap
+def _add(parent, table: dict, argv: list, dest: str) -> None:
+    """Add the subcommands of ``table`` to ``parent``: only the one that
+    ``argv[0]`` names, or every one when it names none, so that argparse's
+    help and errors read as if all were there.  A picked command's siblings
+    are named in the usage line of an unrecognized-arguments error."""
+    picked = bool(argv) and argv[0] in table
+    sub = parent.add_subparsers(dest=dest, required=True,
+                                metavar="{%s}" % ",".join(table) if picked else None)
+    for name in argv[:1] if picked else table:
+        about, spec = table[name]
+        p = sub.add_parser(name, **({"help": about} if about else {}))
+        if isinstance(spec, dict):
+            _add(p, spec, argv[1:] if picked else [], f"{name}_command")
+            continue
+        cmd, *arguments = spec
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
+        p.set_defaults(func=cmd)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.  Integers of any length are accepted and printed:
+    CPython's limit on int/str conversion (3.10.7 and later) is lifted while
+    main runs."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = argparse.ArgumentParser(prog="gapkit", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    _add(ap, COMMANDS, argv, "command")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        args = ap.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -366,8 +354,13 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         return _fail(exc, EXIT_INVARIANT, kind="invariant", type="AssertionError")
     except Exception as exc:
+        import traceback   # here alone: importing it costs every call's start-up
+
         return _fail(exc, EXIT_INVARIANT, kind="internal",
                      type=type(exc).__name__, traceback=traceback.format_exc())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _fail(exc: BaseException, code: int, **report) -> int:

@@ -68,7 +68,7 @@ def _arch_instance(name, f_alpha, near_alpha, f_beta, near_beta, mu, c0) -> Swee
     constants = archimedean_constants(alpha, beta, mu, c0,
                                       pair=pair, rep=pair.rep).desk_mode()
     pa = convergents(alpha, 14)
-    pb = convergents(beta, 14) + _derived(rel, pa)
+    pb = list(dict.fromkeys(convergents(beta, 14) + _derived(rel, pa)))
     return SweepInstance(name, "archimedean", alpha, beta, mu, c0, constants,
                          rel, pa, pb)
 
@@ -84,8 +84,8 @@ def _padic_instance(name, f_alpha, near_alpha, prime, r_alpha, f_beta,
     constants = nonarchimedean_constants(xi_alpha, pair, mu, c0).desk_mode()
     pa = [ApproxPair.reduced(x, y)
           for x, y in good_padic_approximations(xi_alpha, 16)]
-    pb = [ApproxPair.reduced(x, y)
-          for x, y in good_padic_approximations(xi_beta, 16)] + _derived(rel, pa)
+    pb = list(dict.fromkeys([ApproxPair.reduced(x, y) for x, y in
+                             good_padic_approximations(xi_beta, 16)] + _derived(rel, pa)))
     return SweepInstance(name, "p-adic", xi_alpha, xi_beta, mu, c0, constants,
                          rel, pa, pb)
 

@@ -390,3 +390,89 @@ def test_field_membership_budget_abstains_exit_3(capsys):
     code, _, err = run_cli(capsys, "minpair", f"{p}@index3", f"{p}@index2")
     assert code == 3
     assert json.loads(err)["kind"] == "abstention" and "1202-bit" in json.loads(err)["error"]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with gapkit on its path, its output captured."""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_internal_error_report_carries_its_traceback(capsys, monkeypatch):
+    from gapkit import cli
+
+    def broken(form):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "aut_prime", broken)
+    code, _, err = run_cli(capsys, "aut", "x^3 - 2*y^3")
+    assert code == 4
+    trace = json.loads(err)["traceback"]
+    assert trace.startswith("Traceback") and trace.endswith("KeyError: 'lost'\n")
+    assert "in broken" in trace
+
+
+def test_import_loads_no_traceback():
+    # traceback (with linecache and tokenize) is imported on the
+    # internal-error path alone
+    proc = _python("-c", "import sys; before = set(sys.modules); import gapkit.cli; "
+                   "print(sorted((set(sys.modules) - before) & {'traceback', 'linecache', 'tokenize'}))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["aut", "x^3 - 2*y^3"], 2),
+    (["thue", "enum", "x^3 - 2*y^3", "1", "10"], 3),
+    (["padic", "root", "x^3 - 3*x - 1", "17", "3"], 3),
+])
+def test_a_command_builds_only_its_own_parsers(capsys, monkeypatch, argv, most):
+    # gapkit's own and those on the command's path: not its siblings', of
+    # which there are eleven in all
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda parser, *args, **kwargs: built.append(parser)
+                        or init(parser, *args, **kwargs))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert 1 <= len(built) <= most
+
+
+def test_a_lift_of_about_4400_digits_prints():
+    # 18,000 bits at 17 (5 bits) is level 3600: a lift of about 4,430
+    # decimal digits, over CPython's default limit of 4,300 on int/str
+    # conversion, printed in full
+    proc = _python("-m", "gapkit.cli", "padic", "root", "x^3 - 3*x - 1", "17", "3",
+                   "--precision-bits", "18000")
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rpt = json.loads(proc.stdout)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert rpt["lift_level"] == 3600 and 10 ** 4300 < rpt["lift"] < 17 ** 3600
+    assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 3600 == 0
+
+
+def test_a_box_of_5001_digits_is_accepted(capsys, monkeypatch):
+    # the box reaches the enumeration whole and is printed whole; the
+    # enumeration itself is stood in for
+    from gapkit import cli
+
+    box = "1" + "0" * 4999 + "7"
+    seen = []
+    monkeypatch.setattr(cli, "enumerate_primitive", lambda problem: seen.append(problem) or [])
+    code, out, err = run_cli(capsys, "thue", "enum", "x^3 - 2*y^3", "1", box)
+    assert (code, err) == (0, "")
+    assert [p.bound for p in seen] == [10 ** 5000 + 7]
+    assert f'"box": {box},' in out
+    # the interpreter's own limit is back in place once main returns
+    if hasattr(sys, "get_int_max_str_digits"):
+        with pytest.raises(ValueError):
+            int(box)

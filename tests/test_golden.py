@@ -10,11 +10,16 @@
 * The sweep: ``full_sweep()`` gives the report in tests/golden/sweep.json,
   which is what ``gapkit sweep`` printed when the file was written
   (``PYTHONPATH=src python -m gapkit.cli sweep > tests/golden/sweep.json``).
+* CLI help and argument errors: each command of tests/golden/cli_help.txt
+  prints exactly the stdout and stderr, and exits with the code, written
+  there by tests/golden/write_cli_help.py.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,10 +35,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
 
 import write_census  # noqa: E402
+import write_cli_help  # noqa: E402
 
 GOLDEN = json.loads((GOLDEN_DIR / "aut.json").read_text())
 CENSUS = json.loads((GOLDEN_DIR / "census.json").read_text())
 SWEEP = json.loads((GOLDEN_DIR / "sweep.json").read_text())
+CLI_HELP = write_cli_help.entries(write_cli_help.GOLDEN.read_text())
 # the keys that say which command or census an entry of census.json is
 ENTRY_KEYS = ("cli", "census", "form", "m", "box", "mu")
 
@@ -73,6 +80,28 @@ def test_census_golden(entry, request):
 
 def test_sweep_golden():
     assert json.loads(json.dumps(sweeps.full_sweep())) == SWEEP
+
+
+@pytest.mark.parametrize("argv, code, out, err", CLI_HELP,
+                         ids=[" ".join(e[0]) or "(none)" for e in CLI_HELP])
+def test_cli_help_golden(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert write_cli_help.run(argv) == (code, out, err)
+
+
+def test_cli_help_golden_runs_every_command():
+    assert [e[0] for e in CLI_HELP] == write_cli_help.COMMANDS
+
+
+def test_cli_help_golden_in_a_fresh_process():
+    # the entry point reads sys.argv itself: no arguments, and a help text
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([str(GOLDEN_DIR.parent.parent / "src")]
+                                         + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for argv, code, out, err in CLI_HELP[:2]:
+        proc = subprocess.run([sys.executable, "-m", "gapkit.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def _printed(s: str) -> Fraction:

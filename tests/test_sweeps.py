@@ -59,11 +59,23 @@ def test_the_sweep_decides_each_pair_as_the_per_pair_check(monkeypatch):
 
 
 def test_the_sweep_certifies_each_number_and_pair_once(monkeypatch):
-    # 1,339 hypothesis checks need 126 distinct (number, pair) certificates;
-    # alpha and beta share the pairs 1/1 (and 2/1), which each certify apart
+    # the hypothesis checks of the sweep's pairs need 126 distinct (number,
+    # pair) certificates; alpha and beta share the pairs 1/1 (and 2/1),
+    # which each certify apart
     calls = []
     monkeypatch.setattr(gap, "certify_quality_below",
                         lambda number, pair, mu, c0: calls.append((number, pair))
                         or certify_quality_below(number, pair, mu, c0))
     sweeps.dichotomy_sweep()
     assert len(calls) == len(set(calls)) == 126
+
+
+def test_each_instance_lists_each_pair_once():
+    # beta's pairs are its own and the Moebius images of alpha's, each once:
+    # the two linked instances listed 13 and 7 pairs twice
+    instances = sweeps.default_instances()
+    for inst in instances:
+        for pairs in (inst.pairs_alpha, inst.pairs_beta):
+            assert len(pairs) == len(set(pairs)), inst.name
+        assert set(sweeps._derived(inst.relation, inst.pairs_alpha)) <= set(inst.pairs_beta)
+    assert [len(i.pairs_beta) for i in instances] == [14, 15, 25, 16]
