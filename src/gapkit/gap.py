@@ -18,10 +18,9 @@ from .intpoly import IntPoly, poly_gcd_q, resultant, squarefree_part
 from .isolation import (IsolationError, RootEnclosure, disk_distance, first_rung, mahler_measure,
                         root_system)
 from .minpair import (MinimalPair, build_system, c12, c13, c14, find_pair)
-from .padic import (PadicAbs, PadicAlgNum, liouville_c7, padic_abs_linear,
-                    padic_valuation)
+from .padic import PadicAlgNum, liouville_c7, padic_valuation
 from .record import Record
-from .rounding import (AbstainError, RatInterval, certified_floor, compact_str,
+from .rounding import (AbstainError, RatInterval, _nth_root_floor, certified_floor, compact_str,
                        exp_up, largest, log_interval, monomial_fold, monomial_up,
                        pow_up, root_down, root_up, tidy_down, tidy_up)
 
@@ -96,32 +95,29 @@ def _arch_sign(alpha: AlgNum, pair: ApproxPair, c0: Fraction, h: int, mu: Fracti
             return 1
 
 
-def padic_quality(xi: PadicAlgNum, pair: ApproxPair, k: int = 40) -> PadicAbs:
-    """Certified |y*alpha - x|_p."""
-    return padic_abs_linear(xi, pair.x, pair.y, k)
-
-
 def certify_quality_below(alpha, pair: ApproxPair, mu: Fraction, c0: Fraction) -> bool:
     """Certified check of the approximation hypothesis:
 
     Archimedean: |alpha - x/y| < C0 / H**mu, on alpha's ladder (``_arch_sign``).
-    p-adic:      |y alpha - x|_p < C0 / H**mu.
+    p-adic:      |y alpha - x|_p < C0 / H**mu, that is v_p(y alpha - x) >= k
+                 for the least k with p**k C0 > H**mu, read off one lift to
+                 p**k: (p**k num)**b > H**a den**b, mu = a/b, exactly when
+                 p**k num exceeds the integer b-th root of H**a den**b.
 
-    Returns True/False when decided; raises AbstainError at budget.
+    Returns True/False when decided; the Archimedean side raises
+    AbstainError at budget.
     """
     mu, c0 = Fraction(mu), Fraction(c0)
+    if mu <= 0 or c0 <= 0:
+        raise ValueError("positive mu and C0 required")
     h = pair.height
     if isinstance(alpha, PadicAlgNum):
-        k = 40
-        for _ in range(6):
-            q = padic_quality(alpha, pair, k)
-            s = compare_to_power(q.value / c0, h, -mu)
-            if q.exact:
-                return s < 0
-            if s < 0:  # |.|_p <= p^-k is already below the threshold
-                return True
-            k *= 2
-        raise AbstainError("p-adic valuation did not resolve within budget")
+        p, b = alpha.prime, mu.denominator
+        bound = _nth_root_floor(h ** mu.numerator * c0.denominator ** b, b)
+        k, scaled = 0, c0.numerator
+        while scaled <= bound:
+            k, scaled = k + 1, scaled * p
+        return k == 0 or (pair.y * alpha.lift(k) - pair.x) % p ** k == 0
     return _arch_sign(alpha, pair, c0, h, mu) < 0
 
 
@@ -473,12 +469,11 @@ def c11(alphas, mu, c0) -> Fraction:
 def _padic_distance(a: PadicAlgNum, b: PadicAlgNum) -> Fraction:
     if a.prime != b.prime:
         raise ValueError("mixed primes")
-    p = a.prime
-    for k in range(1, 200):
-        if a.lift(k) != b.lift(k):
-            diff = (a.lift(k) - b.lift(k)) % p ** k
-            return Fraction(1, p) ** padic_valuation(diff, p)
-    raise AbstainError("p-adic roots indistinguishable at depth 200")
+    p, k = a.prime, 200
+    diff = (a.lift(k) - b.lift(k)) % p ** k
+    if diff == 0:
+        raise AbstainError(f"p-adic roots indistinguishable at depth {k}")
+    return Fraction(1, p) ** padic_valuation(diff, p)
 
 
 # -- Thue-Siegel parameters -------------------------------------------------------

@@ -291,17 +291,15 @@ def c13_formula(alpha: AlgNum, height_bound: Fraction, m_up: Fraction) -> Fracti
 
 def c14(xi: PadicAlgNum, pair: MinimalPair) -> Fraction:
     """Positive lower bound on |W(alpha)|_p: the exact valuation of W at the
-    Hensel witness when it resolves within budget, else the resultant-based
-    closed bound."""
+    Hensel witness when it is below 64, read off one lift to p**64, else the
+    closed bound ``c14_formula``, from Hadamard's bound on the resultant of
+    the minimal polynomial and W."""
     w = pair.wronskian()
     if w.is_zero:
         raise PairError("Wronskian vanishes identically")
-    k = 8
-    while k <= 64:
-        val = padic_abs_poly(xi, w, k)
-        if val.exact:
-            return val.value
-        k *= 2
+    val = padic_abs_poly(xi, w, 64)
+    if val.exact:
+        return val.value
     return c14_formula(xi, Fraction(pair.height_bound))
 
 

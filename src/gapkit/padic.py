@@ -45,10 +45,10 @@ class PadicAbs(Record):
 class PadicAlgNum(Record):
     """p-adic algebraic number selected by a Hensel witness residue."""
 
-    __slots__ = ("minpoly", "prime", "residue", "_lifts")
+    __slots__ = ("minpoly", "prime", "residue", "_lift")
 
     def __init__(self, minpoly: IntPoly, prime: int, residue: int):
-        self._init(minpoly, prime, residue, {})
+        self._init(minpoly, prime, residue, (1, residue % prime))
 
     @property
     def degree(self) -> int:
@@ -61,27 +61,27 @@ class PadicAlgNum(Record):
     def lift(self, k: int) -> int:
         """Root of the minimal polynomial mod p**k congruent to the witness.
 
-        The cache only grows; reads of previously computed lifts are safe
-        under concurrent extension (dict assignment is atomic in CPython).
+        The deepest lift so far is held as one (level, root) pair.  At or
+        below its level the answer is that root mod p**k; above it Newton
+        runs from it at levels that double, r <- r - f(r) f'(r)^-1 mod
+        p**level (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9
+        and section 15.4; Cohen, GTM 138, section 3.5).  By Hensel's lemma
+        the root mod p**k congruent to the residue is unique, so the answer
+        does not depend on the levels asked before.  The pair is replaced
+        whole, so a concurrent reader still sees a valid lift.
         """
         if k < 1:
             raise ValueError("precision must be >= 1")
-        cached = self._lifts.get(k)
-        if cached is not None:
-            return cached
+        level, r = self._lift
         p, f = self.prime, self.minpoly
+        if k <= level:
+            return r % p ** k
         fp = f.derivative()
-        r = self.residue % p
-        mod = p
-        for j in range(2, k + 1):
-            mod *= p
-            # Newton step: r <- r - f(r)/f'(r) mod p^j
-            fr = f.eval_int(r) % mod
-            dr = fp.eval_int(r) % p
-            inv = pow(dr, -1, p)
-            step = (fr // (mod // p) * inv) % p
-            r = (r - step * (mod // p)) % mod
-        self._lifts[k] = r
+        while level < k:
+            prev, level = level, min(2 * level, k)
+            # f(r) = 0 mod p**prev, so f'(r)^-1 is needed mod p**(level - prev) only
+            r = (r - f.eval_int(r) * pow(fp.eval_int(r), -1, p ** (level - prev))) % p ** level
+        PadicAlgNum._lift.__set__(self, (level, r))
         return r
 
     def __str__(self):
@@ -153,19 +153,13 @@ def padic_valuation(n: int, p: int) -> int:
 
 
 def padic_abs_linear(xi: PadicAlgNum, x: int, y: int, k: int) -> PadicAbs:
-    """Exact |y*alpha - x|_p, or the bound "valuation >= k" when y*alpha - x
-    vanishes mod p**k.  Exact equality x = y*alpha is not decidable from a
-    finite lift, so the caller must handle the inexact answer (raise k)."""
-    p = xi.prime
-    r = xi.lift(k)
-    val = (y * r - x) % (p ** k)
-    if val == 0:
-        return PadicAbs(p, k, exact=False)
-    return PadicAbs(p, padic_valuation(val, p), exact=True)
+    """|y*alpha - x|_p: ``padic_abs_poly`` on y*X - x."""
+    return padic_abs_poly(xi, IntPoly((-x, y)), k)
 
 
 def padic_abs_poly(xi: PadicAlgNum, w: IntPoly, k: int) -> PadicAbs:
-    """|W(alpha)|_p from the witness lift; exact when the valuation is < k."""
+    """|W(alpha)|_p from the witness lift to p**k: exact when the valuation
+    is < k, else the bound "valuation >= k" (exact = False)."""
     p = xi.prime
     val = w.eval_int(xi.lift(k)) % (p ** k)
     if val == 0:
@@ -200,13 +194,15 @@ def derive_padic(xi: PadicAlgNum, coeffs, g: IntPoly) -> PadicAlgNum:
 def good_padic_approximations(xi: PadicAlgNum, count: int) -> list[tuple[int, int]]:
     """Primitive pairs (x, y) with small height and high v_p(y*alpha - x),
     found by reducing the lattice {(x, y) : x = y * lift mod p**k} for
-    increasing k.  The p-adic analog of continued-fraction convergents."""
+    increasing k, each read off one lift to the top level.  The p-adic
+    analog of continued-fraction convergents."""
     out: list[tuple[int, int]] = []
     seen = set()
-    k = 2
-    while len(out) < count and k < 2 + 4 * count + 60:
+    k, top = 2, 4 * count + 61
+    deep = xi.lift(top)
+    while len(out) < count and k <= top:
         p_k = xi.prime ** k
-        r = xi.lift(k)
+        r = deep % p_k
         b1, b2 = lagrange_reduce((p_k, 0), (r, 1))
         for v in (b1, b2, (b1[0] + b2[0], b1[1] + b2[1])):
             x, y = v

@@ -164,10 +164,12 @@ def test_solution_route_is_not_compared():
 
 
 def test_padic_lift_cache_is_private_and_per_instance():
+    # one (level, root) pair, held per instance and left out of the fields
     a, b = PadicAlgNum(X2, 7, 3), PadicAlgNum(X2, 7, 3)
-    assert a._lifts == {} and a._lifts is not b._lifts
+    assert "_lift" not in PadicAlgNum._shown
+    assert a._lift == b._lift == (1, 3)
     a.lift(4)
-    assert a._lifts and not b._lifts
+    assert a._lift == (4, a.lift(4)) and b._lift == (1, 3)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "PadicAlgNum(minpoly=IntPoly('x^2 - 2'), prime=7, residue=3)"
 
