@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -244,7 +245,12 @@ def cmd_gap_check(args) -> int:
 def cmd_padic_root(args) -> int:
     poly = parse_poly(args.poly)
     xi = hensel_root(poly, args.prime, args.residue)
-    k = max(1, args.precision_bits // max(1, args.prime.bit_length()))
+    # the least k with p**k >= 2**B: a float estimate, then exact comparisons
+    k, bound = math.ceil(args.precision_bits / math.log2(args.prime)), 1 << args.precision_bits
+    while args.prime ** k < bound:
+        k += 1
+    while args.prime ** (k - 1) >= bound:
+        k -= 1
     _emit({"poly": str(poly), "prime": args.prime, "residue": xi.residue,
            "lift_mod_p2": xi.lift(2), "lift_mod_p4": xi.lift(4),
            "lift_level": k, "lift": xi.lift(k)}, args.format)

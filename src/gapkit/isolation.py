@@ -23,12 +23,12 @@ real axis onto itself, and so its one root onto itself: that root is real,
 and a disk off the axis, disjoint from its mirror, holds no real root.  The
 real roots are thus counted as well as isolated.
 
-* A real root's disk is refined by sign-change bisection of its diameter,
-  the root's isolating interval: P has one sign left of the root in it, so
-  each step keeps the half at whose ends P takes opposite signs, and a
-  midpoint where P vanishes is the root, a disk of radius 0.
-* A nonreal root's disk is refined by Newton steps, each accepted only when
-  its certified disk lies inside the starting disk.
+Every root's disk is refined one way (``_refine_disk``): Newton steps at
+scales that double, then one certified disk at the target scale, accepted
+only when it lies inside the starting disk, so that it holds the same root.
+P is real, so a center on the real axis takes Newton steps along it: a real
+root's disk stays on the axis inside its starting disk, which holds no other
+root, and so stays a real root's disk.
 
 Refinement produces new, smaller enclosures; the old value is never mutated.
 An enclosure depends only on (polynomial, root index, requested width), never
@@ -108,20 +108,19 @@ class RootEnclosure(Record):
                                   _rescaled(other.disk, other.bits, bits)), bits)
 
     def refine(self, width: Fraction) -> "RootEnclosure":
-        """Enclosure of the same root with width <= ``width``: the real disk
-        bisected, the nonreal one refined by ``_refine_disk``."""
+        """Enclosure of the same root with width <= ``width``, by
+        ``_refine_disk``."""
         if self.width() <= width:
             return self
-        refine = _bisect if self.is_real else _refine_disk
         return RootEnclosure(self.poly, self.index,
-                             *refine(self.poly, self.disk, self.bits, Fraction(width)))
+                             *_refine_disk(self.poly, self.disk, self.bits, Fraction(width)))
 
     def approx(self) -> complex:
         one = 1 << self.bits
         return complex(self.disk[0] / one, self.disk[1] / one)
 
 
-# -- root separation and real refinement ------------------------------------
+# -- root separation -----------------------------------------------------------
 
 def separation_bits(p: IntPoly) -> int:
     """s with 2**-s below the distance of any two roots of squarefree p of
@@ -132,40 +131,10 @@ def separation_bits(p: IntPoly) -> int:
             + 1) // 2
 
 
-def _sign(p: IntPoly, x: int, bits: int) -> int:
-    """The sign of p(x / 2**bits), from ``_horner``'s integer on the real axis."""
-    v = 0
-    for k, c in enumerate(reversed(p.coeffs)):
-        v = v * x + (c << bits * k)
-    return (v > 0) - (v < 0)
-
-
-def _bisect(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
-            ) -> tuple[tuple[int, int, int], int]:
-    """Sign-change bisection of the real disk (c, 0, r) at scale 2**bits to
-    width <= ``width``.  p has one sign left of the root, so the step keeps
-    [c - r, c], the disk (2c - r, 0, r) at 2**(bits+1), when p(c) differs
-    in sign from p(c - r), and [c, c + r], the disk (2c + r, 0, r), when
-    it agrees; p(c) = 0 makes c the root, a disk of radius 0."""
-    c, _, r = disk
-    left = _sign(p, c - r, bits)
-    while 2 * r * width.denominator > width.numerator << bits:
-        mid = _sign(p, c, bits)
-        if mid == 0:
-            return (c, 0, 0), bits
-        c, bits = 2 * c + (r if mid == left else -r), bits + 1
-    return (c, 0, r), bits
-
-
 # -- full isolation (real + nonreal), with certification ----------------------
 
 # the first rung of every root system's refinement ladder
 TABLE_WIDTH = Fraction(1, 10 ** 20)
-
-
-# bisections of a real disk spent separating it from the real-part ranges of
-# the nonreal disks before the root order falls back to its center
-_ORDER_BISECTIONS = 256
 
 
 class _RootSystem:
@@ -193,30 +162,23 @@ class _RootSystem:
 
     def _order(self) -> tuple[RootEnclosure, ...]:
         """Index the ``_certified_disks`` by real part, then imaginary part,
-        of their centers.  Each real disk is first bisected until it is
-        disjoint from every nonreal disk's real-part range, so that its
+        of their centers.  A real disk that meets a nonreal disk's real-part
+        range is first refined to 256 bits past its scale, so that its
         center sorts where the root does; a real part shared with a nonreal
-        root (a true tie) is left to the center after ``_ORDER_BISECTIONS``
-        steps."""
+        root (a true tie) is left to the centers."""
         bits, disks = _certified_disks(self.poly)
         spans = [_span(d, bits) for d in disks if d[1]]
-        roots = []
-        for disk in disks:
-            b = bits
-            for _ in range(_ORDER_BISECTIONS if disk[1] == 0 else 0):
-                if disk[2] == 0 or not any(_span(disk, b).intersects(s) for s in spans):
-                    break
-                disk, b = _bisect(self.poly, disk, b, Fraction(disk[2], 1 << b))
-            roots.append((disk, b))
+        roots = [_refine_disk(self.poly, d, bits, Fraction(1, 1 << bits + 256))
+                 if d[1] == 0 < d[2] and any(_span(d, bits).intersects(s) for s in spans)
+                 else (d, bits) for d in disks]
         roots.sort(key=lambda t: (Fraction(t[0][0], 1 << t[1]), Fraction(t[0][1], 1 << t[1])))
         return tuple(RootEnclosure(self.poly, i, d, b) for i, (d, b) in enumerate(roots))
 
     def refined(self, index: int, width: Fraction) -> RootEnclosure:
-        """Root ``index`` refined to ``width``: a nonreal disk from the base
-        disk, a real disk by bisecting on from the entry of the least width
-        above ``width``, which gives what bisecting the base disk gives.
-        A disk below the real axis is the mirror of its conjugate's, since
-        rounding to a unit is not symmetric under negation."""
+        """Root ``index`` refined to ``width`` from its base disk, so that
+        the enclosure depends only on (polynomial, index, width).  A disk
+        below the real axis is the mirror of its conjugate's, since rounding
+        to a unit is not symmetric under negation."""
         memo = self.memo[index]
         out = memo.get(width)
         if out is None:
@@ -224,8 +186,7 @@ class _RootSystem:
                 up = self.refined(self.conj[index], width)
                 out = RootEnclosure(self.poly, index, _mirror(up.disk), up.bits)
             else:
-                coarser = [w for w in memo if w > width and self.base[index].is_real]
-                out = (memo[min(coarser)] if coarser else self.base[index]).refine(width)
+                out = self.base[index].refine(width)
             memo[width] = out
         return out
 
@@ -714,25 +675,32 @@ def isolate_roots(p: IntPoly, precision: Fraction = Fraction(1, 10 ** 12)) -> li
 
 def _refine_disk(p: IntPoly, disk: tuple[int, int, int], bits: int, width: Fraction
                  ) -> tuple[tuple[int, int, int], int]:
-    """Newton iteration on integer disks at scale 2**b, b = bits(1/width)
-    plus 72 guard bits (or ``bits`` if finer), from a disk that holds
-    exactly one root.  A step is accepted when its certified disk lies inside
-    that starting disk, so it holds the same root."""
+    """The disk (re, im, rad) at scale 2**b, b = bits(1/width) plus 72 guard
+    bits (or ``bits`` if finer), of width <= ``width`` and inside ``disk``
+    at scale 2**bits, which holds exactly one root: so it holds that root.
+    From the center of ``disk``, one uncertified ``_newton`` step at each
+    scale 2**-s, s = 2 s + 1 from ``bits`` until s reaches b (R. Brent and
+    P. Zimmermann, Modern Computer Arithmetic, 4.2); then steps at 2**-b
+    until ``_newton``'s certified radius meets the width.  A real center
+    keeps im = 0, as p is real."""
     deriv = p.derivative()
     b = max(bits, (width.denominator // width.numerator).bit_length() + 72)
-    start = _rescaled(disk, bits, b)
-    re, im, rad = start
-    got = _newton(p, deriv, re, im, b)
+    re, im, s = disk[0], disk[1], bits
+    while s < b:
+        t = min(2 * s + 1, b)
+        re, im, s = re << t - s, im << t - s, t
+        got = _newton(p, deriv, re, im, s)
+        if got is not None:
+            re, im = re - got[1], im - got[2]
     for _ in range(64):
-        if 2 * rad * width.denominator <= width.numerator << b:
-            return (re, im, rad), b
+        got = _newton(p, deriv, re, im, b)
         if got is None:
             break
-        re, im = re - got[1], im - got[2]
-        got = _newton(p, deriv, re, im, b)
-        if got is None or not _disk_within((re, im, got[0]), start):
+        if 2 * got[0] * width.denominator <= width.numerator << b:
+            if _disk_within((re, im, got[0]), _rescaled(disk, bits, b)):
+                return (re, im, got[0]), b
             break
-        rad = got[0]
+        re, im = re - got[1], im - got[2]
     raise PrecisionError("disk refinement stalled; raise seed precision")
 
 

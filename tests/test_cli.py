@@ -50,13 +50,25 @@ def test_padic_root_subcommand(capsys):
 
 
 def test_padic_root_precision_bits(capsys):
-    # 17 has 5 bits, so 64 bits of precision lift to 17**12
+    # 17**15 < 2**64 <= 17**16, so 64 bits of precision lift to 17**16
     code, out, _ = run_cli(capsys, "padic", "root", "x^3 - 3*x - 1", "17", "3",
                            "--precision-bits", "64")
     assert code == 0
     rpt = json.loads(out)
-    assert rpt["lift_level"] == 12
-    assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 12 == 0
+    assert rpt["lift_level"] == 16
+    assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 16 == 0
+
+
+@pytest.mark.parametrize("poly, p, r0", [("x^3 + x + 4", 2, 0), ("x^2 - 7", 3, 1),
+                                         ("x^3 - 3*x - 1", 17, 3)])
+@pytest.mark.parametrize("bits", [1, 2, 63, 64, 256, 4000])
+def test_padic_root_lifts_to_the_least_level_holding_the_bits(capsys, poly, p, r0, bits):
+    # the level k is the least with p**k >= 2**bits: p**(k-1) < 2**bits <= p**k
+    code, out, _ = run_cli(capsys, "padic", "root", poly, str(p), str(r0),
+                           "--precision-bits", str(bits))
+    assert code == 0
+    k = json.loads(out)["lift_level"]
+    assert p ** (k - 1) < 2 ** bits <= p ** k
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -442,7 +454,7 @@ def test_a_command_builds_only_its_own_parsers(capsys, monkeypatch, argv, most):
 
 
 def test_a_lift_of_about_4400_digits_prints():
-    # 18,000 bits at 17 (5 bits) is level 3600: a lift of about 4,430
+    # 18,000 bits at 17 is level 4,404: a lift of about 5,420
     # decimal digits, over CPython's default limit of 4,300 on int/str
     # conversion, printed in full
     proc = _python("-m", "gapkit.cli", "padic", "root", "x^3 - 3*x - 1", "17", "3",
@@ -456,8 +468,8 @@ def test_a_lift_of_about_4400_digits_prints():
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    assert rpt["lift_level"] == 3600 and 10 ** 4300 < rpt["lift"] < 17 ** 3600
-    assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 3600 == 0
+    assert rpt["lift_level"] == 4404 and 10 ** 4300 < rpt["lift"] < 17 ** 4404
+    assert (rpt["lift"] ** 3 - 3 * rpt["lift"] - 1) % 17 ** 4404 == 0
 
 
 def test_a_box_of_5001_digits_is_accepted(capsys, monkeypatch):

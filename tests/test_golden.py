@@ -118,10 +118,21 @@ def _spy(fn, seen: list, pick=lambda args, out: out):
     return wrapped
 
 
+# constants commands whose large C0 makes C_big print as a rounded mantissa
+# (1.78304*10^52 and 5.00001*10^40), not as an exact fraction
+LARGE_C0 = [
+    ["constants", "arch", write_census.ALPHA_Q, write_census.BETA_Q, "--mu", "7/2",
+     "--c0", str(10 ** 50)],
+    ["constants", "padic", write_census.ALPHA_C, write_census.BETA_C, "--mu", "11/4",
+     "--c0", str(10 ** 40), "--prime", "17", "--residue", "3"],
+]
+
+
 def test_printed_constants_lie_on_their_stated_side(d12_census_counted, monkeypatch):
-    # each C5, C_small and C_big that the golden commands and the D12 census
-    # print, read back exactly, lies on its stated side of the value the
-    # code computed: the census's c5_value, the GapConstants' c_small, c_big
+    # each C5, C_small and C_big that the golden commands, LARGE_C0 and the
+    # D12 census print, read back exactly, lies on its stated side of the
+    # value the code computed: the census's c5_value, the GapConstants'
+    # c_small, c_big
     seen = []
     for name in ("archimedean_constants", "nonarchimedean_constants", "census"):
         monkeypatch.setattr(cli, name, _spy(getattr(cli, name), seen))
@@ -130,7 +141,7 @@ def test_printed_constants_lie_on_their_stated_side(d12_census_counted, monkeypa
                         _spy(cli.check_gap_dichotomy, seen, lambda args, out: args[6]))
     monkeypatch.setattr(sweeps, "default_instances", _spy(sweeps.default_instances, seen))
     shown = []   # (printed value, stated rounding, computed value)
-    for argv in write_census.COMMANDS:
+    for argv in LARGE_C0 + write_census.COMMANDS:
         seen.clear()
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -151,9 +162,10 @@ def test_printed_constants_lie_on_their_stated_side(d12_census_counted, monkeypa
                       for i, inst in zip(rpt["dichotomy"]["instances"], instances)]
     result = d12_census_counted[0]
     shown.append((result.report()["C5"], result.c5_value))
-    # C_small and C_big of two constants commands, two gap checks' C_small,
+    # C_small and C_big of four constants commands, two gap checks' C_small,
     # two census C5s and the sweep's C_big of each of its instances
-    assert len(shown) == 8 + len(rpt["dichotomy"]["instances"])
+    assert len(shown) == 12 + len(rpt["dichotomy"]["instances"])
+    assert all("*10^" in shown[k][0]["value"] for k in (1, 3))   # LARGE_C0's C_big
     for entry, value in shown:
         assert entry["rounding"] == "up"
         assert _printed(entry["value"]) >= value, (entry, value)

@@ -18,7 +18,7 @@ from gapkit.isolation import (IsolationError, disk_disjoint, disk_distance, disk
 from gapkit.rounding import AbstainError, root_down, root_up
 
 
-def bisection_oracle(p: IntPoly, lo: Fraction, hi: Fraction, steps=80):
+def bisection_oracle(p: IntPoly, lo: Fraction, hi: Fraction, steps=400):
     """Plain sign-bisection, independent of the root disks."""
     flo = p.eval_at(lo)
     for _ in range(steps):
@@ -46,7 +46,7 @@ def test_cubic_three_real_roots():
     p = IntPoly((-1, -3, 0, 1))
     encl = isolate_roots(p, Fraction(1, 2 ** 72))
     assert [e.is_real for e in encl] == [True, True, True]
-    # sign-bisection oracle values, accurate to ~2^-80
+    # sign-bisection oracle values, accurate to ~2^-400
     targets = [bisection_oracle(p, Fraction(-2), Fraction(-1)),
                bisection_oracle(p, Fraction(-1), Fraction(0)),
                bisection_oracle(p, Fraction(1), Fraction(2))]
@@ -522,6 +522,124 @@ def test_real_and_nonreal_disks_hold_one_mpmath_root(seed):
                             if abs(r - c) <= e.disk[2] / one + tol]
                     assert len(held) == 1, (p, e)
                     assert e.is_real == (e.disk[1] == 0) == real[held[0]], (p, e)
+
+
+# -- deep refinement against independent oracles ---------------------------------
+
+def _mpmath_roots(p, prec):
+    """Every root of p, by mpmath alone, as exact (re, im) Fractions: Durand-
+    Kerner (``polyroots``) at 256 bits on p(x / 2**k), whose roots are about
+    1 when 2**-k is the geometric mean of p's, then Newton steps at
+    precisions that double to ``prec`` bits, and three more at ``prec``."""
+    n, c = p.degree, p.coeffs
+    k = round((c[n].bit_length() - abs(c[0]).bit_length()) / n) if c[0] else 0
+    with mpmath.workprec(256):
+        ts = mpmath.polyroots([mpmath.ldexp(c[j], -k * j) for j in range(n, -1, -1)],
+                              maxsteps=400, extraprec=256)
+    with mpmath.workprec(prec):
+        hi = [mpmath.mpf(a) for a in reversed(c)]
+        dhi = [(n - j) * a for j, a in enumerate(hi[:-1])]
+        zs = [mpmath.mpc(mpmath.ldexp(mpmath.re(t), -k), mpmath.ldexp(mpmath.im(t), -k))
+              for t in ts]
+    steps = [256]
+    while steps[-1] < prec:
+        steps.append(min(2 * steps[-1], prec))
+    for w in steps[1:] + [prec] * 3:
+        with mpmath.workprec(w):
+            zs = [z - mpmath.polyval(hi, z) / mpmath.polyval(dhi, z) for z in zs]
+    return [(_mpf_fraction(z.real), _mpf_fraction(z.imag)) for z in zs]
+
+
+def _holds(disk, bits, z):
+    """Whether the integer disk at scale 2**bits holds the point z = (re, im)
+    of Fractions, exactly."""
+    re, im, rad = disk
+    return (z[0] * (1 << bits) - re) ** 2 + (z[1] * (1 << bits) - im) ** 2 <= rad * rad
+
+
+def _deep_cases():
+    """(polynomial, depth): x^3 - 2 at 2^-2000, 2^-8000 and 2^-20000, the
+    3301-bit cubic at 2^-20000, and seeded polynomials of degree 2 to 8 whose
+    coefficients all have 8, 200 or 2,000 bits, at depths in turn."""
+    cases = [(IntPoly((-2, 0, 0, 1)), d) for d in (2000, 8000, 20000)]
+    cases.append((IntPoly((-3, 0, 0, 2 ** 3300 + 1)), 20000))
+    rng = random.Random(7)
+    for deg in range(2, 9):
+        size = rng.choice((8, 200, 2000))
+        while True:
+            p = IntPoly([rng.getrandbits(size) * rng.choice((1, -1)) for _ in range(deg + 1)])
+            if p.degree == deg and is_squarefree(p):
+                break
+        cases.append((p, (2000, 8000, 20000)[deg % 3]))
+    return cases
+
+
+@pytest.mark.parametrize("p, depth", _deep_cases(),
+                         ids=lambda v: str(v) if isinstance(v, int) else f"deg{v.degree}")
+def test_deep_disks_hold_the_mpmath_root(p, depth):
+    # each root refined to 2^-depth holds exactly one root that mpmath
+    # finds at twice that depth (plus the bits of the largest root), and a
+    # real root's disk stays on the real axis
+    system = isolation.root_system(p)
+    encl = [system.refined(i, Fraction(1, 1 << depth)) for i in range(p.degree)]
+    roots = _mpmath_roots(p, 2 * depth + max(abs(c).bit_length() for c in p.coeffs) + 64)
+    for e, base in zip(encl, system.base):
+        assert e.width() <= Fraction(1, 1 << depth)
+        assert sum(_holds(e.disk, e.bits, z) for z in roots) == 1, (p, e.index)
+        assert (e.disk[1] == 0) == base.is_real
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refined_real_disks_stay_on_the_axis(seed):
+    # the test generators' products: every real root, refined from its base
+    # disk to three widths, keeps im = 0 and lies inside its base disk
+    for p in _squarefree_products(seed, 12):
+        system = isolation.root_system(p)
+        for i, base in enumerate(system.base):
+            for width in (Fraction(1, 10 ** 6), Fraction(1, 10 ** 40), Fraction(1, 1 << 300)):
+                e = system.refined(i, width)
+                assert (e.disk[1] == 0) == base.is_real
+                if base.is_real:
+                    shift = e.bits - base.bits
+                    assert isolation._disk_within(
+                        e.disk, tuple(v << shift for v in base.disk))
+
+
+@pytest.mark.parametrize("k", [300, 1000, 3000])
+def test_clustered_real_roots_certify_past_their_distance(k):
+    # (x - 1)(2^k x - 2^k - 1): the roots 1 and 1 + 2^-k, each held alone
+    p = IntPoly((-1, 1)) * IntPoly((-(2 ** k) - 1, 2 ** k))
+    encl = isolate_roots(p, Fraction(1, 1 << k + 500))
+    roots = [(Fraction(1), Fraction(0)), (1 + Fraction(1, 1 << k), Fraction(0))]
+    assert [[_holds(e.disk, e.bits, z) for z in roots] for e in encl] == [[True, False],
+                                                                           [False, True]]
+
+
+@pytest.mark.parametrize("k", [300, 1000])
+def test_clustered_irrational_roots_refine_past_their_distance(k):
+    # (x^2 - 2)(2^2k x^2 - 2 (2^k + 1)^2): the roots +-t sqrt(2), t = 1 and
+    # 1 + 2^-k, refined far past their distance; a real disk whose ends
+    # have one sign holds s t sqrt(2), s that sign, exactly when their
+    # squares bracket 2 t^2
+    p = IntPoly((-2, 0, 1)) * IntPoly((-2 * (2 ** k + 1) ** 2, 0, 1 << 2 * k))
+    ts = (1 + Fraction(1, 1 << k), 1, 1, 1 + Fraction(1, 1 << k))
+    for depth in (k + 500, 4 * k + 2000):
+        encl = isolate_roots(p, Fraction(1, 1 << depth))
+        for e, t in zip(encl, ts):
+            assert e.disk[1] == 0 and e.width() <= Fraction(1, 1 << depth)
+            a, b = sorted((abs(e.interval.lo), abs(e.interval.hi)))
+            assert e.interval.lo * e.interval.hi > 0 and a * a <= 2 * t * t <= b * b
+
+
+def test_newton_leaving_its_start_disk_is_not_certified():
+    # x^3 - x from the disk of radius 1/2 around 9/16, which holds only the
+    # root 1: Newton from 9/16 runs off to -1, whose disk lies outside it
+    p = IntPoly((0, -1, 0, 1))
+    try:
+        disk, bits = isolation._refine_disk(p, (72, 0, 64), 7, Fraction(1, 1 << 100))
+    except isolation.PrecisionError:
+        return
+    assert _holds(disk, bits, (Fraction(1), Fraction(0)))
 
 
 # -- integer disks against exact complex arithmetic ------------------------------
